@@ -51,7 +51,7 @@ class BoundReport:
 
 def _series(traj: Trajectory, grid: np.ndarray) -> np.ndarray:
     if traj.dim == 1:
-        return np.array([abs(traj.eval(float(t))[0]) for t in grid])
+        return np.abs(traj.eval_grid(grid)[:, 0])
     return traj.norm_grid(grid)
 
 

@@ -64,7 +64,8 @@ def assemble_pipeline(cfg: RunConfig, horizon: float | None = None,
         tol = replace(tol, rtol=rtol)
     if cap is not None:
         tol = replace(tol, cap=cap)
-    vs = cfg.build_vector_system()
+    a1 = cfg.a1_matrix()
+    vs = cfg.build_vector_system(a1)
     if cfg.reduction.p_expr is not None:
         coeffs = CoefficientPair.closed_form(cfg.reduction.p_expr, cfg.reduction.c_expr)
     else:
@@ -77,7 +78,7 @@ def assemble_pipeline(cfg: RunConfig, horizon: float | None = None,
         majorant = vs.f.majorize()
     else:
         majorant = PolynomialMajorant.zero(vs.delays.count + 1)
-    scalar = build_scalar_auxiliary(vs, cfg.a1_matrix(), coeffs, majorant)
+    scalar = build_scalar_auxiliary(vs, a1, coeffs, majorant)
     autonomous = build_autonomous_auxiliary(scalar, horizon, cfg.reduction.margin)
     return Pipeline(cfg, horizon, tol, vs, coeffs, majorant, scalar, autonomous)
 

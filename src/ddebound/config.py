@@ -144,11 +144,14 @@ class RunConfig:
         times, values = sc.history_data
         return HistoryFunction.from_samples(times, values)
 
-    def build_vector_system(self) -> VectorDelaySystem:
+    def build_vector_system(self, a1: MatrixFunction | None = None) -> VectorDelaySystem:
+        """The vector system; ``a1``, when given, is the remainder matrix
+        function to use (so a caller can share it and its norm memo)."""
         sc = self.system
         delays = self.delay_spec()
         a0 = self.a0_matrix()
-        a1 = self.a1_matrix()
+        if a1 is None:
+            a1 = self.a1_matrix()
         a_full = a0 if a1 is None else a0.plus(a1)
         poly = None
         if sc.f_monomials:

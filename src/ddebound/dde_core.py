@@ -1,15 +1,23 @@
 """Method-of-steps integration of delay differential systems.
 
-The integrator is an explicit embedded Runge-Kutta 2(3) pair
-(Bogacki-Shampine coefficients) with cubic Hermite dense output.  Step sizes
-are capped by the minimal delay and additionally broken at ``t0 + k*h_under``
-so that delayed lookups only ever touch history or already-accepted segments;
-no explicit discontinuity tracking is performed beyond that.
+The integrator is the explicit embedded Runge-Kutta 5(4) pair of Dormand and
+Prince (FSAL, local extrapolation) with the pair's 4th-order continuous
+extension (Shampine's free interpolant) as dense output; delayed lookups,
+`Trajectory` evaluation and the blow-up crossing all read that polynomial.
+Step sizes are capped by the minimal delay, and steps end exactly on the walls
+``t0 + k*h_under`` and on the kinks a system reports (the zeros of the
+``|forcing|`` term of the scalar systems), so no step spans a point where the
+right side loses smoothness.  At such a break the stages at the end of the
+step read delayed values from the left and the next step re-evaluates its
+first stage instead of reusing the last one, so a history that jumps at the
+start time (the Cauchy function) is seen from the correct side.  No further
+discontinuity tracking is performed.
 
 Systems are duck-typed: anything exposing ``t0``, ``initial_state()``,
 ``history_eval(t)``, ``delay_spec()``, ``rhs(t, y, delayed)`` and
 ``validate_for_integration(horizon)`` can be integrated (see
-`GenericDelaySystem` for a minimal adapter).
+`GenericDelaySystem` for a minimal adapter); an optional
+``kinks(t_lo, t_hi)`` lists extra break points.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .majorant import PolynomialMajorant
-from .timefn import TimeFunction, as_time_function
+from .timefn import TimeFunction, as_time_function, locate_zeros
 from .vectorfield import NonlinearTerm
 
 __all__ = [
@@ -45,11 +53,48 @@ __all__ = [
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _SAFETY = 0.9
-# PI controller exponents for a 3rd-order error estimate
-_PI_ALPHA = 0.7 / 3.0
-_PI_BETA = 0.4 / 3.0
+# PI controller exponents for a 5th-order error estimate, and the elementary
+# controller's exponent (first step, rejected steps)
+_PI_ALPHA = 0.7 / 5.0
+_PI_BETA = 0.4 / 5.0
+_ERR_EXPONENT = -1.0 / 5.0
 _EPS = float(np.finfo(float).eps)
 _MAX_STEPS = 10_000_000
+
+# Dormand-Prince 5(4): stage nodes, stage coefficients, 5th-order weights
+# (the 7th stage is evaluated at the new point and reused as the next first
+# stage), error weights (5th minus embedded 4th order, over all 7 stages) and
+# the matrix of the 4th-order continuous extension (Shampine 1986):
+# y(t + theta*h) = y + h * sum_j (stages^T P)[:, j] * theta^(j+1).
+_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0)
+_A = (
+    None,
+    np.array([1.0 / 5.0]),
+    np.array([3.0 / 40.0, 9.0 / 40.0]),
+    np.array([44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0]),
+    np.array([19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0]),
+    np.array([9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
+              -5103.0 / 18656.0]),
+)
+_B = np.array([35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
+               11.0 / 84.0])
+_E = np.array([-71.0 / 57600.0, 0.0, 71.0 / 16695.0, -71.0 / 1920.0,
+               17253.0 / 339200.0, -22.0 / 525.0, 1.0 / 40.0])
+_P = np.array([
+    [1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0,
+     -12715105075.0 / 11282082432.0],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200.0 / 32700410799.0, -68118460800.0 / 10900136933.0,
+     87487479700.0 / 32700410799.0],
+    [0.0, -1754552775.0 / 470086768.0, 14199869525.0 / 1410260304.0,
+     -10690763975.0 / 1880347072.0],
+    [0.0, 127303824393.0 / 49829197408.0, -318862633887.0 / 49829197408.0,
+     701980252875.0 / 199316789632.0],
+    [0.0, -282668133.0 / 205662961.0, 2019193451.0 / 616988883.0,
+     -1453857185.0 / 822651844.0],
+    [0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0,
+     69997945.0 / 29380423.0],
+])
 
 
 def _step_floor(t: float) -> float:
@@ -381,6 +426,10 @@ class ScalarDelaySystem:
             value += self.perturbation.majorant.evaluate_clamped(t, zeta_r)
         return np.array([self.p(t) * state + self.c(t) * value])
 
+    def kinks(self, t_lo: float, t_hi: float) -> list[float]:
+        """Zeros of the forcing magnitude ``|g|``, where it has corners."""
+        return locate_zeros(self.forcing, t_lo, t_hi)
+
     def validate_for_integration(self, horizon: float) -> None:
         spec = self.delay_spec()
         if not self.history.covers(self.t0 - spec.h_bar, self.t0):
@@ -427,19 +476,24 @@ class GenericDelaySystem:
 
 
 class Trajectory:
-    """Dense piecewise-cubic solution with derivative data at the nodes.
+    """Dense piecewise-quartic solution of an integration.
 
-    Evaluation uses cubic Hermite interpolation on each step; node values are
-    reproduced exactly.  ``t_end`` may precede the last node when integration
-    was truncated by blow-up detection.
+    Each step ``[ts[k], ts[k+1]]`` carries the coefficients ``coeffs[k]`` of
+    the Dormand-Prince continuous extension, ``y = ys[k] + sum_j coeffs[k][j]
+    * theta^(j+1)`` with ``theta`` the fraction of the step; node values are
+    reproduced exactly.  ``fs`` holds the right side at the nodes (the value
+    reached from the left after the first node).  ``t_end`` may precede the
+    last node when integration was truncated by blow-up detection.
     """
 
     def __init__(self, ts: np.ndarray, ys: np.ndarray, fs: np.ndarray,
-                 t_end: float, blew_up: bool = False, blow_time: float | None = None,
+                 coeffs: np.ndarray, t_end: float, blew_up: bool = False,
+                 blow_time: float | None = None,
                  history: HistoryFunction | None = None, history_span: float = 0.0):
         self.ts = ts
         self.ys = ys
         self.fs = fs
+        self.coeffs = coeffs
         self.t_end = float(t_end)
         self.blew_up = blew_up
         self.blow_time = blow_time
@@ -459,10 +513,14 @@ class Trajectory:
     def termination(self) -> str:
         return "blew_up" if self.blew_up else "completed"
 
-    def eval(self, t: float) -> np.ndarray:
-        if t < self.t_start - 1e-12 or t > self.t_end + 1e-12:
+    def _check_domain(self, lo: float, hi: float) -> None:
+        if lo < self.t_start - 1e-12 or hi > self.t_end + 1e-12:
+            bad = lo if lo < self.t_start - 1e-12 else hi
             raise ValueError(
-                f"t={t!r} outside the trajectory domain [{self.t_start}, {self.t_end}]")
+                f"t={bad!r} outside the trajectory domain [{self.t_start}, {self.t_end}]")
+
+    def eval(self, t: float) -> np.ndarray:
+        self._check_domain(t, t)
         t = min(max(t, self.t_start), self.t_end)
         idx = bisect_right(self._node_list, t) - 1
         if idx >= len(self._node_list) - 1:
@@ -474,8 +532,7 @@ class Trajectory:
             return self.ys[idx].copy()
         if t == t1:
             return self.ys[idx + 1].copy()
-        return _hermite(t, t0, t1, self.ys[idx], self.ys[idx + 1],
-                        self.fs[idx], self.fs[idx + 1])
+        return _dense(self.ys[idx], self.coeffs[idx], (t - t0) / (t1 - t0))
 
     __call__ = eval
 
@@ -483,22 +540,34 @@ class Trajectory:
         return float(np.linalg.norm(self.eval(t)))
 
     def eval_grid(self, grid: np.ndarray) -> np.ndarray:
-        return np.array([self.eval(float(t)) for t in grid])
+        """States at every time of ``grid``; bitwise equal to `eval` per point."""
+        t = np.asarray(grid, dtype=float).ravel()
+        if t.size == 0:
+            return np.empty((0, self.dim))
+        self._check_domain(float(t.min()), float(t.max()))
+        t = np.clip(t, self.t_start, self.t_end)
+        ts = self.ts
+        if ts.size < 2:
+            return np.repeat(self.ys[:1], t.size, axis=0)
+        idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, ts.size - 2)
+        ta = ts[idx]
+        tb = ts[idx + 1]
+        out = _dense(self.ys[idx], np.moveaxis(self.coeffs[idx], 1, 0),
+                     ((t - ta) / (tb - ta))[:, None])
+        at_a = t == ta
+        out[at_a] = self.ys[idx[at_a]]
+        at_b = t == tb
+        out[at_b] = self.ys[idx[at_b] + 1]
+        return out
 
     def norm_grid(self, grid: np.ndarray) -> np.ndarray:
-        return np.array([self.norm_at(float(t)) for t in grid])
+        return np.linalg.norm(self.eval_grid(grid), axis=1)
 
 
-def _hermite(t, t0, t1, y0, y1, f0, f1):
-    h = t1 - t0
-    theta = (t - t0) / h
-    th2 = theta * theta
-    th3 = th2 * theta
-    h00 = 2.0 * th3 - 3.0 * th2 + 1.0
-    h10 = th3 - 2.0 * th2 + theta
-    h01 = -2.0 * th3 + 3.0 * th2
-    h11 = th3 - th2
-    return h00 * y0 + (h10 * h) * f0 + h01 * y1 + (h11 * h) * f1
+def _dense(y0, q, theta):
+    """Continuous extension ``y0 + sum_j q[j] theta^(j+1)`` in Horner form
+    (the same operations for one point and for a batch, so both agree)."""
+    return y0 + theta * (q[0] + theta * (q[1] + theta * (q[2] + theta * q[3])))
 
 
 def _initial_step(eval_rhs, t0, y0, f0, rtol, atol, max_step):
@@ -514,7 +583,7 @@ def _initial_step(eval_rhs, t0, y0, f0, rtol, atol, max_step):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1.0 / 3.0)
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 5.0)
     return min(100.0 * h0, h1, max_step)
 
 
@@ -524,6 +593,9 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
     Delayed arguments are resolved from the history function (at or before
     the start time) or from already-accepted dense segments; the step cap
     ``h_under`` guarantees no delayed lookup ever lands in the current step.
+    Steps end exactly on the walls ``t0 + k*h_under`` and on the system's
+    kinks; the stages at the end of a step read delayed values from the left
+    there, and the next step starts from a fresh right-side evaluation.
     Integration stops early, with the first crossing time recorded, when the
     state norm reaches ``tol.cap``.
     """
@@ -543,43 +615,55 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
     if tol.max_step is not None:
         max_step = min(max_step, tol.max_step)
 
+    kinks_of = getattr(system, "kinks", None)
+    kinks = [k for k in kinks_of(t0, horizon) if t0 < k < horizon] if kinks_of else []
+    kink_index = 0
+
     y0 = np.atleast_1d(np.asarray(system.initial_state(), dtype=float))
     dim = y0.size
 
     nodes_t: list[float] = [t0]
     nodes_y: list[np.ndarray] = [y0]
     nodes_f: list[np.ndarray] = []
+    nodes_q: list[np.ndarray] = []
 
     lower_guard = t0 - h_bar - 1e-9 * max(1.0, abs(t0) + h_bar)
+    # delayed arguments this close to t0 count as t0: from the left they read
+    # the history, from the right the initial state (which may differ)
+    start_snap = 1e-12 * max(1.0, abs(t0))
 
-    def past(tq: float) -> np.ndarray:
-        if tq < t0:
+    def past(tq: float, left: bool) -> np.ndarray:
+        if tq < t0 - start_snap or (left and tq <= t0 + start_snap):
             if tq < lower_guard:
                 raise IntegrationError(
                     f"delayed argument t={tq!r} falls below the history interval "
                     f"start {t0 - h_bar!r} (malformed delay)", time=tq)
-            return np.atleast_1d(np.asarray(system.history_eval(tq), dtype=float))
+            return np.atleast_1d(np.asarray(system.history_eval(min(tq, t0)),
+                                            dtype=float))
+        if tq <= t0:
+            return nodes_y[0]
         idx = bisect_right(nodes_t, tq) - 1
         if idx >= len(nodes_t) - 1:
             return nodes_y[-1]
-        ta, tb = nodes_t[idx], nodes_t[idx + 1]
+        ta = nodes_t[idx]
         if tq == ta:
             return nodes_y[idx]
-        return _hermite(tq, ta, tb, nodes_y[idx], nodes_y[idx + 1],
-                        nodes_f[idx], nodes_f[idx + 1])
+        return _dense(nodes_y[idx], nodes_q[idx], (tq - ta) / (nodes_t[idx + 1] - ta))
 
-    def eval_rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def eval_rhs(t: float, y: np.ndarray, left: bool = False) -> np.ndarray:
         if has_delays:
-            delayed = [past(t - fn(t)) for fn in delay_fns]
+            delayed = [past(t - fn(t), left) for fn in delay_fns]
         else:
             delayed = ()
         return np.atleast_1d(np.asarray(system.rhs(t, y, delayed), dtype=float))
 
+    stages = np.empty((7, dim))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f0 = eval_rhs(t0, y0)
         if not np.all(np.isfinite(f0)):
             raise IntegrationError("right side is not finite at the start time", time=t0)
         nodes_f.append(f0)
+        stages[0] = f0
 
         if tol.first_step is not None:
             h = min(tol.first_step, max_step)
@@ -588,7 +672,6 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
 
         t = t0
         y = y0
-        k1 = f0
         err_prev: float | None = None
         blew_up = False
         blow_time: float | None = None
@@ -600,13 +683,24 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
             if steps > _MAX_STEPS:
                 raise IntegrationError(f"step budget exhausted at t={t!r}", time=t)
             h_eff = min(h, max_step, horizon - t)
+            t_new = t + h_eff if h_eff < horizon - t else horizon
+            on_break = False
+            near = 1e-12 * max(1.0, abs(t))
+            breakpoint_ = math.inf
             if has_delays:
                 wall = t0 + wall_index * h_under
-                while wall <= t + 1e-12 * max(1.0, abs(t)):
+                while wall <= t + near:
                     wall_index += 1
                     wall = t0 + wall_index * h_under
-                if t + h_eff >= wall - 1e-12 * max(1.0, abs(wall)):
-                    h_eff = wall - t
+                breakpoint_ = wall
+            while kink_index < len(kinks) and kinks[kink_index] <= t + near:
+                kink_index += 1
+            if kink_index < len(kinks):
+                breakpoint_ = min(breakpoint_, kinks[kink_index])
+            if t_new >= breakpoint_ - 1e-12 * max(1.0, abs(breakpoint_)):
+                t_new = breakpoint_
+                h_eff = t_new - t
+                on_break = True
             if h_eff < _step_floor(t):
                 norm_y = float(np.linalg.norm(y))
                 if norm_y >= 0.01 * tol.cap:
@@ -614,19 +708,19 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
                     break
                 raise IntegrationError(f"step size underflow at t={t!r}", time=t)
 
-            t_new = t + h_eff
             try:
-                k2 = eval_rhs(t + 0.5 * h_eff, y + (0.5 * h_eff) * k1)
-                k3 = eval_rhs(t + 0.75 * h_eff, y + (0.75 * h_eff) * k2)
-                y_new = y + h_eff * ((2.0 / 9.0) * k1 + (1.0 / 3.0) * k2 + (4.0 / 9.0) * k3)
-                k4 = eval_rhs(t_new, y_new)
+                for s in range(1, 6):
+                    stages[s] = eval_rhs(t + _C[s] * h_eff,
+                                         y + h_eff * (_A[s] @ stages[:s]),
+                                         left=s == 5)
+                y_new = y + h_eff * (_B @ stages[:6])
+                stages[6] = eval_rhs(t_new, y_new, left=True)
             except (OverflowError, ValueError, ZeroDivisionError, FloatingPointError):
                 h = 0.25 * h_eff
                 err_prev = None
                 continue
-            err_vec = h_eff * ((-5.0 / 72.0) * k1 + (1.0 / 12.0) * k2
-                               + (1.0 / 9.0) * k3 + (-1.0 / 8.0) * k4)
-            if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(k4))
+            err_vec = h_eff * (_E @ stages)
+            if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(stages[6]))
                     and np.all(np.isfinite(err_vec))):
                 h = 0.25 * h_eff
                 err_prev = None
@@ -635,48 +729,59 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
             err_norm = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
 
             if err_norm <= 1.0:
+                q = h_eff * (_P.T @ stages)
                 nodes_t.append(t_new)
                 nodes_y.append(y_new)
-                nodes_f.append(k4)
+                nodes_f.append(stages[6].copy())
+                nodes_q.append(q)
                 if float(np.linalg.norm(y_new)) >= tol.cap:
                     blew_up = True
-                    blow_time = _locate_cap_crossing(
-                        t, t_new, y, y_new, k1, k4, tol.cap)
+                    blow_time = _locate_cap_crossing(t, t_new, y, q, tol.cap, t_new)
                     t = t_new
                     break
                 t = t_new
                 y = y_new
-                k1 = k4
+                if on_break:
+                    stages[0] = eval_rhs(t, y)
+                else:
+                    stages[0] = stages[6]
                 if err_norm == 0.0:
                     factor = _MAX_FACTOR
                 elif err_prev is None:
-                    factor = _SAFETY * err_norm ** (-1.0 / 3.0)
+                    factor = _SAFETY * err_norm ** _ERR_EXPONENT
                 else:
                     factor = _SAFETY * err_norm ** (-_PI_ALPHA) * err_prev ** _PI_BETA
-                h = h_eff * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+                h_next = h_eff * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+                # a step cut short to reach a break says nothing against the
+                # longer step proposed before the cut
+                h = max(h_next, h) if on_break else h_next
                 err_prev = err_norm
             else:
-                h = h_eff * max(_MIN_FACTOR, _SAFETY * err_norm ** (-1.0 / 3.0))
+                h = h_eff * max(_MIN_FACTOR, _SAFETY * err_norm ** _ERR_EXPONENT)
                 err_prev = None
 
     ts = np.array(nodes_t)
     ys = np.array(nodes_y)
     fs = np.array(nodes_f)
+    coeffs = np.array(nodes_q).reshape(len(nodes_q), 4, dim)
     t_end = blow_time if blew_up else ts[-1]
-    return Trajectory(ts, ys, fs, t_end, blew_up, blow_time,
+    return Trajectory(ts, ys, fs, coeffs, t_end, blew_up, blow_time,
                       history=getattr(system, "history", None),
                       history_span=h_bar)
 
 
-def _locate_cap_crossing(t0, t1, y0, y1, f0, f1, cap) -> float:
-    """First time in [t0, t1] where the dense-output norm reaches ``cap``."""
+def _locate_cap_crossing(ta, tb, ya, q, cap, t_hi) -> float:
+    """First time in ``[ta, t_hi]`` where the norm of the continuous extension
+    of the step ``[ta, tb]`` (start value ``ya``, coefficients ``q``) reaches
+    ``cap``; ``t_hi`` itself when no earlier grid point does."""
+    h = tb - ta
 
     def norm_at(t):
-        return float(np.linalg.norm(_hermite(t, t0, t1, y0, y1, f0, f1)))
+        return float(np.linalg.norm(_dense(ya, q, (t - ta) / h)))
 
-    grid = np.linspace(t0, t1, 33)
-    lo = t0
-    hi = t1
+    grid = np.linspace(ta, t_hi, 33)
+    lo = ta
+    hi = t_hi
     for tg in grid[1:]:
         if norm_at(float(tg)) >= cap:
             hi = float(tg)
@@ -732,25 +837,29 @@ class BlowupReport:
 
 
 def detect_blowup(traj: Trajectory, cap: float) -> BlowupReport:
-    """First time the dense trajectory norm reaches ``cap``, if any."""
+    """First time the dense trajectory norm reaches ``cap``, if any.
+
+    Seven points of every step are scanned at once; the first step with a
+    sample at or above ``cap`` is then searched by `_locate_cap_crossing`.
+    """
     if cap <= 0:
         raise ValueError("cap must be positive")
-    n = len(traj.ts)
-    for idx in range(n - 1):
-        t0, t1 = float(traj.ts[idx]), float(traj.ts[idx + 1])
-        t1 = min(t1, traj.t_end)
-        if t1 <= t0:
-            break
-        for t in np.linspace(t0, t1, 7):
-            if traj.norm_at(float(t)) >= cap:
-                lo, hi = t0, float(t)
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    if traj.norm_at(mid) >= cap:
-                        hi = mid
-                    else:
-                        lo = mid
-                return BlowupReport(True, hi)
+    lo = traj.ts[:-1]
+    hi = np.minimum(traj.ts[1:], traj.t_end)
+    live = int(np.argmin(hi > lo)) if np.any(hi <= lo) else lo.size
+    lo, hi = lo[:live], hi[:live]
+    if live:
+        samples = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 7)
+        above = traj.norm_grid(samples.ravel()).reshape(samples.shape) >= cap
+        hits = np.flatnonzero(above.any(axis=1))
+        if hits.size:
+            k = int(hits[0])
+            first = float(samples[k, int(np.argmax(above[k]))])
+            if first == lo[k]:
+                return BlowupReport(True, first)
+            return BlowupReport(True, _locate_cap_crossing(
+                float(traj.ts[k]), float(traj.ts[k + 1]), traj.ys[k],
+                traj.coeffs[k], cap, first))
     if traj.norm_at(traj.t_end) >= cap:
         return BlowupReport(True, traj.t_end)
     return BlowupReport(False, None)

@@ -11,7 +11,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .timefn import ConstantFn, as_time_function
+from .timefn import ConstantFn, as_time_function, memoize_last
 
 __all__ = [
     "singular_values",
@@ -105,6 +105,12 @@ class MatrixFunction:
                 self._callables.append((i, j, fn))
         self._base = base
         self.is_constant = not self._callables
+        # one memo per matrix function: every coefficient built from it
+        # computes |M(t)| once per time point
+        if self.is_constant:
+            self.norm = ConstantFn(spectral_norm(base))
+        else:
+            self.norm = memoize_last(lambda t: spectral_norm(self(t)))
 
     @classmethod
     def zero(cls, dim: int) -> "MatrixFunction":
@@ -153,7 +159,8 @@ class MatrixFunction:
 
 
 def matrix_norm_function(matrix_fn) -> Callable[[float], float]:
-    """Time function ``t -> |M(t)|`` (spectral norm)."""
-    if isinstance(matrix_fn, MatrixFunction) and matrix_fn.is_constant:
-        return ConstantFn(spectral_norm(matrix_fn(0.0)))
-    return lambda t: spectral_norm(matrix_fn(t))
+    """Time function ``t -> |M(t)|`` (spectral norm), memoized at the last
+    time point; a `MatrixFunction` hands out its one shared memo."""
+    if isinstance(matrix_fn, MatrixFunction):
+        return matrix_fn.norm
+    return memoize_last(lambda t: spectral_norm(matrix_fn(t)))

@@ -19,7 +19,7 @@ from .dde_core import (DelaySpec, HistoryFunction, ToleranceSettings, Trajectory
                        integrate, sup_norm_on_interval)
 from .majorant import LinearizedCoefficients
 from .reduction import CoefficientPair
-from .timefn import ConstantFn, TimeFunction, as_time_function
+from .timefn import ConstantFn, TimeFunction, as_time_function, locate_zeros
 
 __all__ = [
     "LinearScalarDDE",
@@ -84,6 +84,12 @@ class LinearScalarDDE:
         if self.forcing_amplitude != 0.0:
             value += self.forcing_amplitude * self.forcing_shape(t)
         return np.array([value])
+
+    def kinks(self, t_lo: float, t_hi: float) -> list[float]:
+        """Zeros of the forcing shape (a norm, so they are its corners)."""
+        if self.forcing_amplitude == 0.0:
+            return []
+        return locate_zeros(self.forcing_shape, t_lo, t_hi)
 
     def validate_for_integration(self, horizon: float) -> None:
         if not self.history.covers(self.t0 - self.delays.h_bar, self.t0):
@@ -232,12 +238,9 @@ def superposition_check(sys: LinearScalarDDE, history: HistoryFunction,
                             horizon, tol)
     particular = particular_response(sys, horizon, tol)
     grid = np.linspace(sys.t0, horizon, grid_points)
-    residual = 0.0
-    for t in grid:
-        t = float(t)
-        combined = homogeneous.eval(t)[0] + forcing_amplitude * particular.eval(t)[0]
-        residual = max(residual, abs(full.eval(t)[0] - combined))
-    return residual
+    combined = (homogeneous.eval_grid(grid)[:, 0]
+                + forcing_amplitude * particular.eval_grid(grid)[:, 0])
+    return float(np.max(np.abs(full.eval_grid(grid)[:, 0] - combined), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -277,8 +280,7 @@ def iss_bound_series(vector_traj: Trajectory, u_h: Trajectory, u_nh: Trajectory,
                 raise ValueError(
                     f"histories are not matched at t={float(t)!r}: |phi|={a!r} vs {b!r}")
     norms = vector_traj.norm_grid(grid)
-    bounds = np.array([u_h.eval(float(t))[0] + forcing_amplitude * u_nh.eval(float(t))[0]
-                       for t in grid])
+    bounds = u_h.eval_grid(grid)[:, 0] + forcing_amplitude * u_nh.eval_grid(grid)[:, 0]
     gaps = norms - bounds
     max_violation = float(np.max(gaps))
     holds = max_violation <= tol

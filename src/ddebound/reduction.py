@@ -21,7 +21,7 @@ from .dde_core import (DelaySpec, ScalarDelaySystem, ToleranceSettings,
                        Trajectory, VectorDelaySystem, integrate)
 from .linalg import matrix_norm_function, singular_values
 from .majorant import PolynomialMajorant, PolynomialTerm
-from .timefn import ConstantFn, as_time_function, grid_supremum, memoize_last
+from .timefn import ConstantFn, as_time_function, grid_supremum
 
 __all__ = [
     "IllConditionedError",
@@ -226,8 +226,6 @@ def build_scalar_auxiliary(vs: VectorDelaySystem,
             f"{vs.delays.count} delays")
     if split is not None:
         norm_fn = matrix_norm_function(split)
-        if not isinstance(norm_fn, ConstantFn):
-            norm_fn = memoize_last(norm_fn)
         exponents = tuple(1 if i == 0 else 0 for i in range(majorant.arg_count))
         majorant = majorant.with_extra_terms([PolynomialTerm(norm_fn, exponents)])
     if vs.forcing_amplitude > 0.0:

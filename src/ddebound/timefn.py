@@ -6,6 +6,7 @@ import math
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .expressions import Expression
 
@@ -15,6 +16,7 @@ __all__ = [
     "as_time_function",
     "memoize_last",
     "grid_supremum",
+    "locate_zeros",
 ]
 
 TimeFunction = Callable[[float], float]
@@ -99,3 +101,80 @@ def grid_supremum(fn: TimeFunction, t_lo: float, t_hi: float,
     if not np.isfinite(best) or abs(best) > overflow_guard:
         raise OverflowError(f"supremum sample {best!r} exceeds the overflow guard")
     return best + margin * abs(best)
+
+
+_ZERO_SAMPLES = 4096
+_ZERO_REL_TOL = 1e-9
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_MAX_ITERATIONS = 100    # a two-cell bracket reaches float resolution in < 80
+_RESOLUTION = 4.0 * float(np.finfo(float).eps)
+
+
+def locate_zeros(fn: TimeFunction, t_lo: float, t_hi: float) -> list[float]:
+    """Zeros of ``fn`` on ``[t_lo, t_hi]``, ascending.
+
+    ``fn`` is sampled on a uniform 4096-point grid.  Sign changes are refined with
+    ``brentq``; grid-local minima of ``|fn|`` (zeros that ``fn`` touches
+    without crossing, as ``|sin t|`` does) are refined with a golden-section
+    search and kept when ``|fn|`` there is at most 1e-9 times the largest
+    sampled magnitude.  Zeros closer together than the grid spacing
+    may be reported once; where ``fn`` vanishes on a stretch, only the grid
+    points at its ends are reported.  Constants have no isolated zeros.
+    """
+    if t_hi <= t_lo or isinstance(fn, ConstantFn):
+        return []
+    grid = np.linspace(t_lo, t_hi, _ZERO_SAMPLES)
+    vals = np.array([fn(float(t)) for t in grid])
+    mags = np.abs(vals)
+    scale = float(np.max(mags))
+    if not math.isfinite(scale) or scale == 0.0:
+        return []
+    exact = vals == 0.0
+    # inside a stretch where fn vanishes only the ends are zeros worth a break
+    inside = np.zeros(grid.size, dtype=bool)
+    inside[1:-1] = exact[:-2] & exact[2:]
+    zeros = [float(t) for t in grid[exact & ~inside]]
+    crossing = vals[:-1] * vals[1:] < 0.0
+    for i in np.flatnonzero(crossing):
+        zeros.append(brentq(fn, grid[i], grid[i + 1], xtol=1e-15))
+    # cells next to a crossing or an exact zero are already resolved
+    resolved = np.zeros(grid.size, dtype=bool)
+    resolved[:-1] |= crossing
+    resolved[1:] |= crossing
+    resolved |= exact
+    padded = np.concatenate(([math.inf], mags, [math.inf]))
+    minima = (mags <= padded[:-2]) & (mags <= padded[2:]) & ~resolved
+    last = grid.size - 1
+    for i in np.flatnonzero(minima):
+        a = float(grid[max(i - 1, 0)])
+        b = float(grid[min(i + 1, last)])
+        t_min = _golden_minimum(lambda s: abs(fn(s)), a, b)
+        if abs(fn(t_min)) <= _ZERO_REL_TOL * scale:
+            zeros.append(t_min)
+    zeros.sort()
+    spacing = float(grid[1] - grid[0])
+    merged: list[float] = []
+    for z in zeros:
+        if not merged or z - merged[-1] > 1e-3 * spacing:
+            merged.append(z)
+    return merged
+
+
+def _golden_minimum(fn: TimeFunction, a: float, b: float) -> float:
+    """Minimiser of a unimodal ``fn`` on ``[a, b]`` by golden-section search,
+    down to the float resolution of the bracket."""
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(_GOLDEN_MAX_ITERATIONS):
+        if b - a <= _RESOLUTION * max(abs(a), abs(b), 1.0):
+            break
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = fn(d)
+    return c if fc <= fd else d

@@ -21,7 +21,7 @@ import numpy as np
 
 from .linalg import matrix_norm_function
 from .majorant import PolynomialMajorant, PolynomialTerm, majorize_polynomial
-from .timefn import ConstantFn, TimeFunction, as_time_function, memoize_last
+from .timefn import ConstantFn, TimeFunction, as_time_function
 
 __all__ = ["PolynomialVectorField", "DelayedMatrixTerm", "NonlinearTerm"]
 
@@ -129,7 +129,6 @@ class NonlinearTerm:
             if isinstance(norm_fn, ConstantFn):
                 coeff = ConstantFn(weight * norm_fn.value)
             else:
-                shared = memoize_last(norm_fn)
-                coeff = (lambda s, f=shared, w=weight: w * f(s))
+                coeff = (lambda s, f=norm_fn, w=weight: w * f(s))
             extra.append(PolynomialTerm(coeff, exponents))
         return base.with_extra_terms(extra) if extra else base

@@ -10,6 +10,7 @@ from ddebound import (DelaySpec, GenericDelaySystem, HistoryFunction, Integratio
                       detect_blowup, eval_trajectory, integrate, parse_expression,
                       sup_norm_on_interval)
 from ddebound.majorant import PolynomialMajorant
+from ddebound.timefn import ConstantFn, locate_zeros
 from ddebound.vectorfield import NonlinearTerm, PolynomialVectorField
 
 
@@ -84,7 +85,10 @@ class TestIntegrate:
 
     def test_convergence_order_of_embedded_pair(self):
         # same delayed equation with an exponential history: the solution is
-        # not piecewise polynomial, so truncation error is visible
+        # not piecewise polynomial, so truncation error is visible.  Fixed
+        # steps (every step accepted at the loose tolerance) that land on the
+        # walls t = 1, 2: each halving of h must cut both the node error and
+        # the error of the continuous extension inside the steps by ~2^5
         hist = HistoryFunction.from_expressions([parse_expression("exp(t)")])
         sys = delayed_decay_system(history=hist)
 
@@ -93,14 +97,19 @@ class TestIntegrate:
                 return 1.0 + math.exp(-1.0) - math.exp(t - 1.0)
             return -(1.0 + math.exp(-1.0)) * (t - 1.0) + math.exp(t - 2.0)
 
-        grid = np.linspace(0.0, 2.0, 201)
-        errors = []
-        for rtol in (1e-4, 1e-5, 1e-6):
-            traj = integrate(sys, 2.0, ToleranceSettings(rtol=rtol, atol=1e-13))
-            errors.append(max(abs(traj.eval(float(t))[0] - oracle(float(t)))
-                              for t in grid))
-        assert errors[0] / errors[1] >= 4.0
-        assert errors[1] / errors[2] >= 4.0
+        node_errors, dense_errors = [], []
+        for h in (1.0 / 4.0, 1.0 / 8.0, 1.0 / 16.0):
+            traj = integrate(sys, 2.0, ToleranceSettings(rtol=1e-1, atol=1e-1,
+                                                         first_step=h, max_step=h))
+            assert np.allclose(np.diff(traj.ts), h, rtol=0.0, atol=1e-15)
+            node_errors.append(max(abs(y[0] - oracle(float(t)))
+                                   for t, y in zip(traj.ts, traj.ys)))
+            inner = traj.ts[:-1] + 0.3 * h
+            dense_errors.append(float(np.max(np.abs(
+                traj.eval_grid(inner)[:, 0] - np.array([oracle(float(t)) for t in inner])))))
+        for errors in (node_errors, dense_errors):
+            assert errors[0] / errors[1] >= 24.0
+            assert errors[1] / errors[2] >= 24.0
 
     def test_steps_never_exceed_minimal_delay(self):
         traj = integrate(delayed_decay_system(), 3.0, DEFAULT)
@@ -160,6 +169,17 @@ class TestIntegrate:
 
 
 class TestEvalTrajectory:
+    def test_grid_matches_pointwise_evaluation(self):
+        traj = integrate(delayed_decay_system(), 3.0, DEFAULT)
+        grid = np.concatenate([np.linspace(0.0, 3.0, 397), traj.ts])
+        batch = traj.eval_grid(grid)
+        for t, row in zip(grid, batch):
+            assert np.array_equal(row, traj.eval(float(t)))
+        assert np.array_equal(traj.eval_grid(traj.ts), traj.ys)
+        assert np.array_equal(traj.norm_grid(grid), np.abs(batch[:, 0]))
+        with pytest.raises(ValueError):
+            traj.eval_grid(np.array([0.0, 3.5]))
+
     def test_node_values_exact(self):
         traj = integrate(delayed_decay_system(), 3.0, DEFAULT)
         for k in range(len(traj.ts)):
@@ -234,6 +254,38 @@ class TestDetectBlowup:
         report = detect_blowup(traj, math.e)   # crossing at t = 1
         assert report.blew_up
         assert report.time == pytest.approx(1.0, abs=1e-5)
+
+
+class TestKinks:
+    def test_zeros_of_crossing_and_touching_functions(self):
+        exact = np.arange(160) * math.pi / 10.0
+        for text in ("sin(10*t)", "abs(sin(10*t))"):
+            zeros = locate_zeros(parse_expression(text).compiled(), 0.0, 50.0)
+            assert len(zeros) == 160
+            assert np.max(np.abs(np.array(zeros) - exact)) < 1e-12
+
+    def test_no_zeros_of_positive_or_constant_functions(self):
+        assert locate_zeros(lambda t: 1.0 + 0.5 * math.sin(t), 0.0, 50.0) == []
+        assert locate_zeros(ConstantFn(0.0), 0.0, 50.0) == []
+
+    def test_kinks_are_nodes_of_the_bound(self):
+        from ddebound.cli import _bundled_config, assemble_pipeline
+
+        system = assemble_pipeline(_bundled_config("a")).scalar_system
+        kinks = system.kinks(0.0, 50.0)
+        assert len(kinks) == 160
+        traj = integrate(system, 50.0, ToleranceSettings(rtol=1e-6, atol=1e-9))
+        inner = [k for k in kinks if 0.0 < k < 50.0]
+        assert np.all(np.isin(inner, traj.ts))
+
+    def test_bound_stays_high_order(self):
+        # the 2(3) stepper took 10,913 steps here; a 5(4) pair that loses
+        # its order at the kinks would take several thousand again
+        from ddebound.cli import _bundled_config, assemble_pipeline
+
+        system = assemble_pipeline(_bundled_config("a")).scalar_system
+        traj = integrate(system, 50.0, ToleranceSettings(rtol=1e-6, atol=1e-9))
+        assert len(traj.ts) - 1 < 3000
 
 
 class TestScalarSystemGuards:

@@ -183,6 +183,20 @@ class TestBuildScalarAuxiliary:
         t = 0.3
         assert ss.forcing(t) == pytest.approx(0.05 * abs(math.sin(10 * t)))
 
+    def test_remainder_norm_computed_once_per_time_point(self, monkeypatch):
+        # the folded |A1(t)| term and the delayed 0.5 |A1(t)| term share one
+        # memo, so each right-side evaluation computes the norm once
+        import ddebound.linalg as linalg
+
+        vs, a1, coeffs = _planar_benchmark_system()
+        ss = build_scalar_auxiliary(vs, a1, coeffs, vs.f.majorize())
+        calls = []
+        monkeypatch.setattr(linalg, "spectral_norm",
+                            lambda m: calls.append(1) or spectral_norm(m))
+        for t in (0.1, 0.2, 0.3):
+            ss.rhs(t, np.array([0.1]), [np.array([0.2])])
+        assert len(calls) == 3
+
     def test_arity_mismatch_rejected(self):
         vs, a1, coeffs = _planar_benchmark_system()
         with pytest.raises(ValueError):
