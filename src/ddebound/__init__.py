@@ -12,20 +12,19 @@ from .analysis import (BoundednessCriterion, BoundReport, FtsReport, RadiusEstim
                        classify_fts, estimate_scalar_radius, estimate_vector_region,
                        robust_stability_check, verify_pointwise_ordering)
 from .config import ConfigError, RunConfig, load_config, load_config_text
-from .dde_core import (BlowupReport, DelaySpec, GenericDelaySystem, HistoryFunction,
+from .dde_core import (BlowupReport, DelayProblem, DelaySpec, HistoryFunction,
                        IntegrationError, Perturbation, ScalarDelaySystem,
                        ToleranceSettings, Trajectory, VectorDelaySystem,
-                       detect_blowup, eval_trajectory, integrate,
-                       sup_norm_on_interval)
+                       detect_blowup, integrate, sup_norm_on_interval)
 from .expressions import (EvaluationError, Expression, ExpressionSyntaxError,
                           parse_expression)
-from .linalg import MatrixFunction, singular_values, spectral_norm
+from .linalg import MatrixFunction, spectral_norm
 from .linear_aux import (IssReport, LinearResponse, LinearScalarDDE,
                          build_constant_linear_auxiliary, build_linear_auxiliary,
                          cauchy_function, integrate_linear, iss_bound_series,
                          particular_response, superposition_check)
 from .majorant import (LinearizedCoefficients, PolynomialMajorant, PolynomialTerm,
-                       eval_majorant, linearize_majorant, majorize_polynomial,
+                       linearize_majorant, majorize_polynomial,
                        sup_linear_coefficients)
 from .reduction import (CoefficientPair, FundamentalMatrixSolution,
                         IllConditionedError, build_autonomous_auxiliary,

@@ -69,9 +69,8 @@ def assemble_pipeline(cfg: RunConfig, horizon: float | None = None,
     if cfg.reduction.p_expr is not None:
         coeffs = CoefficientPair.closed_form(cfg.reduction.p_expr, cfg.reduction.c_expr)
     else:
-        pad = 0.5 + 1e-3 * max(1.0, abs(horizon))
         fundamental = compute_fundamental_matrix(
-            cfg.a0_matrix(), vs.t0, horizon + pad,
+            cfg.a0_matrix(), vs.t0, horizon,
             ToleranceSettings(rtol=1e-8, atol=1e-12, cap=math.inf))
         coeffs = CoefficientPair.from_fundamental(fundamental)
     if vs.f is not None:

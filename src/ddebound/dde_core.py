@@ -13,11 +13,12 @@ first stage instead of reusing the last one, so a history that jumps at the
 start time (the Cauchy function) is seen from the correct side.  No further
 discontinuity tracking is performed.
 
-Systems are duck-typed: anything exposing ``t0``, ``initial_state()``,
-``history_eval(t)``, ``delay_spec()``, ``rhs(t, y, delayed)`` and
-``validate_for_integration(horizon)`` can be integrated (see
-`GenericDelaySystem` for a minimal adapter); an optional
-``kinks(t_lo, t_hi)`` lists extra break points.
+`integrate` takes one problem type, `DelayProblem`: the right side
+``rhs(t, y, delayed)``, the delays, the history, the start time, an optional
+start value that differs from the history (a jump at ``t0``) and the kinks.
+A system class hands its problem over through ``problem(horizon)``, where it
+runs its own checks on that horizon; `DelayProblem.problem` returns itself,
+so a custom right side is integrated by building a `DelayProblem` directly.
 """
 
 from __future__ import annotations
@@ -41,11 +42,10 @@ __all__ = [
     "VectorDelaySystem",
     "ScalarDelaySystem",
     "Perturbation",
-    "GenericDelaySystem",
+    "DelayProblem",
     "Trajectory",
     "BlowupReport",
     "integrate",
-    "eval_trajectory",
     "sup_norm_on_interval",
     "detect_blowup",
 ]
@@ -278,6 +278,36 @@ class HistoryFunction:
         return min(float(np.min(self(float(t)))) for t in grid)
 
 
+@dataclass(frozen=True, eq=False)
+class DelayProblem:
+    """``y' = rhs(t, y, [y(t - h_i(t))])`` from ``t0`` with ``history`` before it.
+
+    The start value is ``history(t0)`` unless ``y0`` is given; a different
+    ``y0`` is a jump at ``t0`` that delayed lookups see from the correct side.
+    ``history`` may be omitted only when there are no delays and ``y0`` is
+    given.  ``kinks`` are extra times where the right side loses smoothness;
+    the integrator steps onto those inside its interval.
+    """
+
+    rhs: Callable[[float, np.ndarray, Sequence[np.ndarray]], np.ndarray]
+    delays: DelaySpec
+    history: HistoryFunction | None
+    t0: float = 0.0
+    y0: np.ndarray | None = None
+    kinks: Sequence[float] = ()
+
+    def __post_init__(self):
+        h_bar = self.delays.h_bar
+        if self.history is None:
+            if self.delays.delays or self.y0 is None:
+                raise ValueError("a history is required with delays or without a start value")
+        elif not self.history.covers(self.t0 - h_bar, self.t0):
+            raise ValueError(f"history must cover [{self.t0 - h_bar}, {self.t0}]")
+
+    def problem(self, horizon: float) -> "DelayProblem":
+        return self
+
+
 @dataclass(frozen=True)
 class VectorDelaySystem:
     """Vector delay system ``x' = A(t)x + f(t, x, x(t-h_1), ...) + F0*e(t)``."""
@@ -302,19 +332,6 @@ class VectorDelaySystem:
             raise ValueError(
                 f"history dimension {self.history.dim} != system dimension {self.dim}")
 
-    # -- integration protocol -------------------------------------------
-    def delay_spec(self) -> DelaySpec:
-        return self.delays
-
-    def initial_state(self) -> np.ndarray:
-        return self.history(self.t0)
-
-    def history_eval(self, t: float) -> np.ndarray:
-        return self.history(t)
-
-    def coefficient_horizon(self) -> float:
-        return math.inf
-
     def rhs(self, t: float, y: np.ndarray, delayed: Sequence[np.ndarray]) -> np.ndarray:
         if self.A is not None:
             out = self.A(t) @ y
@@ -326,10 +343,8 @@ class VectorDelaySystem:
             out = out + self.forcing_amplitude * np.asarray(self.forcing_shape(t), dtype=float)
         return out
 
-    def validate_for_integration(self, horizon: float) -> None:
-        if not self.history.covers(self.t0 - self.delays.h_bar, self.t0):
-            raise ValueError(
-                f"history must cover [{self.t0 - self.delays.h_bar}, {self.t0}]")
+    def problem(self, horizon: float) -> DelayProblem:
+        problem = DelayProblem(self.rhs, self.delays, self.history, self.t0)
         # homogeneous part must vanish at the origin
         if self.f is not None:
             zero = np.zeros(self.dim)
@@ -348,6 +363,7 @@ class VectorDelaySystem:
             if not 0.95 <= sup <= 1.05:
                 raise ValueError(
                     f"forcing shape must have unit sup norm; sampled sup is {sup!r}")
+        return problem
 
 
 @dataclass(frozen=True)
@@ -401,21 +417,6 @@ class ScalarDelaySystem:
     def homogeneous(self) -> "ScalarDelaySystem":
         return replace(self, forcing=as_time_function(0.0))
 
-    # -- integration protocol -------------------------------------------
-    def delay_spec(self) -> DelaySpec:
-        if self.perturbation is None:
-            return self.delays
-        return self.delays.merged_with(self.perturbation.delays)
-
-    def initial_state(self) -> np.ndarray:
-        return self.history(self.t0)
-
-    def history_eval(self, t: float) -> np.ndarray:
-        return self.history(t)
-
-    def coefficient_horizon(self) -> float:
-        return self.coeff_horizon
-
     def rhs(self, t: float, y: np.ndarray, delayed: Sequence[np.ndarray]) -> np.ndarray:
         state = y[0]
         m = self.delays.count
@@ -426,14 +427,13 @@ class ScalarDelaySystem:
             value += self.perturbation.majorant.evaluate_clamped(t, zeta_r)
         return np.array([self.p(t) * state + self.c(t) * value])
 
-    def kinks(self, t_lo: float, t_hi: float) -> list[float]:
-        """Zeros of the forcing magnitude ``|g|``, where it has corners."""
-        return locate_zeros(self.forcing, t_lo, t_hi)
-
-    def validate_for_integration(self, horizon: float) -> None:
-        spec = self.delay_spec()
-        if not self.history.covers(self.t0 - spec.h_bar, self.t0):
-            raise ValueError(f"history must cover [{self.t0 - spec.h_bar}, {self.t0}]")
+    def problem(self, horizon: float) -> DelayProblem:
+        """The problem on ``[t0, horizon]``; its kinks are the zeros of the
+        forcing magnitude ``|g|``, where it has corners."""
+        spec = self.delays
+        if self.perturbation is not None:
+            spec = spec.merged_with(self.perturbation.delays)
+        problem = DelayProblem(self.rhs, spec, self.history, self.t0)
         if horizon > self.coeff_horizon + 1e-9:
             raise ValueError(
                 f"coefficients are only valid up to t={self.coeff_horizon}, "
@@ -443,36 +443,7 @@ class ScalarDelaySystem:
         for t in np.linspace(self.t0, horizon, 64):
             if self.c(float(t)) < 1.0 - 1e-9:
                 raise ValueError(f"condition-number coefficient c({float(t)!r}) < 1")
-
-
-@dataclass(frozen=True)
-class GenericDelaySystem:
-    """Escape hatch for custom right sides ``y' = rhs(t, y, [y(t-h_i)])``."""
-
-    dim: int
-    rhs_fn: Callable[[float, np.ndarray, Sequence[np.ndarray]], np.ndarray]
-    delays: DelaySpec
-    history: HistoryFunction
-    t0: float = 0.0
-
-    def delay_spec(self) -> DelaySpec:
-        return self.delays
-
-    def initial_state(self) -> np.ndarray:
-        return self.history(self.t0)
-
-    def history_eval(self, t: float) -> np.ndarray:
-        return self.history(t)
-
-    def coefficient_horizon(self) -> float:
-        return math.inf
-
-    def rhs(self, t, y, delayed):
-        return np.asarray(self.rhs_fn(t, y, delayed), dtype=float)
-
-    def validate_for_integration(self, horizon: float) -> None:
-        if not self.history.covers(self.t0 - self.delays.h_bar, self.t0):
-            raise ValueError(f"history must cover [{self.t0 - self.delays.h_bar}, {self.t0}]")
+        return replace(problem, kinks=locate_zeros(self.forcing, self.t0, horizon))
 
 
 class Trajectory:
@@ -588,7 +559,7 @@ def _initial_step(eval_rhs, t0, y0, f0, rtol, atol, max_step):
 
 
 def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> Trajectory:
-    """Integrate a delay system from its start time to ``horizon``.
+    """Integrate ``system.problem(horizon)`` from its start time to ``horizon``.
 
     Delayed arguments are resolved from the history function (at or before
     the start time) or from already-accepted dense segments; the step cap
@@ -600,11 +571,11 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
     state norm reaches ``tol.cap``.
     """
     tol = tol or ToleranceSettings()
-    t0 = float(system.t0)
-    if horizon <= t0:
-        raise ValueError(f"horizon {horizon!r} must exceed the start time {t0!r}")
-    system.validate_for_integration(horizon)
-    spec = system.delay_spec()
+    if horizon <= system.t0:
+        raise ValueError(f"horizon {horizon!r} must exceed the start time {system.t0!r}")
+    problem = system.problem(horizon)
+    t0 = float(problem.t0)
+    spec = problem.delays
     spec.validate_on(t0, horizon)
     delay_fns = spec.delays
     has_delays = bool(delay_fns)
@@ -615,11 +586,13 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
     if tol.max_step is not None:
         max_step = min(max_step, tol.max_step)
 
-    kinks_of = getattr(system, "kinks", None)
-    kinks = [k for k in kinks_of(t0, horizon) if t0 < k < horizon] if kinks_of else []
+    kinks = [k for k in problem.kinks if t0 < k < horizon]
     kink_index = 0
 
-    y0 = np.atleast_1d(np.asarray(system.initial_state(), dtype=float))
+    history = problem.history
+    rhs = problem.rhs
+    y0 = np.atleast_1d(np.asarray(history(t0) if problem.y0 is None else problem.y0,
+                                  dtype=float))
     dim = y0.size
 
     nodes_t: list[float] = [t0]
@@ -638,8 +611,7 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
                 raise IntegrationError(
                     f"delayed argument t={tq!r} falls below the history interval "
                     f"start {t0 - h_bar!r} (malformed delay)", time=tq)
-            return np.atleast_1d(np.asarray(system.history_eval(min(tq, t0)),
-                                            dtype=float))
+            return np.atleast_1d(np.asarray(history(min(tq, t0)), dtype=float))
         if tq <= t0:
             return nodes_y[0]
         idx = bisect_right(nodes_t, tq) - 1
@@ -655,7 +627,7 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
             delayed = [past(t - fn(t), left) for fn in delay_fns]
         else:
             delayed = ()
-        return np.atleast_1d(np.asarray(system.rhs(t, y, delayed), dtype=float))
+        return np.atleast_1d(np.asarray(rhs(t, y, delayed), dtype=float))
 
     stages = np.empty((7, dim))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -766,7 +738,7 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
     coeffs = np.array(nodes_q).reshape(len(nodes_q), 4, dim)
     t_end = blow_time if blew_up else ts[-1]
     return Trajectory(ts, ys, fs, coeffs, t_end, blew_up, blow_time,
-                      history=getattr(system, "history", None),
+                      history=history,
                       history_span=h_bar)
 
 
@@ -794,11 +766,6 @@ def _locate_cap_crossing(ta, tb, ya, q, cap, t_hi) -> float:
         else:
             lo = mid
     return hi
-
-
-def eval_trajectory(traj: Trajectory, t: float) -> np.ndarray:
-    """Interpolated state at ``t``; exact at step endpoints."""
-    return traj.eval(t)
 
 
 def sup_norm_on_interval(traj: Trajectory, a: float, b: float,

@@ -1,4 +1,4 @@
-"""Dense small-matrix helpers: one-sided Jacobi SVD and matrix time-functions.
+"""Dense small-matrix helpers: the spectral norm and matrix time-functions.
 
 Everything here targets the small (n up to ~20) matrices this package works
 with; no attempt is made to scale beyond that.
@@ -14,57 +14,17 @@ import numpy as np
 from .timefn import ConstantFn, as_time_function, memoize_last
 
 __all__ = [
-    "singular_values",
     "spectral_norm",
     "MatrixFunction",
     "matrix_norm_function",
 ]
 
 
-def singular_values(matrix: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:
-    """Singular values of a real square matrix, descending.
-
-    One-sided (Hestenes) Jacobi: columns are orthogonalized by plane
-    rotations; converged column norms are the singular values.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[1]
-    if n == 1:
-        return np.array([abs(a[0, 0])])
-    for _ in range(max_sweeps):
-        rotated = False
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                ci = a[:, i]
-                cj = a[:, j]
-                pii = float(ci @ ci)
-                pjj = float(cj @ cj)
-                pij = float(ci @ cj)
-                if abs(pij) <= tol * math.sqrt(pii * pjj) or pij == 0.0:
-                    continue
-                rotated = True
-                tau = (pjj - pii) / (2.0 * pij)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                new_i = c * ci - s * cj
-                new_j = s * ci + c * cj
-                a[:, i] = new_i
-                a[:, j] = new_j
-        if not rotated:
-            break
-    sigma = np.sqrt(np.sum(a * a, axis=0))
-    sigma.sort()
-    return sigma[::-1]
-
-
 def spectral_norm(matrix: np.ndarray) -> float:
     """Largest singular value (Euclidean induced norm).
 
-    Closed form for 1x1/2x2 (used inside integration right sides), Jacobi
-    for anything larger.
+    Closed form for 1x1/2x2 (used inside integration right sides), the
+    library SVD for anything larger.
     """
     m = np.asarray(matrix, dtype=float)
     if m.shape == (1, 1):
@@ -78,7 +38,7 @@ def spectral_norm(matrix: np.ndarray) -> float:
         trace = g11 + g22
         disc = math.hypot(g11 - g22, 2.0 * g12)
         return math.sqrt(max(0.5 * (trace + disc), 0.0))
-    return float(singular_values(m)[0])
+    return float(np.linalg.norm(m, 2))
 
 
 class MatrixFunction:
@@ -115,10 +75,6 @@ class MatrixFunction:
     @classmethod
     def zero(cls, dim: int) -> "MatrixFunction":
         return cls(dim, {})
-
-    @classmethod
-    def diagonal(cls, dim: int, value) -> "MatrixFunction":
-        return cls(dim, {(i, i): value for i in range(dim)})
 
     def __call__(self, t: float) -> np.ndarray:
         if self.is_constant:

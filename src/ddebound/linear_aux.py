@@ -9,14 +9,13 @@ it can be flagged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .dde_core import (DelaySpec, HistoryFunction, ToleranceSettings, Trajectory,
-                       integrate, sup_norm_on_interval)
+from .dde_core import (DelayProblem, DelaySpec, HistoryFunction, ToleranceSettings,
+                       Trajectory, integrate, sup_norm_on_interval)
 from .majorant import LinearizedCoefficients
 from .reduction import CoefficientPair
 from .timefn import ConstantFn, TimeFunction, as_time_function, locate_zeros
@@ -64,19 +63,6 @@ class LinearScalarDDE:
     def with_amplitude(self, amplitude: float) -> "LinearScalarDDE":
         return replace(self, forcing_amplitude=amplitude)
 
-    # -- integration protocol -------------------------------------------
-    def delay_spec(self) -> DelaySpec:
-        return self.delays
-
-    def initial_state(self) -> np.ndarray:
-        return self.history(self.t0)
-
-    def history_eval(self, t: float) -> np.ndarray:
-        return self.history(t)
-
-    def coefficient_horizon(self) -> float:
-        return math.inf
-
     def rhs(self, t, y, delayed):
         value = self.rate(t) * y[0]
         for g, z in zip(self.delayed_coeffs, delayed):
@@ -85,20 +71,18 @@ class LinearScalarDDE:
             value += self.forcing_amplitude * self.forcing_shape(t)
         return np.array([value])
 
-    def kinks(self, t_lo: float, t_hi: float) -> list[float]:
-        """Zeros of the forcing shape (a norm, so they are its corners)."""
-        if self.forcing_amplitude == 0.0:
-            return []
-        return locate_zeros(self.forcing_shape, t_lo, t_hi)
-
-    def validate_for_integration(self, horizon: float) -> None:
-        if not self.history.covers(self.t0 - self.delays.h_bar, self.t0):
-            raise ValueError(f"history must cover [{self.t0 - self.delays.h_bar}, {self.t0}]")
+    def problem(self, horizon: float) -> DelayProblem:
+        """The problem on ``[t0, horizon]``; its kinks are the zeros of the
+        forcing shape (a norm, so they are its corners)."""
+        problem = DelayProblem(self.rhs, self.delays, self.history, self.t0)
         for g in self.delayed_coeffs:
             for t in np.linspace(self.t0, horizon, 64):
                 if g(float(t)) < -1e-12:
                     raise ValueError(
                         f"delayed coefficient is negative at t={float(t)!r}")
+        if self.forcing_amplitude == 0.0:
+            return problem
+        return replace(problem, kinks=locate_zeros(self.forcing_shape, self.t0, horizon))
 
 
 def build_linear_auxiliary(coeffs: CoefficientPair, lc: LinearizedCoefficients,
@@ -169,46 +153,6 @@ def integrate_linear(sys: LinearScalarDDE, horizon: float,
     return LinearResponse(traj, sup, sys.zeta_tilde)
 
 
-class _ZeroHistory(HistoryFunction):
-    def __init__(self):
-        super().__init__(lambda t: np.zeros(1), 1, label="zero")
-
-
-class _CauchyProblem:
-    """Homogeneous problem started at ``s`` with value 1 and zero pre-history.
-
-    The jump at ``s`` is realized exactly: lookups strictly before ``s``
-    return 0, lookups at or after ``s`` use the dense solution, so nothing
-    interpolates across the discontinuity.
-    """
-
-    def __init__(self, sys: LinearScalarDDE, s: float):
-        self.sys = sys
-        self.t0 = s
-        self.history = _ZeroHistory()
-
-    def delay_spec(self) -> DelaySpec:
-        return self.sys.delays
-
-    def initial_state(self) -> np.ndarray:
-        return np.array([1.0])
-
-    def history_eval(self, t: float) -> np.ndarray:
-        return np.zeros(1)
-
-    def coefficient_horizon(self) -> float:
-        return math.inf
-
-    def rhs(self, t, y, delayed):
-        value = self.sys.rate(t) * y[0]
-        for g, z in zip(self.sys.delayed_coeffs, delayed):
-            value += g(t) * z[0]
-        return np.array([value])
-
-    def validate_for_integration(self, horizon: float) -> None:
-        pass
-
-
 def cauchy_function(sys: LinearScalarDDE, s: float, horizon: float,
                     tol: ToleranceSettings | None = None) -> Trajectory:
     """Response on ``[s, horizon]`` to a unit value at ``s`` with zero
@@ -217,13 +161,18 @@ def cauchy_function(sys: LinearScalarDDE, s: float, horizon: float,
         raise ValueError(f"s={s!r} precedes the system start time {sys.t0!r}")
     if horizon <= s:
         raise ValueError(f"horizon {horizon!r} must exceed s={s!r}")
-    return integrate(_CauchyProblem(sys, s), horizon, tol)
+    # the unit start over a zero pre-history is a jump at s: lookups strictly
+    # before s read 0, lookups at or after s the dense solution
+    problem = DelayProblem(sys.with_amplitude(0.0).rhs, sys.delays,
+                           HistoryFunction.constant([0.0]), s, y0=np.array([1.0]))
+    return integrate(problem, horizon, tol)
 
 
 def particular_response(sys: LinearScalarDDE, horizon: float,
                         tol: ToleranceSettings | None = None) -> Trajectory:
     """Forced response with zero history and unit forcing amplitude."""
-    normalized = replace(sys, history=_ZeroHistory(), forcing_amplitude=1.0)
+    normalized = replace(sys, history=HistoryFunction.constant([0.0]),
+                         forcing_amplitude=1.0)
     return integrate(normalized, horizon, tol)
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "PolynomialMajorant",
     "LinearizedCoefficients",
     "majorize_polynomial",
-    "eval_majorant",
     "linearize_majorant",
     "sup_linear_coefficients",
 ]
@@ -148,10 +147,6 @@ def majorize_polynomial(monomials: Iterable[tuple[object, Sequence[tuple[int, in
             raise ValueError("constant monomial: the nonlinear term must vanish at zero")
         terms.append(PolynomialTerm(as_time_function(coeff), tuple(exponents)))
     return PolynomialMajorant(tuple(terms), delay_count + 1)
-
-
-def eval_majorant(majorant: PolynomialMajorant, t: float, zeta: Sequence[float]) -> float:
-    return majorant.evaluate(t, zeta)
 
 
 @dataclass(frozen=True)

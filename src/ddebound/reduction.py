@@ -1,9 +1,12 @@
 """Reduction of a vector delay system to its scalar comparison system.
 
-The fundamental matrix ``w(t)`` of the linear part is integrated as a matrix
-initial value problem with ``w(t0) = I``; its largest singular value drives
-the log-norm rate ``p(t)`` (finite differences of ``ln sigma_max``) and its
-condition number gives ``c(t)``.  The scalar system then reads
+The fundamental matrix ``w(t)`` of the linear part, ``w' = A0(t) w`` with
+``w(t0) = I``, is integrated in the scaled form ``w = e^s V``: ``s`` carries
+the mean rate ``tr A0 / n`` and ``V`` (with ``det V = 1``) the rest, so the
+solver's tolerances stay meaningful while ``w`` itself decays.  The log-norm
+rate is ``p(t) = u1^T A0(t) u1`` for the leading left singular vector ``u1``
+of ``w(t)`` (the derivative of ``ln sigma_max``), and ``c(t)`` is its
+condition number.  The scalar system then reads
 ``y' = p(t) y + c(t) (L(t, ...) + |F(t)|)`` with the scalar history equal to
 the norm of the vector history.
 """
@@ -17,9 +20,9 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .dde_core import (DelaySpec, ScalarDelaySystem, ToleranceSettings,
+from .dde_core import (DelayProblem, DelaySpec, ScalarDelaySystem, ToleranceSettings,
                        Trajectory, VectorDelaySystem, integrate)
-from .linalg import matrix_norm_function, singular_values
+from .linalg import matrix_norm_function
 from .majorant import PolynomialMajorant, PolynomialTerm
 from .timefn import ConstantFn, as_time_function, grid_supremum
 
@@ -35,6 +38,8 @@ __all__ = [
 ]
 
 _CONDITION_FLOOR = 1e-12
+# singular values this close to the largest count as equal to it
+_TIE = 1e-9
 
 
 class IllConditionedError(RuntimeError):
@@ -45,65 +50,52 @@ class IllConditionedError(RuntimeError):
         self.time = time
 
 
-class _MatrixIvp:
-    """Adapter integrating ``W' = A(t) W`` as a flattened vector system."""
-
-    def __init__(self, A, dim: int, t0: float):
-        self.A = A
-        self.dim = dim
-        self.t0 = t0
-        self.history = None
-
-    def delay_spec(self) -> DelaySpec:
-        return DelaySpec.none()
-
-    def initial_state(self) -> np.ndarray:
-        return np.eye(self.dim).ravel()
-
-    def history_eval(self, t: float) -> np.ndarray:  # pragma: no cover - no delays
-        raise AssertionError("the matrix IVP has no delays")
-
-    def coefficient_horizon(self) -> float:
-        return math.inf
-
-    def rhs(self, t, w_flat, delayed):
-        w = w_flat.reshape(self.dim, self.dim)
-        return (np.asarray(self.A(t), dtype=float) @ w).ravel()
-
-    def validate_for_integration(self, horizon: float) -> None:
-        a0 = np.asarray(self.A(self.t0), dtype=float)
-        if a0.shape != (self.dim, self.dim):
-            raise ValueError(f"A(t) must return a {self.dim}x{self.dim} matrix")
-
-
 class FundamentalMatrixSolution:
-    """Dense ``w(t)`` with ``w(t0) = I`` and cached singular values.
+    """Dense ``w(t) = e^s(t) V(t)`` with ``w(t0) = I``; the trajectory state is
+    ``V`` flattened, then ``s``."""
 
-    The cache fills idempotently, so concurrent readers are safe.
-    """
-
-    def __init__(self, source, trajectory: Trajectory, dim: int, t0: float, horizon: float):
-        self.source = source
+    def __init__(self, A, trajectory: Trajectory, dim: int, t0: float, horizon: float):
+        self.A = A
         self.trajectory = trajectory
         self.dim = dim
         self.t0 = t0
         self.horizon = horizon
-        self._sigma_cache: dict[float, tuple[float, float]] = {}
 
     def w(self, t: float) -> np.ndarray:
-        return self.trajectory.eval(t).reshape(self.dim, self.dim)
+        state = self.trajectory.eval(t)
+        return math.exp(state[-1]) * state[:-1].reshape(self.dim, self.dim)
+
+    def spectra(self, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``sigma_max`` of ``w``, its condition number ``c`` and the rate ``p``
+        at each time, from one stacked SVD of ``V``.
+
+        Where ``sigma_max`` is repeated (``w = I`` at the start) the rate is the
+        largest eigenvalue of the symmetric part of ``A0`` on the top singular
+        subspace, the right-hand derivative of ``ln sigma_max`` there.
+        """
+        times = np.asarray(times, dtype=float)
+        n = self.dim
+        states = self.trajectory.eval_grid(times)
+        u, sigma, _vt = np.linalg.svd(states[:, :-1].reshape(-1, n, n))
+        bad = np.flatnonzero(sigma[:, -1] < _CONDITION_FLOOR * sigma[:, 0])
+        scale = np.exp(states[:, -1])
+        if bad.size:
+            k = int(bad[0])
+            raise IllConditionedError(float(times[k]), float(scale[k] * sigma[k, 0]),
+                                      float(scale[k] * sigma[k, -1]))
+        a = np.array([np.asarray(self.A(float(t)), dtype=float) for t in times])
+        projected = np.einsum("kji,kjl,klm->kim", u, a, u)      # U^T A0 U
+        rate = projected[:, 0, 0].copy()
+        ties = (sigma >= sigma[:, :1] * (1.0 - _TIE)).sum(axis=1)
+        for k in np.flatnonzero(ties > 1):
+            top = projected[k, :ties[k], :ties[k]]
+            rate[k] = np.linalg.eigvalsh(0.5 * (top + top.T))[-1]
+        return scale * sigma[:, 0], sigma[:, 0] / sigma[:, -1], rate
 
     def singular_pair(self, t: float) -> tuple[float, float]:
-        """(sigma_max, sigma_min) of ``w(t)``, Jacobi-computed and cached."""
-        cached = self._sigma_cache.get(t)
-        if cached is not None:
-            return cached
-        sigma = singular_values(self.w(t))
-        pair = (float(sigma[0]), float(sigma[-1]))
-        if pair[1] < _CONDITION_FLOOR * pair[0]:
-            raise IllConditionedError(t, pair[0], pair[1])
-        self._sigma_cache[t] = pair
-        return pair
+        """(sigma_max, sigma_min) of ``w(t)``."""
+        sigma_max, condition, _rate = self.spectra([t])
+        return float(sigma_max[0]), float(sigma_max[0] / condition[0])
 
     def norm(self, t: float) -> float:
         return self.singular_pair(t)[0]
@@ -111,56 +103,50 @@ class FundamentalMatrixSolution:
     def inverse_norm(self, t: float) -> float:
         return 1.0 / self.singular_pair(t)[1]
 
-    def node_times(self) -> np.ndarray:
-        return self.trajectory.ts
-
 
 def compute_fundamental_matrix(A, t0: float, horizon: float,
-                               tol: ToleranceSettings | None = None,
-                               dim: int | None = None) -> FundamentalMatrixSolution:
-    """Integrate ``w' = A(t) w``, ``w(t0) = I`` with dense output."""
-    if dim is None:
-        probe = np.asarray(A(t0), dtype=float)
-        if probe.ndim != 2 or probe.shape[0] != probe.shape[1]:
-            raise ValueError(f"A(t0) has shape {probe.shape}, expected square")
-        dim = probe.shape[0]
+                               tol: ToleranceSettings | None = None) -> FundamentalMatrixSolution:
+    """Integrate ``w' = A(t) w``, ``w(t0) = I`` with dense output, as
+    ``V' = (A - (tr A / n) I) V``, ``s' = tr A / n`` with ``w = e^s V``."""
+    probe = np.asarray(A(t0), dtype=float)
+    if probe.ndim != 2 or probe.shape[0] != probe.shape[1]:
+        raise ValueError(f"A(t0) has shape {probe.shape}, expected square")
+    n = probe.shape[0]
+
+    def rhs(t, state, delayed):
+        a = np.asarray(A(t), dtype=float)
+        rate = np.trace(a) / n
+        v = state[:-1].reshape(n, n)
+        out = np.empty(n * n + 1)
+        out[:-1] = (a @ v - rate * v).ravel()
+        out[-1] = rate
+        return out
+
     tol = tol or ToleranceSettings(rtol=1e-8, atol=1e-12, cap=math.inf)
-    traj = integrate(_MatrixIvp(A, dim, t0), horizon, tol)
-    return FundamentalMatrixSolution(A, traj, dim, t0, horizon)
-
-
-def _fd_step(t: float) -> float:
-    return 1e-4 * max(1.0, abs(t))
+    start = np.append(np.eye(n).ravel(), 0.0)
+    traj = integrate(DelayProblem(rhs, DelaySpec.none(), None, t0, y0=start), horizon, tol)
+    return FundamentalMatrixSolution(A, traj, n, t0, horizon)
 
 
 def p_of_t(W: FundamentalMatrixSolution, t: float) -> float:
-    """Central finite difference of ``ln sigma_max(w(.))`` at ``t``."""
-    delta = _fd_step(t)
-    if t - delta < W.t0 - 1e-12 or t + delta > W.horizon + 1e-12:
-        raise ValueError(
-            f"t={t!r} too close to the computed horizon ends for the stencil "
-            f"(needs [{t - delta}, {t + delta}] inside [{W.t0}, {W.horizon}])")
-    hi = W.norm(t + delta)
-    lo = W.norm(t - delta)
-    return (math.log(hi) - math.log(lo)) / (2.0 * delta)
+    """Rate ``d ln sigma_max(w)/dt = u1^T A0(t) u1`` at ``t``."""
+    return float(W.spectra([t])[2][0])
 
 
 def c_of_t(W: FundamentalMatrixSolution, t: float) -> float:
     """Running condition number ``sigma_max / sigma_min`` of ``w(t)``."""
-    sigma_max, sigma_min = W.singular_pair(t)
-    return sigma_max / sigma_min
+    return float(W.spectra([t])[1][0])
 
 
 @dataclass(frozen=True)
 class CoefficientPair:
-    """Rate ``p(t)`` and condition number ``c(t)`` of the scalar system."""
+    """Rate ``p(t)`` and condition number ``c(t)`` of the scalar system,
+    valid up to ``t_hi``."""
 
     p: Callable[[float], float]
     c: Callable[[float], float]
     provenance: str                      # "closed_form" | "numerical"
-    t_lo: float = -math.inf
     t_hi: float = math.inf
-    crossing_times: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.provenance not in ("closed_form", "numerical"):
@@ -174,37 +160,18 @@ class CoefficientPair:
 
     @classmethod
     def from_fundamental(cls, W: FundamentalMatrixSolution) -> "CoefficientPair":
-        """Sample p and c at the accepted integration steps and interpolate.
-
-        The finite-difference stencil for p needs room on both sides, so the
-        usable range shrinks by one stencil step at each end.  Singular-value
-        near-crossings (where the log-norm may lose smoothness) are recorded
-        in ``crossing_times``.
-        """
-        delta0 = _fd_step(W.t0)
-        delta1 = _fd_step(W.horizon)
-        lo = W.t0 + delta0
-        hi = W.horizon - delta1
-        nodes = [float(t) for t in W.node_times() if lo <= t <= hi]
-        if not nodes or nodes[0] > lo + 1e-12:
-            nodes.insert(0, lo)
-        if nodes[-1] < hi - 1e-12:
-            nodes.append(hi)
-        grid = np.array(sorted(set(nodes)))
-        if grid.size < 4:
-            grid = np.linspace(lo, hi, 8)
-        p_vals = np.array([p_of_t(W, float(t)) for t in grid])
-        pairs = [W.singular_pair(float(t)) for t in grid]
-        c_vals = np.array([smax / smin for smax, smin in pairs])
-        crossings = tuple(
-            float(t) for t, (smax, smin) in zip(grid, pairs)
-            if smax - smin < 1e-6 * smax and W.dim > 1 and smax != smin)
-        p_spline = CubicSpline(grid, p_vals)
-        c_spline = CubicSpline(grid, c_vals)
+        """Cubic splines of p and c through the accepted steps of the ``w``
+        solve and the midpoints of those steps."""
+        ts = W.trajectory.ts
+        knots = np.empty(2 * ts.size - 1)
+        knots[0::2] = ts
+        knots[1::2] = 0.5 * (ts[:-1] + ts[1:])
+        _sigma_max, condition, rate = W.spectra(knots)
+        p_spline = CubicSpline(knots, rate)
+        c_spline = CubicSpline(knots, condition)
         return cls(lambda s: float(p_spline(s)),
                    lambda s: float(c_spline(s)),
-                   "numerical", t_lo=W.t0, t_hi=W.horizon,
-                   crossing_times=crossings)
+                   "numerical", t_hi=W.horizon)
 
 
 def build_scalar_auxiliary(vs: VectorDelaySystem,

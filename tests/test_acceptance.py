@@ -12,11 +12,11 @@ import numpy as np
 
 from conftest import (cubic_basin_scalar, delayed_decay_oracle,
                       delayed_decay_system, linear_ode_system)
-from ddebound import (BoundednessCriterion, DelaySpec, GenericDelaySystem,
+from ddebound import (BoundednessCriterion, DelayProblem, DelaySpec,
                       HistoryFunction, PolynomialMajorant, PolynomialTerm,
                       ToleranceSettings, classify_fts,
                       compute_fundamental_matrix, c_of_t, estimate_scalar_radius,
-                      eval_majorant, integrate, linearize_majorant, p_of_t,
+                      integrate, linearize_majorant, p_of_t,
                       parse_expression, robust_stability_check, superposition_check,
                       verify_pointwise_ordering)
 from ddebound.cli import (_bundled_config, assemble_pipeline, build_linear_chain,
@@ -64,10 +64,8 @@ def test_criterion_02_comparison_principle_suite():
 
         q_hi = float(rng.uniform(0.0, 1.0))
         q_lo = q_hi if trial % 2 == 0 else q_hi - float(rng.uniform(0.0, 0.5))
-        lower = GenericDelaySystem(1, dominated, delays,
-                                   HistoryFunction.constant([q_lo]), 0.0)
-        upper = GenericDelaySystem(1, dominating, delays,
-                                   HistoryFunction.constant([q_hi]), 0.0)
+        lower = DelayProblem(dominated, delays, HistoryFunction.constant([q_lo]), 0.0)
+        upper = DelayProblem(dominating, delays, HistoryFunction.constant([q_hi]), 0.0)
         u1 = integrate(lower, 5.0, tol)
         u2 = integrate(upper, 5.0, tol)
         grid = np.linspace(0.0, 5.0, 101)
@@ -129,7 +127,7 @@ def test_criterion_05_majorant_randomized_suites():
         z = [rng.uniform(-2.0, 2.0, size=2) for _ in range(2)]
         lhs = float(np.linalg.norm(term(t, x, z)))
         zeta = [float(np.linalg.norm(x))] + [float(np.linalg.norm(v)) for v in z]
-        if lhs > eval_majorant(L, t, zeta) + 1e-12:
+        if lhs > L.evaluate(t, zeta) + 1e-12:
             major_viol += 1
     zt = 0.8
     lc = linearize_majorant(L, zt)
@@ -137,7 +135,7 @@ def test_criterion_05_majorant_randomized_suites():
     for _ in range(1000):
         t = float(rng.uniform(0.0, 10.0))
         zeta = rng.uniform(0.0, zt, size=3)
-        if eval_majorant(L, t, tuple(zeta)) > lc.evaluate(t, zeta) + 1e-12:
+        if L.evaluate(t, tuple(zeta)) > lc.evaluate(t, zeta) + 1e-12:
             lin_viol += 1
     ok = major_viol == 0 and lin_viol == 0
     _report(5, ok, f"majorization violations {major_viol}/1000, linear-domination "

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (DEFAULT, TIGHT, cubic_basin_scalar, linear_ode_system,
                       symmetric_cubic_vector_system)
-from ddebound import (BoundednessCriterion, DelaySpec, GenericDelaySystem,
+from ddebound import (BoundednessCriterion, DelayProblem, DelaySpec,
                       HistoryFunction, PolynomialMajorant, PolynomialTerm,
                       ScalarDelaySystem, ToleranceSettings, build_perturbed_scalar,
                       classify_fts, estimate_scalar_radius, estimate_vector_region,
@@ -161,10 +161,8 @@ class TestComparisonPrinciple:
 
             q2 = float(rng.uniform(0.0, 1.0))
             q1 = q2 if trial % 2 == 0 else q2 - float(rng.uniform(0.0, 0.5))
-            lower = GenericDelaySystem(1, f1, delays,
-                                       HistoryFunction.constant([q1]), 0.0)
-            upper = GenericDelaySystem(1, f2, delays,
-                                       HistoryFunction.constant([q2]), 0.0)
+            lower = DelayProblem(f1, delays, HistoryFunction.constant([q1]), 0.0)
+            upper = DelayProblem(f2, delays, HistoryFunction.constant([q2]), 0.0)
             u1 = integrate(lower, 5.0, tol)
             u2 = integrate(upper, 5.0, tol)
             for t in np.linspace(0.0, 5.0, 101):

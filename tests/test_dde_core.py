@@ -5,10 +5,9 @@ import pytest
 
 from conftest import (DEFAULT, TIGHT, cubic_basin_scalar, delayed_decay_oracle,
                       delayed_decay_system, linear_ode_system)
-from ddebound import (DelaySpec, GenericDelaySystem, HistoryFunction, IntegrationError,
+from ddebound import (DelayProblem, DelaySpec, HistoryFunction, IntegrationError,
                       ScalarDelaySystem, ToleranceSettings, VectorDelaySystem,
-                      detect_blowup, eval_trajectory, integrate, parse_expression,
-                      sup_norm_on_interval)
+                      detect_blowup, integrate, parse_expression, sup_norm_on_interval)
 from ddebound.majorant import PolynomialMajorant
 from ddebound.timefn import ConstantFn, locate_zeros
 from ddebound.vectorfield import NonlinearTerm, PolynomialVectorField
@@ -141,14 +140,23 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(sys, 2.0, DEFAULT)
 
+    def test_problem_without_history_needs_start_value_and_no_delays(self):
+        rhs = lambda t, y, z: -y
+        problem = DelayProblem(rhs, DelaySpec.none(), None, 0.0, y0=np.array([1.0]))
+        assert problem.problem(1.0) is problem
+        assert integrate(problem, 1.0, TIGHT).eval(1.0)[0] == pytest.approx(math.exp(-1.0))
+        with pytest.raises(ValueError):
+            DelayProblem(rhs, DelaySpec.none(), None, 0.0)
+        with pytest.raises(ValueError):
+            DelayProblem(rhs, DelaySpec.constant([1.0]), None, 0.0, y0=np.array([1.0]))
+
     def test_step_underflow_raises_with_time(self):
         def rhs(t, y, z):
             if t > 0.5:
                 return np.array([math.nan])
             return np.array([1.0])
 
-        sys = GenericDelaySystem(1, rhs, DelaySpec.none(),
-                                 HistoryFunction.constant([0.0]), 0.0)
+        sys = DelayProblem(rhs, DelaySpec.none(), HistoryFunction.constant([0.0]), 0.0)
         with pytest.raises(IntegrationError) as err:
             integrate(sys, 2.0, DEFAULT)
         assert err.value.time == pytest.approx(0.5, abs=1e-6)
@@ -183,24 +191,24 @@ class TestEvalTrajectory:
     def test_node_values_exact(self):
         traj = integrate(delayed_decay_system(), 3.0, DEFAULT)
         for k in range(len(traj.ts)):
-            assert eval_trajectory(traj, float(traj.ts[k]))[0] == traj.ys[k][0]
+            assert traj.eval(float(traj.ts[k]))[0] == traj.ys[k][0]
 
     def test_midpoint_of_linear_segment(self):
         traj = integrate(delayed_decay_system(), 3.0, TIGHT)
-        assert eval_trajectory(traj, 0.5)[0] == pytest.approx(0.5, abs=1e-9)
+        assert traj.eval(0.5)[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_outside_domain_raises(self):
         traj = integrate(delayed_decay_system(), 3.0, DEFAULT)
         with pytest.raises(ValueError):
-            eval_trajectory(traj, 3.5)
+            traj.eval(3.5)
         with pytest.raises(ValueError):
-            eval_trajectory(traj, -0.1)
+            traj.eval(-0.1)
 
     def test_blown_up_trajectory_end_state_finite(self):
         sys = cubic_basin_scalar(q=5.0)   # far outside the basin
         traj = integrate(sys, 50.0, ToleranceSettings(rtol=1e-6, atol=1e-9, cap=1e6))
         assert traj.blew_up
-        end_state = eval_trajectory(traj, traj.t_end)
+        end_state = traj.eval(traj.t_end)
         assert np.all(np.isfinite(end_state))
         assert np.linalg.norm(end_state) == pytest.approx(1e6, rel=1e-2)
 
@@ -272,7 +280,7 @@ class TestKinks:
         from ddebound.cli import _bundled_config, assemble_pipeline
 
         system = assemble_pipeline(_bundled_config("a")).scalar_system
-        kinks = system.kinks(0.0, 50.0)
+        kinks = system.problem(50.0).kinks
         assert len(kinks) == 160
         traj = integrate(system, 50.0, ToleranceSettings(rtol=1e-6, atol=1e-9))
         inner = [k for k in kinks if 0.0 < k < 50.0]

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import appendix_majorant_input
 from ddebound.majorant import (LinearizedCoefficients, PolynomialMajorant,
-                               PolynomialTerm, eval_majorant, linearize_majorant,
+                               PolynomialTerm, linearize_majorant,
                                majorize_polynomial, sup_linear_coefficients)
 from ddebound.timefn import ConstantFn
 from ddebound.vectorfield import NonlinearTerm, PolynomialVectorField
@@ -18,18 +18,18 @@ class TestMajorizePolynomial:
         L = majorize_polynomial(appendix_majorant_input(), delay_count=2)
         exps = sorted(term.exponents for term in L.terms)
         assert exps == [(0, 0, 3), (3, 2, 0)]
-        assert eval_majorant(L, 0.0, (1.0, 1.0, 1.0)) == 2.0
+        assert L.evaluate(0.0, (1.0, 1.0, 1.0)) == 2.0
 
     def test_single_delayed_cubic(self):
         # second-coordinate term b * x2(t-h)^3 -> |b| z2^3
         L = majorize_polynomial([(2.0, [(1, 1, 3)])], delay_count=1)
         assert len(L.terms) == 1
         assert L.terms[0].exponents == (0, 3)
-        assert eval_majorant(L, 0.0, (0.0, 0.5)) == pytest.approx(0.25)
+        assert L.evaluate(0.0, (0.0, 0.5)) == pytest.approx(0.25)
 
     def test_empty_field(self):
         L = PolynomialMajorant.zero(2)
-        assert eval_majorant(L, 0.0, (3.0, 4.0)) == 0.0
+        assert L.evaluate(0.0, (3.0, 4.0)) == 0.0
 
     def test_constant_monomial_rejected(self):
         with pytest.raises(ValueError):
@@ -44,21 +44,21 @@ class TestMajorizePolynomial:
 class TestEvalMajorant:
     def test_zero_arguments(self):
         L = majorize_polynomial(appendix_majorant_input(), delay_count=2)
-        assert eval_majorant(L, 0.3, (0.0, 0.0, 0.0)) == 0.0
+        assert L.evaluate(0.3, (0.0, 0.0, 0.0)) == 0.0
 
     def test_negative_argument_rejected(self):
         L = majorize_polynomial([(1.0, [(0, 0, 2)])], delay_count=0)
         with pytest.raises(ValueError):
-            eval_majorant(L, 0.0, (-0.5,))
+            L.evaluate(0.0, (-0.5,))
 
     def test_wrong_arity_rejected(self):
         L = majorize_polynomial([(1.0, [(0, 0, 2)])], delay_count=0)
         with pytest.raises(ValueError):
-            eval_majorant(L, 0.0, (0.5, 0.5))
+            L.evaluate(0.0, (0.5, 0.5))
 
     def test_coefficient_magnitude_used(self):
         L = majorize_polynomial([(-3.0, [(0, 0, 1)])], delay_count=0)
-        assert eval_majorant(L, 0.0, (2.0,)) == 6.0
+        assert L.evaluate(0.0, (2.0,)) == 6.0
 
 
 def _random_field_and_majorant(rng, dim, delay_count, n_terms):
@@ -87,7 +87,7 @@ class TestMajorizationProperty:
             z = [rng.uniform(-2.0, 2.0, size=2) for _ in range(2)]
             lhs = float(np.linalg.norm(term(t, x, z)))
             zeta = [float(np.linalg.norm(x))] + [float(np.linalg.norm(v)) for v in z]
-            rhs = eval_majorant(L, t, zeta)
+            rhs = L.evaluate(t, zeta)
             assert lhs <= rhs + 1e-12
 
     def test_monotone_in_every_argument(self):
@@ -95,11 +95,11 @@ class TestMajorizationProperty:
         _term, L = _random_field_and_majorant(rng, dim=2, delay_count=2, n_terms=6)
         for _ in range(200):
             zeta = rng.uniform(0.0, 2.0, size=3)
-            base = eval_majorant(L, 0.0, tuple(zeta))
+            base = L.evaluate(0.0, tuple(zeta))
             for i in range(3):
                 bumped = zeta.copy()
                 bumped[i] += 0.1
-                assert eval_majorant(L, 0.0, tuple(bumped)) >= base - 1e-15
+                assert L.evaluate(0.0, tuple(bumped)) >= base - 1e-15
 
 
 class TestLinearize:
@@ -133,7 +133,7 @@ class TestLinearize:
         for _ in range(1000):
             t = float(rng.uniform(0.0, 5.0))
             zeta = rng.uniform(0.0, zt, size=2)
-            assert eval_majorant(L, t, tuple(zeta)) <= lc.evaluate(t, zeta) + 1e-12
+            assert L.evaluate(t, tuple(zeta)) <= lc.evaluate(t, zeta) + 1e-12
 
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
@@ -163,7 +163,7 @@ class TestConstantTermHandling:
             PolynomialMajorant((PolynomialTerm(1.0, (0, 0)),), 2)
         L = PolynomialMajorant((PolynomialTerm(1.0, (0, 0)),), 2,
                                allow_constant_terms=True)
-        assert eval_majorant(L, 0.0, (0.0, 0.0)) == 1.0
+        assert L.evaluate(0.0, (0.0, 0.0)) == 1.0
 
     def test_linearize_rejects_constant_terms(self):
         L = PolynomialMajorant((PolynomialTerm(1.0, (0,)),), 1,
