@@ -20,16 +20,13 @@ from .expressions import (EvaluationError, Expression, ExpressionSyntaxError,
                           parse_expression)
 from .linalg import MatrixFunction, spectral_norm
 from .linear_aux import (IssReport, LinearResponse, LinearScalarDDE,
-                         build_constant_linear_auxiliary, build_linear_auxiliary,
-                         cauchy_function, integrate_linear, iss_bound_series,
-                         particular_response, superposition_check)
+                         build_linear_auxiliary, cauchy_function, integrate_linear,
+                         iss_bound_series, particular_response, superposition_check)
 from .majorant import (LinearizedCoefficients, PolynomialMajorant, PolynomialTerm,
-                       linearize_majorant, majorize_polynomial,
-                       sup_linear_coefficients)
+                       linearize_majorant, majorize_polynomial)
 from .reduction import (CoefficientPair, FundamentalMatrixSolution,
                         IllConditionedError, build_autonomous_auxiliary,
-                        build_scalar_auxiliary, c_of_t, compute_fundamental_matrix,
-                        p_of_t)
+                        build_scalar_auxiliary, compute_fundamental_matrix)
 from .vectorfield import DelayedMatrixTerm, NonlinearTerm, PolynomialVectorField
 
 __version__ = "0.1.0"

@@ -35,6 +35,9 @@ __all__ = [
     "estimate_vector_region",
 ]
 
+_FTS_POINTS = 4001
+_ROBUST_SCAN_POINTS = 4000
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -74,12 +77,18 @@ def _check_matched_histories(trajs: Sequence[Trajectory], tol: float) -> None:
 
 def verify_pointwise_ordering(trajs: Sequence[Trajectory], grid: int | np.ndarray = 2000,
                               tol: float = 1e-4) -> BoundReport:
-    """Check ``s_1(t) <= s_2(t) <= ...`` on a shared grid.
+    """Check ``s_1(t) <= s_2(t) <= ...`` pointwise.
 
     ``trajs`` is ordered smallest first; the first entry is typically the
     vector solution (its Euclidean norm is used as the series), the rest are
     scalar bound trajectories.  Histories must be matched: the norm of every
     history must agree with the first one's at the sampled history points.
+
+    The reported series lie on ``grid`` over the domain all trajectories
+    share.  Each adjacent pair is compared on the domain the two of them
+    share, which is longer when another trajectory stopped early (a bound
+    that blew up): there an integer ``grid`` is spread over the pair's
+    domain, while an explicit grid is kept as given.
     """
     if len(trajs) < 2:
         raise ValueError("need at least two trajectories to compare")
@@ -89,8 +98,9 @@ def verify_pointwise_ordering(trajs: Sequence[Trajectory], grid: int | np.ndarra
         if abs(traj.t_start - t0) > 1e-12:
             raise ValueError("trajectories do not share a start time")
     _check_matched_histories(trajs, tol)
-    if isinstance(grid, int):
-        grid = np.linspace(t0, t_end, grid)
+    points = grid if isinstance(grid, int) else None
+    if points is not None:
+        grid = np.linspace(t0, t_end, points)
     else:
         grid = np.asarray(grid, dtype=float)
         if grid[0] < t0 - 1e-12 or grid[-1] > t_end + 1e-12:
@@ -98,12 +108,18 @@ def verify_pointwise_ordering(trajs: Sequence[Trajectory], grid: int | np.ndarra
     series = [_series(t, grid) for t in trajs]
     max_violation = -math.inf
     first_violation = None
-    for lower, upper in zip(series, series[1:]):
+    for k in range(len(trajs) - 1):
+        pair_end = min(trajs[k].t_end, trajs[k + 1].t_end)
+        pair_grid, lower, upper = grid, series[k], series[k + 1]
+        if points is not None and pair_end > t_end:
+            pair_grid = np.linspace(t0, pair_end, points)
+            lower, upper = _series(trajs[k], pair_grid), _series(trajs[k + 1], pair_grid)
         gaps = lower - upper
         worst = float(np.max(gaps))
         max_violation = max(max_violation, worst)
-        if worst > tol and first_violation is None:
-            first_violation = float(grid[int(np.argmax(gaps > tol))])
+        if worst > tol:
+            first = float(pair_grid[int(np.argmax(gaps > tol))])
+            first_violation = first if first_violation is None else min(first_violation, first)
     holds = max_violation <= tol
     return BoundReport(grid, series[0], tuple(series[1:]), holds,
                        max_violation, first_violation, tol)
@@ -119,7 +135,7 @@ class FtsReport:
 
 
 def classify_fts(traj: Trajectory, alpha: float, beta: float, T: float,
-                 gamma: float | None = None, grid_points: int = 4001) -> FtsReport:
+                 gamma: float | None = None) -> FtsReport:
     """Finite-time (contractive) stability of a trajectory.
 
     Requires the history sup-norm below ``alpha`` and ``alpha < beta``.  The
@@ -144,7 +160,7 @@ def classify_fts(traj: Trajectory, alpha: float, beta: float, T: float,
     if history_sup >= alpha:
         raise ValueError(f"history sup norm {history_sup!r} is not below alpha={alpha!r}")
 
-    grid = np.linspace(t0, t_final, grid_points)
+    grid = np.linspace(t0, t_final, _FTS_POINTS)
     norms = traj.norm_grid(grid)
     sup_value = float(np.max(norms))
     beta_crossing = None
@@ -172,7 +188,7 @@ def classify_fts(traj: Trajectory, alpha: float, beta: float, T: float,
         return FtsReport(True, False, None, sup_value, None)
     k = int(np.argmax(below))
     if k == 0:
-        t1 = float(grid[1] if grid_points > 1 else grid[0])  # open interval: stay past t0
+        t1 = float(grid[1])  # open interval: stay past t0
         return FtsReport(True, True, t1, sup_value, None)
     lo = float(grid[k - 1])
     hi = float(grid[k])
@@ -198,7 +214,7 @@ class RobustReport:
 
 
 def robust_stability_check(p_hat: float, c_hat: float, L_hat: PolynomialMajorant,
-                           y_max: float = 1e6, scan_points: int = 4000) -> RobustReport:
+                           y_max: float = 1e6) -> RobustReport:
     """Closed-form criterion: ``p_hat*y + c_hat*L_hat(y) < 0`` on ``(0, y_plus)``.
 
     ``y_plus`` is the smallest positive root of the expression (found by a
@@ -216,7 +232,7 @@ def robust_stability_check(p_hat: float, c_hat: float, L_hat: PolynomialMajorant
         return p_hat * y + c_hat * L_hat.evaluate_clamped(0.0, (y,))
 
     eps = 1e-9
-    ys = np.geomspace(eps, y_max, scan_points)
+    ys = np.geomspace(eps, y_max, _ROBUST_SCAN_POINTS)
     y_plus = y_max
     previous = eps
     found_root = False
@@ -291,10 +307,6 @@ class RadiusEstimate:
     tail_fraction: float
     decay_ratio: float
     probes: tuple[tuple[float, bool], ...] = ()
-
-    @property
-    def bracket(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
 
     def monotone_flips(self) -> tuple[float, ...]:
         """Probe magnitudes that were good above some bad probe (diagnostic)."""

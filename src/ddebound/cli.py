@@ -23,12 +23,12 @@ from .analysis import (BoundednessCriterion, classify_fts, estimate_scalar_radiu
 from .config import ConfigError, RunConfig, load_config, load_config_text
 from .dde_core import IntegrationError, ToleranceSettings, integrate
 from .expressions import EvaluationError
-from .linear_aux import build_constant_linear_auxiliary, build_linear_auxiliary
-from .majorant import (PolynomialMajorant, linearize_majorant, sup_linear_coefficients)
+from .linear_aux import build_linear_auxiliary
+from .majorant import PolynomialMajorant, linearize_majorant
 from .plotting import Curve, emit_csv, emit_region_svg, emit_svg
 from .reduction import (CoefficientPair, IllConditionedError, build_autonomous_auxiliary,
                         build_scalar_auxiliary, compute_fundamental_matrix)
-from .timefn import grid_supremum
+from .timefn import ConstantFn, grid_supremum
 
 __all__ = ["main", "run_command", "UsageError", "assemble_pipeline",
            "fig1_protocol", "fig2_protocol"]
@@ -132,37 +132,28 @@ def fig2_protocol(cfg: RunConfig, horizon: float | None = None,
 
 
 def build_linear_chain(pipe: Pipeline):
-    """Linearized systems (time-varying and constant-coefficient) for the
-    chain and superposition commands/tests."""
+    """The time-varying linearization u of the scalar system and the
+    constant-coefficient U, the same linearization of its frozen variant,
+    for the chain and superposition commands/tests."""
     cfg = pipe.config
     scalar = pipe.scalar_system
+    auto = pipe.autonomous_system
     zt = cfg.reduction.zeta_tilde
-    lc = linearize_majorant(scalar.majorant, zt)
     vs = pipe.vector_system
     if vs.forcing_amplitude > 0:
         shape = vs.forcing_shape
         forcing_norm = lambda t: float(np.linalg.norm(np.asarray(shape(t), dtype=float)))
     else:
-        forcing_norm = 0.0
-    linear = build_linear_auxiliary(pipe.coefficients, lc, scalar.delays,
-                                    forcing_norm, vs.forcing_amplitude,
+        forcing_norm = ConstantFn(0.0)
+    linear = build_linear_auxiliary(pipe.coefficients, linearize_majorant(scalar.majorant, zt),
+                                    scalar.delays, forcing_norm, vs.forcing_amplitude,
                                     scalar.history, scalar.t0)
-    p_hat = grid_supremum(pipe.coefficients.p, scalar.t0, pipe.horizon,
-                          margin=cfg.reduction.margin)
-    c_hat = max(grid_supremum(pipe.coefficients.c, scalar.t0, pipe.horizon,
-                              margin=cfg.reduction.margin), 1.0)
-    mu_hats = sup_linear_coefficients(lc, scalar.t0, pipe.horizon,
-                                      margin=cfg.reduction.margin)
-    if vs.forcing_amplitude > 0:
-        shape_sup = grid_supremum(lambda t: pipe.coefficients.c(t) * forcing_norm(t),
-                                  scalar.t0, pipe.horizon,
-                                  margin=cfg.reduction.margin)
-    else:
-        shape_sup = 1.0
-    constant = build_constant_linear_auxiliary(p_hat, c_hat, mu_hats, scalar.delays,
-                                               vs.forcing_amplitude, scalar.history,
-                                               scalar.t0, zeta_tilde=zt,
-                                               forcing_shape_sup=shape_sup)
+    (forcing_norm_hat,) = grid_supremum([forcing_norm], scalar.t0, pipe.horizon,
+                                        cfg.reduction.margin)
+    constant = build_linear_auxiliary(CoefficientPair.closed_form(auto.p, auto.c),
+                                      linearize_majorant(auto.majorant, zt),
+                                      scalar.delays, ConstantFn(forcing_norm_hat),
+                                      vs.forcing_amplitude, scalar.history, scalar.t0)
     return linear, constant
 
 

@@ -24,7 +24,7 @@ converted internally.  Grammar by section::
       p = <expr>                 # closed-form coefficients (both or neither)
       c = <expr>
       zeta_tilde = <number>      # linearization radius
-      margin = <number>          # relative sup inflation
+      margin = <number>          # relative inflation of sampled suprema
 
     [solver]
       rtol, atol, cap, horizon

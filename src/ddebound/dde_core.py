@@ -60,6 +60,9 @@ _PI_BETA = 0.4 / 5.0
 _ERR_EXPONENT = -1.0 / 5.0
 _EPS = float(np.finfo(float).eps)
 _MAX_STEPS = 10_000_000
+# sample counts of the delay-bound and history checks
+_DELAY_SAMPLES = 512
+_HISTORY_SAMPLES = 256
 
 # Dormand-Prince 5(4): stage nodes, stage coefficients, 5th-order weights
 # (the 7th stage is evaluated at the new point and reused as the next first
@@ -159,12 +162,11 @@ class DelaySpec:
         return cls(tuple(as_time_function(v) for v in vals), max(vals), min(vals))
 
     @classmethod
-    def from_functions(cls, fns: Sequence, t0: float, horizon: float,
-                       samples: int = 512) -> "DelaySpec":
+    def from_functions(cls, fns: Sequence, t0: float, horizon: float) -> "DelaySpec":
         delay_fns = tuple(as_time_function(f) for f in fns)
         if not delay_fns:
             return cls.none()
-        grid = np.linspace(t0, horizon, samples)
+        grid = np.linspace(t0, horizon, _DELAY_SAMPLES)
         h_bar = -math.inf
         h_under = math.inf
         for fn in delay_fns:
@@ -177,13 +179,13 @@ class DelaySpec:
             raise ValueError("delays must be bounded")
         return cls(delay_fns, h_bar, h_under)
 
-    def validate_on(self, t0: float, horizon: float, samples: int = 512) -> None:
+    def validate_on(self, t0: float, horizon: float) -> None:
         """Re-check ``0 < h_under <= h_i(t) <= h_bar`` by sampling."""
         if not self.delays:
             return
         if self.h_under <= 0 or not math.isfinite(self.h_bar):
             raise ValueError("delay bounds must satisfy 0 < h_under <= h_bar < inf")
-        grid = np.linspace(t0, horizon, samples)
+        grid = np.linspace(t0, horizon, _DELAY_SAMPLES)
         for k, fn in enumerate(self.delays):
             for t in grid:
                 h = fn(float(t))
@@ -211,18 +213,16 @@ class HistoryFunction:
     """
 
     def __init__(self, fn: Callable[[float], np.ndarray], dim: int,
-                 t_min: float = -math.inf, t_max: float = math.inf,
-                 label: str = "callable"):
+                 t_min: float = -math.inf, t_max: float = math.inf):
         self._fn = fn
         self.dim = dim
         self.t_min = t_min
         self.t_max = t_max
-        self.label = label
 
     @classmethod
     def constant(cls, values) -> "HistoryFunction":
         vec = np.atleast_1d(np.asarray(values, dtype=float))
-        return cls(lambda t: vec, vec.size, label="constant")
+        return cls(lambda t: vec, vec.size)
 
     @classmethod
     def from_expressions(cls, parts: Sequence) -> "HistoryFunction":
@@ -231,7 +231,7 @@ class HistoryFunction:
         def evaluate(t: float) -> np.ndarray:
             return np.array([f(t) for f in fns])
 
-        return cls(evaluate, len(fns), label="expressions")
+        return cls(evaluate, len(fns))
 
     @classmethod
     def from_samples(cls, times: Sequence[float], values) -> "HistoryFunction":
@@ -247,8 +247,7 @@ class HistoryFunction:
         def evaluate(t: float) -> np.ndarray:
             return np.array([np.interp(t, ts, ys[:, j]) for j in range(ys.shape[1])])
 
-        return cls(evaluate, ys.shape[1], t_min=float(ts[0]), t_max=float(ts[-1]),
-                   label="samples")
+        return cls(evaluate, ys.shape[1], t_min=float(ts[0]), t_max=float(ts[-1]))
 
     def __call__(self, t: float) -> np.ndarray:
         if t < self.t_min - 1e-12 or t > self.t_max + 1e-12:
@@ -267,14 +266,14 @@ class HistoryFunction:
         def evaluate(t: float) -> np.ndarray:
             return np.array([float(np.linalg.norm(base(t)))])
 
-        return HistoryFunction(evaluate, 1, self.t_min, self.t_max, label="norm")
+        return HistoryFunction(evaluate, 1, self.t_min, self.t_max)
 
-    def sup_norm(self, t_lo: float, t_hi: float, samples: int = 256) -> float:
-        grid = np.linspace(t_lo, t_hi, samples)
+    def sup_norm(self, t_lo: float, t_hi: float) -> float:
+        grid = np.linspace(t_lo, t_hi, _HISTORY_SAMPLES)
         return max(float(np.linalg.norm(self(float(t)))) for t in grid)
 
-    def min_value(self, t_lo: float, t_hi: float, samples: int = 256) -> float:
-        grid = np.linspace(t_lo, t_hi, samples)
+    def min_value(self, t_lo: float, t_hi: float) -> float:
+        grid = np.linspace(t_lo, t_hi, _HISTORY_SAMPLES)
         return min(float(np.min(self(float(t)))) for t in grid)
 
 
@@ -452,18 +451,16 @@ class Trajectory:
     Each step ``[ts[k], ts[k+1]]`` carries the coefficients ``coeffs[k]`` of
     the Dormand-Prince continuous extension, ``y = ys[k] + sum_j coeffs[k][j]
     * theta^(j+1)`` with ``theta`` the fraction of the step; node values are
-    reproduced exactly.  ``fs`` holds the right side at the nodes (the value
-    reached from the left after the first node).  ``t_end`` may precede the
-    last node when integration was truncated by blow-up detection.
+    reproduced exactly.  ``t_end`` may precede the last node when integration
+    was truncated by blow-up detection.
     """
 
-    def __init__(self, ts: np.ndarray, ys: np.ndarray, fs: np.ndarray,
+    def __init__(self, ts: np.ndarray, ys: np.ndarray,
                  coeffs: np.ndarray, t_end: float, blew_up: bool = False,
                  blow_time: float | None = None,
                  history: HistoryFunction | None = None, history_span: float = 0.0):
         self.ts = ts
         self.ys = ys
-        self.fs = fs
         self.coeffs = coeffs
         self.t_end = float(t_end)
         self.blew_up = blew_up
@@ -504,8 +501,6 @@ class Trajectory:
         if t == t1:
             return self.ys[idx + 1].copy()
         return _dense(self.ys[idx], self.coeffs[idx], (t - t0) / (t1 - t0))
-
-    __call__ = eval
 
     def norm_at(self, t: float) -> float:
         return float(np.linalg.norm(self.eval(t)))
@@ -563,7 +558,9 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
 
     Delayed arguments are resolved from the history function (at or before
     the start time) or from already-accepted dense segments; the step cap
-    ``h_under`` guarantees no delayed lookup ever lands in the current step.
+    ``h_under`` keeps every delayed lookup out of the current step, and a
+    lookup past the accepted solution (a delay below its sampled minimum)
+    raises `IntegrationError`.
     Steps end exactly on the walls ``t0 + k*h_under`` and on the system's
     kinks; the stages at the end of a step read delayed values from the left
     there, and the next step starts from a fresh right-side evaluation.
@@ -597,7 +594,6 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
 
     nodes_t: list[float] = [t0]
     nodes_y: list[np.ndarray] = [y0]
-    nodes_f: list[np.ndarray] = []
     nodes_q: list[np.ndarray] = []
 
     lower_guard = t0 - h_bar - 1e-9 * max(1.0, abs(t0) + h_bar)
@@ -616,6 +612,13 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
             return nodes_y[0]
         idx = bisect_right(nodes_t, tq) - 1
         if idx >= len(nodes_t) - 1:
+            # only rounding of t - h(t) may overshoot the last node; more
+            # means a delay dipped below the sampled h_under
+            if tq - nodes_t[-1] > 1e-12 * max(1.0, abs(tq)):
+                raise IntegrationError(
+                    f"delayed argument t={tq!r} lies past the accepted solution, "
+                    f"which ends at t={nodes_t[-1]!r}: a delay falls below its "
+                    f"sampled minimum {h_under!r}", time=tq)
             return nodes_y[-1]
         ta = nodes_t[idx]
         if tq == ta:
@@ -634,7 +637,6 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
         f0 = eval_rhs(t0, y0)
         if not np.all(np.isfinite(f0)):
             raise IntegrationError("right side is not finite at the start time", time=t0)
-        nodes_f.append(f0)
         stages[0] = f0
 
         if tol.first_step is not None:
@@ -704,7 +706,6 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
                 q = h_eff * (_P.T @ stages)
                 nodes_t.append(t_new)
                 nodes_y.append(y_new)
-                nodes_f.append(stages[6].copy())
                 nodes_q.append(q)
                 if float(np.linalg.norm(y_new)) >= tol.cap:
                     blew_up = True
@@ -734,10 +735,9 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
 
     ts = np.array(nodes_t)
     ys = np.array(nodes_y)
-    fs = np.array(nodes_f)
     coeffs = np.array(nodes_q).reshape(len(nodes_q), 4, dim)
     t_end = blow_time if blew_up else ts[-1]
-    return Trajectory(ts, ys, fs, coeffs, t_end, blew_up, blow_time,
+    return Trajectory(ts, ys, coeffs, t_end, blew_up, blow_time,
                       history=history,
                       history_span=h_bar)
 

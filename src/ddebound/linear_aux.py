@@ -10,7 +10,6 @@ it can be flagged.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -25,13 +24,14 @@ __all__ = [
     "LinearResponse",
     "IssReport",
     "build_linear_auxiliary",
-    "build_constant_linear_auxiliary",
     "integrate_linear",
     "cauchy_function",
     "particular_response",
     "superposition_check",
     "iss_bound_series",
 ]
+
+_SUPERPOSITION_POINTS = 1001
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,9 @@ def build_linear_auxiliary(coeffs: CoefficientPair, lc: LinearizedCoefficients,
                            history: HistoryFunction, t0: float = 0.0) -> LinearScalarDDE:
     """Linear comparison system from reduction coefficients and a linearized
     majorant: rate ``p + c*mu_1``, delayed coefficients ``c*mu_{i+1}``,
-    forcing shape ``c(t)*|e(t)|``."""
+    forcing shape ``c(t)*|e(t)|``.  Products of constants stay constants, so
+    the frozen coefficients of the autonomous system give the
+    constant-coefficient bound U."""
     if lc.arg_count != delays.count + 1:
         raise ValueError("linearized coefficient count does not match the delays")
     p, c = coeffs.p, coeffs.c
@@ -109,28 +111,12 @@ def build_linear_auxiliary(coeffs: CoefficientPair, lc: LinearizedCoefficients,
             delayed.append(lambda t, g=m: c(t) * abs(g(t)))
     if isinstance(c, ConstantFn) and c.value == 1.0:
         shape = shape_fn
+    elif isinstance(c, ConstantFn) and isinstance(shape_fn, ConstantFn):
+        shape = ConstantFn(c.value * shape_fn.value)
     else:
         shape = lambda t: c(t) * shape_fn(t)
     return LinearScalarDDE(rate, tuple(delayed), delays, shape, forcing_amplitude,
                            history, t0, zeta_tilde=lc.zeta_tilde)
-
-
-def build_constant_linear_auxiliary(p_hat: float, c_hat: float,
-                                    mu_hats: Sequence[float], delays: DelaySpec,
-                                    forcing_amplitude: float,
-                                    history: HistoryFunction,
-                                    t0: float = 0.0,
-                                    zeta_tilde: float | None = None,
-                                    forcing_shape_sup: float = 1.0) -> LinearScalarDDE:
-    """Constant-coefficient variant: rate ``p_hat + c_hat*mu_hat_1``, delayed
-    coefficients ``c_hat*mu_hat_{i+1}``, and the forcing shape frozen at
-    ``forcing_shape_sup`` (the supremum of ``c(t)|e(t)|``, 1 when c is 1)."""
-    if len(mu_hats) != delays.count + 1:
-        raise ValueError("expected one coefficient per delay plus the undelayed one")
-    rate = ConstantFn(p_hat + c_hat * abs(mu_hats[0]))
-    delayed = tuple(ConstantFn(c_hat * abs(m)) for m in mu_hats[1:])
-    return LinearScalarDDE(rate, delayed, delays, ConstantFn(forcing_shape_sup),
-                           forcing_amplitude, history, t0, zeta_tilde=zeta_tilde)
 
 
 @dataclass(frozen=True)
@@ -178,15 +164,14 @@ def particular_response(sys: LinearScalarDDE, horizon: float,
 
 def superposition_check(sys: LinearScalarDDE, history: HistoryFunction,
                         forcing_amplitude: float, horizon: float,
-                        tol: ToleranceSettings | None = None,
-                        grid_points: int = 1001) -> float:
-    """Max residual of ``u(phi, F0) = u_h(phi) + F0 * u_nh`` on a grid."""
+                        tol: ToleranceSettings | None = None) -> float:
+    """Max residual of ``u(phi, F0) = u_h(phi) + F0 * u_nh`` on a 1001-point grid."""
     full = integrate(replace(sys, history=history,
                              forcing_amplitude=forcing_amplitude), horizon, tol)
     homogeneous = integrate(replace(sys, history=history, forcing_amplitude=0.0),
                             horizon, tol)
     particular = particular_response(sys, horizon, tol)
-    grid = np.linspace(sys.t0, horizon, grid_points)
+    grid = np.linspace(sys.t0, horizon, _SUPERPOSITION_POINTS)
     combined = (homogeneous.eval_grid(grid)[:, 0]
                 + forcing_amplitude * particular.eval_grid(grid)[:, 0])
     return float(np.max(np.abs(full.eval_grid(grid)[:, 0] - combined), initial=0.0))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .timefn import ConstantFn, TimeFunction, as_time_function, grid_supremum
+from .timefn import ConstantFn, TimeFunction, as_time_function
 
 __all__ = [
     "PolynomialTerm",
@@ -20,7 +20,6 @@ __all__ = [
     "LinearizedCoefficients",
     "majorize_polynomial",
     "linearize_majorant",
-    "sup_linear_coefficients",
 ]
 
 
@@ -41,9 +40,6 @@ class PolynomialTerm:
     @property
     def degree(self) -> int:
         return sum(self.exponents)
-
-    def coeff_magnitude(self, t: float) -> float:
-        return abs(self.coeff(t))
 
 
 @dataclass(frozen=True)
@@ -106,20 +102,6 @@ class PolynomialMajorant:
     def with_extra_terms(self, extra: Iterable[PolynomialTerm]) -> "PolynomialMajorant":
         return PolynomialMajorant(self.terms + tuple(extra), self.arg_count,
                                   self.allow_constant_terms)
-
-    def term_suprema(self, t_lo: float, t_hi: float, samples: int = 10_000,
-                     margin: float = 0.0) -> "PolynomialMajorant":
-        """Freeze every time-varying coefficient at its grid supremum."""
-        frozen = []
-        for term in self.terms:
-            if isinstance(term.coeff, ConstantFn):
-                # constant coefficient: its supremum is exact, no inflation
-                frozen.append(PolynomialTerm(ConstantFn(abs(term.coeff.value)), term.exponents))
-            else:
-                sup = grid_supremum(lambda s, c=term.coeff: abs(c(s)),
-                                    t_lo, t_hi, samples, margin)
-                frozen.append(PolynomialTerm(ConstantFn(sup), term.exponents))
-        return PolynomialMajorant(tuple(frozen), self.arg_count, self.allow_constant_terms)
 
 
 def majorize_polynomial(monomials: Iterable[tuple[object, Sequence[tuple[int, int, int]]]],
@@ -197,15 +179,3 @@ def linearize_majorant(majorant: PolynomialMajorant, zeta_tilde: float) -> Linea
         return lambda t: sum(abs(c(t)) * s for c, s in frozen)
 
     return LinearizedCoefficients(zeta_tilde, tuple(make_mu(b) for b in buckets))
-
-
-def sup_linear_coefficients(lc: LinearizedCoefficients, t_lo: float, t_hi: float,
-                            samples: int = 10_000, margin: float = 0.0) -> tuple[float, ...]:
-    """Grid suprema of each linear coefficient on ``[t_lo, t_hi]``."""
-    sups = []
-    for m in lc.mu:
-        if isinstance(m, ConstantFn):
-            sups.append(abs(m.value))
-        else:
-            sups.append(grid_supremum(lambda s, f=m: abs(f(s)), t_lo, t_hi, samples, margin))
-    return tuple(sups)

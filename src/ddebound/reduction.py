@@ -14,7 +14,7 @@ the norm of the vector history.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -31,8 +31,6 @@ __all__ = [
     "FundamentalMatrixSolution",
     "CoefficientPair",
     "compute_fundamental_matrix",
-    "p_of_t",
-    "c_of_t",
     "build_scalar_auxiliary",
     "build_autonomous_auxiliary",
 ]
@@ -92,17 +90,6 @@ class FundamentalMatrixSolution:
             rate[k] = np.linalg.eigvalsh(0.5 * (top + top.T))[-1]
         return scale * sigma[:, 0], sigma[:, 0] / sigma[:, -1], rate
 
-    def singular_pair(self, t: float) -> tuple[float, float]:
-        """(sigma_max, sigma_min) of ``w(t)``."""
-        sigma_max, condition, _rate = self.spectra([t])
-        return float(sigma_max[0]), float(sigma_max[0] / condition[0])
-
-    def norm(self, t: float) -> float:
-        return self.singular_pair(t)[0]
-
-    def inverse_norm(self, t: float) -> float:
-        return 1.0 / self.singular_pair(t)[1]
-
 
 def compute_fundamental_matrix(A, t0: float, horizon: float,
                                tol: ToleranceSettings | None = None) -> FundamentalMatrixSolution:
@@ -126,16 +113,6 @@ def compute_fundamental_matrix(A, t0: float, horizon: float,
     start = np.append(np.eye(n).ravel(), 0.0)
     traj = integrate(DelayProblem(rhs, DelaySpec.none(), None, t0, y0=start), horizon, tol)
     return FundamentalMatrixSolution(A, traj, n, t0, horizon)
-
-
-def p_of_t(W: FundamentalMatrixSolution, t: float) -> float:
-    """Rate ``d ln sigma_max(w)/dt = u1^T A0(t) u1`` at ``t``."""
-    return float(W.spectra([t])[2][0])
-
-
-def c_of_t(W: FundamentalMatrixSolution, t: float) -> float:
-    """Running condition number ``sigma_max / sigma_min`` of ``w(t)``."""
-    return float(W.spectra([t])[1][0])
 
 
 @dataclass(frozen=True)
@@ -213,33 +190,43 @@ def build_scalar_auxiliary(vs: VectorDelaySystem,
     )
 
 
+def _magnitude(fn):
+    if isinstance(fn, ConstantFn):
+        return ConstantFn(abs(fn.value))
+    return lambda t: abs(fn(t))
+
+
 def build_autonomous_auxiliary(ss: ScalarDelaySystem, horizon: float,
-                               margin: float = 1e-3,
-                               samples: int = 10_000) -> ScalarDelaySystem:
+                               margin: float = 1e-3) -> ScalarDelaySystem:
     """Freeze all time-varying coefficients at their (inflated) suprema.
 
-    Suprema are taken on a uniform grid over ``[t0, t0 + horizon... ]`` --
-    precisely ``[t0, horizon]`` in absolute time -- and inflated by the
-    relative ``margin`` so the frozen system still dominates the original.
-    Constant coefficients pass through unchanged.
+    ``p``, ``c``, ``|forcing|`` and every term coefficient of the majorant
+    and of the perturbation are sampled together in one `grid_supremum`
+    pass over ``[t0, horizon]``; sampled suprema are inflated by the
+    relative ``margin`` so the frozen system still dominates the original,
+    constants pass through exactly.
     """
     t_lo, t_hi = ss.t0, horizon
     if t_hi <= t_lo:
         raise ValueError("horizon must exceed the start time")
-    p_hat = grid_supremum(ss.p, t_lo, t_hi, samples, margin)
-    c_hat = grid_supremum(ss.c, t_lo, t_hi, samples, margin)
-    forcing_hat = grid_supremum(lambda s: abs(ss.forcing(s)), t_lo, t_hi, samples, margin) \
-        if not isinstance(ss.forcing, ConstantFn) else abs(ss.forcing.value)
-    frozen = ss.majorant.term_suprema(t_lo, t_hi, samples, margin)
+    majorants = [ss.majorant]
+    if ss.perturbation is not None:
+        majorants.append(ss.perturbation.majorant)
+    coeffs = [term.coeff for L in majorants for term in L.terms]
+    p_hat, c_hat, forcing_hat, *coeff_hats = grid_supremum(
+        [ss.p, ss.c, _magnitude(ss.forcing)] + [_magnitude(c) for c in coeffs],
+        t_lo, t_hi, margin)
+    coeff_hats = iter(coeff_hats)
+    frozen = [PolynomialMajorant(
+        tuple(PolynomialTerm(ConstantFn(next(coeff_hats)), term.exponents) for term in L.terms),
+        L.arg_count, L.allow_constant_terms) for L in majorants]
     perturbation = ss.perturbation
     if perturbation is not None:
-        perturbation = type(perturbation)(
-            perturbation.majorant.term_suprema(t_lo, t_hi, samples, margin),
-            perturbation.delays)
+        perturbation = replace(perturbation, majorant=frozen[1])
     return ScalarDelaySystem(
         p=ConstantFn(p_hat),
         c=ConstantFn(max(c_hat, 1.0)),
-        majorant=frozen,
+        majorant=frozen[0],
         forcing=ConstantFn(forcing_hat),
         delays=ss.delays,
         history=ss.history,

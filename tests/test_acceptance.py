@@ -15,8 +15,8 @@ from conftest import (cubic_basin_scalar, delayed_decay_oracle,
 from ddebound import (BoundednessCriterion, DelayProblem, DelaySpec,
                       HistoryFunction, PolynomialMajorant, PolynomialTerm,
                       ToleranceSettings, classify_fts,
-                      compute_fundamental_matrix, c_of_t, estimate_scalar_radius,
-                      integrate, linearize_majorant, p_of_t,
+                      compute_fundamental_matrix, estimate_scalar_radius,
+                      integrate, linearize_majorant,
                       parse_expression, robust_stability_check, superposition_check,
                       verify_pointwise_ordering)
 from ddebound.cli import (_bundled_config, assemble_pipeline, build_linear_chain,
@@ -95,17 +95,18 @@ def test_criterion_04_reduction_oracles():
     fund_tol = ToleranceSettings(rtol=1e-8, atol=1e-12, cap=math.inf)
     A = MatrixFunction(2, {(0, 0): -1.0, (1, 1): -2.0})
     W = compute_fundamental_matrix(A, 0.0, 3.2, fund_tol)
-    p_err = max(abs(p_of_t(W, float(t)) + 1.0) for t in np.linspace(0.1, 3.0, 59))
-    c_err = max(abs(c_of_t(W, float(t)) - math.exp(float(t))) / math.exp(float(t))
-                for t in np.linspace(0.1, 3.0, 59))
+    ts = np.linspace(0.1, 3.0, 59)
+    _sigma_max, c, p = W.spectra(ts)
+    p_err = float(np.max(np.abs(p + 1.0)))
+    c_err = float(np.max(np.abs(c - np.exp(ts)) / np.exp(ts)))
 
     lam = parse_expression("-3 + 0.1*sin(5*t)")
     lam_fn = lam.compiled()
     A2 = MatrixFunction(2, {(0, 0): lam, (1, 1): lam})
     W2 = compute_fundamental_matrix(A2, 0.0, 3.2, fund_tol)
-    p2_err = max(abs(p_of_t(W2, float(t)) - lam_fn(float(t)))
-                 for t in np.linspace(0.1, 3.0, 59))
-    c2_err = max(abs(c_of_t(W2, float(t)) - 1.0) for t in np.linspace(0.1, 3.0, 59))
+    _sigma_max, c2, p2 = W2.spectra(ts)
+    p2_err = float(np.max(np.abs(p2 - [lam_fn(t) for t in ts.tolist()])))
+    c2_err = float(np.max(np.abs(c2 - 1.0)))
     ok = p_err < 1e-5 and c_err < 1e-5 and p2_err < 1e-5 and c2_err < 1e-8
     _report(4, ok, f"diag(-1,-2): |p+1| {p_err:.1e} (tol 1e-5), rel c err "
                    f"{c_err:.1e} (tol 1e-5); scalar-identity: |p-rate| "

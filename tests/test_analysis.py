@@ -41,6 +41,27 @@ class TestVerifyPointwiseOrdering:
         assert report.first_violation_time < 1.0
 
 
+    def test_each_pair_checked_on_its_own_domain(self):
+        # top reaches the cap at ln 5, but middle falls below bottom after
+        # t = 2: the pair (bottom, middle) is checked on all of [0, 4]
+        def run(rhs):
+            problem = DelayProblem(rhs, DelaySpec.none(), HistoryFunction.constant([1.0]))
+            return integrate(problem, 4.0, ToleranceSettings(cap=5.0))
+
+        bottom = run(lambda t, y, z: np.zeros(1))
+        middle = run(lambda t, y, z: np.array([0.5 - 0.5 * t]))
+        top = run(lambda t, y, z: y)
+        assert top.blew_up
+        assert top.t_end == pytest.approx(math.log(5.0), abs=1e-5)
+        report = verify_pointwise_ordering([bottom, middle, top], grid=400, tol=1e-6)
+        assert not report.holds
+        assert report.max_violation > 0.9
+        assert report.first_violation_time == pytest.approx(2.0, abs=0.02)
+        # the reported series stay on the domain all three share
+        assert report.grid[-1] == top.t_end
+        assert report.grid.size == 400
+
+
 class TestClassifyFts:
     def test_decay_is_fts(self):
         traj = integrate(linear_ode_system(-1.0, 0.9), 5.0, TIGHT)

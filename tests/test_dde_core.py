@@ -119,7 +119,29 @@ class TestIntegrate:
         b = integrate(delayed_decay_system(), 3.0, DEFAULT)
         assert np.array_equal(a.ts, b.ts)
         assert np.array_equal(a.ys, b.ys)
-        assert np.array_equal(a.fs, b.fs)
+        assert np.array_equal(a.coeffs, b.coeffs)
+
+    def test_lookup_past_the_accepted_solution_raises(self):
+        # the 512 delay samples miss the dip to 0.05 at t = 3.4, so h_under
+        # is 0.5 and the stage at t = 3.4 reads y(3.35) while the accepted
+        # solution ends at t = 3
+        delay = parse_expression("0.5 - 0.45*exp(-((t-3.4)/1e-4)^2)")
+        spec = DelaySpec.from_functions([delay], 0.0, 10.0)
+        assert spec.h_under == 0.5
+        problem = DelayProblem(lambda t, y, z: -z[0], spec,
+                               HistoryFunction.constant([1.0]), 0.0)
+        tol = ToleranceSettings(rtol=0.1, atol=0.1, first_step=0.5, max_step=0.5)
+        with pytest.raises(IntegrationError, match="past the accepted solution") as err:
+            integrate(problem, 10.0, tol)
+        assert err.value.time == pytest.approx(3.35)
+
+    def test_lookup_at_the_last_node_is_legal(self):
+        # steps as long as the delay read the last accepted node itself
+        tol = ToleranceSettings(rtol=0.1, atol=0.1, first_step=1.0, max_step=1.0)
+        traj = integrate(delayed_decay_system(), 3.0, tol)
+        assert traj.ts.tolist() == [0.0, 1.0, 2.0, 3.0]
+        for t in (1.0, 2.0, 3.0):
+            assert traj.eval(t)[0] == pytest.approx(delayed_decay_oracle(t), abs=1e-12)
 
     def test_continuity_at_segment_junctions(self):
         traj = integrate(delayed_decay_system(), 3.0, DEFAULT)

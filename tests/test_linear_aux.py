@@ -9,9 +9,10 @@ from ddebound import (DelaySpec, HistoryFunction, LinearScalarDDE, ToleranceSett
                       cauchy_function, integrate, integrate_linear, iss_bound_series,
                       linearize_majorant, parse_expression, particular_response,
                       superposition_check)
-from ddebound.linear_aux import build_constant_linear_auxiliary, build_linear_auxiliary
-from ddebound.majorant import PolynomialMajorant, PolynomialTerm
+from ddebound.linear_aux import build_linear_auxiliary
+from ddebound.majorant import LinearizedCoefficients, PolynomialMajorant, PolynomialTerm
 from ddebound.reduction import CoefficientPair
+from ddebound.timefn import ConstantFn
 
 
 def _plain(rate=0.0, delayed=(), delays=None, shape=0.0, amplitude=0.0,
@@ -194,18 +195,40 @@ class TestIssBound:
 
 
 class TestConstantBuilder:
+    # the constant-coefficient U is build_linear_auxiliary on constant inputs
     def test_rate_composition(self):
-        sys = build_constant_linear_auxiliary(
-            -2.9, 1.0, (1.2, 0.625), DelaySpec.constant([0.5]), 0.0,
-            HistoryFunction.constant([0.05]))
+        sys = build_linear_auxiliary(
+            CoefficientPair.closed_form(-2.9, 1.0),
+            LinearizedCoefficients(0.5, (1.2, 0.625)), DelaySpec.constant([0.5]),
+            0.8, 0.0, HistoryFunction.constant([0.05]))
         assert sys.rate(3.0) == pytest.approx(-2.9 + 1.2)
         assert sys.delayed_coeffs[0](1.0) == pytest.approx(0.625)
+        assert all(isinstance(f, ConstantFn)
+                   for f in (sys.rate, *sys.delayed_coeffs, sys.forcing_shape))
 
     def test_count_mismatch(self):
         with pytest.raises(ValueError):
-            build_constant_linear_auxiliary(
-                -1.0, 1.0, (0.1,), DelaySpec.constant([0.5]), 0.0,
-                HistoryFunction.constant([0.0]))
+            build_linear_auxiliary(
+                CoefficientPair.closed_form(-1.0, 1.0), LinearizedCoefficients(0.5, (0.1,)),
+                DelaySpec.constant([0.5]), 0.0, 0.0, HistoryFunction.constant([0.0]))
+
+    def test_constant_condition_number_scales_constant_coefficients(self):
+        sys = build_linear_auxiliary(
+            CoefficientPair.closed_form(-2.9, 1.5),
+            LinearizedCoefficients(0.5, (1.2, 0.625)), DelaySpec.constant([0.5]),
+            0.8, 0.05, HistoryFunction.constant([0.05]))
+        assert sys.rate.value == -2.9 + 1.5 * 1.2
+        assert sys.delayed_coeffs[0].value == 1.5 * 0.625
+        assert sys.forcing_shape.value == 1.5 * 0.8
+
+    def test_frozen_coefficients_dominate_time_varying_ones(self):
+        from ddebound.cli import _bundled_config, assemble_pipeline, build_linear_chain
+        pipe = assemble_pipeline(_bundled_config("a"))
+        linear, constant = build_linear_chain(pipe)
+        for t in np.linspace(0.0, 50.0, 2001).tolist():
+            assert linear.rate(t) <= constant.rate.value
+            assert linear.delayed_coeffs[0](t) <= constant.delayed_coeffs[0].value
+            assert linear.forcing_shape(t) <= constant.forcing_shape.value
 
     def test_forced_chain_stays_dominated(self):
         # with forcing on, the frozen system must still ride above the

@@ -1,13 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from conftest import appendix_majorant_input
-from ddebound.majorant import (LinearizedCoefficients, PolynomialMajorant,
-                               PolynomialTerm, linearize_majorant,
-                               majorize_polynomial, sup_linear_coefficients)
-from ddebound.timefn import ConstantFn
+from ddebound.majorant import (PolynomialMajorant, PolynomialTerm, linearize_majorant,
+                               majorize_polynomial)
 from ddebound.vectorfield import NonlinearTerm, PolynomialVectorField
 
 
@@ -138,23 +134,6 @@ class TestLinearize:
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             linearize_majorant(PolynomialMajorant.zero(1), 0.0)
-
-
-class TestSupLinearCoefficients:
-    def test_constants_pass_through(self):
-        lc = LinearizedCoefficients(1.0, (ConstantFn(0.3), ConstantFn(0.7)))
-        assert sup_linear_coefficients(lc, 0.0, 10.0) == (0.3, 0.7)
-
-    def test_rectified_sine(self):
-        lc = LinearizedCoefficients(1.0, (lambda t: 0.1 * abs(math.sin(t)),))
-        (sup,) = sup_linear_coefficients(lc, 0.0, 10.0, margin=1e-3)
-        assert sup == pytest.approx(0.1, rel=3e-3)
-        assert sup >= 0.1 * (1.0 - 1e-6)
-
-    def test_unbounded_sample_rejected(self):
-        lc = LinearizedCoefficients(1.0, (lambda t: math.exp(t),))
-        with pytest.raises(OverflowError):
-            sup_linear_coefficients(lc, 0.0, 100.0)
 
 
 class TestConstantTermHandling:

@@ -6,11 +6,12 @@ import pytest
 from conftest import DEFAULT
 from ddebound import (CoefficientPair, DelaySpec, HistoryFunction, ScalarDelaySystem,
                       ToleranceSettings, VectorDelaySystem, build_autonomous_auxiliary,
-                      build_scalar_auxiliary, c_of_t, compute_fundamental_matrix,
-                      integrate, p_of_t, parse_expression, verify_pointwise_ordering)
+                      build_scalar_auxiliary, compute_fundamental_matrix,
+                      integrate, parse_expression, verify_pointwise_ordering)
 from ddebound.linalg import MatrixFunction, spectral_norm
 from ddebound.majorant import PolynomialMajorant, PolynomialTerm
 from ddebound.reduction import IllConditionedError
+from ddebound.timefn import ConstantFn, grid_supremum
 from ddebound.vectorfield import NonlinearTerm, PolynomialVectorField
 
 FUND_TOL = ToleranceSettings(rtol=1e-8, atol=1e-12, cap=math.inf)
@@ -33,19 +34,20 @@ class TestFundamentalMatrix:
     def test_zero_generator_is_identity(self):
         W = compute_fundamental_matrix(MatrixFunction.zero(2), 0.0, 5.0, FUND_TOL)
         assert np.allclose(W.w(3.0), np.eye(2), atol=1e-12)
-        smax, smin = W.singular_pair(3.0)
+        (smax,), (c,), _p = W.spectra([3.0])
         assert smax == pytest.approx(1.0, abs=1e-12)
-        assert smin == pytest.approx(1.0, abs=1e-12)
+        assert smax / c == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_closed_form(self):
         A = MatrixFunction(2, {(0, 0): -1.0, (1, 1): -2.0})
         W = compute_fundamental_matrix(A, 0.0, 3.2, FUND_TOL)
-        assert W.norm(1.0) == pytest.approx(math.exp(-1.0), rel=1e-7)
-        assert W.inverse_norm(1.0) == pytest.approx(math.exp(2.0), rel=1e-7)
-        for t in np.linspace(0.1, 3.0, 30):
-            t = float(t)
-            assert p_of_t(W, t) == pytest.approx(-1.0, abs=1e-5)
-            assert c_of_t(W, t) == pytest.approx(math.exp(t), rel=1e-5)
+        (smax,), (c,), _p = W.spectra([1.0])
+        assert smax == pytest.approx(math.exp(-1.0), rel=1e-7)
+        assert c / smax == pytest.approx(math.exp(2.0), rel=1e-7)     # 1 / sigma_min
+        ts = np.linspace(0.1, 3.0, 30)
+        _smax, c, p = W.spectra(ts)
+        assert p == pytest.approx(np.full(ts.size, -1.0), abs=1e-5)
+        assert c == pytest.approx(np.exp(ts), rel=1e-5)
 
     def test_rate_at_start_is_top_eigenvalue_of_symmetric_part(self):
         # w(t0) = I has a repeated sigma_max: the rate there is the largest
@@ -54,8 +56,9 @@ class TestFundamentalMatrix:
         A = MatrixFunction(2, {(0, 0): -1.0, (0, 1): 2.0, (1, 1): -2.0})
         W = compute_fundamental_matrix(A, 0.0, 1.0, FUND_TOL)
         sym_top = (-3.0 + math.sqrt(5.0)) / 2.0
-        assert p_of_t(W, 0.0) == pytest.approx(sym_top, abs=1e-12)
-        assert p_of_t(W, 1e-6) == pytest.approx(sym_top, abs=1e-5)
+        _smax, _c, p = W.spectra([0.0, 1e-6])
+        assert p[0] == pytest.approx(sym_top, abs=1e-12)
+        assert p[1] == pytest.approx(sym_top, abs=1e-5)
 
     def test_analytic_rate_matches_independent_difference(self):
         from scipy.integrate import solve_ivp
@@ -77,10 +80,11 @@ class TestFundamentalMatrix:
             return math.log(np.linalg.norm(ref.sol(t).reshape(2, 2), 2))
 
         delta = 1e-4
-        for t in np.linspace(0.5, 4.5, 17):
-            t = float(t)
+        ts = np.linspace(0.5, 4.5, 17)
+        _smax, _c, p = W.spectra(ts)
+        for t, rate in zip(ts.tolist(), p):
             diff = (log_sigma_max(t + delta) - log_sigma_max(t - delta)) / (2.0 * delta)
-            assert p_of_t(W, t) == pytest.approx(diff, abs=1e-6)
+            assert rate == pytest.approx(diff, abs=1e-6)
 
     def test_decaying_generator_stays_resolved(self):
         # w = diag(e^-3t, e^-3.5t) falls below any fixed absolute tolerance;
@@ -88,10 +92,11 @@ class TestFundamentalMatrix:
         A = MatrixFunction(2, {(0, 0): -3.0, (1, 1): -3.5})
         W = compute_fundamental_matrix(A, 0.0, 30.0, FUND_TOL)
         pair = CoefficientPair.from_fundamental(W)
-        for c, p in ((c_of_t(W, 20.0), p_of_t(W, 20.0)), (pair.c(20.0), pair.p(20.0))):
+        (smax,), (c_w,), (p_w,) = W.spectra([20.0])
+        for c, p in ((c_w, p_w), (pair.c(20.0), pair.p(20.0))):
             assert c == pytest.approx(math.exp(10.0), rel=1e-6)
             assert p == pytest.approx(-3.0, abs=1e-7)
-        assert W.norm(20.0) == pytest.approx(math.exp(-60.0), rel=1e-6)
+        assert smax == pytest.approx(math.exp(-60.0), rel=1e-6)
 
     def test_initial_matrix_is_identity_exactly(self):
         A = MatrixFunction(2, {(0, 0): -1.0, (0, 1): 2.0, (1, 1): -2.0})
@@ -104,7 +109,7 @@ class TestFundamentalMatrix:
         W = compute_fundamental_matrix(
             A, 0.0, 1.0, ToleranceSettings(rtol=1e-8, atol=1e-20, cap=math.inf))
         with pytest.raises(IllConditionedError) as err:
-            c_of_t(W, 0.9)
+            W.spectra([0.9])
         assert err.value.time == pytest.approx(0.9)
 
 
@@ -114,10 +119,10 @@ class TestCoefficientPair:
         A = MatrixFunction(2, {(0, 0): lam, (1, 1): lam})
         W = compute_fundamental_matrix(A, 0.0, 3.2, FUND_TOL)
         lam_fn = lam.compiled()
-        for t in np.linspace(0.1, 3.0, 30):
-            t = float(t)
-            assert p_of_t(W, t) == pytest.approx(lam_fn(t), abs=1e-5)
-            assert c_of_t(W, t) == pytest.approx(1.0, abs=1e-8)
+        ts = np.linspace(0.1, 3.0, 30)
+        _smax, c, p = W.spectra(ts)
+        assert p == pytest.approx([lam_fn(t) for t in ts.tolist()], abs=1e-5)
+        assert c == pytest.approx(np.ones(ts.size), abs=1e-8)
         # w(t) = diag(eta, eta) with eta = exp of the integrated rate
         eta = math.exp(-3.0 + 0.02 * (1.0 - math.cos(5.0)))
         assert np.allclose(W.w(1.0), eta * np.eye(2), rtol=1e-7)
@@ -144,7 +149,7 @@ class TestCoefficientPair:
         assert pair.t_hi == 50.0
         grid = np.linspace(0.0, 50.0, 1001)
         _sigma_max, c, rate = W.spectra(grid)
-        assert rate[0] == p_of_t(W, 0.0)
+        assert rate[0] == W.spectra([0.0])[2][0]
         assert np.max(np.abs([pair.p(float(t)) for t in grid] - rate)) < 1e-5
         assert np.max(np.abs([pair.c(float(t)) for t in grid] - c) / c) < 1e-5
 
@@ -153,8 +158,8 @@ class TestCoefficientPair:
         entries = {(i, j): float(rng.uniform(-1.0, 1.0)) for i in range(2)
                    for j in range(2)}
         W = compute_fundamental_matrix(MatrixFunction(2, entries), 0.0, 2.0, FUND_TOL)
-        for t in np.linspace(0.1, 1.9, 20):
-            assert c_of_t(W, float(t)) >= 1.0
+        _smax, c, _p = W.spectra(np.linspace(0.1, 1.9, 20))
+        assert np.all(c >= 1.0)
 
     def test_closed_form_constructor(self):
         pair = CoefficientPair.closed_form(parse_expression("-3 + 0.1*sin(5*t)"), 1.0)
@@ -205,9 +210,9 @@ class TestBuildScalarAuxiliary:
         assert exps == [(0, 1), (0, 3), (1, 0)]
         # coefficient values at t = 0: |A1(0)| with omega(0) = 1 is 1
         by_exp = {term.exponents: term for term in ss.majorant.terms}
-        assert by_exp[(0, 3)].coeff_magnitude(0.0) == pytest.approx(0.1)
-        assert by_exp[(0, 1)].coeff_magnitude(0.0) == pytest.approx(0.5, rel=1e-12)
-        assert by_exp[(1, 0)].coeff_magnitude(0.0) == pytest.approx(1.0, rel=1e-12)
+        assert abs(by_exp[(0, 3)].coeff(0.0)) == pytest.approx(0.1)
+        assert abs(by_exp[(0, 1)].coeff(0.0)) == pytest.approx(0.5, rel=1e-12)
+        assert abs(by_exp[(1, 0)].coeff(0.0)) == pytest.approx(1.0, rel=1e-12)
 
     def test_history_norm_match_is_exact(self):
         hist = HistoryFunction.from_expressions([parse_expression("sin(t)"),
@@ -273,7 +278,40 @@ class TestBuildAutonomousAuxiliary:
         assert auto.p(0.0) == -1.5
         assert auto.c(0.0) == 1.25
         assert auto.forcing(0.0) == 0.2
-        assert auto.majorant.terms[0].coeff_magnitude(0.0) == 0.3
+        assert abs(auto.majorant.terms[0].coeff(0.0)) == 0.3
+
+    def test_constants_stay_exact_under_a_margin(self):
+        # case a has c = 1: sampling it would inflate it to 1.001
+        ss = self._scalar("-3 + 0.1*sin(5*t)")
+        auto = build_autonomous_auxiliary(ss, 50.0, margin=1e-3)
+        assert auto.c(0.0) == 1.0
+        assert abs(auto.majorant.terms[0].coeff(0.0)) == 0.1
+        assert auto.p(0.0) == pytest.approx(-2.9 * (1.0 - 1e-3), rel=1e-6)
+
+    def test_one_norm_per_grid_point_on_case_a(self, monkeypatch):
+        # the two |A1(t)| terms share one memo and are sampled in one pass;
+        # U is built from the frozen coefficients and samples no norm at all
+        import ddebound.cli as cli
+        import ddebound.linalg as linalg
+
+        calls = []
+        monkeypatch.setattr(linalg, "spectral_norm",
+                            lambda m: calls.append(1) or spectral_norm(m))
+        counts = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                before = len(calls)
+                result = fn(*args, **kwargs)
+                counts[name] = len(calls) - before
+                return result
+            return wrapper
+
+        monkeypatch.setattr(cli, "build_autonomous_auxiliary",
+                            counted("freeze", build_autonomous_auxiliary))
+        pipe = cli.assemble_pipeline(cli._bundled_config("a"))
+        counted("chain", cli.build_linear_chain)(pipe)
+        assert counts == {"freeze": 10_000, "chain": 0}
 
     def test_frozen_system_dominates_pointwise(self):
         ss = self._scalar("-3 + 0.1*sin(5*t)")
@@ -314,3 +352,20 @@ grid = 800
         # rate at the start equals the top eigenvalue of the symmetric part
         sym_top = (-3.0 + math.sqrt(1.0 + 4 * 0.25 ** 2)) / 2.0
         assert pipe.coefficients.p(0.0) == pytest.approx(sym_top, abs=1e-4)
+
+
+class TestGridSupremum:
+    def test_constants_pass_through(self):
+        # constants are exact, with or without a margin
+        fns = (ConstantFn(0.3), ConstantFn(0.7), ConstantFn(1.0))
+        assert grid_supremum(fns, 0.0, 10.0) == [0.3, 0.7, 1.0]
+        assert grid_supremum(fns, 0.0, 10.0, margin=1e-3) == [0.3, 0.7, 1.0]
+
+    def test_rectified_sine(self):
+        (sup,) = grid_supremum([lambda t: 0.1 * abs(math.sin(t))], 0.0, 10.0, margin=1e-3)
+        assert sup == pytest.approx(0.1, rel=3e-3)
+        assert sup >= 0.1 * (1.0 - 1e-6)
+
+    def test_unbounded_sample_rejected(self):
+        with pytest.raises(OverflowError):
+            grid_supremum([ConstantFn(1.0), lambda t: math.exp(t)], 0.0, 100.0)
