@@ -15,7 +15,8 @@ from .config import ConfigError, RunConfig, load_config, load_config_text
 from .dde_core import (BlowupReport, DelayProblem, DelaySpec, HistoryFunction,
                        IntegrationError, Perturbation, ScalarDelaySystem,
                        ToleranceSettings, Trajectory, VectorDelaySystem,
-                       detect_blowup, integrate, sup_norm_on_interval)
+                       detect_blowup, integrate, integrate_batch,
+                       sup_norm_on_interval)
 from .expressions import (EvaluationError, Expression, ExpressionSyntaxError,
                           parse_expression)
 from .linalg import MatrixFunction, spectral_norm

@@ -17,7 +17,8 @@ import numpy as np
 
 from .dde_core import (DelaySpec, HistoryFunction, Perturbation, ScalarDelaySystem,
                        IntegrationError, ToleranceSettings, Trajectory,
-                       VectorDelaySystem, integrate, sup_norm_on_interval)
+                       VectorDelaySystem, integrate, integrate_batch,
+                       sup_norm_on_interval)
 from .majorant import PolynomialMajorant
 
 __all__ = [
@@ -323,36 +324,55 @@ class RadiusEstimate:
 _MAX_BISECTIONS = 40
 
 
-def _bisect_radius(probe, q_max: float, bisect_tol: float, criterion: BoundednessCriterion,
-                   horizon: float) -> RadiusEstimate:
+def _bisection(q_max: float, bisect_tol: float, criterion: BoundednessCriterion,
+               horizon: float):
+    """One radius search as a generator: it yields each probe magnitude,
+    receives the verdict and returns the `RadiusEstimate`."""
+    if q_max <= 0:
+        raise ValueError("q_max must be positive")
     probes: list[tuple[float, bool]] = []
 
-    def good(q: float) -> bool:
-        result = probe(q)
-        probes.append((q, result))
-        return result
+    def judged(q: float, good: bool) -> bool:
+        probes.append((q, good))
+        return good
 
     def make(value, lo, hi, status):
         return RadiusEstimate(value, lo, hi, status, criterion.kind, horizon,
                               criterion.cap, criterion.tail_fraction,
                               criterion.decay_ratio, tuple(probes))
 
-    if q_max <= 0:
-        raise ValueError("q_max must be positive")
-    if good(q_max):
+    if judged(q_max, (yield q_max)):
         return make(q_max, q_max, math.inf, "unbracketed_above")
-    if not good(0.0):
+    if not judged(0.0, (yield 0.0)):
         return make(0.0, 0.0, 0.0, "empty_at_zero")
     lo, hi = 0.0, q_max
     for _ in range(_MAX_BISECTIONS):
         if hi - lo <= bisect_tol * max(hi, 1e-12):
             break
         mid = 0.5 * (lo + hi)
-        if good(mid):
+        if judged(mid, (yield mid)):
             lo = mid
         else:
             hi = mid
     return make(0.5 * (lo + hi), lo, hi, "bracketed")
+
+
+def _lockstep(searches: Sequence, probe) -> list[RadiusEstimate]:
+    """Run `_bisection` searches side by side: every round collects the
+    pending magnitude of each unfinished search and judges them all with one
+    ``probe([(search index, magnitude), ...]) -> [verdict, ...]`` call."""
+    results: list[RadiusEstimate | None] = [None] * len(searches)
+    pending = [(k, next(search)) for k, search in enumerate(searches)]
+    while pending:
+        verdicts = probe(pending)
+        waiting = []
+        for (k, _q), verdict in zip(pending, verdicts):
+            try:
+                waiting.append((k, searches[k].send(verdict)))
+            except StopIteration as done:
+                results[k] = done.value
+        pending = waiting
+    return results
 
 
 def estimate_scalar_radius(ss: ScalarDelaySystem, criterion: BoundednessCriterion,
@@ -370,15 +390,16 @@ def estimate_scalar_radius(ss: ScalarDelaySystem, criterion: BoundednessCriterio
         tol = replace(tol, cap=criterion.cap)
     horizon_end = ss.t0 + horizon
 
-    def probe(q: float) -> bool:
-        system = ss.with_constant_history(q)
+    def probe(batch):
+        ((_k, q),) = batch
         try:
-            traj = integrate(system, horizon_end, tol)
+            traj = integrate(ss.with_constant_history(q), horizon_end, tol)
         except IntegrationError:
-            return False
-        return criterion.judge(traj, q, horizon_end)
+            return [False]
+        return [criterion.judge(traj, q, horizon_end)]
 
-    return _bisect_radius(probe, q_max, bisect_tol, criterion, horizon)
+    (estimate,) = _lockstep([_bisection(q_max, bisect_tol, criterion, horizon)], probe)
+    return estimate
 
 
 @dataclass(frozen=True)
@@ -406,27 +427,40 @@ def estimate_vector_region(vs: VectorDelaySystem, criterion: BoundednessCriterio
 
     For each of ``angle_count`` uniformly spaced angles the radial coordinate
     is bisected with the same good/bad oracle as the scalar search applied to
-    the vector solution norm.  Radial monotonicity is not assumed; the probe
-    log of each estimate allows flips to be inspected afterwards.
+    the vector solution norm.  The angles are bisected in lockstep: the
+    probes of one round are integrated together by `integrate_batch`, and a
+    round whose batch fails with `IntegrationError` is probed again one
+    angle at a time, where that error means "bad".  Radial monotonicity is
+    not assumed; the probe log of each estimate allows flips to be inspected
+    afterwards.
     """
     if vs.dim != 2:
         raise ValueError("the polar region sweep is only defined for 2-dimensional systems")
+    if angle_count < 1:
+        raise ValueError(f"angle_count must be at least 1, got {angle_count!r}")
     tol = tol or ToleranceSettings(rtol=1e-4, atol=1e-8, cap=criterion.cap)
     if tol.cap != criterion.cap:
         tol = replace(tol, cap=criterion.cap)
     horizon_end = vs.t0 + horizon
     angles = np.arange(angle_count) * (2.0 * math.pi / angle_count)
-    estimates = []
-    for angle in angles:
-        direction = np.array([math.cos(float(angle)), math.sin(float(angle))])
+    directions = [np.array([math.cos(float(angle)), math.sin(float(angle))])
+                  for angle in angles]
 
-        def probe(r: float) -> bool:
-            system = replace(vs, history=HistoryFunction.constant(r * direction))
-            try:
-                traj = integrate(system, horizon_end, tol)
-            except IntegrationError:
-                return False
-            return criterion.judge(traj, r, horizon_end)
+    def alone(history: HistoryFunction) -> Trajectory | None:
+        try:
+            return integrate(replace(vs, history=history), horizon_end, tol)
+        except IntegrationError:
+            return None
 
-        estimates.append(_bisect_radius(probe, r_max, bisect_tol, criterion, horizon))
-    return RegionBoundary(angles, tuple(estimates), vs.t0, vs.forcing_amplitude)
+    def probe(batch):
+        histories = [HistoryFunction.constant(r * directions[k]) for k, r in batch]
+        try:
+            trajs = integrate_batch(vs, histories, horizon_end, tol)
+        except IntegrationError:
+            trajs = [alone(history) for history in histories]
+        return [traj is not None and criterion.judge(traj, r, horizon_end)
+                for traj, (_k, r) in zip(trajs, batch)]
+
+    searches = [_bisection(r_max, bisect_tol, criterion, horizon) for _ in angles]
+    return RegionBoundary(angles, tuple(_lockstep(searches, probe)), vs.t0,
+                          vs.forcing_amplitude)

@@ -106,9 +106,8 @@ def fig2_protocol(cfg: RunConfig, horizon: float | None = None,
 
     Returns ``(boundary, scalar_estimate, autonomous_estimate, inclusion_ok)``.
     """
-    homogeneous = replace(cfg.build_vector_system(), forcing_amplitude=0.0,
-                          forcing_shape=None)
     pipe = assemble_pipeline(cfg, horizon=horizon)
+    homogeneous = replace(pipe.vector_system, forcing_amplitude=0.0, forcing_shape=None)
     scalar = pipe.scalar_system.homogeneous()
     autonomous = pipe.autonomous_system.homogeneous()
     a_cfg = cfg.analysis

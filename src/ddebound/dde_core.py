@@ -19,6 +19,9 @@ start value that differs from the history (a jump at ``t0``) and the kinks.
 A system class hands its problem over through ``problem(horizon)``, where it
 runs its own checks on that horizon; `DelayProblem.problem` returns itself,
 so a custom right side is integrated by building a `DelayProblem` directly.
+`integrate_batch` runs the same loop for several histories of one problem,
+which share its delays, walls and kinks: the members form one flat state on
+one step sequence, and the right side sees them as a ``(B, n)`` array.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ __all__ = [
     "Trajectory",
     "BlowupReport",
     "integrate",
+    "integrate_batch",
     "sup_norm_on_interval",
     "detect_blowup",
 ]
@@ -332,10 +336,11 @@ class VectorDelaySystem:
                 f"history dimension {self.history.dim} != system dimension {self.dim}")
 
     def rhs(self, t: float, y: np.ndarray, delayed: Sequence[np.ndarray]) -> np.ndarray:
+        """Right side for one state ``(n,)`` or a batch of states ``(B, n)``."""
         if self.A is not None:
-            out = self.A(t) @ y
+            out = (self.A(t) @ y.T).T
         else:
-            out = np.zeros(self.dim)
+            out = np.zeros(y.shape)
         if self.f is not None:
             out = out + self.f(t, y, delayed)
         if self.forcing_amplitude > 0.0:
@@ -536,20 +541,28 @@ def _dense(y0, q, theta):
     return y0 + theta * (q[0] + theta * (q[1] + theta * (q[2] + theta * q[3])))
 
 
-def _initial_step(eval_rhs, t0, y0, f0, rtol, atol, max_step):
-    """Automatic first-step selection (standard two-probe heuristic)."""
+def _member_rms(x: np.ndarray, members: int) -> list[float]:
+    """Root mean square of each member's slice of the flat vector ``x``."""
+    if members == 1:    # the same numbers, without the slower axis reduction
+        return [float(np.sqrt(np.mean(x ** 2)))]
+    return np.sqrt(np.mean((x ** 2).reshape(members, -1), axis=1)).tolist()
+
+
+def _initial_step(eval_rhs, t0, y0, f0, rtol, atol, max_step, members):
+    """Automatic first-step selection (standard two-probe heuristic), the
+    smallest over the members of a batch."""
     scale = atol + rtol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    d0s = _member_rms(y0 / scale, members)
+    d1s = _member_rms(f0 / scale, members)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+             for d0, d1 in zip(d0s, d1s))
     h0 = min(h0, max_step)
     y1 = y0 + h0 * f0
     f1 = eval_rhs(t0 + h0, y1)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1.0 / 5.0)
+    d2s = [d / h0 for d in _member_rms((f1 - f0) / scale, members)]
+    h1 = min(max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+             else (0.01 / max(d1, d2)) ** (1.0 / 5.0)
+             for d1, d2 in zip(d1s, d2s))
     return min(100.0 * h0, h1, max_step)
 
 
@@ -567,6 +580,35 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
     Integration stops early, with the first crossing time recorded, when the
     state norm reaches ``tol.cap``.
     """
+    return _integrate(system, None, horizon, tol)[0]
+
+
+def integrate_batch(system, histories: Sequence[HistoryFunction], horizon: float,
+                    tol: ToleranceSettings | None = None) -> list[Trajectory]:
+    """Integrate ``system.problem(horizon)`` once per history, all on one step
+    sequence; one trajectory per history, in order.
+
+    The members share the delays, the walls and the kinks, so one run of
+    `integrate`'s loop carries them as one flat state.  The right side gets
+    states and delayed values of shape ``(B, n)`` and must return that
+    shape.  The step controller takes the largest per-member error, so each
+    member's local error is held at least as tightly as when it runs alone.
+    A member whose norm reaches ``tol.cap`` is frozen there, with its own
+    crossing time, and drops out of the error control; at the step floor the
+    members at or above ``0.01 * tol.cap`` are frozen.  Each member starts
+    from its history at the start time; every history must cover
+    ``[t0 - h_bar, t0]``.
+    """
+    histories = list(histories)
+    if not histories:
+        raise ValueError("a batch needs at least one history")
+    return _integrate(system, histories, horizon, tol)
+
+
+def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
+    """The stepping loop of `integrate` (``histories`` None: the problem's own
+    history and start value, states of shape ``(n,)``) and of
+    `integrate_batch` (states of shape ``(B, n)``)."""
     tol = tol or ToleranceSettings()
     if horizon <= system.t0:
         raise ValueError(f"horizon {horizon!r} must exceed the start time {system.t0!r}")
@@ -586,11 +628,26 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
     kinks = [k for k in problem.kinks if t0 < k < horizon]
     kink_index = 0
 
-    history = problem.history
-    rhs = problem.rhs
-    y0 = np.atleast_1d(np.asarray(history(t0) if problem.y0 is None else problem.y0,
-                                  dtype=float))
-    dim = y0.size
+    lone = histories is None
+    if lone:
+        histories = [problem.history]
+        starts = [problem.history(t0) if problem.y0 is None else problem.y0]
+    else:
+        if problem.y0 is not None:
+            raise ValueError("batch members start from their histories; the problem "
+                             "must not carry a start value")
+        for member in histories:
+            if not member.covers(t0 - h_bar, t0):
+                raise ValueError(f"history must cover [{t0 - h_bar}, {t0}]")
+        starts = [member(t0) for member in histories]
+    starts = [np.atleast_1d(np.asarray(s, dtype=float)) for s in starts]
+    dim = starts[0].size
+    if any(s.size != dim for s in starts):
+        raise ValueError("the histories of a batch differ in dimension")
+    members = len(starts)
+    shape = (dim,) if lone else (members, dim)
+    y0 = np.concatenate(starts)
+    size = y0.size
 
     nodes_t: list[float] = [t0]
     nodes_y: list[np.ndarray] = [y0]
@@ -607,7 +664,9 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
                 raise IntegrationError(
                     f"delayed argument t={tq!r} falls below the history interval "
                     f"start {t0 - h_bar!r} (malformed delay)", time=tq)
-            return np.atleast_1d(np.asarray(history(min(tq, t0)), dtype=float))
+            tq = min(tq, t0)
+            return np.concatenate([np.atleast_1d(np.asarray(member(tq), dtype=float))
+                                   for member in histories])
         if tq <= t0:
             return nodes_y[0]
         idx = bisect_right(nodes_t, tq) - 1
@@ -625,14 +684,38 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
             return nodes_y[idx]
         return _dense(nodes_y[idx], nodes_q[idx], (tq - ta) / (nodes_t[idx + 1] - ta))
 
-    def eval_rhs(t: float, y: np.ndarray, left: bool = False) -> np.ndarray:
-        if has_delays:
-            delayed = [past(t - fn(t), left) for fn in delay_fns]
-        else:
-            delayed = ()
-        return np.atleast_1d(np.asarray(rhs(t, y, delayed), dtype=float))
+    rhs = problem.rhs
+    # members frozen at the cap: state and stages held at zero, so their
+    # error is zero and they leave the step control
+    active = members
+    frozen = np.zeros(size, dtype=bool)
+    ends: list[int | None] = [None] * members
+    blow_times: list[float | None] = [None] * members
 
-    stages = np.empty((7, dim))
+    def eval_rhs(t: float, y: np.ndarray, left: bool = False) -> np.ndarray:
+        delayed = [past(t - fn(t), left) for fn in delay_fns] if has_delays else ()
+        if not lone:
+            y = y.reshape(shape)
+            delayed = [d.reshape(shape) for d in delayed]
+        f = np.asarray(rhs(t, y, delayed), dtype=float)
+        if f.shape != shape:
+            # checked on every call, so a malformed right side fails at the
+            # start time and is never mistaken for a rejected step
+            raise ValueError(f"the right side returned shape {f.shape} for states "
+                             f"of shape {shape}")
+        if lone:
+            return f
+        f = f.reshape(size)
+        return np.where(frozen, 0.0, f) if active < members else f
+
+    def freeze(b: int, blow_time: float) -> None:
+        nonlocal active
+        ends[b] = len(nodes_t) - 1
+        blow_times[b] = blow_time
+        frozen[b * dim:(b + 1) * dim] = True
+        active -= 1
+
+    stages = np.empty((7, size))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f0 = eval_rhs(t0, y0)
         if not np.all(np.isfinite(f0)):
@@ -642,13 +725,11 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
         if tol.first_step is not None:
             h = min(tol.first_step, max_step)
         else:
-            h = _initial_step(eval_rhs, t0, y0, f0, tol.rtol, tol.atol, max_step)
+            h = _initial_step(eval_rhs, t0, y0, f0, tol.rtol, tol.atol, max_step, members)
 
         t = t0
         y = y0
         err_prev: float | None = None
-        blew_up = False
-        blow_time: float | None = None
         wall_index = 1
 
         steps = 0
@@ -676,11 +757,21 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
                 h_eff = t_new - t
                 on_break = True
             if h_eff < _step_floor(t):
-                norm_y = float(np.linalg.norm(y))
-                if norm_y >= 0.01 * tol.cap:
-                    blew_up, blow_time = True, t
+                blown = [b for b in range(members) if ends[b] is None
+                         and float(np.linalg.norm(y[b * dim:(b + 1) * dim]))
+                         >= 0.01 * tol.cap]
+                if not blown:
+                    raise IntegrationError(f"step size underflow at t={t!r}", time=t)
+                for b in blown:
+                    freeze(b, t)
+                if not active:
                     break
-                raise IntegrationError(f"step size underflow at t={t!r}", time=t)
+                # the rest of the batch starts its step control afresh
+                y = np.where(frozen, 0.0, y)
+                stages[0] = np.where(frozen, 0.0, stages[0])
+                h = max_step
+                err_prev = None
+                continue
 
             try:
                 for s in range(1, 6):
@@ -700,18 +791,25 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
                 err_prev = None
                 continue
             scale = tol.atol + tol.rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err_norm = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+            err_norm = max(_member_rms(err_vec / scale, members))
 
             if err_norm <= 1.0:
                 q = h_eff * (_P.T @ stages)
                 nodes_t.append(t_new)
                 nodes_y.append(y_new)
                 nodes_q.append(q)
+                # a member's norm is at most the norm of the whole state
                 if float(np.linalg.norm(y_new)) >= tol.cap:
-                    blew_up = True
-                    blow_time = _locate_cap_crossing(t, t_new, y, q, tol.cap, t_new)
-                    t = t_new
-                    break
+                    for b in range(members):
+                        part = slice(b * dim, (b + 1) * dim)
+                        if ends[b] is None and float(np.linalg.norm(y_new[part])) >= tol.cap:
+                            freeze(b, _locate_cap_crossing(t, t_new, y[part], q[:, part],
+                                                           tol.cap, t_new))
+                    if not active:
+                        t = t_new
+                        break
+                    y_new = np.where(frozen, 0.0, y_new)
+                    stages[6] = np.where(frozen, 0.0, stages[6])
                 t = t_new
                 y = y_new
                 if on_break:
@@ -735,11 +833,17 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
 
     ts = np.array(nodes_t)
     ys = np.array(nodes_y)
-    coeffs = np.array(nodes_q).reshape(len(nodes_q), 4, dim)
-    t_end = blow_time if blew_up else ts[-1]
-    return Trajectory(ts, ys, coeffs, t_end, blew_up, blow_time,
-                      history=history,
-                      history_span=h_bar)
+    coeffs = np.array(nodes_q).reshape(len(nodes_q), 4, size)
+    trajectories = []
+    for b, member in enumerate(histories):
+        k = len(nodes_t) - 1 if ends[b] is None else ends[b]
+        part = slice(b * dim, (b + 1) * dim)
+        blew_up = blow_times[b] is not None
+        trajectories.append(Trajectory(
+            ts[:k + 1], ys[:k + 1, part], coeffs[:k, :, part],
+            blow_times[b] if blew_up else ts[k], blew_up, blow_times[b],
+            history=member, history_span=h_bar))
+    return trajectories
 
 
 def _locate_cap_crossing(ta, tb, ya, q, cap, t_hi) -> float:

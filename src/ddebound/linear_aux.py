@@ -154,23 +154,31 @@ def cauchy_function(sys: LinearScalarDDE, s: float, horizon: float,
     return integrate(problem, horizon, tol)
 
 
+def _unit_forced(sys: LinearScalarDDE) -> LinearScalarDDE:
+    return replace(sys, history=HistoryFunction.constant([0.0]), forcing_amplitude=1.0)
+
+
 def particular_response(sys: LinearScalarDDE, horizon: float,
                         tol: ToleranceSettings | None = None) -> Trajectory:
     """Forced response with zero history and unit forcing amplitude."""
-    normalized = replace(sys, history=HistoryFunction.constant([0.0]),
-                         forcing_amplitude=1.0)
-    return integrate(normalized, horizon, tol)
+    return integrate(_unit_forced(sys), horizon, tol)
 
 
 def superposition_check(sys: LinearScalarDDE, history: HistoryFunction,
                         forcing_amplitude: float, horizon: float,
                         tol: ToleranceSettings | None = None) -> float:
-    """Max residual of ``u(phi, F0) = u_h(phi) + F0 * u_nh`` on a 1001-point grid."""
-    full = integrate(replace(sys, history=history,
-                             forcing_amplitude=forcing_amplitude), horizon, tol)
+    """Max residual of ``u(phi, F0) = u_h(phi) + F0 * u_nh`` on a 1001-point grid.
+
+    The forcing kinks are located once, on the unit-amplitude problem, and
+    serve both forced runs; the homogeneous run has none."""
+    unit = _unit_forced(sys).problem(horizon)
+    forced = replace(sys, history=history, forcing_amplitude=forcing_amplitude)
+    full = integrate(DelayProblem(forced.rhs, sys.delays, history, sys.t0,
+                                  kinks=unit.kinks if forcing_amplitude != 0.0 else ()),
+                     horizon, tol)
     homogeneous = integrate(replace(sys, history=history, forcing_amplitude=0.0),
                             horizon, tol)
-    particular = particular_response(sys, horizon, tol)
+    particular = integrate(unit, horizon, tol)
     grid = np.linspace(sys.t0, horizon, _SUPERPOSITION_POINTS)
     combined = (homogeneous.eval_grid(grid)[:, 0]
                 + forcing_amplitude * particular.eval_grid(grid)[:, 0])

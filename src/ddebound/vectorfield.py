@@ -38,6 +38,16 @@ class _Monomial:
             raise ValueError("constant monomials are not allowed (term must vanish at 0)")
 
 
+def _power(base, power: int):
+    """``base ** power`` by the C library's ``pow`` for a number and for each
+    entry of a batch alike: numpy's vectorised ``pow`` may round differently
+    in the last bit, and a one-member batch must reproduce the lone state
+    bit for bit."""
+    if isinstance(base, np.ndarray):
+        return np.array([b ** power for b in base.tolist()])
+    return base ** power
+
+
 class PolynomialVectorField:
     """Polynomial map ``(t, x, x(t-h_1), ...) -> R^n`` given as monomials."""
 
@@ -61,15 +71,18 @@ class PolynomialVectorField:
         self.monomials = tuple(parsed)
 
     def __call__(self, t: float, x: np.ndarray, delayed: Sequence[np.ndarray]) -> np.ndarray:
-        out = np.zeros(self.dim)
+        """Value for one state ``(n,)`` or a batch of states ``(B, n)``; the
+        coordinates index the last axis."""
+        out = np.zeros(x.shape)
+        columns = out.T
         for mono in self.monomials:
             value = mono.coeff(t)
             if value == 0.0:
                 continue
             for slot, coord, power in mono.factors:
-                base = x[coord] if slot == 0 else delayed[slot - 1][coord]
-                value *= base ** power
-            out[mono.coord] += value
+                base = x.T[coord] if slot == 0 else delayed[slot - 1].T[coord]
+                value *= _power(base, power)
+            columns[mono.coord] += value
         return out
 
     def majorant_monomials(self):
@@ -106,11 +119,12 @@ class NonlinearTerm:
         self.matrix_terms = tuple(matrix_terms)
 
     def __call__(self, t: float, x: np.ndarray, delayed: Sequence[np.ndarray]) -> np.ndarray:
-        out = np.zeros(self.dim)
+        """Value for one state ``(n,)`` or a batch of states ``(B, n)``."""
+        out = np.zeros(x.shape)
         if self.poly is not None:
             out += self.poly(t, x, delayed)
         for term in self.matrix_terms:
-            out += term.weight * (term.matrix(t) @ delayed[term.slot - 1])
+            out += term.weight * (term.matrix(t) @ delayed[term.slot - 1].T).T
         return out
 
     def majorize(self) -> PolynomialMajorant:

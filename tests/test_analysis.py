@@ -6,11 +6,11 @@ import pytest
 from conftest import (DEFAULT, TIGHT, cubic_basin_scalar, linear_ode_system,
                       symmetric_cubic_vector_system)
 from ddebound import (BoundednessCriterion, DelayProblem, DelaySpec,
-                      HistoryFunction, PolynomialMajorant, PolynomialTerm,
-                      ScalarDelaySystem, ToleranceSettings, build_perturbed_scalar,
-                      classify_fts, estimate_scalar_radius, estimate_vector_region,
-                      integrate, robust_stability_check, sup_norm_on_interval,
-                      verify_pointwise_ordering)
+                      HistoryFunction, IntegrationError, PolynomialMajorant,
+                      PolynomialTerm, ScalarDelaySystem, ToleranceSettings,
+                      build_perturbed_scalar, classify_fts, estimate_scalar_radius,
+                      estimate_vector_region, integrate, robust_stability_check,
+                      sup_norm_on_interval, verify_pointwise_ordering)
 
 PROBE = ToleranceSettings(rtol=1e-4, atol=1e-8, cap=1e6)
 CRIT = BoundednessCriterion(kind="bounded_on_horizon", cap=1e6)
@@ -291,3 +291,38 @@ class TestVectorRegion:
                                           angle_count=4)
         for estimate in boundary.radii:
             assert estimate.monotone_flips() == ()
+
+    def test_angle_count_must_be_positive(self):
+        sys = symmetric_cubic_vector_system([0.1, 0.0])
+        with pytest.raises(ValueError, match="angle_count"):
+            estimate_vector_region(sys, CRIT, 3.0, tol=PROBE, angle_count=0)
+
+
+class TestLockstepRegion:
+    # (lo, hi, probe count) of the five angles of case a, and its scalar and
+    # autonomous radii, as bisected one probe at a time
+    EXPECTED = [(22.57080078125, 22.5830078125, 14), (6.353759765625, 6.35986328125, 15),
+                (8.5205078125, 8.526611328125, 15), (11.407470703125, 11.41357421875, 15),
+                (5.9295654296875, 5.9326171875, 16)]
+
+    def _check(self, result):
+        boundary, scalar, autonomous, inclusion = result
+        assert [(r.lo, r.hi, len(r.probes)) for r in boundary.radii] == self.EXPECTED
+        assert all(r.status == "bracketed" for r in boundary.radii)
+        assert scalar.value == 3.685302734375
+        assert autonomous.value == 3.309326171875
+        assert inclusion
+
+    def test_batched_rounds_reproduce_the_single_probe_radii(self):
+        from ddebound.cli import _bundled_config, fig2_protocol
+        self._check(fig2_protocol(_bundled_config("a"), angle_count=5))
+
+    def test_failed_batch_falls_back_to_one_probe_at_a_time(self, monkeypatch):
+        from ddebound import analysis
+        from ddebound.cli import _bundled_config, fig2_protocol
+
+        def failing(*args, **kwargs):
+            raise IntegrationError("batch failed")
+
+        monkeypatch.setattr(analysis, "integrate_batch", failing)
+        self._check(fig2_protocol(_bundled_config("a"), angle_count=5))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from conftest import (DEFAULT, TIGHT, cubic_basin_scalar, delayed_decay_oracle,
                       delayed_decay_system, linear_ode_system)
 from ddebound import (DelayProblem, DelaySpec, HistoryFunction, IntegrationError,
                       ScalarDelaySystem, ToleranceSettings, VectorDelaySystem,
-                      detect_blowup, integrate, parse_expression, sup_norm_on_interval)
+                      detect_blowup, integrate, integrate_batch, parse_expression,
+                      sup_norm_on_interval)
 from ddebound.majorant import PolynomialMajorant
 from ddebound.timefn import ConstantFn, locate_zeros
 from ddebound.vectorfield import NonlinearTerm, PolynomialVectorField
@@ -339,6 +341,113 @@ class TestScalarSystemGuards:
         with pytest.raises(ValueError):
             integrate(sys, 5.0, DEFAULT)
         integrate(sys, 2.0, DEFAULT)
+
+
+PROBE = ToleranceSettings(rtol=1e-4, atol=1e-8, cap=1e6)
+
+
+def _case_a_homogeneous():
+    from ddebound.cli import _bundled_config, assemble_pipeline
+    vs = assemble_pipeline(_bundled_config("a")).vector_system
+    return replace(vs, forcing_amplitude=0.0, forcing_shape=None)
+
+
+class TestIntegrateBatch:
+    @pytest.mark.parametrize("radius", [10.0, 50.0])
+    def test_one_member_batch_equals_integrate(self, radius):
+        vs = _case_a_homogeneous()
+        history = HistoryFunction.constant([radius, 0.0])
+        alone = integrate(replace(vs, history=history), 50.0, PROBE)
+        (member,) = integrate_batch(vs, [history], 50.0, PROBE)
+        assert alone.blew_up == (radius == 50.0)
+        for name in ("ts", "ys", "coeffs"):
+            assert np.array_equal(getattr(member, name), getattr(alone, name)), name
+        assert member.t_end == alone.t_end
+        assert member.blew_up == alone.blew_up
+
+    def test_mixed_batch_matches_single_runs(self):
+        # angle 0 of case a: the radius lies in [22.5708, 22.5830], so the
+        # batch holds survivors and members that reach the cap at different times
+        vs = _case_a_homogeneous()
+        radii = [0.0, 10.0, 22.5, 22.6, 50.0]
+        histories = [HistoryFunction.constant([r, 0.0]) for r in radii]
+        batch = integrate_batch(vs, histories, 50.0, PROBE)
+        grid = np.linspace(0.0, 50.0, 2001)
+        for r, history, member in zip(radii, histories, batch):
+            alone = integrate(replace(vs, history=history), 50.0, PROBE)
+            assert member.blew_up == alone.blew_up, r
+            assert member.history is history
+            if alone.blew_up:
+                assert member.blow_time == pytest.approx(alone.blow_time, rel=1e-3)
+            else:
+                expected = alone.norm_grid(grid)
+                gap = np.max(np.abs(member.norm_grid(grid) - expected))
+                assert gap <= 100 * PROBE.rtol * max(np.max(expected), 1e-300), r
+        assert [m.blew_up for m in batch] == [False, False, False, True, True]
+
+    def test_idle_members_do_not_loosen_the_step_control(self):
+        # members resting at zero have zero error: the step sequence is the
+        # lone member's (an average over the members would stretch it)
+        problem = DelayProblem(lambda t, y, z: y * math.cos(t), DelaySpec.none(),
+                               HistoryFunction.constant([1.0]), 0.0)
+        tol = ToleranceSettings(rtol=1e-6, atol=1e-9, first_step=0.01)
+        alone = integrate(problem, 20.0, tol)
+        *idle, member = integrate_batch(
+            problem, [HistoryFunction.constant([0.0])] * 3 + [problem.history], 20.0, tol)
+        assert abs(len(member.ts) - len(alone.ts)) <= 1
+        grid = np.linspace(0.0, 20.0, 401)
+        assert np.allclose(member.eval_grid(grid)[:, 0], np.exp(np.sin(grid)), rtol=1e-4)
+        assert all(not np.any(m.ys) for m in idle)
+
+    def test_member_frozen_at_the_step_floor_leaves_the_rest_running(self):
+        # the right side fails for y >= 5, so the first member runs into the
+        # step floor at t = 4 with a norm above 0.01 * cap; the second one
+        # stays at zero and must still reach the horizon
+        def rhs(t, y, z):
+            return np.where(y >= 5.0, np.nan, 1.0 * (y > 0.0))
+
+        problem = DelayProblem(rhs, DelaySpec.none(), HistoryFunction.constant([1.0]), 0.0)
+        tol = ToleranceSettings(rtol=1e-6, atol=1e-9, cap=100.0)
+        alone = integrate(problem, 10.0, tol)
+        stuck, running = integrate_batch(
+            problem, [HistoryFunction.constant([1.0]), HistoryFunction.constant([0.0])],
+            10.0, tol)
+        assert alone.blew_up and stuck.blew_up
+        assert stuck.blow_time == pytest.approx(alone.blow_time, abs=1e-9)
+        assert stuck.t_end == stuck.ts[-1]
+        assert not running.blew_up
+        assert running.t_end == 10.0
+        assert running.eval(10.0)[0] == 0.0
+
+    def test_right_side_of_the_wrong_shape_is_rejected_before_the_first_step(self,
+                                                                            monkeypatch):
+        calls = []
+        lone_rhs = ScalarDelaySystem.rhs
+
+        def counted(self, t, y, delayed):
+            calls.append(t)
+            return lone_rhs(self, t, y, delayed)
+
+        monkeypatch.setattr(ScalarDelaySystem, "rhs", counted)
+        histories = [HistoryFunction.constant([0.1]), HistoryFunction.constant([0.2])]
+        with pytest.raises(ValueError, match="shape"):
+            integrate_batch(cubic_basin_scalar(), histories, 5.0, DEFAULT)
+        assert calls == [0.0]
+
+    def test_batch_inputs_are_checked(self):
+        one = HistoryFunction.constant([1.0])
+        short = HistoryFunction.from_samples([-0.5, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="cover"):
+            integrate_batch(delayed_decay_system(), [one, short], 3.0, DEFAULT)
+        with pytest.raises(ValueError, match="dimension"):
+            integrate_batch(delayed_decay_system(),
+                            [one, HistoryFunction.constant([1.0, 2.0])], 3.0, DEFAULT)
+        with pytest.raises(ValueError, match="at least one"):
+            integrate_batch(delayed_decay_system(), [], 3.0, DEFAULT)
+        jump = DelayProblem(lambda t, y, z: -y, DelaySpec.none(), None, 0.0,
+                            y0=np.array([1.0]))
+        with pytest.raises(ValueError, match="start value"):
+            integrate_batch(jump, [one], 3.0, DEFAULT)
 
 
 class TestConcurrentIntegrations:

@@ -12,7 +12,7 @@ from ddebound import (DelaySpec, HistoryFunction, LinearScalarDDE, ToleranceSett
 from ddebound.linear_aux import build_linear_auxiliary
 from ddebound.majorant import LinearizedCoefficients, PolynomialMajorant, PolynomialTerm
 from ddebound.reduction import CoefficientPair
-from ddebound.timefn import ConstantFn
+from ddebound.timefn import ConstantFn, locate_zeros
 
 
 def _plain(rate=0.0, delayed=(), delays=None, shape=0.0, amplitude=0.0,
@@ -121,6 +121,23 @@ class TestSuperposition:
             res = superposition_check(sys, HistoryFunction.constant([phi]), amp, 50.0,
                                       ToleranceSettings())
             assert res < 1e-4
+
+
+    def test_kinks_located_once_per_check(self, monkeypatch):
+        from ddebound import linear_aux
+        calls = []
+
+        def counted(fn, t_lo, t_hi):
+            calls.append((t_lo, t_hi))
+            return locate_zeros(fn, t_lo, t_hi)
+
+        monkeypatch.setattr(linear_aux, "locate_zeros", counted)
+        sys = _benchmark_linearized(forcing_amplitude=1.0)
+        for phi, amp in ((0.05, 0.3), (0.1, 0.8)):
+            res = superposition_check(sys, HistoryFunction.constant([phi]), amp, 20.0,
+                                      ToleranceSettings())
+            assert res < 1e-4
+        assert calls == [(0.0, 20.0)] * 2
 
 
 class TestLinearity:
