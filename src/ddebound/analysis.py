@@ -4,7 +4,8 @@ The boundedness oracle behind radius and region estimates is deliberately a
 finite-horizon proxy: "bounded" means the trajectory never reaches the
 blow-up cap on the simulated horizon, "decaying" additionally requires the
 tail of the run to fall below a fraction of the initial norm.  Estimates are
-therefore horizon-certified, not asymptotic statements.
+therefore horizon-certified, not asymptotic statements, except the exact
+radius of a frozen constant-coefficient system (a polynomial root).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .dde_core import (DelaySpec, HistoryFunction, Perturbation, ScalarDelaySyst
                        VectorDelaySystem, integrate, integrate_batch,
                        sup_norm_on_interval)
 from .majorant import PolynomialMajorant
+from .timefn import ConstantFn
 
 __all__ = [
     "BoundReport",
@@ -33,11 +35,11 @@ __all__ = [
     "robust_stability_check",
     "build_perturbed_scalar",
     "estimate_scalar_radius",
+    "frozen_scalar_radius",
     "estimate_vector_region",
 ]
 
 _FTS_POINTS = 4001
-_ROBUST_SCAN_POINTS = 4000
 
 
 @dataclass(frozen=True)
@@ -214,13 +216,32 @@ class RobustReport:
     y_plus: float
 
 
+def _frozen_root(p_hat: float, c_hat: float, majorant: PolynomialMajorant,
+                 cap: float) -> float:
+    """Smallest positive zero of ``g(q) = p_hat*q + c_hat*L(q, ..., q)``, at
+    most ``cap``, for constant coefficients.  By total degree ``g(q)/q = p_hat +
+    c_hat * sum_d a_d q^(d-1)`` with all ``a_d >= 0``, so by Descartes' rule it
+    has at most one positive zero; 0 if ``g >= 0`` right above 0, ``cap`` if no
+    term of degree >= 2 can turn it."""
+    a = np.zeros(max((term.degree for term in majorant.terms), default=1) + 1)
+    for term in majorant.terms:
+        a[term.degree] += abs(term.coeff(0.0))
+    if a[0] > 0.0 or p_hat + c_hat * a[1] >= 0.0:
+        return 0.0
+    if not np.any(a[2:]):
+        return cap
+    roots = np.roots(np.append(c_hat * a[:1:-1], p_hat + c_hat * a[1]))
+    positive = roots.real[(roots.real > 0.0) & (roots.imag == 0.0)]
+    return min(float(np.min(positive)), cap)
+
+
 def robust_stability_check(p_hat: float, c_hat: float, L_hat: PolynomialMajorant,
                            y_max: float = 1e6) -> RobustReport:
     """Closed-form criterion: ``p_hat*y + c_hat*L_hat(y) < 0`` on ``(0, y_plus)``.
 
-    ``y_plus`` is the smallest positive root of the expression (found by a
-    log-spaced scan plus bisection); with no root below ``y_max`` the whole
-    range counts.  Requires ``p_hat < 0``.
+    ``y_plus`` is the smallest positive root of the expression, ``y_max``
+    when there is none below it, and 0 (the criterion fails) when the
+    expression is nonnegative right above 0.  Requires ``p_hat < 0``.
     """
     if p_hat >= 0:
         raise ValueError(f"the criterion requires sup p(t) < 0; got p_hat={p_hat!r}")
@@ -228,34 +249,8 @@ def robust_stability_check(p_hat: float, c_hat: float, L_hat: PolynomialMajorant
         raise ValueError(f"condition-number bound must be >= 1; got {c_hat!r}")
     if L_hat.arg_count != 1:
         raise ValueError("the closed-form criterion takes a one-variable majorant")
-
-    def g(y: float) -> float:
-        return p_hat * y + c_hat * L_hat.evaluate_clamped(0.0, (y,))
-
-    eps = 1e-9
-    ys = np.geomspace(eps, y_max, _ROBUST_SCAN_POINTS)
-    y_plus = y_max
-    previous = eps
-    found_root = False
-    for y in ys:
-        y = float(y)
-        if g(y) >= 0.0:
-            lo, hi = previous, y
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if g(mid) >= 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            y_plus = hi
-            found_root = True
-            break
-        previous = y
-    if found_root and y_plus <= eps * 10:
-        return RobustReport(False, 0.0)
-    sample = np.linspace(eps, y_plus * (1.0 - 1e-9), 1000)
-    holds = all(g(float(y)) < 0.0 for y in sample)
-    return RobustReport(holds, y_plus)
+    y_plus = _frozen_root(p_hat, c_hat, L_hat, y_max)
+    return RobustReport(y_plus > 0.0, y_plus)
 
 
 def build_perturbed_scalar(ss: ScalarDelaySystem, L_R: PolynomialMajorant,
@@ -296,12 +291,13 @@ class BoundednessCriterion:
 
 @dataclass(frozen=True)
 class RadiusEstimate:
-    """Bisection bracket for the largest good constant-history magnitude."""
+    """Bisection bracket for the largest good constant-history magnitude, or
+    its exact value with ``lo == hi == value``."""
 
     value: float
     lo: float
     hi: float
-    status: str                       # bracketed | unbracketed_above | empty_at_zero
+    status: str     # bracketed | analytic (exact) | unbracketed_above | empty_at_zero
     criterion: str
     horizon: float
     cap: float
@@ -324,6 +320,12 @@ class RadiusEstimate:
 _MAX_BISECTIONS = 40
 
 
+def _estimate(criterion: BoundednessCriterion, horizon: float, value: float, lo: float,
+              hi: float, status: str, probes=()) -> RadiusEstimate:
+    return RadiusEstimate(value, lo, hi, status, criterion.kind, horizon, criterion.cap,
+                          criterion.tail_fraction, criterion.decay_ratio, probes)
+
+
 def _bisection(q_max: float, bisect_tol: float, criterion: BoundednessCriterion,
                horizon: float):
     """One radius search as a generator: it yields each probe magnitude,
@@ -337,9 +339,7 @@ def _bisection(q_max: float, bisect_tol: float, criterion: BoundednessCriterion,
         return good
 
     def make(value, lo, hi, status):
-        return RadiusEstimate(value, lo, hi, status, criterion.kind, horizon,
-                              criterion.cap, criterion.tail_fraction,
-                              criterion.decay_ratio, tuple(probes))
+        return _estimate(criterion, horizon, value, lo, hi, status, tuple(probes))
 
     if judged(q_max, (yield q_max)):
         return make(q_max, q_max, math.inf, "unbracketed_above")
@@ -385,9 +385,7 @@ def estimate_scalar_radius(ss: ScalarDelaySystem, criterion: BoundednessCriterio
     monotonically in the constant history, so the good set is an interval.
     ``horizon`` is a duration from the system start time.
     """
-    tol = tol or ToleranceSettings(rtol=1e-4, atol=1e-8, cap=criterion.cap)
-    if tol.cap != criterion.cap:
-        tol = replace(tol, cap=criterion.cap)
+    tol = replace(tol or ToleranceSettings(rtol=1e-4, atol=1e-8), cap=criterion.cap)
     horizon_end = ss.t0 + horizon
 
     def probe(batch):
@@ -400,6 +398,28 @@ def estimate_scalar_radius(ss: ScalarDelaySystem, criterion: BoundednessCriterio
 
     (estimate,) = _lockstep([_bisection(q_max, bisect_tol, criterion, horizon)], probe)
     return estimate
+
+
+def frozen_scalar_radius(ss: ScalarDelaySystem, criterion: BoundednessCriterion,
+                         q_max: float, horizon: float = 50.0) -> RadiusEstimate:
+    """Exact constant-history radius (status ``analytic``, no probes) of a
+    homogeneous system with constant coefficients.  It is monotone in its
+    history, so the radius is the smallest positive zero of ``g(q) = p*q +
+    c*L(q, ..., q)``: below it ``q`` is a super-solution, above it the solution
+    grows.  ``criterion`` and ``horizon`` are recorded only."""
+    if q_max <= 0:
+        raise ValueError("q_max must be positive")
+    fns = [ss.p, ss.c, ss.forcing] + [term.coeff for term in ss.majorant.terms]
+    if not all(isinstance(fn, ConstantFn) for fn in fns) or ss.forcing.value != 0.0:
+        raise ValueError("the frozen radius needs constant coefficients and no forcing")
+    if ss.perturbation is not None:
+        raise ValueError("the frozen radius needs an unperturbed system")
+    q_star = _frozen_root(ss.p.value, ss.c.value, ss.majorant, q_max)
+    if q_star == 0.0:
+        return _estimate(criterion, horizon, 0.0, 0.0, 0.0, "empty_at_zero")
+    if q_star >= q_max:
+        return _estimate(criterion, horizon, q_max, q_max, math.inf, "unbracketed_above")
+    return _estimate(criterion, horizon, q_star, q_star, q_star, "analytic")
 
 
 @dataclass(frozen=True)
@@ -438,9 +458,7 @@ def estimate_vector_region(vs: VectorDelaySystem, criterion: BoundednessCriterio
         raise ValueError("the polar region sweep is only defined for 2-dimensional systems")
     if angle_count < 1:
         raise ValueError(f"angle_count must be at least 1, got {angle_count!r}")
-    tol = tol or ToleranceSettings(rtol=1e-4, atol=1e-8, cap=criterion.cap)
-    if tol.cap != criterion.cap:
-        tol = replace(tol, cap=criterion.cap)
+    tol = replace(tol or ToleranceSettings(rtol=1e-4, atol=1e-8), cap=criterion.cap)
     horizon_end = vs.t0 + horizon
     angles = np.arange(angle_count) * (2.0 * math.pi / angle_count)
     directions = [np.array([math.cos(float(angle)), math.sin(float(angle))])

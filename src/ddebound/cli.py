@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (BoundednessCriterion, classify_fts, estimate_scalar_radius,
-                       estimate_vector_region, robust_stability_check,
-                       verify_pointwise_ordering)
+                       estimate_vector_region, frozen_scalar_radius,
+                       robust_stability_check, verify_pointwise_ordering)
 from .config import ConfigError, RunConfig, load_config, load_config_text
 from .dde_core import IntegrationError, ToleranceSettings, integrate
 from .expressions import EvaluationError
@@ -102,28 +102,24 @@ def fig1_protocol(cfg: RunConfig, horizon: float | None = None,
 def fig2_protocol(cfg: RunConfig, horizon: float | None = None,
                   angle_count: int = 200):
     """Stability-region protocol: polar sweep of the homogeneous vector system
-    against the scalar radii of its comparison systems.
+    against the scalar radii of its comparison systems (the frozen one exact).
 
     Returns ``(boundary, scalar_estimate, autonomous_estimate, inclusion_ok)``.
     """
     pipe = assemble_pipeline(cfg, horizon=horizon)
     homogeneous = replace(pipe.vector_system, forcing_amplitude=0.0, forcing_shape=None)
     scalar = pipe.scalar_system.homogeneous()
-    autonomous = pipe.autonomous_system.homogeneous()
     a_cfg = cfg.analysis
-    criterion = BoundednessCriterion(
-        kind="bounded_on_horizon" if a_cfg.criterion == "bounded" else "decaying_tail",
-        cap=pipe.tol.cap, tail_fraction=a_cfg.tail_fraction,
-        decay_ratio=a_cfg.decay_ratio)
-    probe_tol = ToleranceSettings(rtol=a_cfg.probe_rtol, atol=1e-8, cap=pipe.tol.cap)
+    criterion = _criterion_from(cfg, pipe.tol.cap)
+    probe_tol = _probe_tol(cfg, pipe.tol.cap)
     duration = pipe.horizon - cfg.system.t0
     boundary = estimate_vector_region(homogeneous, criterion, a_cfg.r_max,
                                       a_cfg.bisect_tol, duration, probe_tol,
                                       angle_count=angle_count)
     scalar_estimate = estimate_scalar_radius(scalar, criterion, a_cfg.q_max,
                                              a_cfg.bisect_tol, duration, probe_tol)
-    autonomous_estimate = estimate_scalar_radius(autonomous, criterion, a_cfg.q_max,
-                                                 a_cfg.bisect_tol, duration, probe_tol)
+    autonomous_estimate = frozen_scalar_radius(pipe.autonomous_system.homogeneous(),
+                                               criterion, a_cfg.q_max, duration)
     slack = 2.0 * a_cfg.bisect_tol * max(1.0, boundary.min_radius())
     inclusion = (scalar_estimate.value <= boundary.min_radius() + slack
                  and autonomous_estimate.value <= boundary.min_radius() + slack)
@@ -251,12 +247,15 @@ def _criterion_from(cfg: RunConfig, cap: float) -> BoundednessCriterion:
                                 decay_ratio=a.decay_ratio)
 
 
+def _probe_tol(cfg: RunConfig, cap: float) -> ToleranceSettings:
+    return ToleranceSettings(rtol=cfg.analysis.probe_rtol, atol=1e-8, cap=cap)
+
+
 def _cmd_radius(args) -> int:
     cfg = _load(args)
     pipe = assemble_pipeline(cfg, args.horizon, args.rtol, args.cap)
     criterion = _criterion_from(cfg, pipe.tol.cap)
-    probe_tol = ToleranceSettings(rtol=cfg.analysis.probe_rtol, atol=1e-8,
-                                  cap=pipe.tol.cap)
+    probe_tol = _probe_tol(cfg, pipe.tol.cap)
     duration = pipe.horizon - cfg.system.t0
     estimate = estimate_scalar_radius(pipe.scalar_system, criterion,
                                       cfg.analysis.q_max, cfg.analysis.bisect_tol,
@@ -279,8 +278,7 @@ def _cmd_region(args) -> int:
         raise UsageError("the polar region sweep requires a 2-dimensional system")
     pipe = assemble_pipeline(cfg, args.horizon, args.rtol, args.cap)
     criterion = _criterion_from(cfg, pipe.tol.cap)
-    probe_tol = ToleranceSettings(rtol=cfg.analysis.probe_rtol, atol=1e-8,
-                                  cap=pipe.tol.cap)
+    probe_tol = _probe_tol(cfg, pipe.tol.cap)
     duration = pipe.horizon - cfg.system.t0
     boundary = estimate_vector_region(pipe.vector_system, criterion,
                                       cfg.analysis.r_max, cfg.analysis.bisect_tol,

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .majorant import PolynomialMajorant
-from .timefn import TimeFunction, as_time_function, locate_zeros
+from .timefn import TimeFunction, _golden_minimum, as_time_function, locate_zeros
 from .vectorfield import NonlinearTerm
 
 __all__ = [
@@ -140,7 +140,7 @@ class DelaySpec:
     """Delay functions with certified positive lower / finite upper bounds.
 
     ``h_bar`` / ``h_under`` are the max-sup / min-inf of the delays; for
-    time-varying delays they are estimated by sampling (`from_functions`,
+    time-varying delays they are sampled, extremes refined (`from_functions`,
     `validate_on`), for constant delays they are exact.
     """
 
@@ -174,9 +174,9 @@ class DelaySpec:
         h_bar = -math.inf
         h_under = math.inf
         for fn in delay_fns:
-            values = [fn(float(t)) for t in grid]
-            h_bar = max(h_bar, max(values))
-            h_under = min(h_under, min(values))
+            values = np.array([fn(float(t)) for t in grid])
+            h_bar = max(h_bar, -_refined_minimum(lambda t: -fn(t), grid, -values))
+            h_under = min(h_under, _refined_minimum(fn, grid, values))
         if h_under <= 0:
             raise ValueError(f"minimal sampled delay {h_under!r} is not positive")
         if not math.isfinite(h_bar):
@@ -206,6 +206,14 @@ class DelaySpec:
         return DelaySpec(self.delays + other.delays,
                          max(self.h_bar, other.h_bar),
                          min(self.h_under, other.h_under))
+
+
+def _refined_minimum(fn, grid: np.ndarray, values: np.ndarray) -> float:
+    """Smallest of ``values`` (``fn`` sampled on ``grid``), refined by a
+    golden-section search over the two grid cells around it."""
+    k = int(np.argmin(values))
+    t = _golden_minimum(fn, float(grid[max(k - 1, 0)]), float(grid[min(k + 1, grid.size - 1)]))
+    return min(float(values[k]), fn(t))
 
 
 class HistoryFunction:
@@ -856,13 +864,11 @@ def _locate_cap_crossing(ta, tb, ya, q, cap, t_hi) -> float:
         return float(np.linalg.norm(_dense(ya, q, (t - ta) / h)))
 
     grid = np.linspace(ta, t_hi, 33)
-    lo = ta
-    hi = t_hi
-    for tg in grid[1:]:
-        if norm_at(float(tg)) >= cap:
-            hi = float(tg)
-            break
-        lo = float(tg)
+    above = np.linalg.norm(_dense(ya, q, (grid[1:, None] - ta) / h), axis=1) >= cap
+    j = int(np.argmax(above))
+    if not above[j]:
+        return t_hi
+    lo, hi = float(grid[j]), float(grid[j + 1])
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if norm_at(mid) >= cap:

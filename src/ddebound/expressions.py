@@ -14,15 +14,16 @@ available functions are ``sin``, ``cos``, ``exp`` and ``abs``.
 
 Expressions are evaluated in real arithmetic (``math.pow`` semantics, so a
 negative base with a fractional exponent is an error rather than a complex
-number).  `Expression.evaluate` is the strict evaluator used during
-validation; `Expression.compiled` returns a plain Python callable for use
-inside integration loops.
+number).  Each node compiles once to a Python callable: `Expression.compiled`
+returns it for integration loops, and `Expression.evaluate`, the strict
+evaluator used during validation, runs it and rejects non-finite results.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "Expression",
@@ -37,6 +38,9 @@ __all__ = [
 ]
 
 _FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "abs": abs}
+# names the generated source refers to; non-finite literals print as inf, nan
+_NAMESPACE = {**{f"_{name}": fn for name, fn in _FUNCTIONS.items()},
+              "_pow": math.pow, "inf": math.inf, "nan": math.nan}
 
 _BINARY_OPS = ("+", "-", "*", "/", "^")
 
@@ -61,7 +65,7 @@ class Expression:
     def evaluate(self, t: float) -> float:
         """Strictly evaluate at time ``t``; non-finite results are errors."""
         try:
-            value = self._eval(t)
+            value = self.compiled()(t)
         except ZeroDivisionError as exc:
             raise EvaluationError(f"division by zero at t={t!r}") from exc
         except (OverflowError, ValueError) as exc:
@@ -71,17 +75,14 @@ class Expression:
         return value
 
     def compiled(self):
-        """Compile to a fast ``t -> float`` callable (same semantics as
-        :meth:`evaluate` except that finiteness is not re-checked per call)."""
+        """The ``t -> float`` callable behind :meth:`evaluate`, compiled once
+        per node; it does not check finiteness."""
+        return self._compiled
+
+    @cached_property
+    def _compiled(self):
         source = "lambda t: " + self._source()
-        namespace = {
-            "_sin": math.sin,
-            "_cos": math.cos,
-            "_exp": math.exp,
-            "_abs": abs,
-            "_pow": math.pow,
-        }
-        return eval(source, namespace, {})  # source is generated, not user text
+        return eval(source, dict(_NAMESPACE), {})  # source is generated, not user text
 
     def is_constant(self) -> bool:
         raise NotImplementedError
@@ -91,9 +92,6 @@ class Expression:
         if not self.is_constant():
             raise ValueError("expression depends on t")
         return self.evaluate(0.0)
-
-    def _eval(self, t: float) -> float:
-        raise NotImplementedError
 
     def _source(self) -> str:
         raise NotImplementedError
@@ -116,9 +114,6 @@ class Num(Expression):
     def is_constant(self) -> bool:
         return True
 
-    def _eval(self, t: float) -> float:
-        return self.value
-
     def _source(self) -> str:
         return repr(float(self.value))
 
@@ -130,9 +125,6 @@ class Num(Expression):
 class TimeVar(Expression):
     def is_constant(self) -> bool:
         return False
-
-    def _eval(self, t: float) -> float:
-        return t
 
     def _source(self) -> str:
         return "t"
@@ -147,9 +139,6 @@ class Neg(Expression):
 
     def is_constant(self) -> bool:
         return self.arg.is_constant()
-
-    def _eval(self, t: float) -> float:
-        return -self.arg._eval(t)
 
     def _source(self) -> str:
         return f"(-{self.arg._source()})"
@@ -171,19 +160,6 @@ class BinOp(Expression):
 
     def is_constant(self) -> bool:
         return self.left.is_constant() and self.right.is_constant()
-
-    def _eval(self, t: float) -> float:
-        a = self.left._eval(t)
-        b = self.right._eval(t)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            return a / b
-        return math.pow(a, b)
 
     def _source(self) -> str:
         a, b = self.left._source(), self.right._source()
@@ -215,9 +191,6 @@ class Call(Expression):
 
     def is_constant(self) -> bool:
         return self.arg.is_constant()
-
-    def _eval(self, t: float) -> float:
-        return _FUNCTIONS[self.name](self.arg._eval(t))
 
     def _source(self) -> str:
         return f"_{self.name}({self.arg._source()})"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from conftest import (DEFAULT, TIGHT, cubic_basin_scalar, linear_ode_system,
                       symmetric_cubic_vector_system)
 from ddebound import (BoundednessCriterion, DelayProblem, DelaySpec,
                       HistoryFunction, IntegrationError, PolynomialMajorant,
-                      PolynomialTerm, ScalarDelaySystem, ToleranceSettings,
+                      PolynomialTerm, RobustReport, ScalarDelaySystem, ToleranceSettings,
                       build_perturbed_scalar, classify_fts, estimate_scalar_radius,
-                      estimate_vector_region, integrate, robust_stability_check,
-                      sup_norm_on_interval, verify_pointwise_ordering)
+                      estimate_vector_region, frozen_scalar_radius, integrate,
+                      robust_stability_check, sup_norm_on_interval,
+                      verify_pointwise_ordering)
+from ddebound.timefn import ConstantFn
 
 PROBE = ToleranceSettings(rtol=1e-4, atol=1e-8, cap=1e6)
 CRIT = BoundednessCriterion(kind="bounded_on_horizon", cap=1e6)
@@ -114,6 +117,24 @@ class TestRobustStability:
     def test_positive_rate_rejected(self):
         with pytest.raises(ValueError):
             robust_stability_check(0.5, 1.0, PolynomialMajorant.zero(1))
+
+    def test_constant_term_fails_at_zero(self):
+        L = PolynomialMajorant((PolynomialTerm(0.1, (0,)), PolynomialTerm(1.0, (3,))), 1,
+                               allow_constant_terms=True)
+        assert robust_stability_check(-1.0, 1.0, L) == RobustReport(False, 0.0)
+
+    def test_mixed_degrees_root(self):
+        # -3y + 1.5(0.5y + 0.2y^2 + 0.7y^4) vanishes where 1.05y^3 + 0.3y = 2.25
+        L = PolynomialMajorant((PolynomialTerm(0.5, (1,)), PolynomialTerm(0.2, (2,)),
+                                PolynomialTerm(0.7, (4,))), 1)
+        report = robust_stability_check(-3.0, 1.5, L)
+        assert report.holds
+        assert 1.05 * report.y_plus ** 3 + 0.3 * report.y_plus == pytest.approx(2.25,
+                                                                                rel=1e-14)
+
+    def test_root_beyond_the_range_gives_the_range(self):
+        L = PolynomialMajorant((PolynomialTerm(1.0, (3,)),), 1)
+        assert robust_stability_check(-2.0, 1.0, L, y_max=1.0) == RobustReport(True, 1.0)
 
 
 class TestPerturbedScalar:
@@ -247,6 +268,56 @@ class TestScalarRadius:
         assert estimate.value == 0.0
 
 
+class TestFrozenRadius:
+    def _frozen(self, p, terms, arg_count=1, delays=None):
+        return ScalarDelaySystem(p=p, c=1.0, majorant=PolynomialMajorant(terms, arg_count),
+                                 forcing=0.0, delays=delays or DelaySpec.none(),
+                                 history=HistoryFunction.constant([0.0]), t0=0.0)
+
+    def test_cubic_basin_is_exact(self):
+        estimate = frozen_scalar_radius(self._frozen(-2.0, (PolynomialTerm(1.0, (3,)),)),
+                                        CRIT, 3.0)
+        assert estimate.status == "analytic"
+        assert estimate.value == estimate.lo == estimate.hi
+        assert estimate.value == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert estimate.probes == ()
+
+    def test_terms_collapse_by_total_degree(self):
+        # 0.5 y(t-1) + 0.5 y^2 y(t-1) on the diagonal: -2q + 0.5q + 0.5q^3 = 0
+        terms = (PolynomialTerm(0.5, (0, 1)), PolynomialTerm(0.5, (2, 1)))
+        sys = self._frozen(-2.0, terms, 2, DelaySpec.constant([1.0]))
+        assert frozen_scalar_radius(sys, CRIT, 3.0).value == pytest.approx(math.sqrt(3.0))
+
+    def test_limits(self):
+        linear = self._frozen(-2.0, (PolynomialTerm(1.0, (1,)),))
+        estimate = frozen_scalar_radius(linear, CRIT, 3.0)
+        assert (estimate.status, estimate.value) == ("unbracketed_above", 3.0)
+        unstable = self._frozen(-1.0, (PolynomialTerm(1.0, (1,)), PolynomialTerm(1.0, (3,))))
+        estimate = frozen_scalar_radius(unstable, CRIT, 3.0)
+        assert (estimate.status, estimate.value) == ("empty_at_zero", 0.0)
+
+    def test_time_varying_or_forced_systems_rejected(self):
+        cubic = (PolynomialTerm(1.0, (3,)),)
+        with pytest.raises(ValueError, match="constant"):
+            frozen_scalar_radius(self._frozen(lambda t: -2.0, cubic), CRIT, 3.0)
+        forced = replace(self._frozen(-2.0, cubic), forcing=ConstantFn(0.1))
+        with pytest.raises(ValueError, match="no forcing"):
+            frozen_scalar_radius(forced, CRIT, 3.0)
+
+    @pytest.mark.parametrize("case", ["a", "b"])
+    @pytest.mark.parametrize("kind", ["bounded_on_horizon", "decaying_tail"])
+    def test_root_inside_the_bisection_bracket(self, case, kind):
+        # the frozen system of each bundled case, bisected as a test oracle
+        from ddebound.cli import _bundled_config, assemble_pipeline
+        cfg = _bundled_config(case)
+        frozen = assemble_pipeline(cfg).autonomous_system.homogeneous()
+        crit = BoundednessCriterion(kind=kind, cap=1e6)
+        exact = frozen_scalar_radius(frozen, crit, cfg.analysis.q_max)
+        bisected = estimate_scalar_radius(frozen, crit, cfg.analysis.q_max, tol=PROBE)
+        assert exact.status == "analytic" and bisected.status == "bracketed"
+        assert bisected.lo <= exact.value <= bisected.hi
+
+
 class TestVectorRegion:
     def test_dimension_guard(self):
         sys = linear_ode_system(-1.0, 0.5)
@@ -299,8 +370,10 @@ class TestVectorRegion:
 
 
 class TestLockstepRegion:
-    # (lo, hi, probe count) of the five angles of case a, and its scalar and
-    # autonomous radii, as bisected one probe at a time
+    # (lo, hi, probe count) of the five angles of case a and its scalar
+    # radius, as bisected one probe at a time; the autonomous radius is the
+    # exact root, inside the bracket [3.30810546875, 3.310546875] it was
+    # once bisected to
     EXPECTED = [(22.57080078125, 22.5830078125, 14), (6.353759765625, 6.35986328125, 15),
                 (8.5205078125, 8.526611328125, 15), (11.407470703125, 11.41357421875, 15),
                 (5.9295654296875, 5.9326171875, 16)]
@@ -310,7 +383,8 @@ class TestLockstepRegion:
         assert [(r.lo, r.hi, len(r.probes)) for r in boundary.radii] == self.EXPECTED
         assert all(r.status == "bracketed" for r in boundary.radii)
         assert scalar.value == 3.685302734375
-        assert autonomous.value == 3.309326171875
+        assert autonomous.status == "analytic"
+        assert autonomous.value == pytest.approx(3.3103661346, abs=1e-10)
         assert inclusion
 
     def test_batched_rounds_reproduce_the_single_probe_radii(self):

@@ -30,6 +30,17 @@ class TestDelaySpec:
         assert spec.h_under == pytest.approx(0.5, abs=1e-4)
         assert spec.h_bar == pytest.approx(1.5, abs=1e-4)
 
+    def test_sampled_extremes_are_refined(self):
+        # the narrow dip to 0.05 at t = 3.05 falls between two of the 512
+        # samples, which alone give h_under = 0.0848
+        dip = parse_expression("0.5 - 0.45*exp(-10000*(t-3.05)^2)")
+        spec = DelaySpec.from_functions([dip], 0.0, 10.0)
+        assert spec.h_under == pytest.approx(0.05, abs=1e-12)
+        assert spec.h_bar == 0.5
+        bump = parse_expression("1 + 0.45*exp(-10000*(t-3.05)^2)")
+        assert DelaySpec.from_functions([bump], 0.0, 10.0).h_bar == pytest.approx(1.45,
+                                                                                 abs=1e-12)
+
     def test_nonpositive_sampled_delay_rejected(self):
         with pytest.raises(ValueError):
             DelaySpec.from_functions([parse_expression("sin(t)")], 0.0, 10.0)

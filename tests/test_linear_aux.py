@@ -76,6 +76,21 @@ class TestCauchyFunction:
         grid = np.linspace(1.0, 20.0, 400)
         assert min(C.eval(float(t))[0] for t in grid) >= -1e-8
 
+    @pytest.mark.parametrize("case", ["a", "b"])
+    def test_constant_bound_decays_at_the_hayes_rate(self, case):
+        # U' = a U + b U(t - h): its Cauchy function decays at the rightmost
+        # characteristic root lambda = a + W0(b h e^(-a h)) / h
+        from scipy.special import lambertw
+        from ddebound.cli import _bundled_config, assemble_pipeline, build_linear_chain
+        _linear, constant = build_linear_chain(assemble_pipeline(_bundled_config(case)))
+        a = constant.rate.value
+        (b,) = [g.value for g in constant.delayed_coeffs]
+        h = constant.delays.h_bar
+        rate = a + lambertw(b * h * math.exp(-a * h)).real / h
+        C = cauchy_function(constant, 0.0, 30.0, ToleranceSettings(rtol=1e-10, atol=1e-14))
+        fitted = math.log(C.eval(30.0)[0] / C.eval(20.0)[0]) / 10.0
+        assert fitted == pytest.approx(rate, abs=1e-6)
+
 
 class TestParticularResponse:
     def test_zero_forcing(self):
