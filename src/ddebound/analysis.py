@@ -145,7 +145,8 @@ def classify_fts(traj: Trajectory, alpha: float, beta: float, T: float,
     trajectory is finite-time stable when its norm stays below ``beta`` on
     ``[t0, t0 + T]``; with ``gamma`` it is contractively stable when some
     ``t1`` in the open interval exists after which the norm stays below
-    ``gamma``.  The earliest such ``t1`` is located by bisection.
+    ``gamma``.  The crossing of ``beta`` and ``t1``, the last crossing of
+    ``gamma``, are roots of the dense output (`Trajectory.crossings`).
     """
     if alpha <= 0 or beta <= 0 or T <= 0:
         raise ValueError("alpha, beta and T must be positive")
@@ -170,15 +171,9 @@ def classify_fts(traj: Trajectory, alpha: float, beta: float, T: float,
     fts = sup_value < beta
     if not fts:
         k = int(np.argmax(norms >= beta))
-        lo = float(grid[max(k - 1, 0)])
         hi = float(grid[k])
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if traj.norm_at(mid) >= beta:
-                hi = mid
-            else:
-                lo = mid
-        beta_crossing = hi
+        roots = traj.crossings(beta, float(grid[max(k - 1, 0)]), hi)
+        beta_crossing = float(roots[0]) if roots.size else hi
     if gamma is None:
         return FtsReport(fts, None, None, sup_value, beta_crossing)
     if not fts:
@@ -194,20 +189,8 @@ def classify_fts(traj: Trajectory, alpha: float, beta: float, T: float,
         t1 = float(grid[1])  # open interval: stay past t0
         return FtsReport(True, True, t1, sup_value, None)
     lo = float(grid[k - 1])
-    hi = float(grid[k])
-    tail_after = float(tail_sup[k])
-
-    def tail_ok(s: float) -> bool:
-        local = sup_norm_on_interval(traj, s, hi, 65)
-        return max(local, tail_after) < gamma
-
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if tail_ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return FtsReport(True, True, hi, sup_value, None)
+    roots = traj.crossings(gamma, lo, t_final)
+    return FtsReport(True, True, float(roots[-1]) if roots.size else lo, sup_value, None)
 
 
 @dataclass(frozen=True)
@@ -222,10 +205,12 @@ def _frozen_root(p_hat: float, c_hat: float, majorant: PolynomialMajorant,
     most ``cap``, for constant coefficients.  By total degree ``g(q)/q = p_hat +
     c_hat * sum_d a_d q^(d-1)`` with all ``a_d >= 0``, so by Descartes' rule it
     has at most one positive zero; 0 if ``g >= 0`` right above 0, ``cap`` if no
-    term of degree >= 2 can turn it."""
+    term of degree >= 2 can turn it.  A time-varying coefficient is refused."""
     a = np.zeros(max((term.degree for term in majorant.terms), default=1) + 1)
     for term in majorant.terms:
-        a[term.degree] += abs(term.coeff(0.0))
+        if not isinstance(term.coeff, ConstantFn):
+            raise ValueError("the closed-form root needs constant majorant coefficients")
+        a[term.degree] += abs(term.coeff.value)
     if a[0] > 0.0 or p_hat + c_hat * a[1] >= 0.0:
         return 0.0
     if not np.any(a[2:]):

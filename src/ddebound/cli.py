@@ -354,7 +354,7 @@ def _cmd_reproduce_fig1(args) -> int:
 
 
 def _cmd_reproduce_fig2(args) -> int:
-    case = args.case if args.case in ("a", "b") else "a"
+    case = args.case or "a"
     cfg = load_config(args.config) if args.config is not None else _bundled_config(case)
     boundary, scalar_est, auto_est, inclusion = fig2_protocol(cfg, args.horizon)
     out = _out_dir(args)
@@ -405,7 +405,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--rtol", type=float, default=None)
         cmd.add_argument("--cap", type=float, default=None)
         if name.startswith("reproduce"):
-            cmd.add_argument("--case", default=None, choices=("a", "b", "both"),
+            cases = ("a", "b", "both") if name == "reproduce-fig1" else ("a", "b")
+            cmd.add_argument("--case", default=None, choices=cases,
                              help="bundled parameter case")
     return parser
 

@@ -67,6 +67,8 @@ _MAX_STEPS = 10_000_000
 # sample counts of the delay-bound and history checks
 _DELAY_SAMPLES = 512
 _HISTORY_SAMPLES = 256
+# floats a root of the cap crossing may be stepped up by until it reads the cap
+_NUDGE_ULPS = 4
 
 # Dormand-Prince 5(4): stage nodes, stage coefficients, 5th-order weights
 # (the 7th stage is evaluated at the new point and reused as the next first
@@ -480,7 +482,6 @@ class Trajectory:
         self.blow_time = blow_time
         self.history = history
         self.history_span = history_span
-        self._node_list = ts.tolist()
 
     @property
     def t_start(self) -> float:
@@ -501,22 +502,25 @@ class Trajectory:
                 f"t={bad!r} outside the trajectory domain [{self.t_start}, {self.t_end}]")
 
     def eval(self, t: float) -> np.ndarray:
-        self._check_domain(t, t)
-        t = min(max(t, self.t_start), self.t_end)
-        idx = bisect_right(self._node_list, t) - 1
-        if idx >= len(self._node_list) - 1:
-            idx = len(self._node_list) - 2
-        if idx < 0:
-            return self.ys[0].copy()
-        t0, t1 = self._node_list[idx], self._node_list[idx + 1]
-        if t == t0:
-            return self.ys[idx].copy()
-        if t == t1:
-            return self.ys[idx + 1].copy()
-        return _dense(self.ys[idx], self.coeffs[idx], (t - t0) / (t1 - t0))
+        return self.eval_grid([t])[0]
 
     def norm_at(self, t: float) -> float:
+        # the 1-d norm of the integrator's cap checks, not a row of norm_grid
         return float(np.linalg.norm(self.eval(t)))
+
+    def crossings(self, level: float, lo: float, hi: float) -> np.ndarray:
+        """Ascending times in ``[lo, hi]`` where the state norm equals
+        ``level``: the roots of `_level_roots` on every step overlapping the
+        interval (a crossing on a node may appear once from each side)."""
+        self._check_domain(lo, hi)
+        lo, hi = max(lo, self.t_start), min(hi, self.t_end)
+        ts = self.ts
+        first = max(int(np.searchsorted(ts, lo, side="right")) - 1, 0)
+        last = min(int(np.searchsorted(ts, hi, side="left")), ts.size - 1)
+        times = np.concatenate([np.empty(0)] + [
+            ts[k] + _level_roots(self.ys[k], self.coeffs[k], level) * (ts[k + 1] - ts[k])
+            for k in range(first, last)])
+        return times[(times >= lo) & (times <= hi)]
 
     def eval_grid(self, grid: np.ndarray) -> np.ndarray:
         """States at every time of ``grid``; bitwise equal to `eval` per point."""
@@ -854,28 +858,37 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
     return trajectories
 
 
+def _level_roots(ya, q, level) -> np.ndarray:
+    """Ascending real ``theta`` in ``[0, 1]`` where the continuous extension
+    of one step (start value ``ya``, coefficients ``q``) has norm ``level``:
+    the roots of the degree-8 polynomial ``|y(theta)|^2 - level^2``."""
+    poly = np.zeros(9)
+    for coeffs in np.vstack([ya, q]).T:    # one coordinate, ascending powers
+        poly += np.convolve(coeffs, coeffs)
+    poly[0] -= level * level
+    roots = np.roots(poly[::-1])
+    theta = roots.real[roots.imag == 0.0]
+    return np.sort(theta[(theta >= 0.0) & (theta <= 1.0)])
+
+
 def _locate_cap_crossing(ta, tb, ya, q, cap, t_hi) -> float:
     """First time in ``[ta, t_hi]`` where the norm of the continuous extension
     of the step ``[ta, tb]`` (start value ``ya``, coefficients ``q``) reaches
-    ``cap``; ``t_hi`` itself when no earlier grid point does."""
+    ``cap``, a root of `_level_roots`; ``t_hi`` itself when no root does.
+
+    The time returned reads at or above ``cap``: each root is stepped up by
+    at most ``_NUDGE_ULPS`` floats until it does, and a root that does not
+    get there is a touch and is skipped."""
     h = tb - ta
-
-    def norm_at(t):
-        return float(np.linalg.norm(_dense(ya, q, (t - ta) / h)))
-
-    grid = np.linspace(ta, t_hi, 33)
-    above = np.linalg.norm(_dense(ya, q, (grid[1:, None] - ta) / h), axis=1) >= cap
-    j = int(np.argmax(above))
-    if not above[j]:
-        return t_hi
-    lo, hi = float(grid[j]), float(grid[j + 1])
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if norm_at(mid) >= cap:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    for theta in _level_roots(ya, q, cap):
+        t = ta + theta * h
+        for _ in range(_NUDGE_ULPS + 1):
+            if t > t_hi:
+                return t_hi
+            if float(np.linalg.norm(_dense(ya, q, (t - ta) / h))) >= cap:
+                return t
+            t = math.nextafter(t, math.inf)
+    return t_hi
 
 
 def sup_norm_on_interval(traj: Trajectory, a: float, b: float,

@@ -136,6 +136,11 @@ class TestRobustStability:
         L = PolynomialMajorant((PolynomialTerm(1.0, (3,)),), 1)
         assert robust_stability_check(-2.0, 1.0, L, y_max=1.0) == RobustReport(True, 1.0)
 
+    def test_time_varying_coefficient_rejected(self):
+        L = PolynomialMajorant((PolynomialTerm(lambda t: 1.0 + t, (3,)),), 1)
+        with pytest.raises(ValueError, match="constant"):
+            robust_stability_check(-2.0, 1.0, L)
+
 
 class TestPerturbedScalar:
     def test_identity_when_unperturbed(self):

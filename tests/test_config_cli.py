@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +185,15 @@ class TestCliCommands:
         a = (tmp_path / "r1" / "simulate.csv").read_bytes()
         b = (tmp_path / "r2" / "simulate.csv").read_bytes()
         assert a == b
+
+    def test_reproduce_fig2_runs_one_case(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["reproduce-fig2", "--case", "both", "--horizon", "10",
+                  "--out", str(tmp_path)])
+        assert exit_.value.code == 2
+        # the quoting of the choices differs between Python versions
+        assert re.search(r"choose from '?a'?, '?b'?\)", capsys.readouterr().err)
+        assert not (tmp_path / "fig2.csv").exists()
 
     def test_robust_command(self, tmp_path, capsys):
         cfg = self._write(tmp_path, ROBUST_ONLY)

@@ -10,6 +10,7 @@ from ddebound import (DelayProblem, DelaySpec, HistoryFunction, IntegrationError
                       ScalarDelaySystem, ToleranceSettings, VectorDelaySystem,
                       detect_blowup, integrate, integrate_batch, parse_expression,
                       sup_norm_on_interval)
+from ddebound import dde_core
 from ddebound.majorant import PolynomialMajorant
 from ddebound.timefn import ConstantFn, locate_zeros
 from ddebound.vectorfield import NonlinearTerm, PolynomialVectorField
@@ -239,6 +240,18 @@ class TestEvalTrajectory:
         with pytest.raises(ValueError):
             traj.eval(-0.1)
 
+    def test_crossings_of_a_level(self):
+        sine = DelayProblem(lambda t, y, delayed: np.array([math.cos(t)]),
+                            DelaySpec.none(), None, y0=np.array([0.0]))
+        traj = integrate(sine, 2.0 * math.pi, ToleranceSettings(rtol=1e-10, atol=1e-12))
+        crossings = traj.crossings(0.5, 0.0, 2.0 * math.pi)
+        exact = np.array([1.0, 5.0, 7.0, 11.0]) * math.pi / 6.0
+        assert crossings.shape == exact.shape
+        assert np.all(np.diff(crossings) > 0.0)
+        assert np.max(np.abs(crossings - exact)) < 1e-8
+        assert traj.crossings(0.5, 1.0, 3.0).size == 1
+        assert traj.crossings(2.0, 0.0, 2.0 * math.pi).size == 0
+
     def test_blown_up_trajectory_end_state_finite(self):
         sys = cubic_basin_scalar(q=5.0)   # far outside the basin
         traj = integrate(sys, 50.0, ToleranceSettings(rtol=1e-6, atol=1e-9, cap=1e6))
@@ -274,6 +287,15 @@ class TestSupNorm:
 
 
 class TestDetectBlowup:
+    def test_cap_crossing_is_the_first_root(self):
+        # y(theta) = 1e3 - 1e4 (theta-0.01)(theta-0.02)(theta-0.5)(theta-0.9)
+        # exceeds the cap on the narrow window (0.01, 0.02) and again from 0.5
+        poly = -1e4 * np.poly([0.01, 0.02, 0.5, 0.9])[::-1]    # ascending
+        poly[0] += 1e3
+        crossing = dde_core._locate_cap_crossing(0.0, 1.0, poly[:1], poly[1:, None],
+                                                 1e3, 0.7)
+        assert crossing == pytest.approx(0.01, abs=1e-12)
+
     def test_decaying_is_bounded(self):
         traj = integrate(linear_ode_system(-1.0, 1.0), 10.0, DEFAULT)
         report = detect_blowup(traj, 1e6)
