@@ -13,10 +13,9 @@ from .analysis import (BoundednessCriterion, BoundReport, FtsReport, RadiusEstim
                        frozen_scalar_radius, robust_stability_check,
                        verify_pointwise_ordering)
 from .config import ConfigError, RunConfig, load_config, load_config_text
-from .dde_core import (BlowupReport, DelayProblem, DelaySpec, HistoryFunction,
-                       IntegrationError, Perturbation, ScalarDelaySystem,
-                       ToleranceSettings, Trajectory, VectorDelaySystem,
-                       detect_blowup, integrate, integrate_batch,
+from .dde_core import (DelayProblem, DelaySpec, HistoryFunction, IntegrationError,
+                       Perturbation, ScalarDelaySystem, ToleranceSettings, Trajectory,
+                       VectorDelaySystem, integrate, integrate_batch,
                        sup_norm_on_interval)
 from .expressions import (EvaluationError, Expression, ExpressionSyntaxError,
                           parse_expression)

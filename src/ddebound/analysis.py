@@ -145,8 +145,10 @@ def classify_fts(traj: Trajectory, alpha: float, beta: float, T: float,
     trajectory is finite-time stable when its norm stays below ``beta`` on
     ``[t0, t0 + T]``; with ``gamma`` it is contractively stable when some
     ``t1`` in the open interval exists after which the norm stays below
-    ``gamma``.  The crossing of ``beta`` and ``t1``, the last crossing of
-    ``gamma``, are roots of the dense output (`Trajectory.crossings`).
+    ``gamma``.  The crossing of ``beta`` is the first time the dense output
+    reads it (`Trajectory.first_crossing`), and ``t1`` the last crossing of
+    ``gamma`` (`Trajectory.crossings`).  ``sup_value`` is the largest norm on
+    a uniform grid of the interval and is only reported.
     """
     if alpha <= 0 or beta <= 0 or T <= 0:
         raise ValueError("alpha, beta and T must be positive")
@@ -167,13 +169,8 @@ def classify_fts(traj: Trajectory, alpha: float, beta: float, T: float,
     grid = np.linspace(t0, t_final, _FTS_POINTS)
     norms = traj.norm_grid(grid)
     sup_value = float(np.max(norms))
-    beta_crossing = None
-    fts = sup_value < beta
-    if not fts:
-        k = int(np.argmax(norms >= beta))
-        hi = float(grid[k])
-        roots = traj.crossings(beta, float(grid[max(k - 1, 0)]), hi)
-        beta_crossing = float(roots[0]) if roots.size else hi
+    beta_crossing = traj.first_crossing(beta, t0, t_final)
+    fts = beta_crossing is None
     if gamma is None:
         return FtsReport(fts, None, None, sup_value, beta_crossing)
     if not fts:
@@ -263,9 +260,8 @@ class BoundednessCriterion:
             raise ValueError("tail_fraction must lie in (0, 1)")
 
     def judge(self, traj: Trajectory, initial_norm: float, horizon_end: float) -> bool:
-        if traj.blew_up or traj.t_end < horizon_end - 1e-9:
-            return False
-        if sup_norm_on_interval(traj, traj.t_start, traj.t_end, 256) >= self.cap:
+        if (traj.blew_up or traj.t_end < horizon_end - 1e-9
+                or traj.first_crossing(self.cap) is not None):
             return False
         if self.kind == "bounded_on_horizon":
             return True

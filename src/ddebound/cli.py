@@ -110,9 +110,7 @@ def fig2_protocol(cfg: RunConfig, horizon: float | None = None,
     homogeneous = replace(pipe.vector_system, forcing_amplitude=0.0, forcing_shape=None)
     scalar = pipe.scalar_system.homogeneous()
     a_cfg = cfg.analysis
-    criterion = _criterion_from(cfg, pipe.tol.cap)
-    probe_tol = _probe_tol(cfg, pipe.tol.cap)
-    duration = pipe.horizon - cfg.system.t0
+    criterion, probe_tol, duration = _search_settings(pipe)
     boundary = estimate_vector_region(homogeneous, criterion, a_cfg.r_max,
                                       a_cfg.bisect_tol, duration, probe_tol,
                                       angle_count=angle_count)
@@ -135,11 +133,7 @@ def build_linear_chain(pipe: Pipeline):
     auto = pipe.autonomous_system
     zt = cfg.reduction.zeta_tilde
     vs = pipe.vector_system
-    if vs.forcing_amplitude > 0:
-        shape = vs.forcing_shape
-        forcing_norm = lambda t: float(np.linalg.norm(np.asarray(shape(t), dtype=float)))
-    else:
-        forcing_norm = ConstantFn(0.0)
+    forcing_norm = vs.forcing_norm if vs.forcing_amplitude > 0 else ConstantFn(0.0)
     linear = build_linear_auxiliary(pipe.coefficients, linearize_majorant(scalar.majorant, zt),
                                     scalar.delays, forcing_norm, vs.forcing_amplitude,
                                     scalar.history, scalar.t0)
@@ -220,17 +214,9 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _load(args)
-    report, pipe = fig1_protocol(cfg, args.horizon, args.rtol)
+    report, _pipe = fig1_protocol(cfg, args.horizon, args.rtol)
     out = _out_dir(args)
-    columns = [("t", report.grid), ("x_norm", report.vector_norms),
-               ("y", report.scalar_bounds[0]), ("y_hat", report.scalar_bounds[1])]
-    emit_csv(columns, out / "verify.csv")
-    if args.svg:
-        curves = [Curve("|x|", report.grid, report.vector_norms),
-                  Curve("y", report.grid, report.scalar_bounds[0]),
-                  Curve("y_hat", report.grid, report.scalar_bounds[1])]
-        emit_svg(curves, out / "verify.svg", title="norm bound chain",
-                 ylabel="norm / bound")
+    _emit_chain(report, out, "verify", args.svg, "norm bound chain")
     status = "holds" if report.holds else "VIOLATED"
     print(f"bound ordering {status}: max violation {report.max_violation:.3e} "
           f"(tolerance {report.tolerance:g})")
@@ -240,23 +226,35 @@ def _cmd_verify(args) -> int:
     return 0 if report.holds else 1
 
 
-def _criterion_from(cfg: RunConfig, cap: float) -> BoundednessCriterion:
+def _emit_chain(report, out: Path, stem: str, svg: bool, title: str) -> None:
+    """Write the series ``|x| <= y <= y_hat`` of a fig1 report to
+    ``<stem>.csv`` and, with ``svg``, plot them to ``<stem>.svg``."""
+    series = (report.vector_norms, *report.scalar_bounds)
+    emit_csv([("t", report.grid), *zip(("x_norm", "y", "y_hat"), series)],
+             out / f"{stem}.csv")
+    if svg:
+        curves = [Curve(label, report.grid, values)
+                  for label, values in zip(("|x|", "y", "y_hat"), series)]
+        emit_svg(curves, out / f"{stem}.svg", title=title, ylabel="norm / bound")
+
+
+def _search_settings(pipe: Pipeline):
+    """``(criterion, probe tolerances, duration)`` of the radius and region
+    searches, from the pipeline's config, cap and horizon."""
+    cfg = pipe.config
     a = cfg.analysis
     kind = "bounded_on_horizon" if a.criterion == "bounded" else "decaying_tail"
-    return BoundednessCriterion(kind=kind, cap=cap, tail_fraction=a.tail_fraction,
-                                decay_ratio=a.decay_ratio)
-
-
-def _probe_tol(cfg: RunConfig, cap: float) -> ToleranceSettings:
-    return ToleranceSettings(rtol=cfg.analysis.probe_rtol, atol=1e-8, cap=cap)
+    criterion = BoundednessCriterion(kind=kind, cap=pipe.tol.cap,
+                                     tail_fraction=a.tail_fraction,
+                                     decay_ratio=a.decay_ratio)
+    probe_tol = ToleranceSettings(rtol=a.probe_rtol, atol=1e-8, cap=pipe.tol.cap)
+    return criterion, probe_tol, pipe.horizon - cfg.system.t0
 
 
 def _cmd_radius(args) -> int:
     cfg = _load(args)
     pipe = assemble_pipeline(cfg, args.horizon, args.rtol, args.cap)
-    criterion = _criterion_from(cfg, pipe.tol.cap)
-    probe_tol = _probe_tol(cfg, pipe.tol.cap)
-    duration = pipe.horizon - cfg.system.t0
+    criterion, probe_tol, duration = _search_settings(pipe)
     estimate = estimate_scalar_radius(pipe.scalar_system, criterion,
                                       cfg.analysis.q_max, cfg.analysis.bisect_tol,
                                       duration, probe_tol)
@@ -277,9 +275,7 @@ def _cmd_region(args) -> int:
     if cfg.system.dim != 2:
         raise UsageError("the polar region sweep requires a 2-dimensional system")
     pipe = assemble_pipeline(cfg, args.horizon, args.rtol, args.cap)
-    criterion = _criterion_from(cfg, pipe.tol.cap)
-    probe_tol = _probe_tol(cfg, pipe.tol.cap)
-    duration = pipe.horizon - cfg.system.t0
+    criterion, probe_tol, duration = _search_settings(pipe)
     boundary = estimate_vector_region(pipe.vector_system, criterion,
                                       cfg.analysis.r_max, cfg.analysis.bisect_tol,
                                       duration, probe_tol)
@@ -328,24 +324,24 @@ def _cmd_fts(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_reproduce_fig1(args) -> int:
-    cases = [args.case] if args.case in ("a", "b") else ["a", "b"]
+def _reproduce_configs(args, default: str) -> list[tuple[str, RunConfig]]:
+    """``(case, config)`` of each run of a reproduce command: ``custom`` for
+    ``--config``, else the bundled ``--case`` (``both``: a and b) or ``default``."""
     if args.config is not None:
-        cases = ["custom"]
+        if args.case is not None:
+            raise UsageError("--case picks a bundled case; it cannot be combined with --config")
+        return [("custom", load_config(args.config))]
+    case = args.case or default
+    return [(c, _bundled_config(c)) for c in (("a", "b") if case == "both" else (case,))]
+
+
+def _cmd_reproduce_fig1(args) -> int:
+    runs = _reproduce_configs(args, "both")
     out = _out_dir(args)
     all_hold = True
-    for case in cases:
-        cfg = load_config(args.config) if case == "custom" else _bundled_config(case)
+    for case, cfg in runs:
         report, _pipe = fig1_protocol(cfg, args.horizon, args.rtol)
-        columns = [("t", report.grid), ("x_norm", report.vector_norms),
-                   ("y", report.scalar_bounds[0]), ("y_hat", report.scalar_bounds[1])]
-        emit_csv(columns, out / f"fig1_{case}.csv")
-        if args.svg:
-            curves = [Curve("|x|", report.grid, report.vector_norms),
-                      Curve("y", report.grid, report.scalar_bounds[0]),
-                      Curve("y_hat", report.grid, report.scalar_bounds[1])]
-            emit_svg(curves, out / f"fig1_{case}.svg",
-                     title=f"norm bound chain, case {case}", ylabel="norm / bound")
+        _emit_chain(report, out, f"fig1_{case}", args.svg, f"norm bound chain, case {case}")
         status = "holds" if report.holds else "VIOLATED"
         print(f"case {case}: ordering {status} "
               f"(max violation {report.max_violation:.3e})")
@@ -354,8 +350,7 @@ def _cmd_reproduce_fig1(args) -> int:
 
 
 def _cmd_reproduce_fig2(args) -> int:
-    case = args.case or "a"
-    cfg = load_config(args.config) if args.config is not None else _bundled_config(case)
+    ((_case, cfg),) = _reproduce_configs(args, "a")
     boundary, scalar_est, auto_est, inclusion = fig2_protocol(cfg, args.horizon)
     out = _out_dir(args)
     n = len(boundary.angles)

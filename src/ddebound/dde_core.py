@@ -47,11 +47,9 @@ __all__ = [
     "Perturbation",
     "DelayProblem",
     "Trajectory",
-    "BlowupReport",
     "integrate",
     "integrate_batch",
     "sup_norm_on_interval",
-    "detect_blowup",
 ]
 
 _MIN_FACTOR = 0.2
@@ -69,6 +67,9 @@ _DELAY_SAMPLES = 512
 _HISTORY_SAMPLES = 256
 # floats a root of the cap crossing may be stepped up by until it reads the cap
 _NUDGE_ULPS = 4
+# relative slack of the crossing screen: the Horner evaluation of a step's
+# quartic may exceed its triangle bound by a few ulps of that bound
+_SCREEN_SLACK = 1e-12
 
 # Dormand-Prince 5(4): stage nodes, stage coefficients, 5th-order weights
 # (the 7th stage is evaluated at the new point and reused as the next first
@@ -357,6 +358,10 @@ class VectorDelaySystem:
             out = out + self.forcing_amplitude * np.asarray(self.forcing_shape(t), dtype=float)
         return out
 
+    def forcing_norm(self, t: float) -> float:
+        """``|e(t)|``, the Euclidean norm of the forcing shape."""
+        return float(np.linalg.norm(np.asarray(self.forcing_shape(t), dtype=float)))
+
     def problem(self, horizon: float) -> DelayProblem:
         problem = DelayProblem(self.rhs, self.delays, self.history, self.t0)
         # homogeneous part must vanish at the origin
@@ -372,8 +377,7 @@ class VectorDelaySystem:
         if self.forcing_amplitude > 0.0:
             span = max(horizon - self.t0, 20.0)
             grid = np.linspace(self.t0, self.t0 + span, 2048)
-            sup = max(float(np.linalg.norm(np.asarray(self.forcing_shape(float(t)))))
-                      for t in grid)
+            sup = max(self.forcing_norm(float(t)) for t in grid)
             if not 0.95 <= sup <= 1.05:
                 raise ValueError(
                     f"forcing shape must have unit sup norm; sampled sup is {sup!r}")
@@ -508,19 +512,48 @@ class Trajectory:
         # the 1-d norm of the integrator's cap checks, not a row of norm_grid
         return float(np.linalg.norm(self.eval(t)))
 
-    def crossings(self, level: float, lo: float, hi: float) -> np.ndarray:
-        """Ascending times in ``[lo, hi]`` where the state norm equals
-        ``level``: the roots of `_level_roots` on every step overlapping the
-        interval (a crossing on a node may appear once from each side)."""
+    def _window(self, lo: float, hi: float) -> tuple[float, float, int, int]:
+        """``[lo, hi]`` clipped to the domain, and the range ``first:last`` of
+        the steps that overlap it."""
         self._check_domain(lo, hi)
         lo, hi = max(lo, self.t_start), min(hi, self.t_end)
         ts = self.ts
         first = max(int(np.searchsorted(ts, lo, side="right")) - 1, 0)
         last = min(int(np.searchsorted(ts, hi, side="left")), ts.size - 1)
+        return lo, hi, first, last
+
+    def crossings(self, level: float, lo: float, hi: float) -> np.ndarray:
+        """Ascending times in ``[lo, hi]`` where the state norm equals
+        ``level``: the roots of `_level_roots` on every step overlapping the
+        interval (a crossing on a node may appear once from each side)."""
+        lo, hi, first, last = self._window(lo, hi)
+        ts = self.ts
         times = np.concatenate([np.empty(0)] + [
             ts[k] + _level_roots(self.ys[k], self.coeffs[k], level) * (ts[k + 1] - ts[k])
             for k in range(first, last)])
         return times[(times >= lo) & (times <= hi)]
+
+    def first_crossing(self, level: float, lo: float | None = None,
+                       hi: float | None = None) -> float | None:
+        """First time in ``[lo, hi]`` (by default the whole domain) where the
+        state norm reads at or above ``level``; None if there is none.
+
+        Every step is screened at once by ``| |y_k| + sum_j |q_kj| |``, which
+        bounds the norm of its quartic; only the steps that pass are searched,
+        in time order, by `_locate_cap_crossing`.  A window ending on a node
+        reads the node's value last.
+        """
+        lo, hi, first, last = self._window(self.t_start if lo is None else lo,
+                                           self.t_end if hi is None else hi)
+        ts, ys, coeffs = self.ts, self.ys, self.coeffs
+        bound = np.linalg.norm(np.abs(ys[first:last]) + np.abs(coeffs[first:last]).sum(axis=1),
+                               axis=1)
+        for k in first + np.flatnonzero(bound * (1.0 + _SCREEN_SLACK) >= level):
+            ta, tb = float(ts[k]), float(ts[k + 1])
+            t = _locate_cap_crossing(ta, tb, ys[k], coeffs[k], level, max(lo, ta), min(hi, tb))
+            if t is not None:
+                return float(t)
+        return hi if hi == ts[last] and float(np.linalg.norm(ys[last])) >= level else None
 
     def eval_grid(self, grid: np.ndarray) -> np.ndarray:
         """States at every time of ``grid``; bitwise equal to `eval` per point."""
@@ -815,8 +848,9 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
                     for b in range(members):
                         part = slice(b * dim, (b + 1) * dim)
                         if ends[b] is None and float(np.linalg.norm(y_new[part])) >= tol.cap:
-                            freeze(b, _locate_cap_crossing(t, t_new, y[part], q[:, part],
-                                                           tol.cap, t_new))
+                            crossing = _locate_cap_crossing(t, t_new, y[part], q[:, part],
+                                                            tol.cap, t, t_new)
+                            freeze(b, t_new if crossing is None else crossing)
                     if not active:
                         t = t_new
                         break
@@ -871,24 +905,31 @@ def _level_roots(ya, q, level) -> np.ndarray:
     return np.sort(theta[(theta >= 0.0) & (theta <= 1.0)])
 
 
-def _locate_cap_crossing(ta, tb, ya, q, cap, t_hi) -> float:
-    """First time in ``[ta, t_hi]`` where the norm of the continuous extension
-    of the step ``[ta, tb]`` (start value ``ya``, coefficients ``q``) reaches
-    ``cap``, a root of `_level_roots`; ``t_hi`` itself when no root does.
+def _locate_cap_crossing(ta, tb, ya, q, level, t_lo, t_hi) -> float | None:
+    """First time in the window ``[t_lo, t_hi]`` of the step ``[ta, tb]``
+    where the norm of its continuous extension (start value ``ya``,
+    coefficients ``q``) reads at or above ``level``; None if no time does.
 
-    The time returned reads at or above ``cap``: each root is stepped up by
-    at most ``_NUDGE_ULPS`` floats until it does, and a root that does not
-    get there is a touch and is skipped."""
+    That is ``t_lo`` when it reads the level already, else a root of
+    `_level_roots` stepped up by at most ``_NUDGE_ULPS`` floats until it
+    reads the level (a root that does not get there is a touch and is
+    skipped), else ``t_hi`` when it reads the level."""
     h = tb - ta
-    for theta in _level_roots(ya, q, cap):
-        t = ta + theta * h
+
+    def reads(t: float) -> bool:
+        return float(np.linalg.norm(_dense(ya, q, (t - ta) / h))) >= level
+
+    if reads(t_lo):
+        return t_lo
+    for theta in _level_roots(ya, q, level):
+        t = max(ta + theta * h, t_lo)
         for _ in range(_NUDGE_ULPS + 1):
             if t > t_hi:
-                return t_hi
-            if float(np.linalg.norm(_dense(ya, q, (t - ta) / h))) >= cap:
+                break
+            if reads(t):
                 return t
             t = math.nextafter(t, math.inf)
-    return t_hi
+    return t_hi if reads(t_hi) else None
 
 
 def sup_norm_on_interval(traj: Trajectory, a: float, b: float,
@@ -918,38 +959,3 @@ def sup_norm_on_interval(traj: Trajectory, a: float, b: float,
         lo = sub[max(k - 1, 0)]
         hi = sub[min(k + 1, 32)]
     return best
-
-
-@dataclass(frozen=True)
-class BlowupReport:
-    blew_up: bool
-    time: float | None = None
-
-
-def detect_blowup(traj: Trajectory, cap: float) -> BlowupReport:
-    """First time the dense trajectory norm reaches ``cap``, if any.
-
-    Seven points of every step are scanned at once; the first step with a
-    sample at or above ``cap`` is then searched by `_locate_cap_crossing`.
-    """
-    if cap <= 0:
-        raise ValueError("cap must be positive")
-    lo = traj.ts[:-1]
-    hi = np.minimum(traj.ts[1:], traj.t_end)
-    live = int(np.argmin(hi > lo)) if np.any(hi <= lo) else lo.size
-    lo, hi = lo[:live], hi[:live]
-    if live:
-        samples = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 7)
-        above = traj.norm_grid(samples.ravel()).reshape(samples.shape) >= cap
-        hits = np.flatnonzero(above.any(axis=1))
-        if hits.size:
-            k = int(hits[0])
-            first = float(samples[k, int(np.argmax(above[k]))])
-            if first == lo[k]:
-                return BlowupReport(True, first)
-            return BlowupReport(True, _locate_cap_crossing(
-                float(traj.ts[k]), float(traj.ts[k + 1]), traj.ys[k],
-                traj.coeffs[k], cap, first))
-    if traj.norm_at(traj.t_end) >= cap:
-        return BlowupReport(True, traj.t_end)
-    return BlowupReport(False, None)

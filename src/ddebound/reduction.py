@@ -173,9 +173,7 @@ def build_scalar_auxiliary(vs: VectorDelaySystem,
         exponents = tuple(1 if i == 0 else 0 for i in range(majorant.arg_count))
         majorant = majorant.with_extra_terms([PolynomialTerm(norm_fn, exponents)])
     if vs.forcing_amplitude > 0.0:
-        shape = vs.forcing_shape
-        amplitude = vs.forcing_amplitude
-        forcing = lambda t: amplitude * float(np.linalg.norm(np.asarray(shape(t), dtype=float)))
+        forcing = lambda t: vs.forcing_amplitude * vs.forcing_norm(t)
     else:
         forcing = ConstantFn(0.0)
     return ScalarDelaySystem(

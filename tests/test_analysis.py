@@ -9,7 +9,7 @@ from conftest import (DEFAULT, TIGHT, cubic_basin_scalar, linear_ode_system,
 from ddebound import (BoundednessCriterion, DelayProblem, DelaySpec,
                       HistoryFunction, IntegrationError, PolynomialMajorant,
                       PolynomialTerm, RobustReport, ScalarDelaySystem, ToleranceSettings,
-                      build_perturbed_scalar, classify_fts, estimate_scalar_radius,
+                      Trajectory, build_perturbed_scalar, classify_fts, estimate_scalar_radius,
                       estimate_vector_region, frozen_scalar_radius, integrate,
                       robust_stability_check, sup_norm_on_interval,
                       verify_pointwise_ordering)
@@ -17,6 +17,24 @@ from ddebound.timefn import ConstantFn
 
 PROBE = ToleranceSettings(rtol=1e-4, atol=1e-8, cap=1e6)
 CRIT = BoundednessCriterion(kind="bounded_on_horizon", cap=1e6)
+
+
+def narrow_excursion(level: float, center: float, half_width: float,
+                     top: float) -> Trajectory:
+    """A trajectory of the one step [0, 1] whose norm exceeds ``level`` only
+    on ``(center - half_width, center + half_width)``; elsewhere it is
+    largest at ``top``, just below the level.  Its history is its start value.
+
+    ``y = level - delta - 0.1 (t - a)(t - b)(t - top)^2`` rises above
+    ``level - delta`` only between ``a`` and ``b``, by at most about twice
+    ``delta``."""
+    a, b = center - half_width, center + half_width
+    delta = 0.05 * half_width ** 2 * (center - top) ** 2
+    poly = -0.1 * np.poly([a, b, top, top])[::-1]      # ascending powers
+    poly[0] += level - delta
+    return Trajectory(np.array([0.0, 1.0]), np.array([[poly[0]], [poly.sum()]]),
+                      poly[None, 1:, None], 1.0,
+                      history=HistoryFunction.constant([poly[0]]))
 
 
 class TestVerifyPointwiseOrdering:
@@ -84,6 +102,16 @@ class TestClassifyFts:
         assert not report.fts
         assert report.beta_crossing_time == pytest.approx(math.log(11.0 / 9.0),
                                                           abs=1e-3)
+
+    def test_excursion_between_grid_points_is_not_fts(self):
+        # above beta = 1 only on (0.300025, 0.300225), inside one cell of the
+        # 4,001-point grid of [0, 1]; the grid reads at most 1 - 1.25e-10
+        traj = narrow_excursion(1.0, 0.300125, 1e-4, 0.8)
+        report = classify_fts(traj, 0.999, 1.0, 1.0)
+        assert not report.fts
+        assert report.sup_value < 1.0
+        assert 0.300025 < report.beta_crossing_time < 0.300125
+        assert traj.norm_at(report.beta_crossing_time) >= 1.0
 
     def test_alpha_guard(self):
         traj = integrate(linear_ode_system(-1.0, 1.5), 5.0, TIGHT)
@@ -232,6 +260,17 @@ class TestComparisonPrinciple:
             y2 = integrate(sys.with_constant_history(q2), 8.0, tol)
             for t in np.linspace(0.0, 8.0, 81):
                 assert y1.eval(float(t))[0] <= y2.eval(float(t))[0] + 1e-6
+
+
+class TestJudge:
+    def test_excursion_between_samples_is_bad(self):
+        # above the cap only on (0.2985, 0.3015), between two of 256 uniform
+        # samples of [0, 1]; both nodes and all samples stay below it
+        traj = narrow_excursion(1.0, 0.3, 0.0015, 200.0 / 255.0)
+        assert np.max(traj.norm_grid(np.linspace(0.0, 1.0, 256))) < 1.0
+        assert not BoundednessCriterion(cap=1.0).judge(traj, 1.0, 1.0)
+        assert 0.2985 < traj.first_crossing(1.0) < 0.3
+        assert BoundednessCriterion(cap=1.0 + 1e-6).judge(traj, 1.0, 1.0)
 
 
 class TestScalarRadius:

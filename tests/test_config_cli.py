@@ -195,6 +195,13 @@ class TestCliCommands:
         assert re.search(r"choose from '?a'?, '?b'?\)", capsys.readouterr().err)
         assert not (tmp_path / "fig2.csv").exists()
 
+    def test_reproduce_case_conflicts_with_config(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, MINIMAL)
+        for command in ("reproduce-fig1", "reproduce-fig2"):
+            assert main([command, "--config", cfg, "--case", "b", "--out", str(tmp_path)]) == 2
+            assert "cannot be combined with --config" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
     def test_robust_command(self, tmp_path, capsys):
         cfg = self._write(tmp_path, ROBUST_ONLY)
         assert main(["robust", "--config", cfg]) == 0

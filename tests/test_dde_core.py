@@ -7,8 +7,8 @@ import pytest
 from conftest import (DEFAULT, TIGHT, cubic_basin_scalar, delayed_decay_oracle,
                       delayed_decay_system, linear_ode_system)
 from ddebound import (DelayProblem, DelaySpec, HistoryFunction, IntegrationError,
-                      ScalarDelaySystem, ToleranceSettings, VectorDelaySystem,
-                      detect_blowup, integrate, integrate_batch, parse_expression,
+                      ScalarDelaySystem, ToleranceSettings, Trajectory, VectorDelaySystem,
+                      integrate, integrate_batch, parse_expression,
                       sup_norm_on_interval)
 from ddebound import dde_core
 from ddebound.majorant import PolynomialMajorant
@@ -287,19 +287,25 @@ class TestSupNorm:
 
 
 class TestDetectBlowup:
+    """Blow-up detection: the first time the dense output reads the cap."""
+
     def test_cap_crossing_is_the_first_root(self):
         # y(theta) = 1e3 - 1e4 (theta-0.01)(theta-0.02)(theta-0.5)(theta-0.9)
         # exceeds the cap on the narrow window (0.01, 0.02) and again from 0.5
         poly = -1e4 * np.poly([0.01, 0.02, 0.5, 0.9])[::-1]    # ascending
         poly[0] += 1e3
         crossing = dde_core._locate_cap_crossing(0.0, 1.0, poly[:1], poly[1:, None],
-                                                 1e3, 0.7)
+                                                 1e3, 0.0, 0.7)
         assert crossing == pytest.approx(0.01, abs=1e-12)
+        # from 0.015 the window starts above the cap; on [0.03, 0.45] it stays below
+        assert dde_core._locate_cap_crossing(0.0, 1.0, poly[:1], poly[1:, None],
+                                             1e3, 0.015, 0.7) == 0.015
+        assert dde_core._locate_cap_crossing(0.0, 1.0, poly[:1], poly[1:, None],
+                                             1e3, 0.03, 0.45) is None
 
     def test_decaying_is_bounded(self):
         traj = integrate(linear_ode_system(-1.0, 1.0), 10.0, DEFAULT)
-        report = detect_blowup(traj, 1e6)
-        assert not report.blew_up
+        assert traj.first_crossing(1e6) is None
 
     def test_quadratic_blowup_before_one(self):
         poly = PolynomialVectorField(1, 0, [(0, 1.0, [(0, 0, 2)])])
@@ -308,17 +314,27 @@ class TestDetectBlowup:
                                 delays=DelaySpec.none(),
                                 history=HistoryFunction.constant([2.0]), t0=0.0)
         traj = integrate(sys, 2.0, ToleranceSettings(rtol=1e-6, atol=1e-9, cap=1e6))
-        report = detect_blowup(traj, 1e6)
-        assert report.blew_up
-        assert report.time < 1.0
-        assert report.time == pytest.approx(0.5, abs=1e-3)
+        assert traj.blew_up
+        assert traj.first_crossing(1e6) == traj.blow_time
+        assert traj.blow_time < 1.0
+        assert traj.blow_time == pytest.approx(0.5, abs=1e-3)
 
     def test_lower_cap_found_inside_segments(self):
         traj = integrate(linear_ode_system(1.0, 1.0), 5.0,
                          ToleranceSettings(rtol=1e-8, atol=1e-12, cap=1e9))
-        report = detect_blowup(traj, math.e)   # crossing at t = 1
-        assert report.blew_up
-        assert report.time == pytest.approx(1.0, abs=1e-5)
+        crossing = traj.first_crossing(math.e)     # e^t reaches e at t = 1
+        assert crossing == pytest.approx(1.0, abs=1e-5)
+        assert traj.norm_at(crossing) >= math.e
+        assert traj.first_crossing(math.e, 0.0, 0.9) is None
+        assert traj.first_crossing(math.e, 2.0, 3.0) == 2.0     # above from the start
+
+    def test_window_ending_on_a_node_reads_the_node(self):
+        # the step's quartic y = 0.5 theta ends at 0.5; eval reads the node, 1.0
+        traj = Trajectory(np.array([0.0, 1.0]), np.array([[0.0], [1.0]]),
+                          np.array([[[0.5], [0.0], [0.0], [0.0]]]), 1.0)
+        assert traj.first_crossing(0.75) == 1.0
+        assert traj.first_crossing(0.25) == 0.5
+        assert traj.first_crossing(0.75, 0.0, 0.9) is None
 
 
 class TestKinks:
