@@ -15,8 +15,7 @@ from .analysis import (BoundednessCriterion, BoundReport, FtsReport, RadiusEstim
 from .config import ConfigError, RunConfig, load_config, load_config_text
 from .dde_core import (DelayProblem, DelaySpec, HistoryFunction, IntegrationError,
                        Perturbation, ScalarDelaySystem, ToleranceSettings, Trajectory,
-                       VectorDelaySystem, integrate, integrate_batch,
-                       sup_norm_on_interval)
+                       VectorDelaySystem, integrate, integrate_batch)
 from .expressions import (EvaluationError, Expression, ExpressionSyntaxError,
                           parse_expression)
 from .linalg import MatrixFunction, spectral_norm

@@ -3,9 +3,10 @@
 The boundedness oracle behind radius and region estimates is deliberately a
 finite-horizon proxy: "bounded" means the trajectory never reaches the
 blow-up cap on the simulated horizon, "decaying" additionally requires the
-tail of the run to fall below a fraction of the initial norm.  Estimates are
-therefore horizon-certified, not asymptotic statements, except the exact
-radius of a frozen constant-coefficient system (a polynomial root).
+exact sup of the run's tail (`Trajectory.sup_norm`) to fall below a fraction
+of the initial norm.  Estimates are therefore horizon-certified, not
+asymptotic statements, except the exact radius of a frozen
+constant-coefficient system (a polynomial root).
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import numpy as np
 
 from .dde_core import (DelaySpec, HistoryFunction, Perturbation, ScalarDelaySystem,
                        IntegrationError, ToleranceSettings, Trajectory,
-                       VectorDelaySystem, integrate, integrate_batch,
-                       sup_norm_on_interval)
+                       VectorDelaySystem, integrate, integrate_batch)
 from .majorant import PolynomialMajorant
 from .timefn import ConstantFn
 
@@ -38,8 +38,6 @@ __all__ = [
     "frozen_scalar_radius",
     "estimate_vector_region",
 ]
-
-_FTS_POINTS = 4001
 
 
 @dataclass(frozen=True)
@@ -143,12 +141,11 @@ def classify_fts(traj: Trajectory, alpha: float, beta: float, T: float,
 
     Requires the history sup-norm below ``alpha`` and ``alpha < beta``.  The
     trajectory is finite-time stable when its norm stays below ``beta`` on
-    ``[t0, t0 + T]``; with ``gamma`` it is contractively stable when some
-    ``t1`` in the open interval exists after which the norm stays below
-    ``gamma``.  The crossing of ``beta`` is the first time the dense output
-    reads it (`Trajectory.first_crossing`), and ``t1`` the last crossing of
-    ``gamma`` (`Trajectory.crossings`).  ``sup_value`` is the largest norm on
-    a uniform grid of the interval and is only reported.
+    ``[t0, t0 + T]``; with ``gamma`` it is contractively stable when it ends
+    below ``gamma``, where it stays after ``t1``, the last crossing of
+    ``gamma`` (`Trajectory.crossings`; ``t0`` if none).  The ``beta`` crossing
+    is the first time the dense output reads it (`Trajectory.first_crossing`)
+    and ``sup_value``, only reported, its exact sup (`Trajectory.sup_norm`).
     """
     if alpha <= 0 or beta <= 0 or T <= 0:
         raise ValueError("alpha, beta and T must be positive")
@@ -158,7 +155,7 @@ def classify_fts(traj: Trajectory, alpha: float, beta: float, T: float,
         raise ValueError("gamma must be positive")
     t0 = traj.t_start
     t_final = t0 + T
-    if t_final > traj.t_end + 1e-9:
+    if not traj.covers(t0, t_final):
         raise ValueError(f"T={T!r} extends past the trajectory horizon {traj.t_end!r}")
     if traj.history is None:
         raise ValueError("trajectory must carry its history for the alpha check")
@@ -166,28 +163,17 @@ def classify_fts(traj: Trajectory, alpha: float, beta: float, T: float,
     if history_sup >= alpha:
         raise ValueError(f"history sup norm {history_sup!r} is not below alpha={alpha!r}")
 
-    grid = np.linspace(t0, t_final, _FTS_POINTS)
-    norms = traj.norm_grid(grid)
-    sup_value = float(np.max(norms))
+    sup_value = traj.sup_norm(t0, t_final)
     beta_crossing = traj.first_crossing(beta, t0, t_final)
     fts = beta_crossing is None
     if gamma is None:
         return FtsReport(fts, None, None, sup_value, beta_crossing)
     if not fts:
         return FtsReport(False, False, None, sup_value, beta_crossing)
-
-    # running suffix maximum: tail_sup[k] = max norm on [grid[k], t_final]
-    tail_sup = np.maximum.accumulate(norms[::-1])[::-1]
-    below = tail_sup < gamma
-    if not below[-1]:
+    if traj.norm_at(t_final) >= gamma:
         return FtsReport(True, False, None, sup_value, None)
-    k = int(np.argmax(below))
-    if k == 0:
-        t1 = float(grid[1])  # open interval: stay past t0
-        return FtsReport(True, True, t1, sup_value, None)
-    lo = float(grid[k - 1])
-    roots = traj.crossings(gamma, lo, t_final)
-    return FtsReport(True, True, float(roots[-1]) if roots.size else lo, sup_value, None)
+    roots = traj.crossings(gamma, t0, t_final)
+    return FtsReport(True, True, float(roots[-1]) if roots.size else t0, sup_value, None)
 
 
 @dataclass(frozen=True)
@@ -260,14 +246,16 @@ class BoundednessCriterion:
             raise ValueError("tail_fraction must lie in (0, 1)")
 
     def judge(self, traj: Trajectory, initial_norm: float, horizon_end: float) -> bool:
+        """Good when the run completed to ``horizon_end`` without reading the
+        cap; for ``decaying_tail`` also when its exact sup on the last
+        ``tail_fraction`` of the run is at most ``decay_ratio * initial_norm``."""
         if (traj.blew_up or traj.t_end < horizon_end - 1e-9
                 or traj.first_crossing(self.cap) is not None):
             return False
         if self.kind == "bounded_on_horizon":
             return True
         tail_start = horizon_end - self.tail_fraction * (horizon_end - traj.t_start)
-        tail = sup_norm_on_interval(traj, tail_start, traj.t_end, 256)
-        return tail <= self.decay_ratio * max(initial_norm, 1e-300)
+        return traj.sup_norm(tail_start) <= self.decay_ratio * max(initial_norm, 1e-300)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,6 @@ __all__ = [
     "Trajectory",
     "integrate",
     "integrate_batch",
-    "sup_norm_on_interval",
 ]
 
 _MIN_FACTOR = 0.2
@@ -499,11 +498,14 @@ class Trajectory:
     def termination(self) -> str:
         return "blew_up" if self.blew_up else "completed"
 
+    def covers(self, lo: float, hi: float) -> bool:
+        """Whether ``[lo, hi]`` lies in the domain up to 1e-12, as every evaluation."""
+        return self.t_start - 1e-12 <= lo and hi <= self.t_end + 1e-12
+
     def _check_domain(self, lo: float, hi: float) -> None:
-        if lo < self.t_start - 1e-12 or hi > self.t_end + 1e-12:
-            bad = lo if lo < self.t_start - 1e-12 else hi
-            raise ValueError(
-                f"t={bad!r} outside the trajectory domain [{self.t_start}, {self.t_end}]")
+        if not self.covers(lo, hi):
+            raise ValueError(f"[{lo!r}, {hi!r}] leaves the trajectory domain "
+                             f"[{self.t_start}, {self.t_end}]")
 
     def eval(self, t: float) -> np.ndarray:
         return self.eval_grid([t])[0]
@@ -512,15 +514,25 @@ class Trajectory:
         # the 1-d norm of the integrator's cap checks, not a row of norm_grid
         return float(np.linalg.norm(self.eval(t)))
 
-    def _window(self, lo: float, hi: float) -> tuple[float, float, int, int]:
-        """``[lo, hi]`` clipped to the domain, and the range ``first:last`` of
-        the steps that overlap it."""
+    def _window(self, lo: float | None, hi: float | None) -> tuple[float, float, int, int]:
+        """``[lo, hi]`` (by default the whole domain) clipped to the domain,
+        and the range ``first:last`` of the steps that overlap it."""
+        lo = self.t_start if lo is None else lo
+        hi = self.t_end if hi is None else hi
+        if hi < lo:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
         self._check_domain(lo, hi)
-        lo, hi = max(lo, self.t_start), min(hi, self.t_end)
+        lo, hi = (min(max(t, self.t_start), self.t_end) for t in (lo, hi))
         ts = self.ts
         first = max(int(np.searchsorted(ts, lo, side="right")) - 1, 0)
         last = min(int(np.searchsorted(ts, hi, side="left")), ts.size - 1)
         return lo, hi, first, last
+
+    def _step_bounds(self, first: int, last: int) -> np.ndarray:
+        """``| |y_k| + sum_j |q_kj| |`` of the steps ``first:last``: a bound on
+        the norm of each step's quartic, for all steps at once."""
+        return np.linalg.norm(np.abs(self.ys[first:last])
+                              + np.abs(self.coeffs[first:last]).sum(axis=1), axis=1)
 
     def crossings(self, level: float, lo: float, hi: float) -> np.ndarray:
         """Ascending times in ``[lo, hi]`` where the state norm equals
@@ -538,22 +550,46 @@ class Trajectory:
         """First time in ``[lo, hi]`` (by default the whole domain) where the
         state norm reads at or above ``level``; None if there is none.
 
-        Every step is screened at once by ``| |y_k| + sum_j |q_kj| |``, which
-        bounds the norm of its quartic; only the steps that pass are searched,
-        in time order, by `_locate_cap_crossing`.  A window ending on a node
-        reads the node's value last.
+        Every step is screened at once by `_step_bounds`; only the steps whose
+        bound reaches the level are searched, in time order, by
+        `_locate_cap_crossing`.  A window ending on a node reads the node's
+        value last.
         """
-        lo, hi, first, last = self._window(self.t_start if lo is None else lo,
-                                           self.t_end if hi is None else hi)
+        lo, hi, first, last = self._window(lo, hi)
         ts, ys, coeffs = self.ts, self.ys, self.coeffs
-        bound = np.linalg.norm(np.abs(ys[first:last]) + np.abs(coeffs[first:last]).sum(axis=1),
-                               axis=1)
+        bound = self._step_bounds(first, last)
         for k in first + np.flatnonzero(bound * (1.0 + _SCREEN_SLACK) >= level):
             ta, tb = float(ts[k]), float(ts[k + 1])
             t = _locate_cap_crossing(ta, tb, ys[k], coeffs[k], level, max(lo, ta), min(hi, tb))
             if t is not None:
                 return float(t)
         return hi if hi == ts[last] and float(np.linalg.norm(ys[last])) >= level else None
+
+    def sup_norm(self, lo: float | None = None, hi: float | None = None) -> float:
+        """Largest state norm on ``[lo, hi]`` (by default the whole domain).
+
+        The window ends and inner nodes give a lower bound; the steps whose
+        `_step_bounds` exceed it, largest first, are read at the roots of
+        ``d/dtheta |y(theta)|^2`` in the window (their real parts, so a
+        near-double root is not lost), each with the 1-d norm of `norm_at`."""
+        lo, hi, first, last = self._window(lo, hi)
+        ts, ys, coeffs = self.ts, self.ys, self.coeffs
+        best = max(self.norm_at(lo), self.norm_at(hi))
+        if last > first + 1:
+            inner = np.linalg.norm(ys[first + 1:last], axis=1)
+            best = max(best, float(np.linalg.norm(ys[first + 1 + int(np.argmax(inner))])))
+        bound = self._step_bounds(first, last)
+        for k in first + np.argsort(-bound):
+            if bound[k - first] * (1.0 + _SCREEN_SLACK) <= best:
+                break
+            ta, tb = ts[k], ts[k + 1]
+            poly = _norm_squared(ys[k], coeffs[k])
+            theta = np.roots((poly[1:] * np.arange(1, 9))[::-1]).real
+            times = ta + theta * (tb - ta)
+            times = times[(times >= max(lo, ta)) & (times <= min(hi, tb))]
+            for y in self.eval_grid(times):
+                best = max(best, float(np.linalg.norm(y)))
+        return best
 
     def eval_grid(self, grid: np.ndarray) -> np.ndarray:
         """States at every time of ``grid``; bitwise equal to `eval` per point."""
@@ -892,13 +928,20 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
     return trajectories
 
 
+def _norm_squared(ya, q) -> np.ndarray:
+    """Ascending coefficients of the degree-8 polynomial ``|y(theta)|^2`` of
+    one step's continuous extension (start value ``ya``, coefficients ``q``)."""
+    poly = np.zeros(9)
+    for coeffs in np.vstack([ya, q]).T:    # one coordinate, ascending powers
+        poly += np.convolve(coeffs, coeffs)
+    return poly
+
+
 def _level_roots(ya, q, level) -> np.ndarray:
     """Ascending real ``theta`` in ``[0, 1]`` where the continuous extension
     of one step (start value ``ya``, coefficients ``q``) has norm ``level``:
     the roots of the degree-8 polynomial ``|y(theta)|^2 - level^2``."""
-    poly = np.zeros(9)
-    for coeffs in np.vstack([ya, q]).T:    # one coordinate, ascending powers
-        poly += np.convolve(coeffs, coeffs)
+    poly = _norm_squared(ya, q)
     poly[0] -= level * level
     roots = np.roots(poly[::-1])
     theta = roots.real[roots.imag == 0.0]
@@ -930,32 +973,3 @@ def _locate_cap_crossing(ta, tb, ya, q, level, t_lo, t_hi) -> float | None:
                 return t
             t = math.nextafter(t, math.inf)
     return t_hi if reads(t_hi) else None
-
-
-def sup_norm_on_interval(traj: Trajectory, a: float, b: float,
-                         grid_points: int = 512) -> float:
-    """Max of the state norm on ``[a, b]``, refined near the maximizer."""
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
-    if b < a:
-        raise ValueError(f"empty interval [{a}, {b}]")
-    if a < traj.t_start - 1e-12 or b > traj.t_end + 1e-12:
-        raise ValueError("interval leaves the trajectory domain")
-    a = max(a, traj.t_start)
-    b = min(b, traj.t_end)
-    if a == b:
-        return traj.norm_at(a)
-    grid = np.linspace(a, b, grid_points)
-    values = traj.norm_grid(grid)
-    best_idx = int(np.argmax(values))
-    best = float(values[best_idx])
-    lo = grid[max(best_idx - 1, 0)]
-    hi = grid[min(best_idx + 1, grid_points - 1)]
-    for _ in range(3):
-        sub = np.linspace(lo, hi, 33)
-        sub_vals = traj.norm_grid(sub)
-        k = int(np.argmax(sub_vals))
-        best = max(best, float(sub_vals[k]))
-        lo = sub[max(k - 1, 0)]
-        hi = sub[min(k + 1, 32)]
-    return best

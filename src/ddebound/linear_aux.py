@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dde_core import (DelayProblem, DelaySpec, HistoryFunction, ToleranceSettings,
-                       Trajectory, integrate, sup_norm_on_interval)
+                       Trajectory, integrate)
 from .majorant import LinearizedCoefficients
 from .reduction import CoefficientPair
 from .timefn import ConstantFn, TimeFunction, as_time_function, locate_zeros
@@ -135,8 +135,7 @@ class LinearResponse:
 def integrate_linear(sys: LinearScalarDDE, horizon: float,
                      tol: ToleranceSettings | None = None) -> LinearResponse:
     traj = integrate(sys, horizon, tol)
-    sup = sup_norm_on_interval(traj, traj.t_start, traj.t_end)
-    return LinearResponse(traj, sup, sys.zeta_tilde)
+    return LinearResponse(traj, traj.sup_norm(), sys.zeta_tilde)
 
 
 def cauchy_function(sys: LinearScalarDDE, s: float, horizon: float,
@@ -208,11 +207,9 @@ def iss_bound_series(vector_traj: Trajectory, u_h: Trajectory, u_nh: Trajectory,
     linearization's validity.
     """
     grid = np.asarray(grid, dtype=float)
-    for traj in (u_h, u_nh):
-        if grid[0] < traj.t_start - 1e-9 or grid[-1] > traj.t_end + 1e-9:
+    for traj in (vector_traj, u_h, u_nh):
+        if not traj.covers(grid[0], grid[-1]):
             raise ValueError("time grid leaves a trajectory domain")
-    if grid[0] < vector_traj.t_start - 1e-9 or grid[-1] > vector_traj.t_end + 1e-9:
-        raise ValueError("time grid leaves the vector trajectory domain")
     if vector_traj.history is not None and u_h.history is not None:
         span = min(vector_traj.history_span, u_h.history_span)
         for t in np.linspace(vector_traj.t_start - span, vector_traj.t_start, 33):

@@ -1,7 +1,9 @@
 """Shared builders for the test suite."""
 
+import numpy as np
+
 from ddebound import (DelaySpec, HistoryFunction, PolynomialMajorant, PolynomialTerm,
-                      ScalarDelaySystem, ToleranceSettings, VectorDelaySystem)
+                      ScalarDelaySystem, ToleranceSettings, Trajectory, VectorDelaySystem)
 from ddebound.linalg import MatrixFunction
 from ddebound.vectorfield import NonlinearTerm, PolynomialVectorField
 
@@ -65,3 +67,21 @@ def appendix_majorant_input():
         (1.0, [(0, 0, 3), (1, 1, 2)]),
         (1.0, [(2, 1, 3)]),
     ]
+
+
+def narrow_excursion(level: float, center: float, half_width: float,
+                     top: float) -> Trajectory:
+    """A trajectory of the one step [0, 1] whose norm exceeds ``level`` only
+    on ``(center - half_width, center + half_width)``; elsewhere it is
+    largest at ``top``, just below the level.  Its history is its start value.
+
+    ``y = level - delta - 0.1 (t - a)(t - b)(t - top)^2`` rises above
+    ``level - delta`` only between ``a`` and ``b``, by at most about twice
+    ``delta``."""
+    a, b = center - half_width, center + half_width
+    delta = 0.05 * half_width ** 2 * (center - top) ** 2
+    poly = -0.1 * np.poly([a, b, top, top])[::-1]      # ascending powers
+    poly[0] += level - delta
+    return Trajectory(np.array([0.0, 1.0]), np.array([[poly[0]], [poly.sum()]]),
+                      poly[None, 1:, None], 1.0,
+                      history=HistoryFunction.constant([poly[0]]))

@@ -4,37 +4,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (DEFAULT, TIGHT, cubic_basin_scalar, linear_ode_system,
+from conftest import (DEFAULT, TIGHT, cubic_basin_scalar, linear_ode_system, narrow_excursion,
                       symmetric_cubic_vector_system)
 from ddebound import (BoundednessCriterion, DelayProblem, DelaySpec,
                       HistoryFunction, IntegrationError, PolynomialMajorant,
                       PolynomialTerm, RobustReport, ScalarDelaySystem, ToleranceSettings,
                       Trajectory, build_perturbed_scalar, classify_fts, estimate_scalar_radius,
                       estimate_vector_region, frozen_scalar_radius, integrate,
-                      robust_stability_check, sup_norm_on_interval,
-                      verify_pointwise_ordering)
+                      robust_stability_check, verify_pointwise_ordering)
 from ddebound.timefn import ConstantFn
 
 PROBE = ToleranceSettings(rtol=1e-4, atol=1e-8, cap=1e6)
 CRIT = BoundednessCriterion(kind="bounded_on_horizon", cap=1e6)
-
-
-def narrow_excursion(level: float, center: float, half_width: float,
-                     top: float) -> Trajectory:
-    """A trajectory of the one step [0, 1] whose norm exceeds ``level`` only
-    on ``(center - half_width, center + half_width)``; elsewhere it is
-    largest at ``top``, just below the level.  Its history is its start value.
-
-    ``y = level - delta - 0.1 (t - a)(t - b)(t - top)^2`` rises above
-    ``level - delta`` only between ``a`` and ``b``, by at most about twice
-    ``delta``."""
-    a, b = center - half_width, center + half_width
-    delta = 0.05 * half_width ** 2 * (center - top) ** 2
-    poly = -0.1 * np.poly([a, b, top, top])[::-1]      # ascending powers
-    poly[0] += level - delta
-    return Trajectory(np.array([0.0, 1.0]), np.array([[poly[0]], [poly.sum()]]),
-                      poly[None, 1:, None], 1.0,
-                      history=HistoryFunction.constant([poly[0]]))
 
 
 class TestVerifyPointwiseOrdering:
@@ -95,6 +76,10 @@ class TestClassifyFts:
         report = classify_fts(traj, 1.0, 1.1, 5.0, gamma=0.1)
         assert report.ftcs
         assert report.t1 == pytest.approx(math.log(9.0), abs=1e-3)
+        # below gamma throughout, t1 is the start; still above it at T = 5, not FTCS
+        assert classify_fts(traj, 1.0, 1.1, 5.0, gamma=0.95).t1 == 0.0
+        late = classify_fts(traj, 1.0, 1.1, 5.0, gamma=0.005)
+        assert (late.fts, late.ftcs, late.t1) == (True, False, None)
 
     def test_growth_crossing_located(self):
         traj = integrate(linear_ode_system(1.0, 0.9), 5.0, TIGHT)
@@ -104,14 +89,22 @@ class TestClassifyFts:
                                                           abs=1e-3)
 
     def test_excursion_between_grid_points_is_not_fts(self):
-        # above beta = 1 only on (0.300025, 0.300225), inside one cell of the
-        # 4,001-point grid of [0, 1]; the grid reads at most 1 - 1.25e-10
+        # above beta = 1 only on (0.300025, 0.300225), inside one cell of a
+        # 4,001-point grid of [0, 1], which reads at most 1 - 1.25e-10
         traj = narrow_excursion(1.0, 0.300125, 1e-4, 0.8)
         report = classify_fts(traj, 0.999, 1.0, 1.0)
         assert not report.fts
-        assert report.sup_value < 1.0
+        assert report.sup_value >= 1.0
         assert 0.300025 < report.beta_crossing_time < 0.300125
         assert traj.norm_at(report.beta_crossing_time) >= 1.0
+
+    def test_contraction_time_after_an_excursion_between_grid_points(self):
+        # the norm is above gamma = 1 only between the crossings 0.3000543 and
+        # 0.3001957, so it stays below gamma after the last one, not after t0
+        traj = narrow_excursion(1.0, 0.300125, 1e-4, 0.8)
+        report = classify_fts(traj, 1.5, 2.0, 1.0, gamma=1.0)
+        assert report.fts and report.ftcs
+        assert report.t1 == pytest.approx(0.30019570063, abs=1e-9)
 
     def test_alpha_guard(self):
         traj = integrate(linear_ode_system(-1.0, 1.5), 5.0, TIGHT)
@@ -122,6 +115,9 @@ class TestClassifyFts:
         traj = integrate(linear_ode_system(-1.0, 0.9), 5.0, TIGHT)
         with pytest.raises(ValueError):
             classify_fts(traj, 1.0, 1.1, 10.0)
+        # past t_end by more than the 1e-12 every evaluation allows
+        with pytest.raises(ValueError, match="extends past the trajectory horizon"):
+            classify_fts(traj, 1.0, 1.1, 5.0 + 5e-10)
 
 
 class TestRobustStability:
@@ -185,7 +181,7 @@ class TestPerturbedScalar:
                                     allow_constant_terms=True)
         perturbed = build_perturbed_scalar(base, offset, DelaySpec.none())
         traj = integrate(perturbed, 50.0, DEFAULT)
-        sup = sup_norm_on_interval(traj, 0.0, 50.0, 400)
+        sup = traj.sup_norm(0.0, 50.0)
         assert sup <= 0.1 + 1e-6        # decays toward the small forced level
         assert traj.eval(50.0)[0] == pytest.approx(1e-3 / 2.0, rel=1e-2)
 
@@ -198,7 +194,7 @@ class TestPerturbedScalar:
         perturbed = build_perturbed_scalar(base, bump, DelaySpec.constant([0.51]))
         traj = integrate(perturbed, 20.0, DEFAULT)
         assert traj.termination == "completed"
-        assert sup_norm_on_interval(traj, 0.0, 20.0, 200) <= 0.2
+        assert traj.sup_norm(0.0, 20.0) <= 0.2
 
     def test_bundled_stable_instance_with_persistent_perturbation(self):
         # small constant offset plus a shifted delay keeps the bundled
@@ -212,7 +208,7 @@ class TestPerturbedScalar:
                                            DelaySpec.constant([0.51]))
         traj = integrate(perturbed, 50.0, DEFAULT)
         assert traj.termination == "completed"
-        assert sup_norm_on_interval(traj, 0.0, 50.0, 400) <= 0.06
+        assert traj.sup_norm(0.0, 50.0) <= 0.06
         assert traj.eval(50.0)[0] < 0.05
 
 
@@ -271,6 +267,15 @@ class TestJudge:
         assert not BoundednessCriterion(cap=1.0).judge(traj, 1.0, 1.0)
         assert 0.2985 < traj.first_crossing(1.0) < 0.3
         assert BoundednessCriterion(cap=1.0 + 1e-6).judge(traj, 1.0, 1.0)
+
+    def test_tail_excursion_between_samples_does_not_decay(self):
+        # above 1 = decay_ratio * 2 only on (0.8998, 0.9002), between two of
+        # 256 uniform samples of the tail [0.8, 1]; elsewhere at most 1 - 5e-12
+        traj = narrow_excursion(1.0, 0.9, 2e-4, 0.85)
+        assert np.max(traj.norm_grid(np.linspace(0.8, 1.0, 256))) < 1.0
+        decaying = BoundednessCriterion(kind="decaying_tail", decay_ratio=0.5)
+        assert not decaying.judge(traj, 2.0, 1.0)
+        assert decaying.judge(traj, 2.0 + 1e-9, 1.0)
 
 
 class TestScalarRadius:

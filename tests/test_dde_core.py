@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import (DEFAULT, TIGHT, cubic_basin_scalar, delayed_decay_oracle,
-                      delayed_decay_system, linear_ode_system)
+                      delayed_decay_system, linear_ode_system, narrow_excursion)
 from ddebound import (DelayProblem, DelaySpec, HistoryFunction, IntegrationError,
                       ScalarDelaySystem, ToleranceSettings, Trajectory, VectorDelaySystem,
-                      integrate, integrate_batch, parse_expression,
-                      sup_norm_on_interval)
+                      integrate, integrate_batch, parse_expression)
 from ddebound import dde_core
 from ddebound.majorant import PolynomialMajorant
 from ddebound.timefn import ConstantFn, locate_zeros
@@ -252,6 +251,22 @@ class TestEvalTrajectory:
         assert traj.crossings(0.5, 1.0, 3.0).size == 1
         assert traj.crossings(2.0, 0.0, 2.0 * math.pi).size == 0
 
+    def test_inverted_window_is_refused(self):
+        # the norm of x' = x from 0.9 is above 2 on all of [1, 3]
+        traj = integrate(linear_ode_system(1.0, 0.9), 3.0, TIGHT)
+        assert traj.first_crossing(2.0, 1.0, 3.0) == 1.0
+        with pytest.raises(ValueError, match="empty interval"):
+            traj.first_crossing(2.0, 3.0, 1.0)
+        with pytest.raises(ValueError, match="empty interval"):
+            traj.crossings(2.0, 3.0, 1.0)
+
+    def test_window_slack_is_clipped(self):
+        traj = integrate(linear_ode_system(-1.0, 0.9), 5.0, TIGHT)
+        assert traj.covers(-5e-13, 5.0 + 5e-13) and not traj.covers(0.0, 5.0 + 5e-10)
+        assert traj.sup_norm(5.0 + 5e-13, 5.0 + 5e-13) == traj.norm_at(5.0)
+        with pytest.raises(ValueError, match="leaves the trajectory domain"):
+            traj.sup_norm(0.0, 5.0 + 5e-10)
+
     def test_blown_up_trajectory_end_state_finite(self):
         sys = cubic_basin_scalar(q=5.0)   # far outside the basin
         traj = integrate(sys, 50.0, ToleranceSettings(rtol=1e-6, atol=1e-9, cap=1e6))
@@ -267,23 +282,67 @@ class TestSupNorm:
                                 forcing_shape=None, delays=DelaySpec.none(),
                                 history=HistoryFunction.constant([1.0, 2.0]), t0=0.0)
         traj = integrate(sys, 4.0, DEFAULT)
-        assert sup_norm_on_interval(traj, 0.0, 4.0, 64) == pytest.approx(math.sqrt(5.0))
+        assert traj.sup_norm(0.0, 4.0) == pytest.approx(math.sqrt(5.0))
 
     def test_decaying_delayed_solution(self):
         traj = integrate(delayed_decay_system(), 2.0, TIGHT)
-        assert sup_norm_on_interval(traj, 0.0, 2.0, 256) == pytest.approx(1.0, abs=1e-9)
+        assert traj.sup_norm(0.0, 2.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_blown_up_trajectory_reaches_cap(self):
         traj = integrate(cubic_basin_scalar(q=5.0), 50.0,
                          ToleranceSettings(rtol=1e-6, atol=1e-9, cap=1e6))
-        assert sup_norm_on_interval(traj, traj.t_start, traj.t_end, 128) >= 1e6 * 0.99
+        assert traj.sup_norm(traj.t_start, traj.t_end) >= 1e6 * 0.99
 
     def test_guards(self):
         traj = integrate(delayed_decay_system(), 2.0, DEFAULT)
         with pytest.raises(ValueError):
-            sup_norm_on_interval(traj, 1.0, 0.5, 16)
-        with pytest.raises(ValueError):
-            sup_norm_on_interval(traj, 0.0, 2.0, 1)
+            traj.sup_norm(1.0, 0.5)
+
+    def test_excursion_between_grid_points(self):
+        # above 1 only on (0.300025, 0.300225), peaking at 1 + delta with
+        # delta = 0.05 * 1e-8 * 0.500125^2; a 512-point grid and its zoom
+        # read 0.99999999987
+        traj = narrow_excursion(1.0, 0.300125, 1e-4, 0.8)
+        assert traj.sup_norm() >= 1.0
+        assert traj.sup_norm() == pytest.approx(1.0 + 0.05e-8 * 0.500125 ** 2, abs=1e-12)
+        assert traj.sup_norm(0.0, 0.3) < 1.0
+
+    def test_window_ends_are_read(self):
+        # x' = x grows, so its sup is the window's end; |y| of y' = -y(t-1)
+        # falls from 0.5 at t = 0.5 to 0 at t = 1, then rises to 0.375 at 1.5
+        traj = integrate(linear_ode_system(1.0, 0.9), 3.0, TIGHT)
+        assert traj.sup_norm(1.0, 2.0) == traj.norm_at(2.0)
+        assert traj.sup_norm() == traj.norm_at(3.0)
+        decay = integrate(delayed_decay_system(), 3.0, TIGHT)
+        assert decay.sup_norm(0.5, 1.5) == decay.norm_at(0.5)
+        assert decay.sup_norm(2.0, 2.0) == decay.norm_at(2.0)
+
+    def test_peak_on_an_inner_node_is_read(self):
+        # a tent through (1, 1): no step has a critical point inside it
+        tent = Trajectory(np.array([0.0, 1.0, 2.0]), np.array([[0.0], [1.0], [0.0]]),
+                          np.array([[[1.0], [0.0], [0.0], [0.0]],
+                                    [[-1.0], [0.0], [0.0], [0.0]]]), 2.0)
+        assert tent.sup_norm() == 1.0
+        assert tent.sup_norm(0.5, 1.5) == 1.0
+
+    def test_interior_maxima_match_a_fine_grid(self):
+        # an elliptic spiral and the growing oscillation of y' = -y(t-2)
+        # peak inside their steps
+        def ellipse(t, y, z):
+            return np.array([y[1], -4.0 * y[0] - 0.1 * y[1]])
+
+        spiral = integrate(DelayProblem(ellipse, DelaySpec.none(),
+                                        HistoryFunction.constant([1.0, 0.0])), 10.0, TIGHT)
+        osc = integrate(DelayProblem(lambda t, y, z: -z[0], DelaySpec.constant([2.0]),
+                                     HistoryFunction.constant([1.0])), 30.0, TIGHT)
+        for traj, lo, hi in ((spiral, 0.1, 10.0), (osc, 3.0, 30.0), (osc, 10.0, 12.5)):
+            grid = np.linspace(lo, hi, 20_001)
+            norms = traj.norm_grid(grid)
+            k = int(np.argmax(norms))
+            zoom = np.linspace(grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)], 20_001)
+            sup = traj.sup_norm(lo, hi)
+            assert sup >= norms[k]
+            assert sup == pytest.approx(float(np.max(traj.norm_grid(zoom))), rel=1e-13)
 
 
 class TestDetectBlowup:

@@ -215,6 +215,9 @@ class TestIssBound:
         short = integrate(zero, 2.0, TIGHT)
         with pytest.raises(ValueError):
             iss_bound_series(traj, short, short, 0.0, np.linspace(0.0, 5.0, 20))
+        # past t_end by more than the 1e-12 every evaluation allows
+        with pytest.raises(ValueError, match="time grid leaves a trajectory domain"):
+            iss_bound_series(traj, traj, traj, 0.0, np.linspace(0.0, 5.0 + 5e-10, 20))
 
     def test_violation_reported_not_raised(self):
         big = integrate(_plain(rate=0.1, history=1.0), 5.0, TIGHT)
