@@ -18,7 +18,7 @@ from .dde_core import (DelayProblem, DelaySpec, HistoryFunction, IntegrationErro
                        VectorDelaySystem, integrate, integrate_batch)
 from .expressions import (EvaluationError, Expression, ExpressionSyntaxError,
                           parse_expression)
-from .linalg import MatrixFunction, spectral_norm
+from .linalg import MatrixFunction, VectorFunction, spectral_norm
 from .linear_aux import (IssReport, LinearResponse, LinearScalarDDE,
                          build_linear_auxiliary, cauchy_function, integrate_linear,
                          iss_bound_series, particular_response, superposition_check)

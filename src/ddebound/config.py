@@ -46,11 +46,9 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .dde_core import DelaySpec, HistoryFunction, ToleranceSettings, VectorDelaySystem
 from .expressions import Expression, ExpressionSyntaxError, parse_expression
-from .linalg import MatrixFunction
+from .linalg import MatrixFunction, VectorFunction
 from .majorant import PolynomialMajorant, PolynomialTerm
 from .timefn import ConstantFn
 from .vectorfield import DelayedMatrixTerm, NonlinearTerm, PolynomialVectorField
@@ -161,18 +159,8 @@ class RunConfig:
         nonlinear = None
         if poly is not None or matrix_terms:
             nonlinear = NonlinearTerm(sc.dim, delays.count, poly, matrix_terms)
-        shape = None
-        if sc.forcing_amplitude > 0:
-            dim = sc.dim
-            compiled = tuple((i, e.compiled()) for i, e in sc.e_entries.items())
-
-            def shape_fn(t: float):
-                out = np.zeros(dim)
-                for i, fn in compiled:
-                    out[i] = fn(t)
-                return out
-
-            shape = shape_fn
+        # the shape's norm is compiled from the same expressions
+        shape = VectorFunction(sc.dim, sc.e_entries) if sc.forcing_amplitude > 0 else None
         return VectorDelaySystem(
             dim=sc.dim, A=a_full, f=nonlinear,
             forcing_amplitude=sc.forcing_amplitude, forcing_shape=shape,

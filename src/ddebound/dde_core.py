@@ -29,12 +29,16 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .expressions import _generate
+from .linalg import VectorFunction
 from .majorant import PolynomialMajorant
-from .timefn import TimeFunction, _golden_minimum, as_time_function, locate_zeros
+from .timefn import (TimeFunction, _golden_minimum, _source_of, as_time_function,
+                     locate_zeros)
 from .vectorfield import NonlinearTerm
 
 __all__ = [
@@ -67,8 +71,10 @@ _HISTORY_SAMPLES = 256
 # floats a root of the cap crossing may be stepped up by until it reads the cap
 _NUDGE_ULPS = 4
 # relative slack of the crossing screen: the Horner evaluation of a step's
-# quartic may exceed its triangle bound by a few ulps of that bound
+# quartic may exceed its bound by a few ulps of that bound
 _SCREEN_SLACK = 1e-12
+# the rounding of the Bernstein control points, relative to the triangle bound
+_HULL_ROUNDING = 16.0 * _EPS
 
 # Dormand-Prince 5(4): stage nodes, stage coefficients, 5th-order weights
 # (the 7th stage is evaluated at the new point and reused as the next first
@@ -104,6 +110,13 @@ _P = np.array([
     [0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0,
      69997945.0 / 29380423.0],
 ])
+
+
+# a step's quartic y + sum_j q_j theta^(j+1) in the Bernstein basis of degree
+# 4: control point i is sum_j _BERNSTEIN[i, j] (y, q_0, ..., q_3)[j], that is
+# b_i = y + sum_{j=1..i} C(i,j)/C(4,j) q_{j-1}
+_BERNSTEIN = np.array([[math.comb(i, j) / math.comb(4, j) for j in range(5)]
+                       for i in range(5)])
 
 
 def _step_floor(t: float) -> float:
@@ -224,6 +237,7 @@ class HistoryFunction:
     Three forms are supported: a constant vector, one callable (or
     expression) per coordinate, and a sampled grid with linear
     interpolation.  Evaluation outside the declared domain is an error.
+    ``vector`` is the value of a constant history, None for the others.
     """
 
     def __init__(self, fn: Callable[[float], np.ndarray], dim: int,
@@ -232,11 +246,14 @@ class HistoryFunction:
         self.dim = dim
         self.t_min = t_min
         self.t_max = t_max
+        self.vector: np.ndarray | None = None
 
     @classmethod
     def constant(cls, values) -> "HistoryFunction":
         vec = np.atleast_1d(np.asarray(values, dtype=float))
-        return cls(lambda t: vec, vec.size)
+        history = cls(lambda t: vec, vec.size)
+        history.vector = vec
+        return history
 
     @classmethod
     def from_expressions(cls, parts: Sequence) -> "HistoryFunction":
@@ -274,7 +291,10 @@ class HistoryFunction:
         return self.t_min <= t_lo + 1e-12 and self.t_max >= t_hi - 1e-12
 
     def norm(self) -> "HistoryFunction":
-        """Scalar history ``t -> |phi(t)|`` (same arithmetic as the checks)."""
+        """Scalar history ``t -> |phi(t)|`` (same arithmetic as the checks),
+        itself constant when ``phi`` is."""
+        if self.vector is not None:
+            return HistoryFunction.constant([float(np.linalg.norm(self.vector))])
         base = self
 
         def evaluate(t: float) -> np.ndarray:
@@ -357,9 +377,15 @@ class VectorDelaySystem:
             out = out + self.forcing_amplitude * np.asarray(self.forcing_shape(t), dtype=float)
         return out
 
-    def forcing_norm(self, t: float) -> float:
-        """``|e(t)|``, the Euclidean norm of the forcing shape."""
-        return float(np.linalg.norm(np.asarray(self.forcing_shape(t), dtype=float)))
+    @cached_property
+    def forcing_norm(self) -> TimeFunction:
+        """``t -> |e(t)|``, the Euclidean norm of the forcing shape: the
+        compiled norm of a `VectorFunction` shape, ``np.linalg.norm`` of the
+        value of any other callable."""
+        shape = self.forcing_shape
+        if isinstance(shape, VectorFunction):
+            return shape.norm
+        return lambda t: float(np.linalg.norm(np.asarray(shape(t), dtype=float)))
 
     def problem(self, horizon: float) -> DelayProblem:
         problem = DelayProblem(self.rhs, self.delays, self.history, self.t0)
@@ -435,14 +461,28 @@ class ScalarDelaySystem:
         return replace(self, forcing=as_time_function(0.0))
 
     def rhs(self, t: float, y: np.ndarray, delayed: Sequence[np.ndarray]) -> np.ndarray:
-        state = y[0]
+        return self._rhs(t, y, delayed)
+
+    @cached_property
+    def _rhs(self):
+        """`rhs` as one generated function: ``p(t) y + c(t) (L(t, zeta) +
+        |g(t)| + L_R(t, zeta_R))`` in that order, with the majorants' terms
+        unrolled and clamped (`PolynomialMajorant._clamped_lines`) and every
+        coefficient inlined or called once."""
         m = self.delays.count
-        zeta = [state] + [z[0] for z in delayed[:m]]
-        value = self.majorant.evaluate_clamped(t, zeta) + abs(self.forcing(t))
+        count = m if self.perturbation is None else m + self.perturbation.delays.count
+        lags = [f"d{i}" for i in range(count)]
+        names = {"_array": np.array}
+        lines = ["z = y[0]", *(f"{d} = delayed[{i}][0]" for i, d in enumerate(lags)),
+                 "total = 0.0", *self.majorant._clamped_lines(["z", *lags[:m]], names),
+                 f"value = total + abs({_source_of(self.forcing, names)})"]
         if self.perturbation is not None:
-            zeta_r = [state] + [z[0] for z in delayed[m:]]
-            value += self.perturbation.majorant.evaluate_clamped(t, zeta_r)
-        return np.array([self.p(t) * state + self.c(t) * value])
+            lines += ["total = 0.0",
+                      *self.perturbation.majorant._clamped_lines(["z", *lags[m:]], names),
+                      "value += total"]
+        result = (f"_array([{_source_of(self.p, names)} * z "
+                  f"+ {_source_of(self.c, names)} * value])")
+        return _generate("t, y, delayed", result, names, lines)
 
     def problem(self, horizon: float) -> DelayProblem:
         """The problem on ``[t0, horizon]``; its kinks are the zeros of the
@@ -529,10 +569,15 @@ class Trajectory:
         return lo, hi, first, last
 
     def _step_bounds(self, first: int, last: int) -> np.ndarray:
-        """``| |y_k| + sum_j |q_kj| |`` of the steps ``first:last``: a bound on
-        the norm of each step's quartic, for all steps at once."""
-        return np.linalg.norm(np.abs(self.ys[first:last])
-                              + np.abs(self.coeffs[first:last]).sum(axis=1), axis=1)
+        """A bound on the norm of each step's quartic, for the steps
+        ``first:last`` at once: the largest norm of its five Bernstein control
+        points (the quartic stays in their convex hull), plus their rounding,
+        and never above the triangle bound ``| |y_k| + sum_j |q_kj| |``."""
+        ys, coeffs = self.ys[first:last], self.coeffs[first:last]
+        triangle = np.linalg.norm(np.abs(ys) + np.abs(coeffs).sum(axis=1), axis=1)
+        points = _BERNSTEIN @ np.concatenate([ys[:, None, :], coeffs], axis=1)
+        hull = np.linalg.norm(points, axis=2).max(axis=1)
+        return np.minimum(hull + _HULL_ROUNDING * triangle, triangle)
 
     def crossings(self, level: float, lo: float, hi: float) -> np.ndarray:
         """Ascending times in ``[lo, hi]`` where the state norm equals
@@ -735,6 +780,12 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
     nodes_q: list[np.ndarray] = []
 
     lower_guard = t0 - h_bar - 1e-9 * max(1.0, abs(t0) + h_bar)
+    # constant histories are stacked once, read-only so that a right side
+    # writing into its delayed argument cannot change them
+    stacked = None
+    if all(member is not None and member.vector is not None for member in histories):
+        stacked = np.concatenate([member.vector for member in histories])
+        stacked.flags.writeable = False
     # delayed arguments this close to t0 count as t0: from the left they read
     # the history, from the right the initial state (which may differ)
     start_snap = 1e-12 * max(1.0, abs(t0))
@@ -745,6 +796,8 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
                 raise IntegrationError(
                     f"delayed argument t={tq!r} falls below the history interval "
                     f"start {t0 - h_bar!r} (malformed delay)", time=tq)
+            if stacked is not None:
+                return stacked
             tq = min(tq, t0)
             return np.concatenate([np.atleast_1d(np.asarray(member(tq), dtype=float))
                                    for member in histories])

@@ -17,6 +17,9 @@ negative base with a fractional exponent is an error rather than a complex
 number).  Each node compiles once to a Python callable: `Expression.compiled`
 returns it for integration loops, and `Expression.evaluate`, the strict
 evaluator used during validation, runs it and rejects non-finite results.
+The compiler, `_generate`, also builds the package's other generated
+functions (comparison coefficients and right sides), which inline the source
+of the compiled expressions they read.
 """
 
 from __future__ import annotations
@@ -43,6 +46,24 @@ _NAMESPACE = {**{f"_{name}": fn for name, fn in _FUNCTIONS.items()},
               "_pow": math.pow, "inf": math.inf, "nan": math.nan}
 
 _BINARY_OPS = ("+", "-", "*", "/", "^")
+
+
+def _generate(params: str, result: str, names=None, lines=()):
+    """``def _generated(params): lines; return result``, compiled once from
+    generated source (never user text) with the expression functions and
+    ``names`` in scope.
+
+    A function of ``t`` alone without statements keeps its ``result`` and
+    ``names`` as ``inline_source``, so that generated code reading it can
+    inline its body instead of calling it.
+    """
+    source = "\n    ".join([f"def _generated({params}):", *lines, f"return {result}"])
+    namespace = {**_NAMESPACE, **(names or {})}
+    exec(source, namespace)
+    fn = namespace["_generated"]
+    if params == "t" and not lines:
+        fn.inline_source = (result, dict(names or {}))
+    return fn
 
 
 class ExpressionSyntaxError(ValueError):
@@ -81,8 +102,7 @@ class Expression:
 
     @cached_property
     def _compiled(self):
-        source = "lambda t: " + self._source()
-        return eval(source, dict(_NAMESPACE), {})  # source is generated, not user text
+        return _generate("t", self._source())
 
     def is_constant(self) -> bool:
         raise NotImplementedError

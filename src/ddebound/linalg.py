@@ -1,4 +1,5 @@
-"""Dense small-matrix helpers: the spectral norm and matrix time-functions.
+"""Dense small-matrix helpers: the spectral norm, matrix and vector
+time-functions.
 
 Everything here targets the small (n up to ~20) matrices this package works
 with; no attempt is made to scale beyond that.
@@ -11,11 +12,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .timefn import ConstantFn, as_time_function, memoize_last
+from .expressions import _generate
+from .timefn import ConstantFn, _compose, _source_of, as_time_function, memoize_last
 
 __all__ = [
     "spectral_norm",
     "MatrixFunction",
+    "VectorFunction",
     "matrix_norm_function",
 ]
 
@@ -105,13 +108,45 @@ class MatrixFunction:
             if key not in merged:
                 merged[key] = value
                 continue
-            left = as_time_function(merged[key])
-            right = as_time_function(value)
-            if isinstance(left, ConstantFn) and isinstance(right, ConstantFn):
-                merged[key] = left.value + right.value
-            else:
-                merged[key] = (lambda t, a=left, b=right: a(t) + b(t))
+            merged[key] = _compose("{} + {}", as_time_function(merged[key]),
+                                   as_time_function(value))
         return MatrixFunction(self.dim, merged)
+
+
+class VectorFunction:
+    """Vector-valued function of time with per-entry coefficients (numbers,
+    `Expression` objects or callables); entries not given are zero.
+
+    `norm` is ``t -> |v(t)|``, generated once from the entries.  With one
+    entry it is ``abs`` of that entry, which equals ``np.linalg.norm``'s
+    ``sqrt(v . v)`` bit for bit unless the square under- or overflows; with
+    more it is the square root of the sum of squares in index order, which
+    may differ from the library's dot product in the last bit.
+    """
+
+    def __init__(self, dim: int, entries: Mapping[int, object]):
+        if dim < 1:
+            raise ValueError("vector dimension must be positive")
+        for i in entries:
+            if not 0 <= i < dim:
+                raise ValueError(f"entry index {i} outside a vector of dimension {dim}")
+        self.dim = dim
+        self._entries = tuple((i, as_time_function(entries[i])) for i in sorted(entries))
+        if not self._entries:
+            self.norm = ConstantFn(0.0)
+        elif len(self._entries) == 1:
+            self.norm = _compose("abs({})", self._entries[0][1])
+        else:
+            names = {"_sqrt": math.sqrt}
+            lines = [f"e{k} = {_source_of(fn, names)}" for k, (_i, fn) in enumerate(self._entries)]
+            squares = " + ".join(f"e{k} * e{k}" for k in range(len(self._entries)))
+            self.norm = _generate("t", f"_sqrt({squares})", names, lines)
+
+    def __call__(self, t: float) -> np.ndarray:
+        out = np.zeros(self.dim)
+        for i, fn in self._entries:
+            out[i] = fn(t)
+        return out
 
 
 def matrix_norm_function(matrix_fn) -> Callable[[float], float]:

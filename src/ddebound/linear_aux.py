@@ -10,14 +10,17 @@ it can be flagged.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .dde_core import (DelayProblem, DelaySpec, HistoryFunction, ToleranceSettings,
                        Trajectory, integrate)
+from .expressions import _generate
 from .majorant import LinearizedCoefficients
 from .reduction import CoefficientPair
-from .timefn import ConstantFn, TimeFunction, as_time_function, locate_zeros
+from .timefn import (TimeFunction, _compose, _literal, _source_of, as_time_function,
+                     locate_zeros)
 
 __all__ = [
     "LinearScalarDDE",
@@ -64,12 +67,21 @@ class LinearScalarDDE:
         return replace(self, forcing_amplitude=amplitude)
 
     def rhs(self, t, y, delayed):
-        value = self.rate(t) * y[0]
-        for g, z in zip(self.delayed_coeffs, delayed):
-            value += g(t) * z[0]
+        return self._rhs(t, y, delayed)
+
+    @cached_property
+    def _rhs(self):
+        """`rhs` as one generated sum ``P(t) u + g_1(t) u(t - h_1) + ... +
+        F0 s(t)`` in that order, every coefficient inlined or called once; the
+        forcing term is left out when the amplitude is zero."""
+        names = {"_array": np.array}
+        terms = [f"{_source_of(self.rate, names)} * y[0]"]
+        terms += [f"{_source_of(g, names)} * delayed[{i}][0]"
+                  for i, g in enumerate(self.delayed_coeffs)]
         if self.forcing_amplitude != 0.0:
-            value += self.forcing_amplitude * self.forcing_shape(t)
-        return np.array([value])
+            terms.append(f"{_literal(self.forcing_amplitude)} * "
+                         f"{_source_of(self.forcing_shape, names)}")
+        return _generate("t, y, delayed", f"_array([{' + '.join(terms)}])", names)
 
     def problem(self, horizon: float) -> DelayProblem:
         """The problem on ``[t0, horizon]``; its kinks are the zeros of the
@@ -90,32 +102,17 @@ def build_linear_auxiliary(coeffs: CoefficientPair, lc: LinearizedCoefficients,
                            history: HistoryFunction, t0: float = 0.0) -> LinearScalarDDE:
     """Linear comparison system from reduction coefficients and a linearized
     majorant: rate ``p + c*mu_1``, delayed coefficients ``c*mu_{i+1}``,
-    forcing shape ``c(t)*|e(t)|``.  Products of constants stay constants, so
-    the frozen coefficients of the autonomous system give the
-    constant-coefficient bound U."""
+    forcing shape ``c(t)*|e(t)|``.  Each is one generated function, and
+    products of constants stay constants, so the frozen coefficients of the
+    autonomous system give the constant-coefficient bound U."""
     if lc.arg_count != delays.count + 1:
         raise ValueError("linearized coefficient count does not match the delays")
     p, c = coeffs.p, coeffs.c
     mu = lc.mu
-    shape_fn = as_time_function(forcing_norm)
-
-    if all(isinstance(f, ConstantFn) for f in (p, c, mu[0])):
-        rate = ConstantFn(p.value + c.value * abs(mu[0].value))
-    else:
-        rate = lambda t: p(t) + c(t) * abs(mu[0](t))
-    delayed = []
-    for m in mu[1:]:
-        if isinstance(c, ConstantFn) and isinstance(m, ConstantFn):
-            delayed.append(ConstantFn(c.value * abs(m.value)))
-        else:
-            delayed.append(lambda t, g=m: c(t) * abs(g(t)))
-    if isinstance(c, ConstantFn) and c.value == 1.0:
-        shape = shape_fn
-    elif isinstance(c, ConstantFn) and isinstance(shape_fn, ConstantFn):
-        shape = ConstantFn(c.value * shape_fn.value)
-    else:
-        shape = lambda t: c(t) * shape_fn(t)
-    return LinearScalarDDE(rate, tuple(delayed), delays, shape, forcing_amplitude,
+    rate = _compose("{} + {} * abs({})", p, c, mu[0])
+    delayed = tuple(_compose("{} * abs({})", c, m) for m in mu[1:])
+    shape = _compose("{} * {}", c, as_time_function(forcing_norm))
+    return LinearScalarDDE(rate, delayed, delays, shape, forcing_amplitude,
                            history, t0, zeta_tilde=lc.zeta_tilde)
 
 

@@ -10,9 +10,12 @@ and nondecreasing in every argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .timefn import ConstantFn, TimeFunction, as_time_function
+from .expressions import _generate
+from .timefn import (ConstantFn, TimeFunction, _compose, _literal, _source_of,
+                     as_time_function)
 
 __all__ = [
     "PolynomialTerm",
@@ -60,11 +63,6 @@ class PolynomialMajorant:
                     f"term has {len(term.exponents)} exponents, expected {self.arg_count}")
             if term.degree == 0 and not self.allow_constant_terms:
                 raise ValueError("constant (degree-0) terms are not allowed here")
-        # Flattened (coeff, [(index, power), ...]) view for the hot path.
-        fast = tuple(
-            (term.coeff, tuple((i, k) for i, k in enumerate(term.exponents) if k > 0))
-            for term in self.terms)
-        object.__setattr__(self, "_fast_terms", fast)
 
     @classmethod
     def zero(cls, arg_count: int) -> "PolynomialMajorant":
@@ -77,27 +75,44 @@ class PolynomialMajorant:
         for z in zeta:
             if z < 0.0:
                 raise ValueError(f"negative majorant argument {z!r}")
-        return self.evaluate_clamped(t, zeta)
+        return self._clamped(t, *zeta)
 
-    def evaluate_clamped(self, t: float, zeta: Sequence[float]) -> float:
-        """Unchecked evaluation; negative entries are clamped to zero.
+    @cached_property
+    def _clamped(self):
+        """``(t, zeta_1, ...) -> L`` generated from `_clamped_lines`."""
+        args = [f"z{i}" for i in range(self.arg_count)]
+        names: dict = {}
+        lines = ["total = 0.0", *self._clamped_lines(args, names)]
+        return _generate(", ".join(["t", *args]), "total", names, lines)
 
-        This is the path used inside integration right sides, where stage
-        values may transiently dip below zero by roundoff.
+    def _clamped_lines(self, args: Sequence[str], names: dict) -> list[str]:
+        """Source statements that add every term at ``t`` onto ``total``, with
+        the arguments read from the variables ``args``.
+
+        A term whose coefficient is zero adds nothing, and a term with an
+        argument at or below zero adds 0, so that stage values that dip below
+        zero by roundoff inside a right side are clamped.  The terms are
+        unrolled in order, with constant coefficients folded; the factors
+        multiply in turn, each power through ``**``.
         """
-        total = 0.0
-        for coeff, powers in self._fast_terms:
-            value = abs(coeff(t))
-            if value == 0.0:
-                continue
-            for i, k in powers:
-                z = zeta[i]
-                if z <= 0.0:
-                    value = 0.0
-                    break
-                value *= z ** k
-            total += value
-        return total
+        lines = []
+        for term in self.terms:
+            if isinstance(term.coeff, ConstantFn):
+                value = abs(term.coeff.value)
+                if value == 0.0:
+                    continue
+                lines.append(f"v = {_literal(value)}")
+                indent = ""
+            else:
+                lines += [f"v = abs({_source_of(term.coeff, names)})", "if v != 0.0:"]
+                indent = "    "
+            depth = ""
+            for z, k in ((args[i], k) for i, k in enumerate(term.exponents) if k > 0):
+                lines += [f"{indent}{depth}if {z} <= 0.0:", f"{indent}{depth}    v = 0.0",
+                          f"{indent}{depth}else:", f"{indent}{depth}    v *= {z} ** {k}"]
+                depth += "    "
+            lines.append(f"{indent}total += v")
+        return lines
 
     def with_extra_terms(self, extra: Iterable[PolynomialTerm]) -> "PolynomialMajorant":
         return PolynomialMajorant(self.terms + tuple(extra), self.arg_count,
@@ -158,7 +173,8 @@ def linearize_majorant(majorant: PolynomialMajorant, zeta_tilde: float) -> Linea
     A degree-d monomial keeps one power of its lowest participating argument
     and bounds the remaining d-1 powers by ``zeta_tilde``; attribution to the
     lowest index is deterministic and keeps the undelayed coefficient as
-    large as the rule permits.
+    large as the rule permits.  Each ``mu_i`` is one generated function,
+    ``|coeff_1(t)| * scale_1 + ...`` in term order.
     """
     if zeta_tilde <= 0.0:
         raise ValueError("zeta_tilde must be positive")
@@ -173,9 +189,7 @@ def linearize_majorant(majorant: PolynomialMajorant, zeta_tilde: float) -> Linea
     def make_mu(entries):
         if not entries:
             return ConstantFn(0.0)
-        if all(isinstance(c, ConstantFn) for c, _ in entries):
-            return ConstantFn(sum(abs(c.value) * s for c, s in entries))
-        frozen = tuple(entries)
-        return lambda t: sum(abs(c(t)) * s for c, s in frozen)
+        return _compose(" + ".join(f"abs({{}}) * {_literal(s)}" for _, s in entries),
+                        *(c for c, _ in entries))
 
     return LinearizedCoefficients(zeta_tilde, tuple(make_mu(b) for b in buckets))

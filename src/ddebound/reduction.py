@@ -14,6 +14,8 @@ the norm of the vector history.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -24,7 +26,7 @@ from .dde_core import (DelayProblem, DelaySpec, ScalarDelaySystem, ToleranceSett
                        Trajectory, VectorDelaySystem, integrate)
 from .linalg import matrix_norm_function
 from .majorant import PolynomialMajorant, PolynomialTerm
-from .timefn import ConstantFn, as_time_function, grid_supremum
+from .timefn import ConstantFn, _compose, as_time_function, grid_supremum
 
 __all__ = [
     "IllConditionedError",
@@ -144,11 +146,32 @@ class CoefficientPair:
         knots[0::2] = ts
         knots[1::2] = 0.5 * (ts[:-1] + ts[1:])
         _sigma_max, condition, rate = W.spectra(knots)
-        p_spline = CubicSpline(knots, rate)
-        c_spline = CubicSpline(knots, condition)
-        return cls(lambda s: float(p_spline(s)),
-                   lambda s: float(c_spline(s)),
+        return cls(_piecewise_cubic(CubicSpline(knots, rate)),
+                   _piecewise_cubic(CubicSpline(knots, condition)),
                    "numerical", t_hi=W.horizon)
+
+
+def _piecewise_cubic(spline: CubicSpline):
+    """``s -> spline(s)`` as a float, evaluated directly: the same piece and
+    the same sum as scipy's ``PPoly`` evaluation, bit for bit, without its
+    array conversions.
+
+    The piece is the last knot at or below ``s``, clipped to the end pieces,
+    which extrapolate.  The sum runs from the constant coefficient up, with
+    the powers of ``s - x_i`` built by repeated multiplication.  The
+    coefficients stay packed as doubles, as in the spline.
+    """
+    knots = spline.x.tolist()
+    cubic, quadratic, linear, constant = (array("d", row.tolist()) for row in spline.c)
+    last = len(knots) - 2
+
+    def evaluate(s: float) -> float:
+        i = min(max(bisect_right(knots, s) - 1, 0), last)
+        dx = s - knots[i]
+        dx2 = dx * dx
+        return 0.0 + constant[i] + linear[i] * dx + quadratic[i] * dx2 + cubic[i] * (dx2 * dx)
+
+    return evaluate
 
 
 def build_scalar_auxiliary(vs: VectorDelaySystem,
@@ -173,7 +196,7 @@ def build_scalar_auxiliary(vs: VectorDelaySystem,
         exponents = tuple(1 if i == 0 else 0 for i in range(majorant.arg_count))
         majorant = majorant.with_extra_terms([PolynomialTerm(norm_fn, exponents)])
     if vs.forcing_amplitude > 0.0:
-        forcing = lambda t: vs.forcing_amplitude * vs.forcing_norm(t)
+        forcing = _compose("{} * {}", ConstantFn(vs.forcing_amplitude), vs.forcing_norm)
     else:
         forcing = ConstantFn(0.0)
     return ScalarDelaySystem(
@@ -186,12 +209,6 @@ def build_scalar_auxiliary(vs: VectorDelaySystem,
         t0=vs.t0,
         coeff_horizon=coeffs.t_hi,
     )
-
-
-def _magnitude(fn):
-    if isinstance(fn, ConstantFn):
-        return ConstantFn(abs(fn.value))
-    return lambda t: abs(fn(t))
 
 
 def build_autonomous_auxiliary(ss: ScalarDelaySystem, horizon: float,
@@ -212,7 +229,7 @@ def build_autonomous_auxiliary(ss: ScalarDelaySystem, horizon: float,
         majorants.append(ss.perturbation.majorant)
     coeffs = [term.coeff for L in majorants for term in L.terms]
     p_hat, c_hat, forcing_hat, *coeff_hats = grid_supremum(
-        [ss.p, ss.c, _magnitude(ss.forcing)] + [_magnitude(c) for c in coeffs],
+        [ss.p, ss.c, *(_compose("abs({})", fn) for fn in (ss.forcing, *coeffs))],
         t_lo, t_hi, margin)
     coeff_hats = iter(coeff_hats)
     frozen = [PolynomialMajorant(

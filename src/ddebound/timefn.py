@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .expressions import Expression
+from .expressions import Expression, _generate
 
 __all__ = [
     "TimeFunction",
@@ -50,6 +50,40 @@ def as_time_function(value) -> TimeFunction:
     if callable(value):
         return value
     raise TypeError(f"cannot interpret {value!r} as a function of time")
+
+
+def _literal(value: float) -> str:
+    """Source of a float constant (negative ones parenthesized)."""
+    text = repr(float(value))
+    return f"({text})" if text.startswith("-") else text
+
+
+def _source_of(fn: TimeFunction, names: dict) -> str:
+    """Source that reads ``fn`` at ``t`` inside generated code: a literal for
+    a constant, the inlined body of a generated time function, else a call of
+    ``fn``, which joins ``names``.  Names are keyed by object identity, so
+    inlined bodies never clash."""
+    if isinstance(fn, ConstantFn):
+        return _literal(fn.value)
+    inline = getattr(fn, "inline_source", None)
+    if inline is not None:
+        body, inner = inline
+        names.update(inner)
+        return f"({body})"
+    name = f"_f{id(fn)}"
+    names[name] = fn
+    return f"{name}(t)"
+
+
+def _compose(template: str, *fns: TimeFunction) -> TimeFunction:
+    """The time function ``template.format(*values at t)``, generated once
+    with every argument inlined (`_source_of`): the arithmetic of the
+    template, in its order, and a `ConstantFn` when every argument is one."""
+    names: dict = {}
+    fn = _generate("t", template.format(*(_source_of(f, names) for f in fns)), names)
+    if all(isinstance(f, ConstantFn) for f in fns):
+        return ConstantFn(fn(0.0))
+    return fn
 
 
 class _MemoLast:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .linalg import matrix_norm_function
 from .majorant import PolynomialMajorant, PolynomialTerm, majorize_polynomial
-from .timefn import ConstantFn, TimeFunction, as_time_function
+from .timefn import ConstantFn, TimeFunction, _compose, as_time_function
 
 __all__ = ["PolynomialVectorField", "DelayedMatrixTerm", "NonlinearTerm"]
 
@@ -136,13 +136,9 @@ class NonlinearTerm:
             base = PolynomialMajorant.zero(self.delay_count + 1)
         extra = []
         for term in self.matrix_terms:
-            norm_fn = matrix_norm_function(term.matrix)
-            weight = abs(term.weight)
+            coeff = _compose("{} * {}", ConstantFn(abs(term.weight)),
+                             matrix_norm_function(term.matrix))
             exponents = tuple(1 if i == term.slot else 0
                               for i in range(self.delay_count + 1))
-            if isinstance(norm_fn, ConstantFn):
-                coeff = ConstantFn(weight * norm_fn.value)
-            else:
-                coeff = (lambda s, f=norm_fn, w=weight: w * f(s))
             extra.append(PolynomialTerm(coeff, exponents))
         return base.with_extra_terms(extra) if extra else base

@@ -325,6 +325,36 @@ class TestSupNorm:
         assert tent.sup_norm() == 1.0
         assert tent.sup_norm(0.5, 1.5) == 1.0
 
+    def test_bernstein_screen_bounds_random_quartics(self):
+        # the step bound is at least the quartic's norm on a fine grid and at
+        # most the triangle bound | |y_k| + sum_j |q_kj| |
+        rng = np.random.default_rng(12)
+        steps, dim = 400, 3
+        ys = rng.normal(0.0, 1.0, (steps + 1, dim)) * rng.uniform(1e-3, 1e3, (steps + 1, 1))
+        coeffs = rng.normal(0.0, 1.0, (steps, 4, dim)) * rng.uniform(1e-3, 1e3, (steps, 1, 1))
+        traj = Trajectory(np.arange(steps + 1.0), ys, coeffs, float(steps))
+        bound = traj._step_bounds(0, steps)
+        theta = np.linspace(0.0, 1.0, 10_001)[:, None, None]
+        values = dde_core._dense(ys[:-1], np.moveaxis(coeffs, 1, 0), theta)
+        peak = np.linalg.norm(values, axis=2).max(axis=0)
+        triangle = np.linalg.norm(np.abs(ys[:-1]) + np.abs(coeffs).sum(axis=1), axis=1)
+        assert np.all(bound >= peak)
+        assert np.all(bound <= triangle)
+        assert np.mean(bound < 0.9 * triangle) > 0.5
+
+    def test_bernstein_screen_passes_few_steps_of_an_oscillation(self):
+        # y' = -y(t-2) oscillates with growing amplitude; the screen of the
+        # last stretch passes only the steps near its peak
+        osc = integrate(DelayProblem(lambda t, y, z: -z[0], DelaySpec.constant([2.0]),
+                                     HistoryFunction.constant([1.0])), 30.0, TIGHT)
+        lo, hi, first, last = osc._window(20.0, 30.0)
+        best = float(np.max(osc.norm_grid(np.linspace(lo, hi, 1001))))
+        passed = np.count_nonzero(osc._step_bounds(first, last) * (1.0 + dde_core._SCREEN_SLACK)
+                                  > best)
+        triangle = np.linalg.norm(np.abs(osc.ys[first:last])
+                                  + np.abs(osc.coeffs[first:last]).sum(axis=1), axis=1)
+        assert passed < np.count_nonzero(triangle > best)
+
     def test_interior_maxima_match_a_fine_grid(self):
         # an elliptic spiral and the growing oscillation of y' = -y(t-2)
         # peak inside their steps

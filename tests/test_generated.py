@@ -1,0 +1,333 @@
+"""The generated coefficients and right sides are bit-identical to the
+compositions they replace: the forcing magnitude, the linear comparison
+coefficients, both scalar right sides and the reduction's splines.
+
+Each reference below is the former composition written out: lambdas over
+``np.linalg.norm``, over ``sum`` and over a per-term loop.  Floats are
+compared by their bits, so a signed zero counts.
+"""
+
+import math
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.interpolate import CubicSpline
+
+from ddebound import (DelayProblem, DelaySpec, HistoryFunction, PolynomialMajorant,
+                      PolynomialTerm, ToleranceSettings, integrate, integrate_batch,
+                      linearize_majorant, parse_expression)
+from ddebound.analysis import build_perturbed_scalar
+from ddebound.cli import _bundled_config, assemble_pipeline, build_linear_chain
+from ddebound.config import load_config
+from ddebound.linalg import VectorFunction, matrix_norm_function
+from ddebound.reduction import CoefficientPair, _piecewise_cubic, compute_fundamental_matrix
+from ddebound.timefn import ConstantFn
+
+REDUCE_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "reduce.cfg"
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def _same(a, b) -> bool:
+    return np.array_equal(_bits(a), _bits(b))
+
+
+def _config(name):
+    return load_config(REDUCE_CONFIG) if name == "reduce" else _bundled_config(name)
+
+
+@pytest.fixture(scope="module", params=["a", "b", "reduce"])
+def pipe(request):
+    return assemble_pipeline(_config(request.param))
+
+
+def _times(pipe, count=1000):
+    rng = np.random.default_rng(11)
+    return np.concatenate([np.linspace(pipe.vector_system.t0, pipe.horizon, count // 2),
+                           rng.uniform(pipe.vector_system.t0, pipe.horizon,
+                                       count - count // 2)]).tolist()
+
+
+def _library_norm(shape):
+    return lambda t: float(np.linalg.norm(np.asarray(shape(t), dtype=float)))
+
+
+# -- the former compositions ------------------------------------------------
+
+def _old_clamped(majorant, t, zeta):
+    total = 0.0
+    for term in majorant.terms:
+        value = abs(term.coeff(t))
+        if value == 0.0:
+            continue
+        for i, k in enumerate(term.exponents):
+            if k == 0:
+                continue
+            z = zeta[i]
+            if z <= 0.0:
+                value = 0.0
+                break
+            value *= z ** k
+        total += value
+    return total
+
+
+def _old_scalar_rhs(ss, forcing, t, y, delayed):
+    state = y[0]
+    m = ss.delays.count
+    zeta = [state] + [z[0] for z in delayed[:m]]
+    value = _old_clamped(ss.majorant, t, zeta) + abs(forcing(t))
+    if ss.perturbation is not None:
+        zeta_r = [state] + [z[0] for z in delayed[m:]]
+        value += _old_clamped(ss.perturbation.majorant, t, zeta_r)
+    return np.array([ss.p(t) * state + ss.c(t) * value])
+
+
+def _old_linear(pipe, zeta_tilde):
+    """rate, delayed coefficients and forcing shape as lambdas over ``sum``."""
+    scalar = pipe.scalar_system
+    p, c = pipe.coefficients.p, pipe.coefficients.c
+    buckets = [[] for _ in range(scalar.majorant.arg_count)]
+    for term in scalar.majorant.terms:
+        target = next(i for i, k in enumerate(term.exponents) if k > 0)
+        buckets[target].append((term.coeff, zeta_tilde ** (term.degree - 1)))
+    mu = [lambda t, b=tuple(b): sum(abs(f(t)) * s for f, s in b) for b in buckets]
+    norm = _library_norm(pipe.vector_system.forcing_shape)
+    rate = lambda t: p(t) + c(t) * abs(mu[0](t))
+    delayed = [lambda t, g=m: c(t) * abs(g(t)) for m in mu[1:]]
+    if isinstance(c, ConstantFn) and c.value == 1.0:
+        shape = norm
+    else:
+        shape = lambda t: c(t) * norm(t)
+    return rate, delayed, shape
+
+
+def _old_linear_rhs(rate, delayed_coeffs, shape, amplitude, t, y, delayed):
+    value = rate(t) * y[0]
+    for g, z in zip(delayed_coeffs, delayed):
+        value += g(t) * z[0]
+    if amplitude != 0.0:
+        value += amplitude * shape(t)
+    return np.array([value])
+
+
+def _states(rng, count):
+    """Stage values of both signs, with exact zeros among them."""
+    values = rng.uniform(-0.3, 1.2, count)
+    values[::17] = 0.0
+    return values
+
+
+# -- the forcing magnitude --------------------------------------------------
+
+class TestForcingMagnitude:
+    @pytest.mark.parametrize("name", ["a", "b", "reduce"])
+    def test_equals_the_library_norm_at_10000_points(self, name):
+        cfg = _config(name)
+        vs = cfg.build_vector_system()
+        assert isinstance(vs.forcing_shape, VectorFunction)
+        library = _library_norm(vs.forcing_shape)
+        grid = np.linspace(cfg.system.t0, cfg.horizon, 10_000).tolist()
+        assert _same([vs.forcing_norm(t) for t in grid], [library(t) for t in grid])
+
+    def test_two_entries_within_one_ulp(self):
+        shape = VectorFunction(2, {0: parse_expression("sin(10*t)"),
+                                   1: parse_expression("0.5*cos(3*t) + 0.1")})
+        library = _library_norm(shape)
+        for t in np.linspace(0.0, 20.0, 10_000).tolist():
+            value = shape.norm(t)
+            assert abs(value - library(t)) <= math.ulp(library(t))
+
+    def test_several_entries_sum_their_squares_in_index_order(self):
+        entries = {0: parse_expression("sin(t)"), 2: parse_expression("exp(-t)"),
+                   1: parse_expression("1.5*cos(7*t)")}
+        shape = VectorFunction(3, entries)
+        fns = [entries[i].compiled() for i in range(3)]
+        for t in np.linspace(0.0, 10.0, 1000).tolist():
+            e0, e1, e2 = (f(t) for f in fns)
+            assert _same(shape.norm(t), math.sqrt(e0 * e0 + e1 * e1 + e2 * e2))
+
+    def test_constant_entries_fold(self):
+        norm = VectorFunction(2, {1: -0.5}).norm
+        assert isinstance(norm, ConstantFn) and norm.value == 0.5
+        assert _same(VectorFunction(2, {0: 3.0, 1: 4.0}).norm(0.0), 5.0)
+
+    def test_plain_callable_shape_keeps_the_library_norm(self, pipe):
+        shape = lambda t: np.array([0.0, math.sin(10.0 * t)])
+        vs = replace(pipe.vector_system, forcing_shape=shape)
+        for t in _times(pipe, 200):
+            assert _same(vs.forcing_norm(t), _library_norm(shape)(t))
+
+
+# -- the comparison coefficients and right sides ----------------------------
+
+class TestLinearCoefficients:
+    def test_equal_the_composition_of_lambdas(self, pipe):
+        linear, _constant = build_linear_chain(pipe)
+        rate, delayed, shape = _old_linear(pipe, pipe.config.reduction.zeta_tilde)
+        times = _times(pipe)
+        assert _same([linear.rate(t) for t in times], [rate(t) for t in times])
+        for new, old in zip(linear.delayed_coeffs, delayed, strict=True):
+            assert _same([new(t) for t in times], [old(t) for t in times])
+        assert _same([linear.forcing_shape(t) for t in times], [shape(t) for t in times])
+
+    def test_mu_equals_the_sum_over_its_bucket(self):
+        # four terms share the delayed argument's bucket, one constant
+        coeffs = [parse_expression(text).compiled()
+                  for text in ("sin(t)", "3*cos(2*t)", "exp(-t) - 0.5")] + [0.7]
+        L = PolynomialMajorant(tuple(PolynomialTerm(c, (0, k + 1))
+                                     for k, c in enumerate(coeffs)), 2)
+        lc = linearize_majorant(L, 0.3)
+        assert isinstance(lc.mu[0], ConstantFn) and lc.mu[0].value == 0.0
+        scales = [0.3 ** k for k in range(4)]
+        fns = [c if callable(c) else (lambda t, v=c: v) for c in coeffs]
+        for t in np.linspace(0.0, 10.0, 1000).tolist():
+            assert _same(lc.mu[1](t), sum(abs(f(t)) * s for f, s in zip(fns, scales)))
+
+    def test_rhs_equals_the_composition(self, pipe):
+        linear, constant = build_linear_chain(pipe)
+        rate, delayed, shape = _old_linear(pipe, pipe.config.reduction.zeta_tilde)
+        rng = np.random.default_rng(5)
+        times = _times(pipe)
+        ys, zs = _states(rng, len(times)), _states(rng, len(times))
+        for amplitude in (0.0, 0.37):
+            forced = replace(linear, forcing_amplitude=amplitude)
+            for t, y, z in zip(times, ys, zs):
+                args = (t, np.array([y]), [np.array([z])])
+                assert _same(forced.rhs(*args),
+                             _old_linear_rhs(rate, delayed, shape, amplitude, *args))
+        # the constant-coefficient U: literals in place of calls
+        for t, y, z in zip(times[:50], ys, zs):
+            args = (t, np.array([y]), [np.array([z])])
+            assert _same(constant.rhs(*args), _old_linear_rhs(
+                constant.rate, constant.delayed_coeffs, constant.forcing_shape,
+                constant.forcing_amplitude, *args))
+
+
+class TestScalarRhs:
+    def _check(self, ss, forcing, times, rng):
+        count = ss.delays.count + (ss.perturbation.delays.count if ss.perturbation else 0)
+        ys = _states(rng, len(times))
+        zs = [_states(rng, len(times)) for _ in range(count)]
+        for k, t in enumerate(times):
+            args = (t, np.array([ys[k]]), [np.array([z[k]]) for z in zs])
+            assert _same(ss.rhs(*args), _old_scalar_rhs(ss, forcing, *args))
+
+    def test_equals_the_term_loop(self, pipe):
+        vs = pipe.vector_system
+        norm = _library_norm(vs.forcing_shape)
+        forcing = lambda t: vs.forcing_amplitude * norm(t)
+        assert _same([pipe.scalar_system.forcing(t) for t in _times(pipe)],
+                     [forcing(t) for t in _times(pipe)])
+        self._check(pipe.scalar_system, forcing, _times(pipe), np.random.default_rng(7))
+        homogeneous = pipe.scalar_system.homogeneous()
+        self._check(homogeneous, homogeneous.forcing, _times(pipe), np.random.default_rng(8))
+
+    def test_delayed_matrix_coefficient(self, pipe):
+        # the majorant coefficient |weight| * |A1(t)| of the delayed coupling
+        f = pipe.vector_system.f
+        (term,) = f.matrix_terms
+        coeff = f.majorize().terms[-1].coeff
+        norm = matrix_norm_function(term.matrix)
+        times = _times(pipe)
+        assert _same([coeff(t) for t in times], [abs(term.weight) * norm(t) for t in times])
+
+    def test_perturbed_system(self, pipe):
+        # a zero constant term, a coefficient that vanishes on half the
+        # times, a constant term and a delay-only term
+        bump = PolynomialMajorant((
+            PolynomialTerm(0.0, (1, 1, 0)),
+            PolynomialTerm(lambda t: max(0.0, math.sin(t)), (1, 0, 2)),
+            PolynomialTerm(1e-3, (0, 0, 0)),
+            PolynomialTerm(parse_expression("0.2*cos(3*t)"), (0, 2, 1)),
+        ), 3, allow_constant_terms=True)
+        ss = build_perturbed_scalar(pipe.scalar_system, bump, DelaySpec.constant([0.51, 0.7]))
+        self._check(ss, ss.forcing, _times(pipe), np.random.default_rng(9))
+
+    def test_majorant_evaluate_equals_the_term_loop(self, pipe):
+        majorant = pipe.scalar_system.majorant
+        rng = np.random.default_rng(3)
+        for t in _times(pipe, 300):
+            zeta = tuple(rng.uniform(0.0, 2.0, majorant.arg_count).tolist())
+            assert _same(majorant.evaluate(t, zeta), _old_clamped(majorant, t, zeta))
+
+
+# -- the reduction's splines ------------------------------------------------
+
+class TestDirectSpline:
+    def _points(self, knots, rng):
+        mids = 0.5 * (knots[:-1] + knots[1:])
+        span = knots[-1] - knots[0]
+        return np.concatenate([
+            knots, mids, [knots[0], knots[-1], np.nextafter(knots[-1], -np.inf),
+                          np.nextafter(knots[0], np.inf)],
+            rng.uniform(knots[0], knots[-1], 2000),
+            rng.uniform(knots[0] - 0.2 * span, knots[0], 50),
+            rng.uniform(knots[-1], knots[-1] + 0.2 * span, 50)]).tolist()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_library_evaluation(self, seed):
+        rng = np.random.default_rng(seed)
+        knots = np.cumsum(rng.uniform(1e-3, 0.5, 300))
+        spline = CubicSpline(knots, np.sin(knots) + rng.normal(0.0, 0.1, knots.size))
+        direct = _piecewise_cubic(spline)
+        points = self._points(knots, rng)
+        assert _same([direct(s) for s in points], [float(spline(s)) for s in points])
+
+    def test_reduction_coefficients(self):
+        # p and c of the numerical reduction read as CubicSpline.__call__ would
+        cfg = load_config(REDUCE_CONFIG)
+        W = compute_fundamental_matrix(cfg.a0_matrix(), cfg.system.t0, cfg.horizon,
+                                       ToleranceSettings(rtol=1e-8, atol=1e-12, cap=math.inf))
+        pair = CoefficientPair.from_fundamental(W)
+        ts = W.trajectory.ts
+        knots = np.empty(2 * ts.size - 1)
+        knots[0::2] = ts
+        knots[1::2] = 0.5 * (ts[:-1] + ts[1:])
+        _sigma_max, condition, rate = W.spectra(knots)
+        points = self._points(knots, np.random.default_rng(4))
+        for direct, values in ((pair.p, rate), (pair.c, condition)):
+            spline = CubicSpline(knots, values)
+            assert _same([direct(s) for s in points], [float(spline(s)) for s in points])
+
+
+# -- constant histories ----------------------------------------------------
+
+class TestConstantHistories:
+    def test_norm_of_a_constant_history_is_constant(self):
+        history = HistoryFunction.constant([0.3, -0.4])
+        norm = history.norm()
+        assert _same(norm.vector, [float(np.linalg.norm(history.vector))])
+        assert _same(norm(-1.0), [0.5])
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_stacked_lookups_equal_the_per_member_calls(self, pipe, batch):
+        vs = replace(pipe.vector_system, forcing_amplitude=0.0, forcing_shape=None)
+        values = [np.array([0.3, -0.2]), np.array([0.05, 0.1])]
+        constant = [HistoryFunction.constant(v) for v in values]
+        called = [HistoryFunction(lambda t, v=v: v, 2) for v in values]
+        assert all(h.vector is None for h in called)
+        if batch:
+            a = integrate_batch(vs, constant, 10.0)
+            b = integrate_batch(vs, called, 10.0)
+        else:
+            a = [integrate(replace(vs, history=constant[0]), 10.0)]
+            b = [integrate(replace(vs, history=called[0]), 10.0)]
+        for x, y in zip(a, b, strict=True):
+            assert _same(x.ys, y.ys) and _same(x.coeffs, y.coeffs)
+
+    def test_right_side_cannot_write_into_a_history(self):
+        seen = []
+
+        def rhs(t, y, delayed):
+            seen.append(delayed[0].flags.writeable)
+            return -delayed[0]
+
+        history = HistoryFunction.constant([1.0])
+        integrate(DelayProblem(rhs, DelaySpec.constant([1.0]), history), 0.5)
+        assert seen and not any(seen)
+        assert _same(history.vector, [1.0])
