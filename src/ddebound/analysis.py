@@ -21,7 +21,7 @@ from .dde_core import (DelaySpec, HistoryFunction, Perturbation, ScalarDelaySyst
                        IntegrationError, ToleranceSettings, Trajectory,
                        VectorDelaySystem, integrate, integrate_batch)
 from .majorant import PolynomialMajorant
-from .timefn import ConstantFn
+from .timefn import ConstantFn, sample
 
 __all__ = [
     "BoundReport",
@@ -63,17 +63,15 @@ def _check_matched_histories(trajs: Sequence[Trajectory], tol: float) -> None:
     spans = [t.history_span for t in trajs if t.history is not None]
     if len(spans) < len(trajs):
         raise ValueError("all trajectories must carry their history functions")
-    span = min(spans)
     t0 = trajs[0].t_start
-    grid = np.linspace(t0 - span, t0, 64)
-    for t in grid:
-        t = float(t)
-        reference = float(np.linalg.norm(trajs[0].history(t)))
-        for other in trajs[1:]:
-            value = float(np.linalg.norm(other.history(t)))
-            if abs(value - reference) > tol * max(1.0, abs(reference)):
-                raise ValueError(
-                    f"histories not matched at t={t!r}: norm {reference!r} vs {value!r}")
+    grid, (reference, *others) = sample(
+        [traj.history.reduced(np.linalg.norm) for traj in trajs], t0 - min(spans), t0)
+    for values in others:
+        apart = np.abs(values - reference) > tol * np.maximum(1.0, np.abs(reference))
+        if apart.any():
+            i = int(np.argmax(apart))
+            raise ValueError(f"histories not matched at t={float(grid[i])!r}: "
+                             f"norm {float(reference[i])!r} vs {float(values[i])!r}")
 
 
 def verify_pointwise_ordering(trajs: Sequence[Trajectory], grid: int | np.ndarray = 2000,
@@ -159,7 +157,8 @@ def classify_fts(traj: Trajectory, alpha: float, beta: float, T: float,
         raise ValueError(f"T={T!r} extends past the trajectory horizon {traj.t_end!r}")
     if traj.history is None:
         raise ValueError("trajectory must carry its history for the alpha check")
-    history_sup = traj.history.sup_norm(t0 - max(traj.history_span, 0.0), t0)
+    history_sup = float(np.max(sample([traj.history.reduced(np.linalg.norm)],
+                                      t0 - max(traj.history_span, 0.0), t0)[1]))
     if history_sup >= alpha:
         raise ValueError(f"history sup norm {history_sup!r} is not below alpha={alpha!r}")
 

@@ -28,7 +28,7 @@ from .majorant import PolynomialMajorant, linearize_majorant
 from .plotting import Curve, emit_csv, emit_region_svg, emit_svg
 from .reduction import (CoefficientPair, IllConditionedError, build_autonomous_auxiliary,
                         build_scalar_auxiliary, compute_fundamental_matrix)
-from .timefn import ConstantFn, grid_supremum
+from .timefn import ConstantFn, grid_supremum, grid_values
 
 __all__ = ["main", "run_command", "UsageError", "assemble_pipeline",
            "fig1_protocol", "fig2_protocol"]
@@ -198,8 +198,7 @@ def _cmd_reduce(args) -> int:
     pipe = assemble_pipeline(cfg, args.horizon, args.rtol, args.cap)
     scalar = pipe.scalar_system
     grid = np.linspace(scalar.t0, pipe.horizon, cfg.output.grid)
-    p_vals = np.array([pipe.coefficients.p(float(t)) for t in grid])
-    c_vals = np.array([pipe.coefficients.c(float(t)) for t in grid])
+    p_vals, c_vals = grid_values([pipe.coefficients.p, pipe.coefficients.c], grid)
     out = _out_dir(args)
     emit_csv([("t", grid), ("p", p_vals), ("c", c_vals)], out / "reduce.csv")
     auto = pipe.autonomous_system

@@ -119,10 +119,6 @@ class RunConfig:
     # -- assembly helpers --------------------------------------------------
     def delay_spec(self) -> DelaySpec:
         sc = self.system
-        if not sc.delay_exprs:
-            return DelaySpec.none()
-        if all(e.is_constant() for e in sc.delay_exprs):
-            return DelaySpec.constant([e.constant_value() for e in sc.delay_exprs])
         return DelaySpec.from_functions(sc.delay_exprs, sc.t0, self.horizon)
 
     def a0_matrix(self) -> MatrixFunction:

@@ -37,8 +37,8 @@ import numpy as np
 from .expressions import _generate
 from .linalg import VectorFunction
 from .majorant import PolynomialMajorant
-from .timefn import (TimeFunction, _golden_minimum, _source_of, as_time_function,
-                     locate_zeros)
+from .timefn import (ConstantFn, TimeFunction, _golden_minimum, _source_of,
+                     as_time_function, grid_values, locate_zeros, sample)
 from .vectorfield import NonlinearTerm
 
 __all__ = [
@@ -65,9 +65,6 @@ _PI_BETA = 0.4 / 5.0
 _ERR_EXPONENT = -1.0 / 5.0
 _EPS = float(np.finfo(float).eps)
 _MAX_STEPS = 10_000_000
-# sample counts of the delay-bound and history checks
-_DELAY_SAMPLES = 512
-_HISTORY_SAMPLES = 256
 # floats a root of the cap crossing may be stepped up by until it reads the cap
 _NUDGE_ULPS = 4
 # relative slack of the crossing screen: the Horner evaluation of a step's
@@ -154,9 +151,11 @@ class ToleranceSettings:
 class DelaySpec:
     """Delay functions with certified positive lower / finite upper bounds.
 
-    ``h_bar`` / ``h_under`` are the max-sup / min-inf of the delays; for
-    time-varying delays they are sampled, extremes refined (`from_functions`,
-    `validate_on`), for constant delays they are exact.
+    ``h_bar`` / ``h_under`` are the max-sup / min-inf of the delays.  For
+    time-varying delays `from_functions` reads them on the one sampling grid
+    (`timefn.sample`, 10,000 points) and refines the extremes, and
+    `validate_on` checks the band on that grid; constant delays are decided
+    exactly, without sampling.
     """
 
     delays: tuple[TimeFunction, ...]
@@ -185,33 +184,29 @@ class DelaySpec:
         delay_fns = tuple(as_time_function(f) for f in fns)
         if not delay_fns:
             return cls.none()
-        grid = np.linspace(t0, horizon, _DELAY_SAMPLES)
-        h_bar = -math.inf
-        h_under = math.inf
-        for fn in delay_fns:
-            values = np.array([fn(float(t)) for t in grid])
-            h_bar = max(h_bar, -_refined_minimum(lambda t: -fn(t), grid, -values))
-            h_under = min(h_under, _refined_minimum(fn, grid, values))
+        grid, rows = sample(delay_fns, t0, horizon)
+        h_bar = max(-_refined_minimum(lambda t, fn=fn: -fn(t), grid, -values)
+                    for fn, values in zip(delay_fns, rows))
+        h_under = min(_refined_minimum(fn, grid, values) for fn, values in zip(delay_fns, rows))
         if h_under <= 0:
-            raise ValueError(f"minimal sampled delay {h_under!r} is not positive")
+            raise ValueError(f"minimal delay {h_under!r} is not positive")
         if not math.isfinite(h_bar):
             raise ValueError("delays must be bounded")
         return cls(delay_fns, h_bar, h_under)
 
     def validate_on(self, t0: float, horizon: float) -> None:
-        """Re-check ``0 < h_under <= h_i(t) <= h_bar`` by sampling."""
+        """Re-check ``0 < h_under <= h_i(t) <= h_bar`` on the sampling grid."""
         if not self.delays:
             return
         if self.h_under <= 0 or not math.isfinite(self.h_bar):
             raise ValueError("delay bounds must satisfy 0 < h_under <= h_bar < inf")
-        grid = np.linspace(t0, horizon, _DELAY_SAMPLES)
-        for k, fn in enumerate(self.delays):
-            for t in grid:
-                h = fn(float(t))
-                if not (self.h_under - 1e-12 <= h <= self.h_bar + 1e-12):
-                    raise ValueError(
-                        f"delay {k + 1} value {h!r} at t={float(t)!r} leaves "
-                        f"[{self.h_under}, {self.h_bar}]")
+        grid, rows = sample(self.delays, t0, horizon)
+        outside = np.argwhere(~((self.h_under - 1e-12 <= rows) & (rows <= self.h_bar + 1e-12)))
+        if outside.size:
+            k, i = outside[0]
+            raise ValueError(
+                f"delay {k + 1} value {float(rows[k, i])!r} at t={float(grid[i])!r} leaves "
+                f"[{self.h_under}, {self.h_bar}]")
 
     def merged_with(self, other: "DelaySpec") -> "DelaySpec":
         if not other.delays:
@@ -290,25 +285,20 @@ class HistoryFunction:
     def covers(self, t_lo: float, t_hi: float) -> bool:
         return self.t_min <= t_lo + 1e-12 and self.t_max >= t_hi - 1e-12
 
+    def reduced(self, reduce: Callable[[np.ndarray], float]) -> TimeFunction:
+        """The time function ``t -> reduce(phi(t))``: a `ConstantFn` for a
+        constant history, so that checks decide it exactly."""
+        if self.vector is not None:
+            return ConstantFn(float(reduce(self.vector)))
+        return lambda t: float(reduce(self(t)))
+
     def norm(self) -> "HistoryFunction":
         """Scalar history ``t -> |phi(t)|`` (same arithmetic as the checks),
         itself constant when ``phi`` is."""
-        if self.vector is not None:
-            return HistoryFunction.constant([float(np.linalg.norm(self.vector))])
-        base = self
-
-        def evaluate(t: float) -> np.ndarray:
-            return np.array([float(np.linalg.norm(base(t)))])
-
-        return HistoryFunction(evaluate, 1, self.t_min, self.t_max)
-
-    def sup_norm(self, t_lo: float, t_hi: float) -> float:
-        grid = np.linspace(t_lo, t_hi, _HISTORY_SAMPLES)
-        return max(float(np.linalg.norm(self(float(t)))) for t in grid)
-
-    def min_value(self, t_lo: float, t_hi: float) -> float:
-        grid = np.linspace(t_lo, t_hi, _HISTORY_SAMPLES)
-        return min(float(np.min(self(float(t)))) for t in grid)
+        magnitude = self.reduced(np.linalg.norm)
+        if isinstance(magnitude, ConstantFn):
+            return HistoryFunction.constant([magnitude.value])
+        return HistoryFunction(lambda t: np.array([magnitude(t)]), 1, self.t_min, self.t_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,20 +379,26 @@ class VectorDelaySystem:
 
     def problem(self, horizon: float) -> DelayProblem:
         problem = DelayProblem(self.rhs, self.delays, self.history, self.t0)
-        # homogeneous part must vanish at the origin
+        # homogeneous part must vanish at the origin; checked on 16 points,
+        # not the 10,000 of the sampling grid: each point is a full call of
+        # the nonlinear term (7 to 10 us on bundled case a), and the check
+        # runs on every integrate_batch round, 16 times per round of the
+        # benchmark's 5-angle region sweep, where 10,000 points would add
+        # more than a second per round
         if self.f is not None:
             zero = np.zeros(self.dim)
             zeros = [zero] * self.delays.count
-            for t in np.linspace(self.t0, horizon, 16):
-                residue = float(np.linalg.norm(self.f(float(t), zero, zeros)))
-                if residue > 1e-10:
-                    raise ValueError(
-                        f"nonlinear term does not vanish at the origin (|f|={residue!r} "
-                        f"at t={float(t)!r})")
+            grid = np.linspace(self.t0, horizon, 16)
+            (residues,) = grid_values([lambda t: float(np.linalg.norm(self.f(t, zero, zeros)))],
+                                      grid)
+            k = int(np.argmax(residues > 1e-10))
+            if residues[k] > 1e-10:
+                raise ValueError(
+                    f"nonlinear term does not vanish at the origin "
+                    f"(|f|={float(residues[k])!r} at t={float(grid[k])!r})")
         if self.forcing_amplitude > 0.0:
             span = max(horizon - self.t0, 20.0)
-            grid = np.linspace(self.t0, self.t0 + span, 2048)
-            sup = max(self.forcing_norm(float(t)) for t in grid)
+            sup = float(np.max(sample([self.forcing_norm], self.t0, self.t0 + span)[1]))
             if not 0.95 <= sup <= 1.05:
                 raise ValueError(
                     f"forcing shape must have unit sup norm; sampled sup is {sup!r}")
@@ -495,11 +491,13 @@ class ScalarDelaySystem:
             raise ValueError(
                 f"coefficients are only valid up to t={self.coeff_horizon}, "
                 f"requested horizon {horizon}")
-        if self.history.min_value(self.t0 - spec.h_bar, self.t0) < -1e-12:
+        lowest = sample([self.history.reduced(np.min)], self.t0 - spec.h_bar, self.t0)[1]
+        if np.min(lowest) < -1e-12:
             raise ValueError("scalar history must be nonnegative")
-        for t in np.linspace(self.t0, horizon, 64):
-            if self.c(float(t)) < 1.0 - 1e-9:
-                raise ValueError(f"condition-number coefficient c({float(t)!r}) < 1")
+        grid, (c_values,) = sample([self.c], self.t0, horizon)
+        k = int(np.argmax(c_values < 1.0 - 1e-9))
+        if c_values[k] < 1.0 - 1e-9:
+            raise ValueError(f"condition-number coefficient c({float(grid[k])!r}) < 1")
         return replace(problem, kinks=locate_zeros(self.forcing, self.t0, horizon))
 
 

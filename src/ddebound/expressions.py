@@ -43,26 +43,29 @@ __all__ = [
 _FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "abs": abs}
 # names the generated source refers to; non-finite literals print as inf, nan
 _NAMESPACE = {**{f"_{name}": fn for name, fn in _FUNCTIONS.items()},
-              "_pow": math.pow, "inf": math.inf, "nan": math.nan}
+              "_pow": math.pow, "_sqrt": math.sqrt, "_hypot": math.hypot,
+              "inf": math.inf, "nan": math.nan}
 
 _BINARY_OPS = ("+", "-", "*", "/", "^")
 
 
-def _generate(params: str, result: str, names=None, lines=()):
+def _generate(params: str, result: str, names=None, lines=(), namespace=_NAMESPACE):
     """``def _generated(params): lines; return result``, compiled once from
     generated source (never user text) with the expression functions and
     ``names`` in scope.
 
-    A function of ``t`` alone without statements keeps its ``result`` and
-    ``names`` as ``inline_source``, so that generated code reading it can
-    inline its body instead of calling it.
+    The function keeps ``(params, lines, result, names)`` as ``source``:
+    generated code reading a function of ``t`` alone without statements
+    inlines its body instead of calling it, and `timefn.grid_values` runs a
+    function of ``t`` on a whole array of times, with ``namespace`` in place
+    of the scalar expression functions.
     """
-    source = "\n    ".join([f"def _generated({params}):", *lines, f"return {result}"])
-    namespace = {**_NAMESPACE, **(names or {})}
-    exec(source, namespace)
-    fn = namespace["_generated"]
-    if params == "t" and not lines:
-        fn.inline_source = (result, dict(names or {}))
+    names = dict(names or {})
+    text = "\n    ".join([f"def _generated({params}):", *lines, f"return {result}"])
+    scope = {**namespace, **names}
+    exec(text, scope)
+    fn = scope["_generated"]
+    fn.source = (params, tuple(lines), result, names)
     return fn
 
 

@@ -7,13 +7,13 @@ with; no attempt is made to scale beyond that.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .expressions import _generate
-from .timefn import ConstantFn, _compose, _source_of, as_time_function, memoize_last
+from .timefn import (ConstantFn, _compose, _literal, _source_of, as_time_function,
+                     memoize_last)
 
 __all__ = [
     "spectral_norm",
@@ -21,6 +21,15 @@ __all__ = [
     "VectorFunction",
     "matrix_norm_function",
 ]
+
+
+# the largest singular value of [[a, b], [c, d]]: the square root of the
+# largest eigenvalue of the Gram matrix, as source that `spectral_norm` and the
+# generated norms of `MatrixFunction` share; a max(., 0.0) under the root would
+# be a no-op (trace and hypot are nonnegative, and max(nan, 0.0) is nan)
+_GRAM_LINES = ("g11 = a * a + c * c", "g22 = b * b + d * d", "g12 = a * b + c * d")
+_NORM_2X2 = "_sqrt(0.5 * (g11 + g22 + _hypot(g11 - g22, 2.0 * g12)))"
+_norm_2x2 = _generate("a, b, c, d", _NORM_2X2, lines=_GRAM_LINES)
 
 
 def spectral_norm(matrix: np.ndarray) -> float:
@@ -33,14 +42,7 @@ def spectral_norm(matrix: np.ndarray) -> float:
     if m.shape == (1, 1):
         return abs(float(m[0, 0]))
     if m.shape == (2, 2):
-        a, b = m[0, 0], m[0, 1]
-        c, d = m[1, 0], m[1, 1]
-        g11 = a * a + c * c
-        g22 = b * b + d * d
-        g12 = a * b + c * d
-        trace = g11 + g22
-        disc = math.hypot(g11 - g22, 2.0 * g12)
-        return math.sqrt(max(0.5 * (trace + disc), 0.0))
+        return _norm_2x2(*m.ravel().tolist())
     return float(np.linalg.norm(m, 2))
 
 
@@ -49,7 +51,9 @@ class MatrixFunction:
 
     Entries may be numbers, `Expression` objects or callables.  Constant
     matrices are detected and returned without re-evaluation; callers must
-    treat the returned array as read-only in that case.
+    treat the returned array as read-only in that case.  ``norm`` is
+    ``t -> |M(t)|``: a constant, a generated function for dimension 1 or 2,
+    a last-value memo of `spectral_norm` above.
     """
 
     def __init__(self, dim: int, entries: Mapping[tuple[int, int], object]):
@@ -68,11 +72,22 @@ class MatrixFunction:
                 self._callables.append((i, j, fn))
         self._base = base
         self.is_constant = not self._callables
-        # one memo per matrix function: every coefficient built from it
-        # computes |M(t)| once per time point
         if self.is_constant:
             self.norm = ConstantFn(spectral_norm(base))
+        elif dim == 1:
+            self.norm = _compose("abs({})", self._callables[0][2])
+        elif dim == 2:
+            # spectral_norm's closed form on the entries' sources
+            names: dict = {}
+            sources = [[_literal(v) for v in row] for row in base.tolist()]
+            for i, j, fn in self._callables:
+                sources[i][j] = _source_of(fn, names)
+            (a, b), (c, d) = sources
+            self.norm = _generate("t", _NORM_2X2, names,
+                                  [f"a, b, c, d = {a}, {b}, {c}, {d}", *_GRAM_LINES])
         else:
+            # one memo per matrix function: every coefficient built from it
+            # computes |M(t)| once per time point
             self.norm = memoize_last(lambda t: spectral_norm(self(t)))
 
     @classmethod
@@ -137,7 +152,7 @@ class VectorFunction:
         elif len(self._entries) == 1:
             self.norm = _compose("abs({})", self._entries[0][1])
         else:
-            names = {"_sqrt": math.sqrt}
+            names: dict = {}
             lines = [f"e{k} = {_source_of(fn, names)}" for k, (_i, fn) in enumerate(self._entries)]
             squares = " + ".join(f"e{k} * e{k}" for k in range(len(self._entries)))
             self.norm = _generate("t", f"_sqrt({squares})", names, lines)
@@ -150,8 +165,9 @@ class VectorFunction:
 
 
 def matrix_norm_function(matrix_fn) -> Callable[[float], float]:
-    """Time function ``t -> |M(t)|`` (spectral norm), memoized at the last
-    time point; a `MatrixFunction` hands out its one shared memo."""
+    """Time function ``t -> |M(t)|`` (spectral norm): the one ``norm`` of a
+    `MatrixFunction`, for any other callable memoized at the last time
+    point."""
     if isinstance(matrix_fn, MatrixFunction):
         return matrix_fn.norm
     return memoize_last(lambda t: spectral_norm(matrix_fn(t)))

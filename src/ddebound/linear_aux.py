@@ -14,13 +14,14 @@ from functools import cached_property
 
 import numpy as np
 
+from .analysis import _check_matched_histories
 from .dde_core import (DelayProblem, DelaySpec, HistoryFunction, ToleranceSettings,
                        Trajectory, integrate)
 from .expressions import _generate
 from .majorant import LinearizedCoefficients
 from .reduction import CoefficientPair
 from .timefn import (TimeFunction, _compose, _literal, _source_of, as_time_function,
-                     locate_zeros)
+                     locate_zeros, sample)
 
 __all__ = [
     "LinearScalarDDE",
@@ -87,11 +88,11 @@ class LinearScalarDDE:
         """The problem on ``[t0, horizon]``; its kinks are the zeros of the
         forcing shape (a norm, so they are its corners)."""
         problem = DelayProblem(self.rhs, self.delays, self.history, self.t0)
-        for g in self.delayed_coeffs:
-            for t in np.linspace(self.t0, horizon, 64):
-                if g(float(t)) < -1e-12:
-                    raise ValueError(
-                        f"delayed coefficient is negative at t={float(t)!r}")
+        grid, rows = sample(self.delayed_coeffs, self.t0, horizon)
+        negative = np.argwhere(rows < -1e-12)
+        if negative.size:
+            t = float(grid[negative[0, 1]])
+            raise ValueError(f"delayed coefficient is negative at t={t!r}")
         if self.forcing_amplitude == 0.0:
             return problem
         return replace(problem, kinks=locate_zeros(self.forcing_shape, self.t0, horizon))
@@ -165,15 +166,15 @@ def superposition_check(sys: LinearScalarDDE, history: HistoryFunction,
                         tol: ToleranceSettings | None = None) -> float:
     """Max residual of ``u(phi, F0) = u_h(phi) + F0 * u_nh`` on a 1001-point grid.
 
-    The forcing kinks are located once, on the unit-amplitude problem, and
-    serve both forced runs; the homogeneous run has none."""
+    The problem's checks run once, on the unit-amplitude problem, whose
+    forcing kinks serve both forced runs; the homogeneous run has none."""
     unit = _unit_forced(sys).problem(horizon)
     forced = replace(sys, history=history, forcing_amplitude=forcing_amplitude)
     full = integrate(DelayProblem(forced.rhs, sys.delays, history, sys.t0,
                                   kinks=unit.kinks if forcing_amplitude != 0.0 else ()),
                      horizon, tol)
-    homogeneous = integrate(replace(sys, history=history, forcing_amplitude=0.0),
-                            horizon, tol)
+    homogeneous = integrate(DelayProblem(sys.with_amplitude(0.0).rhs, sys.delays, history,
+                                         sys.t0), horizon, tol)
     particular = integrate(unit, horizon, tol)
     grid = np.linspace(sys.t0, horizon, _SUPERPOSITION_POINTS)
     combined = (homogeneous.eval_grid(grid)[:, 0]
@@ -208,13 +209,7 @@ def iss_bound_series(vector_traj: Trajectory, u_h: Trajectory, u_nh: Trajectory,
         if not traj.covers(grid[0], grid[-1]):
             raise ValueError("time grid leaves a trajectory domain")
     if vector_traj.history is not None and u_h.history is not None:
-        span = min(vector_traj.history_span, u_h.history_span)
-        for t in np.linspace(vector_traj.t_start - span, vector_traj.t_start, 33):
-            a = float(np.linalg.norm(vector_traj.history(float(t))))
-            b = float(u_h.history(float(t))[0])
-            if abs(a - b) > 1e-9 * max(1.0, abs(a)):
-                raise ValueError(
-                    f"histories are not matched at t={float(t)!r}: |phi|={a!r} vs {b!r}")
+        _check_matched_histories([vector_traj, u_h], 1e-9)
     norms = vector_traj.norm_grid(grid)
     bounds = u_h.eval_grid(grid)[:, 0] + forcing_amplitude * u_nh.eval_grid(grid)[:, 0]
     gaps = norms - bounds

@@ -4,14 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (DEFAULT, TIGHT, cubic_basin_scalar, linear_ode_system, narrow_excursion,
-                      symmetric_cubic_vector_system)
+from conftest import (DEFAULT, TIGHT, cubic_basin_scalar, delayed_decay_system,
+                      linear_ode_system, narrow_excursion, symmetric_cubic_vector_system)
 from ddebound import (BoundednessCriterion, DelayProblem, DelaySpec,
                       HistoryFunction, IntegrationError, PolynomialMajorant,
                       PolynomialTerm, RobustReport, ScalarDelaySystem, ToleranceSettings,
                       Trajectory, build_perturbed_scalar, classify_fts, estimate_scalar_radius,
                       estimate_vector_region, frozen_scalar_radius, integrate,
-                      robust_stability_check, verify_pointwise_ordering)
+                      parse_expression, robust_stability_check, verify_pointwise_ordering)
 from ddebound.timefn import ConstantFn
 
 PROBE = ToleranceSettings(rtol=1e-4, atol=1e-8, cap=1e6)
@@ -97,6 +97,16 @@ class TestClassifyFts:
         assert report.sup_value >= 1.0
         assert 0.300025 < report.beta_crossing_time < 0.300125
         assert traj.norm_at(report.beta_crossing_time) >= 1.0
+
+    def test_history_above_alpha_between_samples_is_refused(self):
+        # the history peaks at 1.1 at t = -0.5 and is above alpha = 1 only
+        # within 1.35e-4 of it: 256 samples of [-1, 0] read at most 0.5, the
+        # 10,000-point grid reads 1.085
+        bump = parse_expression("0.5 + 0.6*exp(-10000000*(t+0.5)^2)")
+        traj = integrate(delayed_decay_system(HistoryFunction.from_expressions([bump])),
+                         3.0, TIGHT)
+        with pytest.raises(ValueError, match="is not below alpha"):
+            classify_fts(traj, 1.0, 1.2, 3.0)
 
     def test_contraction_time_after_an_excursion_between_grid_points(self):
         # the norm is above gamma = 1 only between the crossings 0.3000543 and

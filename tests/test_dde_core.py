@@ -135,10 +135,10 @@ class TestIntegrate:
         assert np.array_equal(a.coeffs, b.coeffs)
 
     def test_lookup_past_the_accepted_solution_raises(self):
-        # the 512 delay samples miss the dip to 0.05 at t = 3.4, so h_under
+        # the 10,000 delay samples miss the dip to 0.05 at t = 3.4, so h_under
         # is 0.5 and the stage at t = 3.4 reads y(3.35) while the accepted
         # solution ends at t = 3
-        delay = parse_expression("0.5 - 0.45*exp(-((t-3.4)/1e-4)^2)")
+        delay = parse_expression("0.5 - 0.45*exp(-((t-3.4)/1e-6)^2)")
         spec = DelaySpec.from_functions([delay], 0.0, 10.0)
         assert spec.h_under == 0.5
         problem = DelayProblem(lambda t, y, z: -z[0], spec,
@@ -463,6 +463,16 @@ class TestScalarSystemGuards:
         sys = cubic_basin_scalar().with_constant_history(-0.1)
         with pytest.raises(ValueError):
             integrate(sys, 1.0, DEFAULT)
+
+    def test_narrow_negative_dip_in_the_history_rejected(self):
+        # below zero only within 1.35e-4 of t = -0.5, between two of 256
+        # samples of [-1, 0] but within reach of the 10,000-point grid
+        dip = parse_expression("0.5 - 0.6*exp(-10000000*(t+0.5)^2)")
+        sys = ScalarDelaySystem(p=-1.0, c=1.0, majorant=PolynomialMajorant.zero(2),
+                                forcing=0.0, delays=DelaySpec.constant([1.0]),
+                                history=HistoryFunction.from_expressions([dip]), t0=0.0)
+        with pytest.raises(ValueError, match="scalar history must be nonnegative"):
+            sys.problem(5.0)
 
     def test_condition_coefficient_below_one_rejected(self):
         sys = ScalarDelaySystem(p=-1.0, c=0.5, majorant=PolynomialMajorant.zero(1),

@@ -1,13 +1,15 @@
 """The generated coefficients and right sides are bit-identical to the
-compositions they replace: the forcing magnitude, the linear comparison
-coefficients, both scalar right sides and the reduction's splines.
+compositions they replace: the forcing magnitude, the matrix norms, the
+linear comparison coefficients, both scalar right sides and the reduction's
+splines; and the whole-grid evaluator reads each of them as its calls would.
 
 Each reference below is the former composition written out: lambdas over
-``np.linalg.norm``, over ``sum`` and over a per-term loop.  Floats are
-compared by their bits, so a signed zero counts.
+``np.linalg.norm``, over ``spectral_norm``, over ``sum`` and over a per-term
+loop.  Floats are compared by their bits, so a signed zero counts.
 """
 
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,9 +23,9 @@ from ddebound import (DelayProblem, DelaySpec, HistoryFunction, PolynomialMajora
 from ddebound.analysis import build_perturbed_scalar
 from ddebound.cli import _bundled_config, assemble_pipeline, build_linear_chain
 from ddebound.config import load_config
-from ddebound.linalg import VectorFunction, matrix_norm_function
+from ddebound.linalg import MatrixFunction, VectorFunction, matrix_norm_function, spectral_norm
 from ddebound.reduction import CoefficientPair, _piecewise_cubic, compute_fundamental_matrix
-from ddebound.timefn import ConstantFn
+from ddebound.timefn import ConstantFn, _compose, grid_values
 
 REDUCE_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "reduce.cfg"
 
@@ -74,6 +76,20 @@ def _old_clamped(majorant, t, zeta):
             value *= z ** k
         total += value
     return total
+
+
+def _old_spectral_norm(m):
+    m = np.asarray(m, dtype=float)
+    if m.shape == (1, 1):
+        return abs(float(m[0, 0]))
+    a, b = m[0, 0], m[0, 1]
+    c, d = m[1, 0], m[1, 1]
+    g11 = a * a + c * c
+    g22 = b * b + d * d
+    g12 = a * b + c * d
+    trace = g11 + g22
+    disc = math.hypot(g11 - g22, 2.0 * g12)
+    return math.sqrt(max(0.5 * (trace + disc), 0.0))
 
 
 def _old_scalar_rhs(ss, forcing, t, y, delayed):
@@ -331,3 +347,127 @@ class TestConstantHistories:
         integrate(DelayProblem(rhs, DelaySpec.constant([1.0]), history), 0.5)
         assert seen and not any(seen)
         assert _same(history.vector, [1.0])
+
+
+# -- the matrix norms --------------------------------------------------------
+
+class TestMatrixNorm:
+    @pytest.mark.parametrize("name", ["a", "b", "reduce"])
+    def test_equals_the_closed_form_at_10000_points(self, name):
+        cfg = _config(name)
+        times = np.linspace(cfg.system.t0, cfg.horizon, 10_000).tolist()
+        for matrix in (cfg.a0_matrix(), cfg.a1_matrix(), cfg.a0_matrix().plus(cfg.a1_matrix())):
+            assert not matrix.is_constant
+            expected = [_old_spectral_norm(matrix(t)) for t in times]
+            assert _same([matrix.norm(t) for t in times], expected)
+            assert _same([spectral_norm(matrix(t)) for t in times], expected)
+
+    def test_constant_entries_and_one_dimension(self):
+        wave = parse_expression("0.3*sin(2*t) - 0.1")
+        times = np.linspace(-3.0, 3.0, 2001).tolist()
+        for entries in ({(0, 0): wave, (0, 1): -0.0, (1, 0): 2.5, (1, 1): lambda t: -t},
+                        {(1, 0): wave}, {(0, 1): lambda t: 1e-170 * t, (1, 1): 1e-170}):
+            matrix = MatrixFunction(2, entries)
+            assert _same([matrix.norm(t) for t in times],
+                         [_old_spectral_norm(matrix(t)) for t in times])
+        assert _same(MatrixFunction(2, {(0, 1): -3.0, (1, 1): 4.0}).norm.value, 5.0)
+        line = MatrixFunction(1, {(0, 0): wave})
+        assert _same([line.norm(t) for t in times],
+                     [_old_spectral_norm(line(t)) for t in times])
+
+
+# -- the whole-grid evaluator -----------------------------------------------
+
+def _scalar_calls_of_generated(thunk):
+    """``thunk()`` and the number of calls of generated functions it made
+    with a scalar time, that is outside a whole-array run."""
+    calls = []
+
+    def profile(frame, event, _arg):
+        if (event == "call" and frame.f_code.co_name == "_generated"
+                and not isinstance(frame.f_locals.get("t"), np.ndarray)):
+            calls.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        result = thunk()
+    finally:
+        sys.setprofile(None)
+    return result, len(calls)
+
+
+def _coefficient_reads(pipe):
+    """Every coefficient read of the comparison systems of ``pipe``, by name."""
+    scalar, vs = pipe.scalar_system, pipe.vector_system
+    linear, constant = build_linear_chain(pipe)
+    mu = linearize_majorant(scalar.majorant, pipe.config.reduction.zeta_tilde).mu
+    (coupling,) = vs.f.matrix_terms
+    reads = {"p": scalar.p, "c": scalar.c, "forcing": scalar.forcing, "|e|": vs.forcing_norm,
+             "|A|": vs.A.norm, "|A1|": matrix_norm_function(coupling.matrix),
+             "rate": linear.rate, "shape": linear.forcing_shape,
+             "U rate": constant.rate, "U shape": constant.forcing_shape}
+    for name, fns in (("L", [term.coeff for term in scalar.majorant.terms]), ("mu", mu),
+                      ("g", linear.delayed_coeffs), ("U g", constant.delayed_coeffs),
+                      ("L hat", [term.coeff for term in pipe.autonomous_system.majorant.terms])):
+        reads.update({f"{name}{k}": fn for k, fn in enumerate(fns)})
+    return reads
+
+
+class TestGridValues:
+    def test_rows_equal_the_calls_at_10000_points(self, pipe):
+        reads = _coefficient_reads(pipe)
+        times = np.linspace(pipe.vector_system.t0, pipe.horizon, 10_000)
+        rows, scalar_calls = _scalar_calls_of_generated(
+            lambda: grid_values(list(reads.values()), times))
+        assert scalar_calls == 0
+        for (name, fn), row in zip(reads.items(), rows, strict=True):
+            assert _same(row, [fn(t) for t in times.tolist()]), name
+
+    @pytest.mark.parametrize("text", ["exp(-t/3) * 2^sin(t) - t^1.5 / (1 + t)",
+                                      "abs(cos(3*t))^0.25 * exp(sin(t)) - (t/7)^3",
+                                      "exp(t/5)^2 + cos(t)^2 - 1/exp(t)"])
+    def test_exp_and_powers(self, text):
+        fn = parse_expression(text).compiled()
+        times = np.linspace(0.0, 50.0, 10_000)
+        (row,), scalar_calls = _scalar_calls_of_generated(lambda: grid_values([fn], times))
+        assert scalar_calls == 0
+        assert _same(row, [fn(t) for t in times.tolist()])
+
+    def test_a_generated_function_reads_an_opaque_one_once_per_time(self):
+        calls = []
+
+        def opaque(t):
+            calls.append(t)
+            return math.sin(t) ** 2
+
+        fn = _compose("{} * {} + abs({})", parse_expression("exp(-t) + 0.5").compiled(),
+                      opaque, opaque)
+        times = np.linspace(0.0, 10.0, 10_000)
+        (row,) = grid_values([fn], times)
+        assert calls == times.tolist()
+        assert _same(row, [fn(t) for t in times.tolist()])
+
+    def test_constants_are_filled_without_a_call(self):
+        rows = grid_values([ConstantFn(-0.0), ConstantFn(2.5)], np.linspace(0.0, 1.0, 7))
+        assert _same(rows, [[-0.0] * 7, [2.5] * 7])
+
+    @pytest.mark.parametrize("text, error", [
+        ("1/(t - 2)", ZeroDivisionError),
+        ("1/(1/(t - 2))", ZeroDivisionError),        # finite in numpy's arithmetic
+        ("exp(1000*t)", OverflowError),
+        ("exp(1000*(t - 3)) + 1/(t - 1)", ZeroDivisionError),   # t = 1 comes first
+        ("(t - 3)^0.5", ValueError),
+    ])
+    def test_errors_are_those_of_the_calls(self, text, error):
+        fn = parse_expression(text).compiled()
+        times = np.linspace(0.0, 4.0, 9)
+        with pytest.raises(error) as calls:
+            [fn(t) for t in times.tolist()]
+        with pytest.raises(error) as grid:
+            grid_values([fn], times)
+        assert str(grid.value) == str(calls.value)
+
+    def test_overflow_without_an_exception_gives_the_values_of_the_calls(self):
+        fn = parse_expression("(1e300*t) * (1e300*t) - 1e300*t").compiled()
+        times = np.linspace(0.0, 4.0, 9)
+        assert _same(grid_values([fn], times)[0], [fn(t) for t in times.tolist()])

@@ -168,22 +168,22 @@ class TestCoefficientPair:
         assert pair.c(17.0) == 1.0
 
 
-def _planar_benchmark_system(forcing_amplitude=0.0):
+def _planar_benchmark_system(forcing_amplitude=0.0, dim=2):
     lam = parse_expression("-3 + 0.1*sin(5*t)")
-    a0 = MatrixFunction(2, {(0, 0): lam, (1, 1): lam})
+    a0 = MatrixFunction(dim, {(i, i): lam for i in range(dim)})
     omega = parse_expression("-(1 + 0.1*sin(t) + 0.1*sin(3.14*t))")
-    a1 = MatrixFunction(2, {(0, 1): 1.0, (1, 0): omega})
-    poly = PolynomialVectorField(2, 1, [(1, 0.1, [(1, 1, 3)])])
+    a1 = MatrixFunction(dim, {(0, 1): 1.0, (1, 0): omega})
+    poly = PolynomialVectorField(dim, 1, [(1, 0.1, [(1, 1, 3)])])
     from ddebound.vectorfield import DelayedMatrixTerm
-    f = NonlinearTerm(2, 1, poly, (DelayedMatrixTerm(1, 0.5, a1),))
+    f = NonlinearTerm(dim, 1, poly, (DelayedMatrixTerm(1, 0.5, a1),))
     shape = None
     if forcing_amplitude > 0:
         e2 = parse_expression("sin(10*t)").compiled()
         shape = lambda t: np.array([0.0, e2(t)])
-    vs = VectorDelaySystem(dim=2, A=a0.plus(a1), f=f,
+    vs = VectorDelaySystem(dim=dim, A=a0.plus(a1), f=f,
                            forcing_amplitude=forcing_amplitude, forcing_shape=shape,
                            delays=DelaySpec.constant([0.5]),
-                           history=HistoryFunction.constant([0.1, 0.1]), t0=0.0)
+                           history=HistoryFunction.constant([0.1] * dim), t0=0.0)
     return vs, a1, CoefficientPair.closed_form(lam, 1.0)
 
 
@@ -233,18 +233,22 @@ class TestBuildScalarAuxiliary:
         assert ss.forcing(t) == pytest.approx(0.05 * abs(math.sin(10 * t)))
 
     def test_remainder_norm_computed_once_per_time_point(self, monkeypatch):
-        # the folded |A1(t)| term and the delayed 0.5 |A1(t)| term share one
-        # memo, so each right-side evaluation computes the norm once
+        # a 2x2 |A1(t)| is generated from its entries and calls no
+        # spectral_norm; a 3x3 one keeps its memo, which the folded |A1(t)|
+        # term and the delayed 0.5 |A1(t)| term share, so each right-side
+        # evaluation computes the norm once
         import ddebound.linalg as linalg
 
-        vs, a1, coeffs = _planar_benchmark_system()
-        ss = build_scalar_auxiliary(vs, a1, coeffs, vs.f.majorize())
         calls = []
         monkeypatch.setattr(linalg, "spectral_norm",
                             lambda m: calls.append(1) or spectral_norm(m))
-        for t in (0.1, 0.2, 0.3):
-            ss.rhs(t, np.array([0.1]), [np.array([0.2])])
-        assert len(calls) == 3
+        for dim, expected in ((2, 0), (3, 3)):
+            vs, a1, coeffs = _planar_benchmark_system(dim=dim)
+            ss = build_scalar_auxiliary(vs, a1, coeffs, vs.f.majorize())
+            calls.clear()
+            for t in (0.1, 0.2, 0.3):
+                ss.rhs(t, np.array([0.1]), [np.array([0.2])])
+            assert len(calls) == expected
 
     def test_arity_mismatch_rejected(self):
         vs, a1, coeffs = _planar_benchmark_system()
@@ -289,8 +293,10 @@ class TestBuildAutonomousAuxiliary:
         assert auto.p(0.0) == pytest.approx(-2.9 * (1.0 - 1e-3), rel=1e-6)
 
     def test_one_norm_per_grid_point_on_case_a(self, monkeypatch):
-        # the two |A1(t)| terms share one memo and are sampled in one pass;
-        # U is built from the frozen coefficients and samples no norm at all
+        # case a's 2x2 |A1(t)| is generated and calls no spectral_norm; with a
+        # 3x3 A1 the two |A1(t)| terms share one memo, which the sampling
+        # reads once per grid point; U is built from the frozen coefficients
+        # and samples no norm at all
         import ddebound.cli as cli
         import ddebound.linalg as linalg
 
@@ -309,9 +315,13 @@ class TestBuildAutonomousAuxiliary:
 
         monkeypatch.setattr(cli, "build_autonomous_auxiliary",
                             counted("freeze", build_autonomous_auxiliary))
-        pipe = cli.assemble_pipeline(cli._bundled_config("a"))
-        counted("chain", cli.build_linear_chain)(pipe)
-        assert counts == {"freeze": 10_000, "chain": 0}
+        for dim, freeze in ((2, 0), (3, 10_000)):
+            cfg = cli._bundled_config("a")
+            cfg.system.dim = dim
+            cfg.system.history_data = [0.1] * dim
+            pipe = cli.assemble_pipeline(cfg)
+            counted("chain", cli.build_linear_chain)(pipe)
+            assert counts == {"freeze": freeze, "chain": 0}
 
     def test_frozen_system_dominates_pointwise(self):
         ss = self._scalar("-3 + 0.1*sin(5*t)")
