@@ -19,7 +19,7 @@ import numpy as np
 
 from .dde_core import (DelaySpec, HistoryFunction, Perturbation, ScalarDelaySystem,
                        IntegrationError, ToleranceSettings, Trajectory,
-                       VectorDelaySystem, integrate, integrate_batch)
+                       VectorDelaySystem, _norm, integrate, integrate_batch)
 from .majorant import PolynomialMajorant
 from .timefn import ConstantFn, sample
 
@@ -53,19 +53,13 @@ class BoundReport:
     tolerance: float
 
 
-def _series(traj: Trajectory, grid: np.ndarray) -> np.ndarray:
-    if traj.dim == 1:
-        return np.abs(traj.eval_grid(grid)[:, 0])
-    return traj.norm_grid(grid)
-
-
 def _check_matched_histories(trajs: Sequence[Trajectory], tol: float) -> None:
     spans = [t.history_span for t in trajs if t.history is not None]
     if len(spans) < len(trajs):
         raise ValueError("all trajectories must carry their history functions")
     t0 = trajs[0].t_start
     grid, (reference, *others) = sample(
-        [traj.history.reduced(np.linalg.norm) for traj in trajs], t0 - min(spans), t0)
+        [traj.history.reduced(_norm) for traj in trajs], t0 - min(spans), t0)
     for values in others:
         apart = np.abs(values - reference) > tol * np.maximum(1.0, np.abs(reference))
         if apart.any():
@@ -104,7 +98,7 @@ def verify_pointwise_ordering(trajs: Sequence[Trajectory], grid: int | np.ndarra
         grid = np.asarray(grid, dtype=float)
         if grid[0] < t0 - 1e-12 or grid[-1] > t_end + 1e-12:
             raise ValueError("grid leaves the shared trajectory domain")
-    series = [_series(t, grid) for t in trajs]
+    series = [t.norm_grid(grid) for t in trajs]
     max_violation = -math.inf
     first_violation = None
     for k in range(len(trajs) - 1):
@@ -112,7 +106,7 @@ def verify_pointwise_ordering(trajs: Sequence[Trajectory], grid: int | np.ndarra
         pair_grid, lower, upper = grid, series[k], series[k + 1]
         if points is not None and pair_end > t_end:
             pair_grid = np.linspace(t0, pair_end, points)
-            lower, upper = _series(trajs[k], pair_grid), _series(trajs[k + 1], pair_grid)
+            lower, upper = trajs[k].norm_grid(pair_grid), trajs[k + 1].norm_grid(pair_grid)
         gaps = lower - upper
         worst = float(np.max(gaps))
         max_violation = max(max_violation, worst)
@@ -157,7 +151,7 @@ def classify_fts(traj: Trajectory, alpha: float, beta: float, T: float,
         raise ValueError(f"T={T!r} extends past the trajectory horizon {traj.t_end!r}")
     if traj.history is None:
         raise ValueError("trajectory must carry its history for the alpha check")
-    history_sup = float(np.max(sample([traj.history.reduced(np.linalg.norm)],
+    history_sup = float(np.max(sample([traj.history.reduced(_norm)],
                                       t0 - max(traj.history_span, 0.0), t0)[1]))
     if history_sup >= alpha:
         raise ValueError(f"history sup norm {history_sup!r} is not below alpha={alpha!r}")

@@ -9,9 +9,9 @@ Commands: ``simulate``, ``reduce``, ``verify``, ``radius``, ``region``,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -21,8 +21,10 @@ from .analysis import (BoundednessCriterion, classify_fts, estimate_scalar_radiu
                        estimate_vector_region, frozen_scalar_radius,
                        robust_stability_check, verify_pointwise_ordering)
 from .config import ConfigError, RunConfig, load_config, load_config_text
-from .dde_core import IntegrationError, ToleranceSettings, integrate
+from .dde_core import (IntegrationError, ScalarDelaySystem, ToleranceSettings,
+                       VectorDelaySystem, integrate)
 from .expressions import EvaluationError
+from .linalg import MatrixFunction
 from .linear_aux import build_linear_auxiliary
 from .majorant import PolynomialMajorant, linearize_majorant
 from .plotting import Curve, emit_csv, emit_region_svg, emit_svg
@@ -42,44 +44,62 @@ class UsageError(ValueError):
 
 @dataclass
 class Pipeline:
-    """Everything the analysis commands need, assembled from one config."""
+    """Everything the analysis commands need, assembled from one config.
+
+    Each stage is built the first time it is read and kept: the remainder
+    matrix ``a1``, the vector system, the reduction's coefficients, the
+    scalar comparison system and its frozen autonomous variant.  A command
+    that reads only the vector system builds no reduction.
+    """
 
     config: RunConfig
     horizon: float
     tol: ToleranceSettings
-    vector_system: object
-    coefficients: CoefficientPair
-    majorant: PolynomialMajorant
-    scalar_system: object
-    autonomous_system: object
+
+    @cached_property
+    def a1(self) -> MatrixFunction | None:
+        # one remainder matrix function, so the vector and scalar systems
+        # share its norm memo
+        return self.config.a1_matrix()
+
+    @cached_property
+    def vector_system(self) -> VectorDelaySystem:
+        return self.config.build_vector_system(self.a1)
+
+    @cached_property
+    def coefficients(self) -> CoefficientPair:
+        red = self.config.reduction
+        if red.p_expr is not None:
+            return CoefficientPair.closed_form(red.p_expr, red.c_expr)
+        return CoefficientPair.from_fundamental(compute_fundamental_matrix(
+            self.config.a0_matrix(), self.config.system.t0, self.horizon))
+
+    @cached_property
+    def scalar_system(self) -> ScalarDelaySystem:
+        vs = self.vector_system
+        if vs.f is not None:
+            majorant = vs.f.majorize()
+        else:
+            majorant = PolynomialMajorant.zero(vs.delays.count + 1)
+        return build_scalar_auxiliary(vs, self.a1, self.coefficients, majorant)
+
+    @cached_property
+    def autonomous_system(self) -> ScalarDelaySystem:
+        return build_autonomous_auxiliary(self.scalar_system, self.horizon,
+                                          self.config.reduction.margin)
 
 
 def assemble_pipeline(cfg: RunConfig, horizon: float | None = None,
                       rtol: float | None = None, cap: float | None = None) -> Pipeline:
-    """Build the vector system, its scalar comparison system and the frozen
-    autonomous variant from a run configuration."""
-    horizon = cfg.horizon if horizon is None else horizon
+    """The pipeline of a run configuration, with the horizon, relative
+    tolerance and cap overridden where given; its stages are built on
+    first read."""
     tol = cfg.solver
     if rtol is not None:
         tol = replace(tol, rtol=rtol)
     if cap is not None:
         tol = replace(tol, cap=cap)
-    a1 = cfg.a1_matrix()
-    vs = cfg.build_vector_system(a1)
-    if cfg.reduction.p_expr is not None:
-        coeffs = CoefficientPair.closed_form(cfg.reduction.p_expr, cfg.reduction.c_expr)
-    else:
-        fundamental = compute_fundamental_matrix(
-            cfg.a0_matrix(), vs.t0, horizon,
-            ToleranceSettings(rtol=1e-8, atol=1e-12, cap=math.inf))
-        coeffs = CoefficientPair.from_fundamental(fundamental)
-    if vs.f is not None:
-        majorant = vs.f.majorize()
-    else:
-        majorant = PolynomialMajorant.zero(vs.delays.count + 1)
-    scalar = build_scalar_auxiliary(vs, a1, coeffs, majorant)
-    autonomous = build_autonomous_auxiliary(scalar, horizon, cfg.reduction.margin)
-    return Pipeline(cfg, horizon, tol, vs, coeffs, majorant, scalar, autonomous)
+    return Pipeline(cfg, cfg.horizon if horizon is None else horizon, tol)
 
 
 def fig1_protocol(cfg: RunConfig, horizon: float | None = None,
@@ -91,10 +111,8 @@ def fig1_protocol(cfg: RunConfig, horizon: float | None = None,
     """
     pipe = assemble_pipeline(cfg, horizon=horizon, rtol=rtol)
     points = grid if grid is not None else cfg.output.grid
-    traj_x = integrate(pipe.vector_system, pipe.horizon, pipe.tol)
-    traj_y = integrate(pipe.scalar_system, pipe.horizon, pipe.tol)
-    traj_hat = integrate(pipe.autonomous_system, pipe.horizon, pipe.tol)
-    report = verify_pointwise_ordering([traj_x, traj_y, traj_hat],
+    systems = (pipe.vector_system, pipe.scalar_system, pipe.autonomous_system)
+    report = verify_pointwise_ordering([integrate(s, pipe.horizon, pipe.tol) for s in systems],
                                        grid=points, tol=1e-4)
     return report, pipe
 
@@ -109,6 +127,7 @@ def fig2_protocol(cfg: RunConfig, horizon: float | None = None,
     pipe = assemble_pipeline(cfg, horizon=horizon)
     homogeneous = replace(pipe.vector_system, forcing_amplitude=0.0, forcing_shape=None)
     scalar = pipe.scalar_system.homogeneous()
+    autonomous = pipe.autonomous_system.homogeneous()
     a_cfg = cfg.analysis
     criterion, probe_tol, duration = _search_settings(pipe)
     boundary = estimate_vector_region(homogeneous, criterion, a_cfg.r_max,
@@ -116,8 +135,7 @@ def fig2_protocol(cfg: RunConfig, horizon: float | None = None,
                                       angle_count=angle_count)
     scalar_estimate = estimate_scalar_radius(scalar, criterion, a_cfg.q_max,
                                              a_cfg.bisect_tol, duration, probe_tol)
-    autonomous_estimate = frozen_scalar_radius(pipe.autonomous_system.homogeneous(),
-                                               criterion, a_cfg.q_max, duration)
+    autonomous_estimate = frozen_scalar_radius(autonomous, criterion, a_cfg.q_max, duration)
     slack = 2.0 * a_cfg.bisect_tol * max(1.0, boundary.min_radius())
     inclusion = (scalar_estimate.value <= boundary.min_radius() + slack
                  and autonomous_estimate.value <= boundary.min_radius() + slack)
@@ -151,11 +169,9 @@ def build_linear_chain(pipe: Pipeline):
 
 
 def _load(args) -> RunConfig:
-    if args.config is not None:
-        return load_config(args.config)
-    if getattr(args, "case", None):
-        return _bundled_config(args.case)
-    raise UsageError("--config is required for this command")
+    if args.config is None:
+        raise UsageError("--config is required for this command")
+    return load_config(args.config)
 
 
 def _bundled_config(case: str) -> RunConfig:
@@ -195,7 +211,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_reduce(args) -> int:
     cfg = _load(args)
-    pipe = assemble_pipeline(cfg, args.horizon, args.rtol, args.cap)
+    pipe = assemble_pipeline(cfg, args.horizon)
     scalar = pipe.scalar_system
     grid = np.linspace(scalar.t0, pipe.horizon, cfg.output.grid)
     p_vals, c_vals = grid_values([pipe.coefficients.p, pipe.coefficients.c], grid)
@@ -252,7 +268,7 @@ def _search_settings(pipe: Pipeline):
 
 def _cmd_radius(args) -> int:
     cfg = _load(args)
-    pipe = assemble_pipeline(cfg, args.horizon, args.rtol, args.cap)
+    pipe = assemble_pipeline(cfg, args.horizon, cap=args.cap)
     criterion, probe_tol, duration = _search_settings(pipe)
     estimate = estimate_scalar_radius(pipe.scalar_system, criterion,
                                       cfg.analysis.q_max, cfg.analysis.bisect_tol,
@@ -273,7 +289,7 @@ def _cmd_region(args) -> int:
     cfg = _load(args)
     if cfg.system.dim != 2:
         raise UsageError("the polar region sweep requires a 2-dimensional system")
-    pipe = assemble_pipeline(cfg, args.horizon, args.rtol, args.cap)
+    pipe = assemble_pipeline(cfg, args.horizon, cap=args.cap)
     criterion, probe_tol, duration = _search_settings(pipe)
     boundary = estimate_vector_region(pipe.vector_system, criterion,
                                       cfg.analysis.r_max, cfg.analysis.bisect_tol,
@@ -310,7 +326,7 @@ def _cmd_fts(args) -> int:
     a = cfg.analysis
     if a.alpha is None or a.beta is None or a.T is None:
         raise UsageError("the fts command needs alpha, beta and T in [analysis]")
-    pipe = assemble_pipeline(cfg, args.horizon, args.rtol, args.cap)
+    pipe = assemble_pipeline(cfg, rtol=args.rtol, cap=args.cap)
     traj = integrate(pipe.vector_system, cfg.system.t0 + a.T, pipe.tol)
     report = classify_fts(traj, a.alpha, a.beta, a.T, a.gamma)
     print(f"FTS = {report.fts} (sup |x| = {report.sup_value:.6g})")
@@ -372,16 +388,30 @@ def _cmd_reproduce_fig2(args) -> int:
     return 0 if inclusion else 1
 
 
+def _case(*choices):
+    return ("--case", {"default": None, "choices": choices, "help": "bundled parameter case"})
+
+
+_OUT = ("--out", {"default": None, "help": "output directory"})
+_SVG = ("--svg", {"action": "store_true", "help": "also write SVG plots"})
+_HORIZON = ("--horizon", {"type": float, "default": None,
+                          "help": "end time (default: the [solver] horizon)"})
+_RTOL = ("--rtol", {"type": float, "default": None,
+                    "help": "relative tolerance of the integrations"})
+_CAP = ("--cap", {"type": float, "default": None, "help": "blow-up cap"})
+
+# each command with the flags it reads; every command also takes --config
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "reduce": _cmd_reduce,
-    "verify": _cmd_verify,
-    "radius": _cmd_radius,
-    "region": _cmd_region,
-    "robust": _cmd_robust,
-    "fts": _cmd_fts,
-    "reproduce-fig1": _cmd_reproduce_fig1,
-    "reproduce-fig2": _cmd_reproduce_fig2,
+    "simulate": (_cmd_simulate, (_OUT, _SVG, _HORIZON, _RTOL, _CAP)),
+    "reduce": (_cmd_reduce, (_OUT, _HORIZON)),
+    "verify": (_cmd_verify, (_OUT, _SVG, _HORIZON, _RTOL)),
+    "radius": (_cmd_radius, (_OUT, _HORIZON, _CAP)),
+    "region": (_cmd_region, (_OUT, _SVG, _HORIZON, _CAP)),
+    "robust": (_cmd_robust, ()),
+    "fts": (_cmd_fts, (_RTOL, _CAP)),
+    "reproduce-fig1": (_cmd_reproduce_fig1, (_case("a", "b", "both"), _OUT, _SVG,
+                                             _HORIZON, _RTOL)),
+    "reproduce-fig2": (_cmd_reproduce_fig2, (_case("a", "b"), _OUT, _SVG, _HORIZON)),
 }
 
 
@@ -390,25 +420,18 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ddebound",
         description="Scalar comparison bounds and region estimates for delay systems")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_run, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", default=None, help="run configuration file")
-        cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--svg", action="store_true", help="also write SVG plots")
-        cmd.add_argument("--horizon", type=float, default=None)
-        cmd.add_argument("--rtol", type=float, default=None)
-        cmd.add_argument("--cap", type=float, default=None)
-        if name.startswith("reproduce"):
-            cases = ("a", "b", "both") if name == "reproduce-fig1" else ("a", "b")
-            cmd.add_argument("--case", default=None, choices=cases,
-                             help="bundled parameter case")
+        for flag, spec in flags:
+            cmd.add_argument(flag, **spec)
     return parser
 
 
 def run_command(command: str, args) -> int:
     """Dispatch a parsed command; returns the process exit status."""
     try:
-        return _COMMANDS[command](args)
+        return _COMMANDS[command][0](args)
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

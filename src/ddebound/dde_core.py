@@ -116,6 +116,16 @@ _BERNSTEIN = np.array([[math.comb(i, j) / math.comb(4, j) for j in range(5)]
                        for i in range(5)])
 
 
+def _norm(x):
+    """Euclidean norm over the last axis of ``x``: a number for one vector,
+    an array for a stack of them.  Every state and history magnitude reads
+    it, so a vector and the same vector as a row round alike; below 8
+    entries the squares are summed in index order, as in the generated norm
+    of a `VectorFunction`.  (``np.linalg.norm`` of one vector is a dot
+    product and may differ from both in the last bit.)"""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
 def _step_floor(t: float) -> float:
     # near the float-representability limit of t; blow-ups must be able to
     # take extremely small steps before the cap is reached
@@ -295,7 +305,7 @@ class HistoryFunction:
     def norm(self) -> "HistoryFunction":
         """Scalar history ``t -> |phi(t)|`` (same arithmetic as the checks),
         itself constant when ``phi`` is."""
-        magnitude = self.reduced(np.linalg.norm)
+        magnitude = self.reduced(_norm)
         if isinstance(magnitude, ConstantFn):
             return HistoryFunction.constant([magnitude.value])
         return HistoryFunction(lambda t: np.array([magnitude(t)]), 1, self.t_min, self.t_max)
@@ -370,12 +380,12 @@ class VectorDelaySystem:
     @cached_property
     def forcing_norm(self) -> TimeFunction:
         """``t -> |e(t)|``, the Euclidean norm of the forcing shape: the
-        compiled norm of a `VectorFunction` shape, ``np.linalg.norm`` of the
-        value of any other callable."""
+        compiled norm of a `VectorFunction` shape, `_norm` of the value of any
+        other callable."""
         shape = self.forcing_shape
         if isinstance(shape, VectorFunction):
             return shape.norm
-        return lambda t: float(np.linalg.norm(np.asarray(shape(t), dtype=float)))
+        return lambda t: float(_norm(np.asarray(shape(t), dtype=float)))
 
     def problem(self, horizon: float) -> DelayProblem:
         problem = DelayProblem(self.rhs, self.delays, self.history, self.t0)
@@ -389,8 +399,7 @@ class VectorDelaySystem:
             zero = np.zeros(self.dim)
             zeros = [zero] * self.delays.count
             grid = np.linspace(self.t0, horizon, 16)
-            (residues,) = grid_values([lambda t: float(np.linalg.norm(self.f(t, zero, zeros)))],
-                                      grid)
+            (residues,) = grid_values([lambda t: float(_norm(self.f(t, zero, zeros)))], grid)
             k = int(np.argmax(residues > 1e-10))
             if residues[k] > 1e-10:
                 raise ValueError(
@@ -549,8 +558,7 @@ class Trajectory:
         return self.eval_grid([t])[0]
 
     def norm_at(self, t: float) -> float:
-        # the 1-d norm of the integrator's cap checks, not a row of norm_grid
-        return float(np.linalg.norm(self.eval(t)))
+        return float(_norm(self.eval(t)))
 
     def _window(self, lo: float | None, hi: float | None) -> tuple[float, float, int, int]:
         """``[lo, hi]`` (by default the whole domain) clipped to the domain,
@@ -572,9 +580,9 @@ class Trajectory:
         points (the quartic stays in their convex hull), plus their rounding,
         and never above the triangle bound ``| |y_k| + sum_j |q_kj| |``."""
         ys, coeffs = self.ys[first:last], self.coeffs[first:last]
-        triangle = np.linalg.norm(np.abs(ys) + np.abs(coeffs).sum(axis=1), axis=1)
+        triangle = _norm(np.abs(ys) + np.abs(coeffs).sum(axis=1))
         points = _BERNSTEIN @ np.concatenate([ys[:, None, :], coeffs], axis=1)
-        hull = np.linalg.norm(points, axis=2).max(axis=1)
+        hull = _norm(points).max(axis=1)
         return np.minimum(hull + _HULL_ROUNDING * triangle, triangle)
 
     def crossings(self, level: float, lo: float, hi: float) -> np.ndarray:
@@ -606,7 +614,7 @@ class Trajectory:
             t = _locate_cap_crossing(ta, tb, ys[k], coeffs[k], level, max(lo, ta), min(hi, tb))
             if t is not None:
                 return float(t)
-        return hi if hi == ts[last] and float(np.linalg.norm(ys[last])) >= level else None
+        return hi if hi == ts[last] and float(_norm(ys[last])) >= level else None
 
     def sup_norm(self, lo: float | None = None, hi: float | None = None) -> float:
         """Largest state norm on ``[lo, hi]`` (by default the whole domain).
@@ -614,13 +622,12 @@ class Trajectory:
         The window ends and inner nodes give a lower bound; the steps whose
         `_step_bounds` exceed it, largest first, are read at the roots of
         ``d/dtheta |y(theta)|^2`` in the window (their real parts, so a
-        near-double root is not lost), each with the 1-d norm of `norm_at`."""
+        near-double root is not lost)."""
         lo, hi, first, last = self._window(lo, hi)
         ts, ys, coeffs = self.ts, self.ys, self.coeffs
         best = max(self.norm_at(lo), self.norm_at(hi))
         if last > first + 1:
-            inner = np.linalg.norm(ys[first + 1:last], axis=1)
-            best = max(best, float(np.linalg.norm(ys[first + 1 + int(np.argmax(inner))])))
+            best = max(best, float(_norm(ys[first + 1:last]).max()))
         bound = self._step_bounds(first, last)
         for k in first + np.argsort(-bound):
             if bound[k - first] * (1.0 + _SCREEN_SLACK) <= best:
@@ -630,8 +637,7 @@ class Trajectory:
             theta = np.roots((poly[1:] * np.arange(1, 9))[::-1]).real
             times = ta + theta * (tb - ta)
             times = times[(times >= max(lo, ta)) & (times <= min(hi, tb))]
-            for y in self.eval_grid(times):
-                best = max(best, float(np.linalg.norm(y)))
+            best = float(np.max(_norm(self.eval_grid(times)), initial=best))
         return best
 
     def eval_grid(self, grid: np.ndarray) -> np.ndarray:
@@ -656,7 +662,7 @@ class Trajectory:
         return out
 
     def norm_grid(self, grid: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(self.eval_grid(grid), axis=1)
+        return _norm(self.eval_grid(grid))
 
 
 def _dense(y0, q, theta):
@@ -890,7 +896,7 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
                 on_break = True
             if h_eff < _step_floor(t):
                 blown = [b for b in range(members) if ends[b] is None
-                         and float(np.linalg.norm(y[b * dim:(b + 1) * dim]))
+                         and float(_norm(y[b * dim:(b + 1) * dim]))
                          >= 0.01 * tol.cap]
                 if not blown:
                     raise IntegrationError(f"step size underflow at t={t!r}", time=t)
@@ -931,10 +937,10 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
                 nodes_y.append(y_new)
                 nodes_q.append(q)
                 # a member's norm is at most the norm of the whole state
-                if float(np.linalg.norm(y_new)) >= tol.cap:
+                if float(_norm(y_new)) >= tol.cap:
                     for b in range(members):
                         part = slice(b * dim, (b + 1) * dim)
-                        if ends[b] is None and float(np.linalg.norm(y_new[part])) >= tol.cap:
+                        if ends[b] is None and float(_norm(y_new[part])) >= tol.cap:
                             crossing = _locate_cap_crossing(t, t_new, y[part], q[:, part],
                                                             tol.cap, t, t_new)
                             freeze(b, t_new if crossing is None else crossing)
@@ -1011,7 +1017,7 @@ def _locate_cap_crossing(ta, tb, ya, q, level, t_lo, t_hi) -> float | None:
     h = tb - ta
 
     def reads(t: float) -> bool:
-        return float(np.linalg.norm(_dense(ya, q, (t - ta) / h))) >= level
+        return float(_norm(_dense(ya, q, (t - ta) / h))) >= level
 
     if reads(t_lo):
         return t_lo

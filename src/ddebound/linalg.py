@@ -132,11 +132,11 @@ class VectorFunction:
     """Vector-valued function of time with per-entry coefficients (numbers,
     `Expression` objects or callables); entries not given are zero.
 
-    `norm` is ``t -> |v(t)|``, generated once from the entries.  With one
-    entry it is ``abs`` of that entry, which equals ``np.linalg.norm``'s
-    ``sqrt(v . v)`` bit for bit unless the square under- or overflows; with
-    more it is the square root of the sum of squares in index order, which
-    may differ from the library's dot product in the last bit.
+    `norm` is ``t -> |v(t)|``, generated once from the entries.  With more
+    than one entry it is the square root of the sum of squares in index
+    order, which below dimension 8 is the state norm ``dde_core._norm`` of
+    ``v(t)`` bit for bit.  With one entry it is ``abs`` of that entry, which
+    equals that norm unless the square under- or overflows.
     """
 
     def __init__(self, dim: int, entries: Mapping[int, object]):

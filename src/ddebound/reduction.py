@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .dde_core import (DelayProblem, DelaySpec, ScalarDelaySystem, ToleranceSettings,
                        Trajectory, VectorDelaySystem, integrate)
@@ -141,6 +140,9 @@ class CoefficientPair:
     def from_fundamental(cls, W: FundamentalMatrixSolution) -> "CoefficientPair":
         """Cubic splines of p and c through the accepted steps of the ``w``
         solve and the midpoints of those steps."""
+        # loaded here, by a numerical reduction only: importing
+        # scipy.interpolate takes about 0.6 s and 50 MB
+        from scipy.interpolate import CubicSpline
         ts = W.trajectory.ts
         knots = np.empty(2 * ts.size - 1)
         knots[0::2] = ts
@@ -151,10 +153,10 @@ class CoefficientPair:
                    "numerical", t_hi=W.horizon)
 
 
-def _piecewise_cubic(spline: CubicSpline):
-    """``s -> spline(s)`` as a float, evaluated directly: the same piece and
-    the same sum as scipy's ``PPoly`` evaluation, bit for bit, without its
-    array conversions.
+def _piecewise_cubic(spline):
+    """``s -> spline(s)`` of a scipy ``CubicSpline``, as a float, evaluated
+    directly: the same piece and the same sum as scipy's ``PPoly``
+    evaluation, bit for bit, without its array conversions.
 
     The piece is the last knot at or below ``s``, clipped to the end pieces,
     which extrapolate.  The sum runs from the constant coefficient up, with

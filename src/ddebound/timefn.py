@@ -6,7 +6,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .expressions import _NAMESPACE, Expression, _generate
 
@@ -252,6 +251,11 @@ def locate_zeros(fn: TimeFunction, t_lo: float, t_hi: float) -> list[float]:
     inside[1:-1] = exact[:-2] & exact[2:]
     zeros = [float(t) for t in grid[exact & ~inside]]
     crossing = vals[:-1] * vals[1:] < 0.0
+    if crossing.any():
+        # loaded here, on the first sign change: importing scipy.optimize
+        # takes about 0.6 s and 50 MB, and the forcings of the scalar and
+        # linear systems are magnitudes, which never change sign
+        from scipy.optimize import brentq
     for i in np.flatnonzero(crossing):
         zeros.append(brentq(fn, grid[i], grid[i + 1], xtol=1e-15))
     # cells next to a crossing or an exact zero are already resolved

@@ -1,9 +1,15 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ddebound
+from ddebound import cli
 from ddebound.cli import _bundled_config, main
 from ddebound.config import ConfigError, load_config_text
 from ddebound.plotting import Curve, emit_csv, emit_region_svg, emit_svg
@@ -26,6 +32,22 @@ history = constant 0.1
 p_hat = -2
 c_hat = 1
 L_hat = 1 ; 3
+"""
+
+# x' = diag(0, -40) x: the fundamental matrix diag(1, e^(-40 t)) passes the
+# condition floor 1e12 at t = 0.69, so no reduction exists on [0, 2]
+ILL_CONDITIONED = """
+[system]
+dim = 2
+A0 1 1 = 0
+A0 2 2 = -40
+history = constant 0.5 0.5
+[solver]
+horizon = 2
+[analysis]
+alpha = 1
+beta = 1.1
+T = 1
 """
 
 
@@ -338,3 +360,86 @@ probe_rtol = 1e-3
             assert (tmp_path / f"fig1_{case}.svg").exists()
         header = (tmp_path / "fig1_a.csv").read_text().split("\n")[0]
         assert header == "t,x_norm,y,y_hat"
+
+
+# the flags each command reads, besides --config
+KEPT_FLAGS = {
+    "simulate": {"--out", "--svg", "--horizon", "--rtol", "--cap"},
+    "reduce": {"--out", "--horizon"},
+    "verify": {"--out", "--svg", "--horizon", "--rtol"},
+    "radius": {"--out", "--horizon", "--cap"},
+    "region": {"--out", "--svg", "--horizon", "--cap"},
+    "robust": set(),
+    "fts": {"--rtol", "--cap"},
+    "reproduce-fig1": {"--case", "--out", "--svg", "--horizon", "--rtol"},
+    "reproduce-fig2": {"--case", "--out", "--svg", "--horizon"},
+}
+FLAG_VALUES = {"--config": ["run.cfg"], "--out": ["out"], "--svg": [], "--horizon": ["3"],
+               "--rtol": ["1e-7"], "--cap": ["100"], "--case": ["a"]}
+# the pairs every command used to accept and ignore
+REMOVED_PAIRS = [("reduce", "--svg"), ("reduce", "--rtol"), ("reduce", "--cap"),
+                 ("verify", "--cap"), ("radius", "--svg"), ("radius", "--rtol"),
+                 ("region", "--rtol"), ("robust", "--out"), ("robust", "--svg"),
+                 ("robust", "--horizon"), ("robust", "--rtol"), ("robust", "--cap"),
+                 ("fts", "--out"), ("fts", "--svg"), ("fts", "--horizon"),
+                 ("reproduce-fig1", "--cap"), ("reproduce-fig2", "--rtol"),
+                 ("reproduce-fig2", "--cap")]
+
+
+class TestCommandFlags:
+    def test_each_command_accepts_only_the_flags_it_reads(self):
+        parser = cli._build_parser()
+        accepted = set()
+        for command in KEPT_FLAGS:
+            for flag, value in FLAG_VALUES.items():
+                try:
+                    parser.parse_args([command, flag, *value])
+                except SystemExit:
+                    continue
+                accepted.add((command, flag))
+        expected = {(command, flag) for command, flags in KEPT_FLAGS.items()
+                    for flag in flags | {"--config"}}
+        assert accepted == expected and len(accepted) == 38
+        assert not accepted & set(REMOVED_PAIRS)
+
+    @pytest.mark.parametrize("command,flag", REMOVED_PAIRS)
+    def test_flag_the_command_does_not_read_is_refused(self, tmp_path, capsys, command, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINIMAL)
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--config", str(cfg), flag, *FLAG_VALUES[flag]])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+class TestLazyPipeline:
+    def test_vector_commands_build_no_reduction(self, tmp_path, capsys):
+        cfg = tmp_path / "ill.cfg"
+        cfg.write_text(ILL_CONDITIONED)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert main(["fts", "--config", str(cfg)]) == 0
+        assert "FTS = True" in capsys.readouterr().out
+        # the commands that read the reduction still refuse the config
+        assert main(["reduce", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert "numerically singular" in capsys.readouterr().err
+
+    def test_reading_the_vector_system_builds_no_coefficients(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fundamental matrix was integrated")
+
+        monkeypatch.setattr(cli, "compute_fundamental_matrix", refuse)
+        pipe = cli.assemble_pipeline(load_config_text(ILL_CONDITIONED))
+        assert pipe.vector_system.dim == 2
+        with pytest.raises(AssertionError, match="fundamental matrix was integrated"):
+            pipe.scalar_system
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(ddebound.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, ddebound, ddebound.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "[]"

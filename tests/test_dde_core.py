@@ -74,7 +74,7 @@ class TestHistoryFunction:
                                                  parse_expression("cos(2*t)")])
         scalar = hist.norm()
         for t in np.linspace(-1.0, 0.0, 100):
-            assert scalar(float(t))[0] == np.linalg.norm(hist(float(t)))
+            assert scalar(float(t))[0] == dde_core._norm(hist(float(t)))
 
 
 class TestIntegrate:

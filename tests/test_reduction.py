@@ -8,6 +8,7 @@ from ddebound import (CoefficientPair, DelaySpec, HistoryFunction, ScalarDelaySy
                       ToleranceSettings, VectorDelaySystem, build_autonomous_auxiliary,
                       build_scalar_auxiliary, compute_fundamental_matrix,
                       integrate, parse_expression, verify_pointwise_ordering)
+from ddebound.dde_core import _norm
 from ddebound.linalg import MatrixFunction, spectral_norm
 from ddebound.majorant import PolynomialMajorant, PolynomialTerm
 from ddebound.reduction import IllConditionedError
@@ -224,7 +225,7 @@ class TestBuildScalarAuxiliary:
         ss = build_scalar_auxiliary(vs, a1, coeffs, vs.f.majorize())
         for t in np.linspace(-0.5, 0.0, 1000):
             t = float(t)
-            assert ss.history(t)[0] == np.linalg.norm(hist(t))
+            assert ss.history(t)[0] == _norm(hist(t))
 
     def test_forcing_magnitude(self):
         vs, a1, coeffs = _planar_benchmark_system(forcing_amplitude=0.05)
@@ -320,6 +321,7 @@ class TestBuildAutonomousAuxiliary:
             cfg.system.dim = dim
             cfg.system.history_data = [0.1] * dim
             pipe = cli.assemble_pipeline(cfg)
+            pipe.autonomous_system    # the stages are built on first read
             counted("chain", cli.build_linear_chain)(pipe)
             assert counts == {"freeze": freeze, "chain": 0}
 
