@@ -58,8 +58,8 @@ class Pipeline:
 
     @cached_property
     def a1(self) -> MatrixFunction | None:
-        # one remainder matrix function, so the vector and scalar systems
-        # share its norm memo
+        # one remainder matrix function, so both scalar coefficients that
+        # read its norm read one name, which a generated right side reads once
         return self.config.a1_matrix()
 
     @cached_property

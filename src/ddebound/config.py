@@ -118,8 +118,7 @@ class RunConfig:
 
     # -- assembly helpers --------------------------------------------------
     def delay_spec(self) -> DelaySpec:
-        sc = self.system
-        return DelaySpec.from_functions(sc.delay_exprs, sc.t0, self.horizon)
+        return DelaySpec.from_functions(self.system.delay_exprs)
 
     def a0_matrix(self) -> MatrixFunction:
         return MatrixFunction(self.system.dim, self.system.a0_entries)
@@ -140,7 +139,7 @@ class RunConfig:
 
     def build_vector_system(self, a1: MatrixFunction | None = None) -> VectorDelaySystem:
         """The vector system; ``a1``, when given, is the remainder matrix
-        function to use (so a caller can share it and its norm memo)."""
+        function to use (so a caller can share it and its norm)."""
         sc = self.system
         delays = self.delay_spec()
         a0 = self.a0_matrix()
@@ -442,9 +441,9 @@ def load_config_text(text: str, source: str = "<memory>") -> RunConfig:
                           e_entries, history_kind, history_data)
     cfg = RunConfig(system, reduction, solver, horizon, analysis, output, source)
 
-    # history coverage check needs the resolved delays
+    # history coverage check needs the delay band on [t0, horizon]
     try:
-        spec = cfg.delay_spec()
+        h_bar, _h_under = cfg.delay_spec().bounds(t0, horizon)
     except ValueError as exc:
         raise ConfigError(f"{source}: bad delays: {exc}") from exc
     try:
@@ -453,8 +452,8 @@ def load_config_text(text: str, source: str = "<memory>") -> RunConfig:
         raise ConfigError(f"{source}: bad history: {exc}") from exc
     if history.dim != dim:
         raise ConfigError(f"{source}: history dimension {history.dim} != dim {dim}")
-    if not history.covers(t0 - spec.h_bar, t0):
+    if not history.covers(t0 - h_bar, t0):
         raise ConfigError(
-            f"{source}: history must cover [{t0 - spec.h_bar}, {t0}] "
+            f"{source}: history must cover [{t0 - h_bar}, {t0}] "
             f"(it covers [{history.t_min}, {history.t_max}])")
     return cfg

@@ -151,26 +151,20 @@ class ToleranceSettings:
     first_step: float | None = None
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("rtol and atol must be positive")
-        if self.cap <= 0:
+        # a NaN tolerance would make every step size NaN, and an infinite one
+        # would switch error control off
+        if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
+            raise ValueError("rtol and atol must be positive and finite")
+        if not self.cap > 0:
             raise ValueError("blow-up cap must be positive")
 
 
 @dataclass(frozen=True)
 class DelaySpec:
-    """Delay functions with certified positive lower / finite upper bounds.
-
-    ``h_bar`` / ``h_under`` are the max-sup / min-inf of the delays.  For
-    time-varying delays `from_functions` reads them on the one sampling grid
-    (`timefn.sample`, 10,000 points) and refines the extremes, and
-    `validate_on` checks the band on that grid; constant delays are decided
-    exactly, without sampling.
-    """
+    """Delay functions ``h_i(t)``; `bounds` reads their band on the interval
+    a run integrates."""
 
     delays: tuple[TimeFunction, ...]
-    h_bar: float
-    h_under: float
 
     @property
     def count(self) -> int:
@@ -178,54 +172,39 @@ class DelaySpec:
 
     @classmethod
     def none(cls) -> "DelaySpec":
-        return cls((), 0.0, math.inf)
+        return cls(())
 
     @classmethod
     def constant(cls, values: Sequence[float]) -> "DelaySpec":
         vals = [float(v) for v in values]
-        if not vals:
-            return cls.none()
-        if min(vals) <= 0:
+        if vals and min(vals) <= 0:
             raise ValueError("delays must be positive")
-        return cls(tuple(as_time_function(v) for v in vals), max(vals), min(vals))
+        return cls(tuple(ConstantFn(v) for v in vals))
 
     @classmethod
-    def from_functions(cls, fns: Sequence, t0: float, horizon: float) -> "DelaySpec":
-        delay_fns = tuple(as_time_function(f) for f in fns)
-        if not delay_fns:
-            return cls.none()
-        grid, rows = sample(delay_fns, t0, horizon)
+    def from_functions(cls, fns: Sequence) -> "DelaySpec":
+        return cls(tuple(as_time_function(f) for f in fns))
+
+    def bounds(self, t0: float, horizon: float) -> tuple[float, float]:
+        """``(h_bar, h_under)``: the largest and the smallest delay value on
+        ``[t0, horizon]``, read on the one sampling grid (`timefn.sample`,
+        10,000 points) with the extremes refined by golden section; constant
+        delays are decided exactly, without sampling.  ``(0.0, inf)`` without
+        delays.  A delay that is not positive or not bounded is an error."""
+        if not self.delays:
+            return 0.0, math.inf
+        grid, rows = sample(self.delays, t0, horizon)
         h_bar = max(-_refined_minimum(lambda t, fn=fn: -fn(t), grid, -values)
-                    for fn, values in zip(delay_fns, rows))
-        h_under = min(_refined_minimum(fn, grid, values) for fn, values in zip(delay_fns, rows))
+                    for fn, values in zip(self.delays, rows))
+        h_under = min(_refined_minimum(fn, grid, values) for fn, values in zip(self.delays, rows))
         if h_under <= 0:
             raise ValueError(f"minimal delay {h_under!r} is not positive")
         if not math.isfinite(h_bar):
             raise ValueError("delays must be bounded")
-        return cls(delay_fns, h_bar, h_under)
-
-    def validate_on(self, t0: float, horizon: float) -> None:
-        """Re-check ``0 < h_under <= h_i(t) <= h_bar`` on the sampling grid."""
-        if not self.delays:
-            return
-        if self.h_under <= 0 or not math.isfinite(self.h_bar):
-            raise ValueError("delay bounds must satisfy 0 < h_under <= h_bar < inf")
-        grid, rows = sample(self.delays, t0, horizon)
-        outside = np.argwhere(~((self.h_under - 1e-12 <= rows) & (rows <= self.h_bar + 1e-12)))
-        if outside.size:
-            k, i = outside[0]
-            raise ValueError(
-                f"delay {k + 1} value {float(rows[k, i])!r} at t={float(grid[i])!r} leaves "
-                f"[{self.h_under}, {self.h_bar}]")
+        return h_bar, h_under
 
     def merged_with(self, other: "DelaySpec") -> "DelaySpec":
-        if not other.delays:
-            return self
-        if not self.delays:
-            return other
-        return DelaySpec(self.delays + other.delays,
-                         max(self.h_bar, other.h_bar),
-                         min(self.h_under, other.h_under))
+        return DelaySpec(self.delays + other.delays)
 
 
 def _refined_minimum(fn, grid: np.ndarray, values: np.ndarray) -> float:
@@ -330,12 +309,8 @@ class DelayProblem:
     kinks: Sequence[float] = ()
 
     def __post_init__(self):
-        h_bar = self.delays.h_bar
-        if self.history is None:
-            if self.delays.delays or self.y0 is None:
-                raise ValueError("a history is required with delays or without a start value")
-        elif not self.history.covers(self.t0 - h_bar, self.t0):
-            raise ValueError(f"history must cover [{self.t0 - h_bar}, {self.t0}]")
+        if self.history is None and (self.delays.delays or self.y0 is None):
+            raise ValueError("a history is required with delays or without a start value")
 
     def problem(self, horizon: float) -> "DelayProblem":
         return self
@@ -500,7 +475,11 @@ class ScalarDelaySystem:
             raise ValueError(
                 f"coefficients are only valid up to t={self.coeff_horizon}, "
                 f"requested horizon {horizon}")
-        lowest = sample([self.history.reduced(np.min)], self.t0 - spec.h_bar, self.t0)[1]
+        # read where the history is defined: `integrate` refuses one that
+        # does not cover the delay band
+        h_bar, _h_under = spec.bounds(self.t0, horizon)
+        lowest = sample([self.history.reduced(np.min)],
+                        max(self.t0 - h_bar, self.history.t_min), self.t0)[1]
         if np.min(lowest) < -1e-12:
             raise ValueError("scalar history must be nonnegative")
         grid, (c_values,) = sample([self.c], self.t0, horizon)
@@ -699,6 +678,8 @@ def _initial_step(eval_rhs, t0, y0, f0, rtol, atol, max_step, members):
 def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> Trajectory:
     """Integrate ``system.problem(horizon)`` from its start time to ``horizon``.
 
+    The delay band ``(h_bar, h_under)`` is read once, on ``[t0, horizon]``
+    (`DelaySpec.bounds`), and the history must cover ``[t0 - h_bar, t0]``.
     Delayed arguments are resolved from the history function (at or before
     the start time) or from already-accepted dense segments; the step cap
     ``h_under`` keeps every delayed lookup out of the current step, and a
@@ -727,7 +708,7 @@ def integrate_batch(system, histories: Sequence[HistoryFunction], horizon: float
     crossing time, and drops out of the error control; at the step floor the
     members at or above ``0.01 * tol.cap`` are frozen.  Each member starts
     from its history at the start time; every history must cover
-    ``[t0 - h_bar, t0]``.
+    ``[t0 - h_bar, t0]``, with ``h_bar`` the largest delay on ``[t0, horizon]``.
     """
     histories = list(histories)
     if not histories:
@@ -744,12 +725,9 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
         raise ValueError(f"horizon {horizon!r} must exceed the start time {system.t0!r}")
     problem = system.problem(horizon)
     t0 = float(problem.t0)
-    spec = problem.delays
-    spec.validate_on(t0, horizon)
-    delay_fns = spec.delays
+    delay_fns = problem.delays.delays
     has_delays = bool(delay_fns)
-    h_bar = spec.h_bar if has_delays else 0.0
-    h_under = spec.h_under if has_delays else math.inf
+    h_bar, h_under = problem.delays.bounds(t0, horizon)
 
     max_step = min(h_under, horizon - t0)
     if tol.max_step is not None:
@@ -761,15 +739,13 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
     lone = histories is None
     if lone:
         histories = [problem.history]
-        starts = [problem.history(t0) if problem.y0 is None else problem.y0]
-    else:
-        if problem.y0 is not None:
-            raise ValueError("batch members start from their histories; the problem "
-                             "must not carry a start value")
-        for member in histories:
-            if not member.covers(t0 - h_bar, t0):
-                raise ValueError(f"history must cover [{t0 - h_bar}, {t0}]")
-        starts = [member(t0) for member in histories]
+    elif problem.y0 is not None:
+        raise ValueError("batch members start from their histories; the problem "
+                         "must not carry a start value")
+    for member in histories:
+        if member is not None and not member.covers(t0 - h_bar, t0):
+            raise ValueError(f"history must cover [{t0 - h_bar}, {t0}]")
+    starts = [member(t0) for member in histories] if problem.y0 is None else [problem.y0]
     starts = [np.atleast_1d(np.asarray(s, dtype=float)) for s in starts]
     dim = starts[0].size
     if any(s.size != dim for s in starts):

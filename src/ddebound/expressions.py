@@ -25,6 +25,8 @@ of the compiled expressions they read.
 from __future__ import annotations
 
 import math
+import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,6 +49,8 @@ _NAMESPACE = {**{f"_{name}": fn for name, fn in _FUNCTIONS.items()},
               "inf": math.inf, "nan": math.nan}
 
 _BINARY_OPS = ("+", "-", "*", "/", "^")
+# a call of a named function at t in generated source
+_CALL_AT_T = re.compile(r"(?<![\w.])(\w+)\(t\)")
 
 
 def _generate(params: str, result: str, names=None, lines=(), namespace=_NAMESPACE):
@@ -54,13 +58,25 @@ def _generate(params: str, result: str, names=None, lines=(), namespace=_NAMESPA
     generated source (never user text) with the expression functions and
     ``names`` in scope.
 
-    The function keeps ``(params, lines, result, names)`` as ``source``:
-    generated code reading a function of ``t`` alone without statements
-    inlines its body instead of calling it, and `timefn.grid_values` runs a
-    function of ``t`` on a whole array of times, with ``namespace`` in place
-    of the scalar expression functions.
+    A function of ``names`` that the source calls more than once at ``t`` is
+    read once, into a local assigned by a first line.  The function keeps
+    ``(params, lines, result, names)`` as ``source``: generated code reading
+    a function of ``t`` alone without statements inlines its body instead of
+    calling it, and `timefn.grid_values` runs a function of ``t`` on a whole
+    array of times, with ``namespace`` in place of the scalar expression
+    functions.
     """
     names = dict(names or {})
+    source = "\n".join([*lines, result])
+    counts = Counter(name for name in _CALL_AT_T.findall(source) if name in names)
+    shared = [name for name, count in counts.items() if count > 1]
+    if shared:
+        def read_shared(text: str) -> str:
+            return _CALL_AT_T.sub(
+                lambda call: f"{call[1]}_t" if call[1] in shared else call[0], text)
+
+        lines = [*(f"{name}_t = {name}(t)" for name in shared), *map(read_shared, lines)]
+        result = read_shared(result)
     text = "\n    ".join([f"def _generated({params}):", *lines, f"return {result}"])
     scope = {**namespace, **names}
     exec(text, scope)

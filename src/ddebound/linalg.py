@@ -12,8 +12,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .expressions import _generate
-from .timefn import (ConstantFn, _compose, _literal, _source_of, as_time_function,
-                     memoize_last)
+from .timefn import ConstantFn, _compose, _literal, _source_of, as_time_function
 
 __all__ = [
     "spectral_norm",
@@ -53,7 +52,7 @@ class MatrixFunction:
     matrices are detected and returned without re-evaluation; callers must
     treat the returned array as read-only in that case.  ``norm`` is
     ``t -> |M(t)|``: a constant, a generated function for dimension 1 or 2,
-    a last-value memo of `spectral_norm` above.
+    `spectral_norm` of the matrix above.
     """
 
     def __init__(self, dim: int, entries: Mapping[tuple[int, int], object]):
@@ -86,9 +85,7 @@ class MatrixFunction:
             self.norm = _generate("t", _NORM_2X2, names,
                                   [f"a, b, c, d = {a}, {b}, {c}, {d}", *_GRAM_LINES])
         else:
-            # one memo per matrix function: every coefficient built from it
-            # computes |M(t)| once per time point
-            self.norm = memoize_last(lambda t: spectral_norm(self(t)))
+            self.norm = lambda t: spectral_norm(self(t))
 
     @classmethod
     def zero(cls, dim: int) -> "MatrixFunction":
@@ -166,8 +163,7 @@ class VectorFunction:
 
 def matrix_norm_function(matrix_fn) -> Callable[[float], float]:
     """Time function ``t -> |M(t)|`` (spectral norm): the one ``norm`` of a
-    `MatrixFunction`, for any other callable memoized at the last time
-    point."""
+    `MatrixFunction`, `spectral_norm` of the value of any other callable."""
     if isinstance(matrix_fn, MatrixFunction):
         return matrix_fn.norm
-    return memoize_last(lambda t: spectral_norm(matrix_fn(t)))
+    return lambda t: spectral_norm(matrix_fn(t))

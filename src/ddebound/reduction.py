@@ -221,7 +221,8 @@ def build_autonomous_auxiliary(ss: ScalarDelaySystem, horizon: float,
     and of the perturbation are sampled together in one `grid_supremum`
     pass over ``[t0, horizon]``; sampled suprema are inflated by the
     relative ``margin`` so the frozen system still dominates the original,
-    constants pass through exactly.
+    constants pass through exactly.  The frozen system is valid up to
+    ``horizon``, the end of the interval its suprema were read on.
     """
     t_lo, t_hi = ss.t0, horizon
     if t_hi <= t_lo:
@@ -249,5 +250,5 @@ def build_autonomous_auxiliary(ss: ScalarDelaySystem, horizon: float,
         history=ss.history,
         t0=ss.t0,
         perturbation=perturbation,
-        coeff_horizon=math.inf,
+        coeff_horizon=horizon,
     )

@@ -13,7 +13,6 @@ __all__ = [
     "TimeFunction",
     "ConstantFn",
     "as_time_function",
-    "memoize_last",
     "grid_values",
     "sample",
     "grid_supremum",
@@ -85,36 +84,6 @@ def _compose(template: str, *fns: TimeFunction) -> TimeFunction:
     if all(isinstance(f, ConstantFn) for f in fns):
         return ConstantFn(fn(0.0))
     return fn
-
-
-class _MemoLast:
-    """Caches the most recent (t, value) pair.
-
-    Integration right sides evaluate several coefficient functions that share
-    one expensive sub-function (e.g. a matrix norm) at the same time point;
-    this keeps those shared evaluations to one per time point.  The pair is
-    swapped as a single tuple so concurrent readers never see a torn cache;
-    redundant refills are harmless (the wrapped function is pure).
-    """
-
-    __slots__ = ("fn", "_pair")
-
-    def __init__(self, fn: TimeFunction):
-        self.fn = fn
-        self._pair = (math.nan, math.nan)
-
-    def __call__(self, t: float) -> float:
-        pair = self._pair
-        if pair[0] != t:
-            pair = (t, self.fn(t))
-            self._pair = pair
-        return pair[1]
-
-
-def memoize_last(fn: TimeFunction) -> TimeFunction:
-    if isinstance(fn, (ConstantFn, _MemoLast)):
-        return fn
-    return _MemoLast(fn)
 
 
 # the one sample count of every sampled precondition and supremum; only

@@ -34,6 +34,17 @@ c_hat = 1
 L_hat = 1 ; 3
 """
 
+# the delay grows from 0.5 to 1.0 on the configured [0, 5] and to 1.5 on [0, 10]
+GROWING_DELAY = """
+[system]
+dim = 1
+A0 1 1 = -1
+delay 1 = 0.5 + 0.1*t
+history = constant 0.5
+[solver]
+horizon = 5
+"""
+
 # x' = diag(0, -40) x: the fundamental matrix diag(1, e^(-40 t)) passes the
 # condition floor 1e12 at t = 0.69, so no reduction exists on [0, 2]
 ILL_CONDITIONED = """
@@ -59,7 +70,7 @@ class TestLoadConfig:
             assert cfg.system.forcing_amplitude == 0.05
             assert cfg.horizon == 50.0
             spec = cfg.delay_spec()
-            assert spec.count == 1 and spec.h_bar == 0.5
+            assert spec.count == 1 and spec.bounds(cfg.system.t0, cfg.horizon)[0] == 0.5
             vs = cfg.build_vector_system()
             assert vs.dim == 2
             assert np.allclose(vs.history(0.0), [0.1, 0.1])
@@ -105,6 +116,12 @@ history sample = 0.0 1.0
         from ddebound import integrate
         traj = integrate(vs, 5.0, cfg.solver)
         assert traj.eval(1.0)[0] == pytest.approx(0.5 * math.exp(-1.0), rel=1e-5)
+
+    @pytest.mark.parametrize("key", ["rtol", "atol"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_rejected(self, key, value):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            load_config_text(f"{MINIMAL}{key} = {value}\n", "<test>")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -199,6 +216,17 @@ class TestCliCommands:
         assert (tmp_path / "simulate.svg").exists()
         header = (tmp_path / "simulate.csv").read_text().split("\n")[0]
         assert header == "t,x1,x_norm"
+
+    def test_longer_horizon_reads_the_delay_band_on_its_own_interval(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, GROWING_DELAY)
+        assert main(["simulate", "--config", cfg, "--horizon", "10",
+                     "--out", str(tmp_path)]) == 0
+        assert "simulated to t=10 (completed)" in capsys.readouterr().out
+
+    def test_nan_tolerance_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["reproduce-fig1", "--case", "a", "--rtol", "nan",
+                     "--out", str(tmp_path)]) == 2
+        assert "positive and finite" in capsys.readouterr().err
 
     def test_csv_output_is_deterministic(self, tmp_path):
         cfg = self._write(tmp_path, MINIMAL)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,38 +18,55 @@ from ddebound.vectorfield import NonlinearTerm, PolynomialVectorField
 
 class TestDelaySpec:
     def test_constant_bounds_exact(self):
-        spec = DelaySpec.constant([0.5, 1.5])
-        assert spec.h_bar == 1.5
-        assert spec.h_under == 0.5
+        h_bar, h_under = DelaySpec.constant([0.5, 1.5]).bounds(0.0, 5.0)
+        assert h_bar == 1.5
+        assert h_under == 0.5
 
     def test_zero_delay_rejected(self):
         with pytest.raises(ValueError):
             DelaySpec.constant([0.0])
 
     def test_sampled_bounds(self):
-        spec = DelaySpec.from_functions([parse_expression("1 + 0.5*sin(t)")], 0.0, 20.0)
-        assert spec.h_under == pytest.approx(0.5, abs=1e-4)
-        assert spec.h_bar == pytest.approx(1.5, abs=1e-4)
+        spec = DelaySpec.from_functions([parse_expression("1 + 0.5*sin(t)")])
+        h_bar, h_under = spec.bounds(0.0, 20.0)
+        assert h_under == pytest.approx(0.5, abs=1e-4)
+        assert h_bar == pytest.approx(1.5, abs=1e-4)
 
     def test_sampled_extremes_are_refined(self):
         # the narrow dip to 0.05 at t = 3.05 falls between two of the 512
         # samples, which alone give h_under = 0.0848
         dip = parse_expression("0.5 - 0.45*exp(-10000*(t-3.05)^2)")
-        spec = DelaySpec.from_functions([dip], 0.0, 10.0)
-        assert spec.h_under == pytest.approx(0.05, abs=1e-12)
-        assert spec.h_bar == 0.5
+        h_bar, h_under = DelaySpec.from_functions([dip]).bounds(0.0, 10.0)
+        assert h_under == pytest.approx(0.05, abs=1e-12)
+        assert h_bar == 0.5
         bump = parse_expression("1 + 0.45*exp(-10000*(t-3.05)^2)")
-        assert DelaySpec.from_functions([bump], 0.0, 10.0).h_bar == pytest.approx(1.45,
-                                                                                 abs=1e-12)
+        assert DelaySpec.from_functions([bump]).bounds(0.0, 10.0)[0] == pytest.approx(
+            1.45, abs=1e-12)
 
     def test_nonpositive_sampled_delay_rejected(self):
         with pytest.raises(ValueError):
-            DelaySpec.from_functions([parse_expression("sin(t)")], 0.0, 10.0)
+            DelaySpec.from_functions([parse_expression("sin(t)")]).bounds(0.0, 10.0)
 
-    def test_validate_on_catches_out_of_band_values(self):
-        bad = DelaySpec((lambda t: 2.0,), h_bar=1.0, h_under=1.0)
-        with pytest.raises(ValueError):
-            bad.validate_on(0.0, 5.0)
+    def test_band_is_read_on_the_given_interval(self):
+        spec = DelaySpec.from_functions([parse_expression("0.5 + 0.1*t")])
+        assert spec.bounds(0.0, 5.0) == (1.0, 0.5)
+        assert spec.bounds(0.0, 10.0) == (1.5, 0.5)
+
+    def test_no_delays(self):
+        assert DelaySpec.none().bounds(0.0, 5.0) == (0.0, math.inf)
+
+
+class TestToleranceSettings:
+    @pytest.mark.parametrize("field", ["rtol", "atol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-6])
+    def test_tolerances_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ToleranceSettings(**{field: value})
+
+    def test_cap_may_be_infinite_but_not_nan(self):
+        assert ToleranceSettings(cap=math.inf).cap == math.inf
+        with pytest.raises(ValueError, match="cap"):
+            ToleranceSettings(cap=math.nan)
 
 
 class TestHistoryFunction:
@@ -139,8 +157,8 @@ class TestIntegrate:
         # is 0.5 and the stage at t = 3.4 reads y(3.35) while the accepted
         # solution ends at t = 3
         delay = parse_expression("0.5 - 0.45*exp(-((t-3.4)/1e-6)^2)")
-        spec = DelaySpec.from_functions([delay], 0.0, 10.0)
-        assert spec.h_under == 0.5
+        spec = DelaySpec.from_functions([delay])
+        assert spec.bounds(0.0, 10.0)[1] == 0.5
         problem = DelayProblem(lambda t, y, z: -z[0], spec,
                                HistoryFunction.constant([1.0]), 0.0)
         tol = ToleranceSettings(rtol=0.1, atol=0.1, first_step=0.5, max_step=0.5)
@@ -174,6 +192,26 @@ class TestIntegrate:
         sys = delayed_decay_system(history=hist)   # needs [-1, 0]
         with pytest.raises(ValueError):
             integrate(sys, 2.0, DEFAULT)
+
+    def test_history_coverage_is_checked_on_the_band_of_the_run(self):
+        # h(t) = 0.5 + 0.1 t reaches 1.0 on [0, 5] and 1.5 on [0, 10]
+        delay = DelaySpec.from_functions([parse_expression("0.5 + 0.1*t")])
+        history = HistoryFunction.from_samples([-1.0, 0.0], [[1.0], [1.0]])
+        problem = DelayProblem(lambda t, y, z: -z[0], delay, history)
+        assert integrate(problem, 5.0, DEFAULT).t_end == 5.0
+        assert integrate_batch(problem, [history], 5.0, DEFAULT)[0].t_end == 5.0
+        refusal = re.escape("history must cover [-1.5, 0.0]")
+        with pytest.raises(ValueError, match=refusal):
+            integrate(problem, 10.0, DEFAULT)
+        with pytest.raises(ValueError, match=refusal):
+            integrate_batch(problem, [history], 10.0, DEFAULT)
+
+    def test_scalar_history_not_covering_the_band_is_refused(self):
+        short = HistoryFunction.from_samples([-0.5, 0.0], [[0.1], [0.1]])
+        scalar = replace(cubic_basin_scalar(), delays=DelaySpec.constant([1.0]),
+                         majorant=PolynomialMajorant.zero(2), history=short)
+        with pytest.raises(ValueError, match=re.escape("history must cover [-1.0, 0.0]")):
+            integrate(scalar, 2.0, DEFAULT)
 
     def test_problem_without_history_needs_start_value_and_no_delays(self):
         rhs = lambda t, y, z: -y
@@ -601,7 +639,7 @@ class TestIntegrateBatch:
 class TestConcurrentIntegrations:
     def test_shared_system_is_safe_across_threads(self):
         # systems are immutable and shareable: concurrent integrations of one
-        # instance (whose bound coefficients share a memoized matrix norm)
+        # instance (whose bound coefficients read one shared matrix norm)
         # must reproduce the sequential result bit for bit
         from concurrent.futures import ThreadPoolExecutor
         from ddebound.cli import _bundled_config, assemble_pipeline

@@ -18,8 +18,8 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from ddebound import (DelayProblem, DelaySpec, HistoryFunction, PolynomialMajorant,
-                      PolynomialTerm, ToleranceSettings, integrate, integrate_batch,
-                      linearize_majorant, parse_expression)
+                      PolynomialTerm, ScalarDelaySystem, ToleranceSettings, integrate,
+                      integrate_batch, linearize_majorant, parse_expression)
 from ddebound.analysis import build_perturbed_scalar
 from ddebound.cli import _bundled_config, assemble_pipeline, build_linear_chain
 from ddebound.config import load_config
@@ -263,6 +263,25 @@ class TestScalarRhs:
         ), 3, allow_constant_terms=True)
         ss = build_perturbed_scalar(pipe.scalar_system, bump, DelaySpec.constant([0.51, 0.7]))
         self._check(ss, ss.forcing, _times(pipe), np.random.default_rng(9))
+
+    def test_a_coefficient_read_by_two_terms_is_called_once(self):
+        calls = []
+
+        def coeff(t):
+            calls.append(t)
+            return 0.5 + math.sin(t) ** 2
+
+        majorant = PolynomialMajorant((PolynomialTerm(coeff, (2, 0)),
+                                       PolynomialTerm(coeff, (0, 1))), 2)
+        ss = ScalarDelaySystem(p=-1.0, c=1.0, majorant=majorant, forcing=0.0,
+                               delays=DelaySpec.constant([0.5]),
+                               history=HistoryFunction.constant([0.1]))
+        times = [0.1, 0.2, 0.3]
+        self._check(ss, ss.forcing, times, np.random.default_rng(10))
+        calls.clear()
+        for t in times:
+            ss.rhs(t, np.array([0.3]), [np.array([0.2])])
+        assert calls == times
 
     def test_majorant_evaluate_equals_the_term_loop(self, pipe):
         majorant = pipe.scalar_system.majorant

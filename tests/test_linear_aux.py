@@ -85,7 +85,7 @@ class TestCauchyFunction:
         _linear, constant = build_linear_chain(assemble_pipeline(_bundled_config(case)))
         a = constant.rate.value
         (b,) = [g.value for g in constant.delayed_coeffs]
-        h = constant.delays.h_bar
+        h = constant.delays.bounds(0.0, 30.0)[0]
         rate = a + lambertw(b * h * math.exp(-a * h)).real / h
         C = cauchy_function(constant, 0.0, 30.0, ToleranceSettings(rtol=1e-10, atol=1e-14))
         fitted = math.log(C.eval(30.0)[0] / C.eval(20.0)[0]) / 10.0

@@ -235,9 +235,9 @@ class TestBuildScalarAuxiliary:
 
     def test_remainder_norm_computed_once_per_time_point(self, monkeypatch):
         # a 2x2 |A1(t)| is generated from its entries and calls no
-        # spectral_norm; a 3x3 one keeps its memo, which the folded |A1(t)|
-        # term and the delayed 0.5 |A1(t)| term share, so each right-side
-        # evaluation computes the norm once
+        # spectral_norm; a 3x3 one is one function, which the folded |A1(t)|
+        # term and the delayed 0.5 |A1(t)| term share and the generated right
+        # side reads once, so each evaluation computes the norm once
         import ddebound.linalg as linalg
 
         calls = []
@@ -295,9 +295,9 @@ class TestBuildAutonomousAuxiliary:
 
     def test_one_norm_per_grid_point_on_case_a(self, monkeypatch):
         # case a's 2x2 |A1(t)| is generated and calls no spectral_norm; with a
-        # 3x3 A1 the two |A1(t)| terms share one memo, which the sampling
-        # reads once per grid point; U is built from the frozen coefficients
-        # and samples no norm at all
+        # 3x3 A1 the two |A1(t)| terms share one norm function, which the
+        # sampling reads once per grid point; U is built from the frozen
+        # coefficients and samples no norm at all
         import ddebound.cli as cli
         import ddebound.linalg as linalg
 
@@ -324,6 +324,15 @@ class TestBuildAutonomousAuxiliary:
             pipe.autonomous_system    # the stages are built on first read
             counted("chain", cli.build_linear_chain)(pipe)
             assert counts == {"freeze": freeze, "chain": 0}
+
+    def test_frozen_system_is_valid_up_to_its_horizon(self):
+        import ddebound.cli as cli
+
+        pipe = cli.assemble_pipeline(cli._bundled_config("a"), horizon=2.0)
+        auto = pipe.autonomous_system
+        assert auto.coeff_horizon == 2.0
+        with pytest.raises(ValueError, match="coefficients are only valid up to"):
+            integrate(auto, pipe.horizon + 1.0)
 
     def test_frozen_system_dominates_pointwise(self):
         ss = self._scalar("-3 + 0.1*sin(5*t)")
