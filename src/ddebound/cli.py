@@ -151,7 +151,7 @@ def build_linear_chain(pipe: Pipeline):
     auto = pipe.autonomous_system
     zt = cfg.reduction.zeta_tilde
     vs = pipe.vector_system
-    forcing_norm = vs.forcing_norm if vs.forcing_amplitude > 0 else ConstantFn(0.0)
+    forcing_norm = vs.forcing_shape.norm if vs.forcing_amplitude > 0 else ConstantFn(0.0)
     linear = build_linear_auxiliary(pipe.coefficients, linearize_majorant(scalar.majorant, zt),
                                     scalar.delays, forcing_norm, vs.forcing_amplitude,
                                     scalar.history, scalar.t0)

@@ -154,7 +154,6 @@ class RunConfig:
         nonlinear = None
         if poly is not None or matrix_terms:
             nonlinear = NonlinearTerm(sc.dim, delays.count, poly, matrix_terms)
-        # the shape's norm is compiled from the same expressions
         shape = VectorFunction(sc.dim, sc.e_entries) if sc.forcing_amplitude > 0 else None
         return VectorDelaySystem(
             dim=sc.dim, A=a_full, f=nonlinear,

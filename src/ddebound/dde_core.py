@@ -30,15 +30,17 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import repeat
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .expressions import _generate
-from .linalg import VectorFunction
+from .linalg import MatrixFunction, VectorFunction
 from .majorant import PolynomialMajorant
-from .timefn import (ConstantFn, TimeFunction, _golden_minimum, _source_of,
-                     as_time_function, grid_values, locate_zeros, sample)
+from .timefn import (ConstantFn, TimeFunction, _golden_minimum, _literal, _source_of,
+                     as_time_function, locate_zeros, sample)
 from .vectorfield import NonlinearTerm
 
 __all__ = [
@@ -316,15 +318,26 @@ class DelayProblem:
         return self
 
 
+# the generated vector right side reads a lone state as Python floats and a
+# batch as columns, whose powers are taken entry by entry as ``float ** int``
+# (numpy's array power rounds differently): each row has the lone state's bits
+_ONE_STATE = {"_columns": np.ndarray.tolist, "_spow": pow}
+_BATCH = {"_columns": attrgetter("T"),
+          "_spow": lambda column, power: np.fromiter(map(pow, column.tolist(), repeat(power)),
+                                                     float, column.size)}
+
+
 @dataclass(frozen=True)
 class VectorDelaySystem:
-    """Vector delay system ``x' = A(t)x + f(t, x, x(t-h_1), ...) + F0*e(t)``."""
+    """Vector delay system ``x' = A(t)x + f(t, x, x(t-h_1), ...) + F0*e(t)``: data
+    (``A`` a `MatrixFunction`, ``f`` a `NonlinearTerm`, the shape ``e`` a
+    `VectorFunction`, each optional) from which `rhs` is generated."""
 
     dim: int
-    A: Callable[[float], np.ndarray] | None
+    A: MatrixFunction | None
     f: NonlinearTerm | None
     forcing_amplitude: float
-    forcing_shape: Callable[[float], np.ndarray] | None
+    forcing_shape: VectorFunction | None
     delays: DelaySpec
     history: HistoryFunction
     t0: float = 0.0
@@ -332,6 +345,10 @@ class VectorDelaySystem:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be positive")
+        for part, kind in ((self.A, MatrixFunction), (self.f, NonlinearTerm),
+                           (self.forcing_shape, VectorFunction)):
+            if part is not None and not isinstance(part, kind):
+                raise TypeError(f"expected a {kind.__name__} or None, not {part!r}")
         if self.forcing_amplitude < 0:
             raise ValueError("forcing amplitude must be nonnegative")
         if self.forcing_amplitude > 0 and self.forcing_shape is None:
@@ -342,51 +359,67 @@ class VectorDelaySystem:
 
     def rhs(self, t: float, y: np.ndarray, delayed: Sequence[np.ndarray]) -> np.ndarray:
         """Right side for one state ``(n,)`` or a batch of states ``(B, n)``."""
-        if self.A is not None:
-            out = (self.A(t) @ y.T).T
-        else:
-            out = np.zeros(y.shape)
-        if self.f is not None:
-            out = out + self.f(t, y, delayed)
-        if self.forcing_amplitude > 0.0:
-            out = out + self.forcing_amplitude * np.asarray(self.forcing_shape(t), dtype=float)
-        return out
+        return self._rhs[y.ndim - 1](t, y, delayed)
 
     @cached_property
-    def forcing_norm(self) -> TimeFunction:
-        """``t -> |e(t)|``, the Euclidean norm of the forcing shape: the
-        compiled norm of a `VectorFunction` shape, `_norm` of the value of any
-        other callable."""
-        shape = self.forcing_shape
-        if isinstance(shape, VectorFunction):
-            return shape.norm
-        return lambda t: float(_norm(np.asarray(shape(t), dtype=float)))
+    def _rhs(self):
+        """`rhs` for a lone state and for a batch, from one source: coordinate
+        ``i`` is ``sum_j A_ij(t) x_j + (monomials + sum weight * sum_j M_ij(t)
+        x_j(t - h)) + F0 e_i(t)``, each sum in index order, with zero matrix
+        entries dropped, constants as literals (a factor 1.0 left out) and each
+        distinct coefficient read once per call into a local."""
+        names: dict = {"_empty": np.empty}
+        reads: dict[str, str] = {}
+
+        def times(*factors: str) -> str:
+            return " * ".join(factor for factor in factors if factor != "1.0") or "1.0"
+
+        def read(value) -> str:
+            fn = as_time_function(value)
+            source = _source_of(fn, names)
+            if isinstance(fn, ConstantFn):
+                return source
+            return reads.setdefault(source, f"c{len(reads)}")
+
+        def product(matrix: MatrixFunction, columns: list[str]) -> list[str]:
+            rows: list[list[str]] = [[] for _ in range(self.dim)]
+            for (i, j), value in sorted(matrix.entries().items()):
+                rows[i].append(times(read(value), columns[j]))
+            return [" + ".join(row) for row in rows]
+
+        states = [[f"s{k}_{j}" for j in range(self.dim)] for k in range(self.delays.count + 1)]
+        linear = product(self.A, states[0]) if self.A is not None else [""] * self.dim
+        nonlinear: list[list[str]] = [[] for _ in range(self.dim)]
+        f = self.f
+        for mono in f.poly.monomials if f is not None and f.poly is not None else ():
+            nonlinear[mono.coord].append(times(read(mono.coeff), *(
+                states[slot][c] if power == 1 else f"_spow({states[slot][c]}, {power})"
+                for slot, c, power in mono.factors)))
+        for term in f.matrix_terms if f is not None else ():
+            for i, row in enumerate(product(term.matrix, states[term.slot])):
+                if row:
+                    nonlinear[i].append(times(_literal(term.weight), f"({row})"))
+        forcing = [""] * self.dim
+        for i, fn in self.forcing_shape.entries if self.forcing_amplitude > 0.0 else ():
+            forcing[i] = times(_literal(self.forcing_amplitude), read(fn))
+        body = [*(f"{', '.join(columns)}, = _columns({f'delayed[{k - 1}]' if k else 'y'})"
+                  for k, columns in enumerate(states)),
+                *(f"{local} = {source}" for source, local in reads.items()),
+                "out = _empty(y.shape)", "columns = out.T"]
+        for i in range(self.dim):
+            terms = (linear[i], f"({' + '.join(nonlinear[i])})" if nonlinear[i] else "", forcing[i])
+            body.append(f"columns[{i}] = {' + '.join(filter(None, terms)) or '0.0'}")
+        return tuple(_generate("t, y, delayed", "out", {**names, **reading}, body)
+                     for reading in (_ONE_STATE, _BATCH))
 
     def problem(self, horizon: float) -> DelayProblem:
-        problem = DelayProblem(self.rhs, self.delays, self.history, self.t0)
-        # homogeneous part must vanish at the origin; checked on 16 points,
-        # not the 10,000 of the sampling grid: each point is a full call of
-        # the nonlinear term (7 to 10 us on bundled case a), and the check
-        # runs on every integrate_batch round, 16 times per round of the
-        # benchmark's 5-angle region sweep, where 10,000 points would add
-        # more than a second per round
-        if self.f is not None:
-            zero = np.zeros(self.dim)
-            zeros = [zero] * self.delays.count
-            grid = np.linspace(self.t0, horizon, 16)
-            (residues,) = grid_values([lambda t: float(_norm(self.f(t, zero, zeros)))], grid)
-            k = int(np.argmax(residues > 1e-10))
-            if residues[k] > 1e-10:
-                raise ValueError(
-                    f"nonlinear term does not vanish at the origin "
-                    f"(|f|={float(residues[k])!r} at t={float(grid[k])!r})")
         if self.forcing_amplitude > 0.0:
             span = max(horizon - self.t0, 20.0)
-            sup = float(np.max(sample([self.forcing_norm], self.t0, self.t0 + span)[1]))
+            sup = float(np.max(sample([self.forcing_shape.norm], self.t0, self.t0 + span)[1]))
             if not 0.95 <= sup <= 1.05:
                 raise ValueError(
                     f"forcing shape must have unit sup norm; sampled sup is {sup!r}")
-        return problem
+        return DelayProblem(self.rhs, self.delays, self.history, self.t0)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ __all__ = [
     "spectral_norm",
     "MatrixFunction",
     "VectorFunction",
-    "matrix_norm_function",
 ]
 
 
@@ -128,6 +127,8 @@ class MatrixFunction:
 class VectorFunction:
     """Vector-valued function of time with per-entry coefficients (numbers,
     `Expression` objects or callables); entries not given are zero.
+    ``entries`` holds the ``(index, time function)`` pairs in index order,
+    which the generated vector right side reads.
 
     `norm` is ``t -> |v(t)|``, generated once from the entries.  With more
     than one entry it is the square root of the sum of squares in index
@@ -143,27 +144,13 @@ class VectorFunction:
             if not 0 <= i < dim:
                 raise ValueError(f"entry index {i} outside a vector of dimension {dim}")
         self.dim = dim
-        self._entries = tuple((i, as_time_function(entries[i])) for i in sorted(entries))
-        if not self._entries:
+        self.entries = tuple((i, as_time_function(entries[i])) for i in sorted(entries))
+        if not self.entries:
             self.norm = ConstantFn(0.0)
-        elif len(self._entries) == 1:
-            self.norm = _compose("abs({})", self._entries[0][1])
+        elif len(self.entries) == 1:
+            self.norm = _compose("abs({})", self.entries[0][1])
         else:
             names: dict = {}
-            lines = [f"e{k} = {_source_of(fn, names)}" for k, (_i, fn) in enumerate(self._entries)]
-            squares = " + ".join(f"e{k} * e{k}" for k in range(len(self._entries)))
+            lines = [f"e{k} = {_source_of(fn, names)}" for k, (_i, fn) in enumerate(self.entries)]
+            squares = " + ".join(f"e{k} * e{k}" for k in range(len(self.entries)))
             self.norm = _generate("t", f"_sqrt({squares})", names, lines)
-
-    def __call__(self, t: float) -> np.ndarray:
-        out = np.zeros(self.dim)
-        for i, fn in self._entries:
-            out[i] = fn(t)
-        return out
-
-
-def matrix_norm_function(matrix_fn) -> Callable[[float], float]:
-    """Time function ``t -> |M(t)|`` (spectral norm): the one ``norm`` of a
-    `MatrixFunction`, `spectral_norm` of the value of any other callable."""
-    if isinstance(matrix_fn, MatrixFunction):
-        return matrix_fn.norm
-    return lambda t: spectral_norm(matrix_fn(t))

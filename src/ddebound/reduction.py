@@ -23,7 +23,6 @@ import numpy as np
 
 from .dde_core import (DelayProblem, DelaySpec, ScalarDelaySystem, ToleranceSettings,
                        Trajectory, VectorDelaySystem, integrate)
-from .linalg import matrix_norm_function
 from .majorant import PolynomialMajorant, PolynomialTerm
 from .timefn import ConstantFn, _compose, as_time_function, grid_supremum
 
@@ -161,9 +160,12 @@ def _piecewise_cubic(spline):
     The piece is the last knot at or below ``s``, clipped to the end pieces,
     which extrapolate.  The sum runs from the constant coefficient up, with
     the powers of ``s - x_i`` built by repeated multiplication.  The
-    coefficients stay packed as doubles, as in the spline.
+    coefficients stay packed as doubles, as in the spline.  ``on_grid``
+    evaluates an array of times the same way, each value with the bits of
+    the call; `timefn.grid_values` uses it.
     """
-    knots = spline.x.tolist()
+    x = spline.x
+    knots = x.tolist()
     cubic, quadratic, linear, constant = (array("d", row.tolist()) for row in spline.c)
     last = len(knots) - 2
 
@@ -173,6 +175,14 @@ def _piecewise_cubic(spline):
         dx2 = dx * dx
         return 0.0 + constant[i] + linear[i] * dx + quadratic[i] * dx2 + cubic[i] * (dx2 * dx)
 
+    def on_grid(times: np.ndarray) -> np.ndarray:
+        i = np.clip(np.searchsorted(x, times, side="right") - 1, 0, last)
+        dx = times - x[i]
+        dx2 = dx * dx
+        c3, c2, c1, c0 = (np.frombuffer(row)[i] for row in (cubic, quadratic, linear, constant))
+        return 0.0 + c0 + c1 * dx + c2 * dx2 + c3 * (dx2 * dx)
+
+    evaluate.on_grid = on_grid
     return evaluate
 
 
@@ -183,7 +193,7 @@ def build_scalar_auxiliary(vs: VectorDelaySystem,
     """Assemble the scalar comparison system for ``vs``.
 
     ``majorant`` must dominate the norm of the full nonlinear term of ``vs``.
-    When ``split`` (a matrix time-function, the remainder after the part
+    When ``split`` (a `MatrixFunction`, the remainder after the part
     generating ``coeffs``) is given, the undelayed linear term it contributes
     is folded into the majorant as ``|split(t)| * zeta_1``.  The scalar
     history is the Euclidean norm of the vector history and the forcing is
@@ -194,11 +204,11 @@ def build_scalar_auxiliary(vs: VectorDelaySystem,
             f"majorant takes {majorant.arg_count} arguments; system has "
             f"{vs.delays.count} delays")
     if split is not None:
-        norm_fn = matrix_norm_function(split)
         exponents = tuple(1 if i == 0 else 0 for i in range(majorant.arg_count))
-        majorant = majorant.with_extra_terms([PolynomialTerm(norm_fn, exponents)])
+        majorant = majorant.with_extra_terms([PolynomialTerm(split.norm, exponents)])
     if vs.forcing_amplitude > 0.0:
-        forcing = _compose("{} * {}", ConstantFn(vs.forcing_amplitude), vs.forcing_norm)
+        forcing = _compose("{} * {}", ConstantFn(vs.forcing_amplitude),
+                           vs.forcing_shape.norm)
     else:
         forcing = ConstantFn(0.0)
     return ScalarDelaySystem(

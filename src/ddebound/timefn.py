@@ -87,8 +87,7 @@ def _compose(template: str, *fns: TimeFunction) -> TimeFunction:
 
 
 # the one sample count of every sampled precondition and supremum; only
-# locate_zeros and the f(0) = 0 check of VectorDelaySystem.problem keep grids
-# of their own, each for the reason given there
+# locate_zeros keeps a grid of its own, for the reason given there
 _SAMPLES = 10_000
 _OVERFLOW_GUARD = 1e12
 
@@ -119,8 +118,10 @@ def grid_values(fns: Sequence[TimeFunction], times: Sequence[float]) -> np.ndarr
     ``t`` (`expressions._generate`) runs its source once on the whole array
     and reads the functions it calls by name the same way; if that run meets
     a floating-point exception it is called per time instead, giving the
-    values or raising the exception of those calls.  Any other callable is
-    called per time.  Each function is read once, however many rows read it.
+    values or raising the exception of those calls.  A function's own
+    ``on_grid`` (the reduction's splines) reads the whole array.  Any other
+    callable is called per time.  Each function is read once, however many
+    rows read it.
     """
     times = np.asarray(times, dtype=float)
     rows: dict = {}
@@ -138,6 +139,9 @@ def grid_values(fns: Sequence[TimeFunction], times: Sequence[float]) -> np.ndarr
 def _evaluate(fn: TimeFunction, times: np.ndarray, row) -> np.ndarray:
     if isinstance(fn, ConstantFn):
         return np.full(times.size, fn.value)
+    on_grid = getattr(fn, "on_grid", None)
+    if on_grid is not None:
+        return on_grid(times)
     source = getattr(fn, "source", None)
     if source is not None and source[0] == "t":
         params, lines, result, names = source

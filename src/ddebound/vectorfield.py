@@ -7,19 +7,19 @@ The nonlinearity of a system is described as a sum of
   ``i >= 1``, and
 * delayed matrix couplings ``weight * M(t) * x(t - h_slot)``.
 
-Both pieces vanish at the origin by construction and both majorize cleanly:
-monomials via per-slot norm collapsing, matrix couplings via the spectral
-norm ``|weight| * |M(t)|``.
+Both pieces vanish at the origin by construction (every monomial has a
+factor of positive power, and the couplings are linear) and both majorize
+cleanly: monomials via per-slot norm collapsing, matrix couplings via the
+spectral norm ``|weight| * |M(t)|``.  The terms are data: the right side of
+`dde_core.VectorDelaySystem` is generated from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-import numpy as np
-
-from .linalg import matrix_norm_function
+from .linalg import MatrixFunction
 from .majorant import PolynomialMajorant, PolynomialTerm, majorize_polynomial
 from .timefn import ConstantFn, TimeFunction, _compose, as_time_function
 
@@ -36,16 +36,6 @@ class _Monomial:
         object.__setattr__(self, "coeff", as_time_function(self.coeff))
         if not self.factors:
             raise ValueError("constant monomials are not allowed (term must vanish at 0)")
-
-
-def _power(base, power: int):
-    """``base ** power`` by the C library's ``pow`` for a number and for each
-    entry of a batch alike: numpy's vectorised ``pow`` may round differently
-    in the last bit, and a one-member batch must reproduce the lone state
-    bit for bit."""
-    if isinstance(base, np.ndarray):
-        return np.array([b ** power for b in base.tolist()])
-    return base ** power
 
 
 class PolynomialVectorField:
@@ -70,24 +60,6 @@ class PolynomialVectorField:
             parsed.append(_Monomial(coord, coeff, fac))
         self.monomials = tuple(parsed)
 
-    def __call__(self, t: float, x: np.ndarray, delayed: Sequence[np.ndarray]) -> np.ndarray:
-        """Value for one state ``(n,)`` or a batch of states ``(B, n)``; the
-        coordinates index the last axis."""
-        out = np.zeros(x.shape)
-        columns = out.T
-        for mono in self.monomials:
-            value = mono.coeff(t)
-            if value == 0.0:
-                continue
-            for slot, coord, power in mono.factors:
-                base = x.T[coord] if slot == 0 else delayed[slot - 1].T[coord]
-                value *= _power(base, power)
-            columns[mono.coord] += value
-        return out
-
-    def majorant_monomials(self):
-        return [(m.coeff, m.factors) for m in self.monomials]
-
 
 @dataclass(frozen=True)
 class DelayedMatrixTerm:
@@ -95,11 +67,13 @@ class DelayedMatrixTerm:
 
     slot: int
     weight: float
-    matrix: Callable[[float], np.ndarray]
+    matrix: MatrixFunction
 
     def __post_init__(self):
         if self.slot < 1:
             raise ValueError("delayed matrix terms must use a delay slot >= 1")
+        if not isinstance(self.matrix, MatrixFunction):
+            raise TypeError(f"expected a MatrixFunction, not {self.matrix!r}")
 
 
 class NonlinearTerm:
@@ -118,26 +92,17 @@ class NonlinearTerm:
         self.poly = poly
         self.matrix_terms = tuple(matrix_terms)
 
-    def __call__(self, t: float, x: np.ndarray, delayed: Sequence[np.ndarray]) -> np.ndarray:
-        """Value for one state ``(n,)`` or a batch of states ``(B, n)``."""
-        out = np.zeros(x.shape)
-        if self.poly is not None:
-            out += self.poly(t, x, delayed)
-        for term in self.matrix_terms:
-            out += term.weight * (term.matrix(t) @ delayed[term.slot - 1].T).T
-        return out
-
     def majorize(self) -> PolynomialMajorant:
         """Norm majorant: monomials collapse per slot, matrix couplings become
         ``|weight| * |M(t)|`` times the delayed norm argument."""
         if self.poly is not None and self.poly.monomials:
-            base = majorize_polynomial(self.poly.majorant_monomials(), self.delay_count)
+            base = majorize_polynomial([(m.coeff, m.factors) for m in self.poly.monomials],
+                                       self.delay_count)
         else:
             base = PolynomialMajorant.zero(self.delay_count + 1)
         extra = []
         for term in self.matrix_terms:
-            coeff = _compose("{} * {}", ConstantFn(abs(term.weight)),
-                             matrix_norm_function(term.matrix))
+            coeff = _compose("{} * {}", ConstantFn(abs(term.weight)), term.matrix.norm)
             exponents = tuple(1 if i == term.slot else 0
                               for i in range(self.delay_count + 1))
             extra.append(PolynomialTerm(coeff, exponents))

@@ -38,6 +38,15 @@ def linear_ode_system(rate: float, q: float) -> VectorDelaySystem:
         history=HistoryFunction.constant([q]), t0=0.0)
 
 
+def nonlinear_field(term: NonlinearTerm):
+    """``(t, x, delayed) -> f(t, x, delayed)`` of ``term``: the right side of
+    the vector system whose only part it is."""
+    return VectorDelaySystem(
+        dim=term.dim, A=None, f=term, forcing_amplitude=0.0, forcing_shape=None,
+        delays=DelaySpec.constant([1.0] * term.delay_count),
+        history=HistoryFunction.constant([0.0] * term.dim)).rhs
+
+
 def cubic_basin_scalar(q: float = 0.1) -> ScalarDelaySystem:
     """y' = -2y + y^3 as a scalar comparison system (basin boundary sqrt(2))."""
     cubic = PolynomialMajorant((PolynomialTerm(1.0, (3,)),), 1)

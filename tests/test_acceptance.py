@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from conftest import (cubic_basin_scalar, delayed_decay_oracle,
-                      delayed_decay_system, linear_ode_system)
+                      delayed_decay_system, linear_ode_system, nonlinear_field)
 from ddebound import (BoundednessCriterion, DelayProblem, DelaySpec,
                       HistoryFunction, PolynomialMajorant, PolynomialTerm,
                       ToleranceSettings, classify_fts,
@@ -120,13 +120,14 @@ def test_criterion_05_majorant_randomized_suites():
                  (1, 0.4, [(0, 1, 1), (1, 0, 1)])]
     poly = PolynomialVectorField(2, 2, monomials)
     term = NonlinearTerm(2, 2, poly)
+    f = nonlinear_field(term)
     L = term.majorize()
     major_viol = 0
     for _ in range(1000):
         t = float(rng.uniform(0.0, 10.0))
         x = rng.uniform(-2.0, 2.0, size=2)
         z = [rng.uniform(-2.0, 2.0, size=2) for _ in range(2)]
-        lhs = float(np.linalg.norm(term(t, x, z)))
+        lhs = float(np.linalg.norm(f(t, x, z)))
         zeta = [float(np.linalg.norm(x))] + [float(np.linalg.norm(v)) for v in z]
         if lhs > L.evaluate(t, zeta) + 1e-12:
             major_viol += 1

@@ -234,19 +234,21 @@ class TestIntegrate:
             integrate(sys, 2.0, DEFAULT)
         assert err.value.time == pytest.approx(0.5, abs=1e-6)
 
-    def test_nonlinearity_must_vanish_at_origin(self):
-        poly = PolynomialVectorField(1, 0, [(0, 1.0, [(0, 0, 1)])])
 
-        class Shifted(NonlinearTerm):
-            def __call__(self, t, x, delayed):
-                return super().__call__(t, x, delayed) + 0.5
+class TestVectorDelaySystem:
+    # f(t, 0, 0, ...) = 0 holds by construction: a monomial has a factor of
+    # positive power, the couplings are linear, and nothing else is accepted
+    def test_a_monomial_without_factors_is_refused(self):
+        with pytest.raises(ValueError, match="constant monomials"):
+            PolynomialVectorField(1, 0, [(0, 0.5, [])])
 
-        sys = VectorDelaySystem(dim=1, A=None, f=Shifted(1, 0, poly),
-                                forcing_amplitude=0.0, forcing_shape=None,
-                                delays=DelaySpec.none(),
-                                history=HistoryFunction.constant([1.0]), t0=0.0)
-        with pytest.raises(ValueError):
-            integrate(sys, 1.0, DEFAULT)
+    @pytest.mark.parametrize("part, kind", [("A", "MatrixFunction"), ("f", "NonlinearTerm"),
+                                            ("forcing_shape", "VectorFunction")])
+    def test_a_plain_callable_part_is_refused(self, part, kind):
+        parts = {"A": None, "f": None, "forcing_shape": None, part: lambda *args: np.ones(1)}
+        with pytest.raises(TypeError, match=kind):
+            VectorDelaySystem(dim=1, forcing_amplitude=0.0, delays=DelaySpec.none(),
+                              history=HistoryFunction.constant([1.0]), **parts)
 
 
 class TestEvalTrajectory:

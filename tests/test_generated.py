@@ -2,6 +2,8 @@
 compositions they replace: the forcing magnitude, the matrix norms, the
 linear comparison coefficients, both scalar right sides and the reduction's
 splines; and the whole-grid evaluator reads each of them as its calls would.
+The vector right side equals a term-by-term sum in Python floats, for a lone
+state and for each row of a batch.
 
 Each reference below is the former composition written out: lambdas over
 ``np.linalg.norm``, over ``spectral_norm``, over ``sum`` and over a per-term
@@ -23,9 +25,9 @@ from ddebound import (DelayProblem, DelaySpec, HistoryFunction, PolynomialMajora
 from ddebound.analysis import build_perturbed_scalar
 from ddebound.cli import _bundled_config, assemble_pipeline, build_linear_chain
 from ddebound.config import load_config
-from ddebound.linalg import MatrixFunction, VectorFunction, matrix_norm_function, spectral_norm
+from ddebound.linalg import MatrixFunction, VectorFunction, spectral_norm
 from ddebound.reduction import CoefficientPair, _piecewise_cubic, compute_fundamental_matrix
-from ddebound.timefn import ConstantFn, _compose, grid_values
+from ddebound.timefn import ConstantFn, _compose, as_time_function, grid_values
 
 REDUCE_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "reduce.cfg"
 
@@ -54,8 +56,16 @@ def _times(pipe, count=1000):
                                        count - count // 2)]).tolist()
 
 
+def _shape_value(shape, t):
+    """The vector ``e(t)`` of a `VectorFunction`, entry by entry."""
+    value = np.zeros(shape.dim)
+    for i, fn in shape.entries:
+        value[i] = fn(t)
+    return value
+
+
 def _library_norm(shape):
-    return lambda t: float(np.linalg.norm(np.asarray(shape(t), dtype=float)))
+    return lambda t: float(np.linalg.norm(_shape_value(shape, t)))
 
 
 # -- the former compositions ------------------------------------------------
@@ -131,6 +141,45 @@ def _old_linear_rhs(rate, delayed_coeffs, shape, amplitude, t, y, delayed):
     return np.array([value])
 
 
+def _row(matrix, i, x, t):
+    """``sum_j M_ij(t) x_j`` over the nonzero entries of row ``i``, in index
+    order; None for an empty row."""
+    total = None
+    for (row, j), value in sorted(matrix.entries().items()):
+        if row == i:
+            term = as_time_function(value)(t) * x[j]
+            total = term if total is None else total + term
+    return total
+
+
+def _term_by_term_vector_rhs(vs, t, y, delayed):
+    """The vector right side of one state in Python floats, term by term:
+    ``A(t) x`` row by row, then the monomials and the delayed couplings as one
+    group, then ``F0 e(t)``."""
+    states = [y.tolist(), *(z.tolist() for z in delayed)]
+    out = []
+    for i in range(vs.dim):
+        nonlinear = []
+        for mono in vs.f.poly.monomials if vs.f and vs.f.poly else ():
+            if mono.coord == i:
+                value = mono.coeff(t)
+                for slot, c, power in mono.factors:
+                    value *= states[slot][c] ** power
+                nonlinear.append(value)
+        for term in vs.f.matrix_terms if vs.f else ():
+            row = _row(term.matrix, i, states[term.slot], t)
+            if row is not None:
+                nonlinear.append(term.weight * row)
+        linear = None if vs.A is None else _row(vs.A, i, states[0], t)
+        parts = [] if linear is None else [linear]
+        if nonlinear:
+            parts.append(sum(nonlinear[1:], nonlinear[0]))
+        if vs.forcing_amplitude > 0.0:
+            parts += [vs.forcing_amplitude * fn(t) for k, fn in vs.forcing_shape.entries if k == i]
+        out.append(sum(parts[1:], parts[0]) if parts else 0.0)
+    return np.array(out)
+
+
 def _states(rng, count):
     """Stage values of both signs, with exact zeros among them."""
     values = rng.uniform(-0.3, 1.2, count)
@@ -148,7 +197,7 @@ class TestForcingMagnitude:
         assert isinstance(vs.forcing_shape, VectorFunction)
         library = _library_norm(vs.forcing_shape)
         grid = np.linspace(cfg.system.t0, cfg.horizon, 10_000).tolist()
-        assert _same([vs.forcing_norm(t) for t in grid], [library(t) for t in grid])
+        assert _same([vs.forcing_shape.norm(t) for t in grid], [library(t) for t in grid])
 
     def test_two_entries_within_one_ulp(self):
         shape = VectorFunction(2, {0: parse_expression("sin(10*t)"),
@@ -171,12 +220,6 @@ class TestForcingMagnitude:
         norm = VectorFunction(2, {1: -0.5}).norm
         assert isinstance(norm, ConstantFn) and norm.value == 0.5
         assert _same(VectorFunction(2, {0: 3.0, 1: 4.0}).norm(0.0), 5.0)
-
-    def test_plain_callable_shape_keeps_the_library_norm(self, pipe):
-        shape = lambda t: np.array([0.0, math.sin(10.0 * t)])
-        vs = replace(pipe.vector_system, forcing_shape=shape)
-        for t in _times(pipe, 200):
-            assert _same(vs.forcing_norm(t), _library_norm(shape)(t))
 
 
 # -- the comparison coefficients and right sides ----------------------------
@@ -224,6 +267,30 @@ class TestLinearCoefficients:
                 constant.forcing_amplitude, *args))
 
 
+class TestVectorRhs:
+    @pytest.mark.parametrize("forced", [True, False])
+    def test_batch_rows_equal_the_lone_state_and_the_term_loop(self, pipe, forced):
+        vs = pipe.vector_system
+        if not forced:
+            vs = replace(vs, forcing_amplitude=0.0, forcing_shape=None)
+        rng = np.random.default_rng(13)
+        times = _times(pipe)
+        ys = _states(rng, len(times) * vs.dim).reshape(len(times), vs.dim)
+        zs = [_states(rng, ys.size).reshape(ys.shape) for _ in range(vs.delays.count)]
+
+        def lone(t, k):
+            return vs.rhs(t, ys[k], [z[k] for z in zs])
+
+        for k, t in enumerate(times):
+            value = lone(t, k)
+            assert _same(value, _term_by_term_vector_rhs(vs, t, ys[k], [z[k] for z in zs]))
+            assert _same(vs.rhs(t, ys[k:k + 1], [z[k:k + 1] for z in zs])[0], value)
+        for start in range(0, len(times), 40):
+            t, members = times[start], range(start, start + 40)
+            batch = vs.rhs(t, ys[start:start + 40], [z[start:start + 40] for z in zs])
+            assert _same(batch, [lone(t, k) for k in members])
+
+
 class TestScalarRhs:
     def _check(self, ss, forcing, times, rng):
         count = ss.delays.count + (ss.perturbation.delays.count if ss.perturbation else 0)
@@ -248,7 +315,7 @@ class TestScalarRhs:
         f = pipe.vector_system.f
         (term,) = f.matrix_terms
         coeff = f.majorize().terms[-1].coeff
-        norm = matrix_norm_function(term.matrix)
+        norm = term.matrix.norm
         times = _times(pipe)
         assert _same([coeff(t) for t in times], [abs(term.weight) * norm(t) for t in times])
 
@@ -313,21 +380,38 @@ class TestDirectSpline:
         points = self._points(knots, rng)
         assert _same([direct(s) for s in points], [float(spline(s)) for s in points])
 
-    def test_reduction_coefficients(self):
-        # p and c of the numerical reduction read as CubicSpline.__call__ would
+    @pytest.fixture(scope="class")
+    def reduction(self):
         cfg = load_config(REDUCE_CONFIG)
         W = compute_fundamental_matrix(cfg.a0_matrix(), cfg.system.t0, cfg.horizon,
                                        ToleranceSettings(rtol=1e-8, atol=1e-12, cap=math.inf))
-        pair = CoefficientPair.from_fundamental(W)
         ts = W.trajectory.ts
         knots = np.empty(2 * ts.size - 1)
         knots[0::2] = ts
         knots[1::2] = 0.5 * (ts[:-1] + ts[1:])
+        return cfg, W, CoefficientPair.from_fundamental(W), knots
+
+    def test_reduction_coefficients(self, reduction):
+        # p and c of the numerical reduction read as CubicSpline.__call__ would
+        _cfg, W, pair, knots = reduction
         _sigma_max, condition, rate = W.spectra(knots)
         points = self._points(knots, np.random.default_rng(4))
         for direct, values in ((pair.p, rate), (pair.c, condition)):
             spline = CubicSpline(knots, values)
             assert _same([direct(s) for s in points], [float(spline(s)) for s in points])
+
+    def test_whole_grid_equals_the_calls(self, reduction):
+        # the sampling grid of 10,000 points, the knots and the points beside them
+        cfg, _W, pair, knots = reduction
+        times = np.concatenate([np.linspace(cfg.system.t0, cfg.horizon, 10_000), knots,
+                                np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
+        rows, scalar_calls = _scalar_calls_of_generated(
+            lambda: grid_values([pair.p, pair.c, _compose("{} * {}", pair.c, pair.p)], times))
+        assert scalar_calls == 0
+        for fn, row in zip((pair.p, pair.c), rows):
+            assert _same(fn.on_grid(times), row)
+            assert _same(row, [fn(s) for s in times.tolist()])
+        assert _same(rows[2], rows[1] * rows[0])
 
 
 # -- constant histories ----------------------------------------------------
@@ -398,13 +482,14 @@ class TestMatrixNorm:
 # -- the whole-grid evaluator -----------------------------------------------
 
 def _scalar_calls_of_generated(thunk):
-    """``thunk()`` and the number of calls of generated functions it made
-    with a scalar time, that is outside a whole-array run."""
+    """``thunk()`` and the number of calls of generated functions and spline
+    evaluators it made with a scalar time, that is outside a whole-array run."""
     calls = []
 
     def profile(frame, event, _arg):
-        if (event == "call" and frame.f_code.co_name == "_generated"
-                and not isinstance(frame.f_locals.get("t"), np.ndarray)):
+        code = frame.f_code
+        if (event == "call" and code.co_name in ("_generated", "evaluate")
+                and not isinstance(frame.f_locals.get(code.co_varnames[0]), np.ndarray)):
             calls.append(frame)
 
     sys.setprofile(profile)
@@ -421,8 +506,8 @@ def _coefficient_reads(pipe):
     linear, constant = build_linear_chain(pipe)
     mu = linearize_majorant(scalar.majorant, pipe.config.reduction.zeta_tilde).mu
     (coupling,) = vs.f.matrix_terms
-    reads = {"p": scalar.p, "c": scalar.c, "forcing": scalar.forcing, "|e|": vs.forcing_norm,
-             "|A|": vs.A.norm, "|A1|": matrix_norm_function(coupling.matrix),
+    reads = {"p": scalar.p, "c": scalar.c, "forcing": scalar.forcing, "|e|": vs.forcing_shape.norm,
+             "|A|": vs.A.norm, "|A1|": coupling.matrix.norm,
              "rate": linear.rate, "shape": linear.forcing_shape,
              "U rate": constant.rate, "U shape": constant.forcing_shape}
     for name, fns in (("L", [term.coeff for term in scalar.majorant.terms]), ("mu", mu),

@@ -9,7 +9,7 @@ from ddebound import (CoefficientPair, DelaySpec, HistoryFunction, ScalarDelaySy
                       build_scalar_auxiliary, compute_fundamental_matrix,
                       integrate, parse_expression, verify_pointwise_ordering)
 from ddebound.dde_core import _norm
-from ddebound.linalg import MatrixFunction, spectral_norm
+from ddebound.linalg import MatrixFunction, VectorFunction, spectral_norm
 from ddebound.majorant import PolynomialMajorant, PolynomialTerm
 from ddebound.reduction import IllConditionedError
 from ddebound.timefn import ConstantFn, grid_supremum
@@ -179,8 +179,7 @@ def _planar_benchmark_system(forcing_amplitude=0.0, dim=2):
     f = NonlinearTerm(dim, 1, poly, (DelayedMatrixTerm(1, 0.5, a1),))
     shape = None
     if forcing_amplitude > 0:
-        e2 = parse_expression("sin(10*t)").compiled()
-        shape = lambda t: np.array([0.0, e2(t)])
+        shape = VectorFunction(dim, {1: parse_expression("sin(10*t)")})
     vs = VectorDelaySystem(dim=dim, A=a0.plus(a1), f=f,
                            forcing_amplitude=forcing_amplitude, forcing_shape=shape,
                            delays=DelaySpec.constant([0.5]),
