@@ -21,10 +21,8 @@ from .analysis import (BoundednessCriterion, classify_fts, estimate_scalar_radiu
                        estimate_vector_region, frozen_scalar_radius,
                        robust_stability_check, verify_pointwise_ordering)
 from .config import ConfigError, RunConfig, load_config, load_config_text
-from .dde_core import (IntegrationError, ScalarDelaySystem, ToleranceSettings,
-                       VectorDelaySystem, integrate)
+from .dde_core import IntegrationError, ScalarDelaySystem, ToleranceSettings, integrate
 from .expressions import EvaluationError
-from .linalg import MatrixFunction
 from .linear_aux import build_linear_auxiliary
 from .majorant import PolynomialMajorant, linearize_majorant
 from .plotting import Curve, emit_csv, emit_region_svg, emit_svg
@@ -44,12 +42,12 @@ class UsageError(ValueError):
 
 @dataclass
 class Pipeline:
-    """Everything the analysis commands need, assembled from one config.
+    """The scalar side of one config, for the analysis commands.
 
-    Each stage is built the first time it is read and kept: the remainder
-    matrix ``a1``, the vector system, the reduction's coefficients, the
-    scalar comparison system and its frozen autonomous variant.  A command
-    that reads only the vector system builds no reduction.
+    Each stage is built the first time it is read and kept: the reduction's
+    coefficients, the scalar comparison system and its frozen autonomous
+    variant.  The vector system is the config's own (``config.system``), so a
+    command that reads only that builds no reduction.
     """
 
     config: RunConfig
@@ -57,31 +55,21 @@ class Pipeline:
     tol: ToleranceSettings
 
     @cached_property
-    def a1(self) -> MatrixFunction | None:
-        # one remainder matrix function, so both scalar coefficients that
-        # read its norm read one name, which a generated right side reads once
-        return self.config.a1_matrix()
-
-    @cached_property
-    def vector_system(self) -> VectorDelaySystem:
-        return self.config.build_vector_system(self.a1)
-
-    @cached_property
     def coefficients(self) -> CoefficientPair:
         red = self.config.reduction
         if red.p_expr is not None:
             return CoefficientPair.closed_form(red.p_expr, red.c_expr)
         return CoefficientPair.from_fundamental(compute_fundamental_matrix(
-            self.config.a0_matrix(), self.config.system.t0, self.horizon))
+            self.config.a0, self.config.system.t0, self.horizon))
 
     @cached_property
     def scalar_system(self) -> ScalarDelaySystem:
-        vs = self.vector_system
+        vs = self.config.system
         if vs.f is not None:
             majorant = vs.f.majorize()
         else:
             majorant = PolynomialMajorant.zero(vs.delays.count + 1)
-        return build_scalar_auxiliary(vs, self.a1, self.coefficients, majorant)
+        return build_scalar_auxiliary(vs, self.config.a1, self.coefficients, majorant)
 
     @cached_property
     def autonomous_system(self) -> ScalarDelaySystem:
@@ -111,7 +99,7 @@ def fig1_protocol(cfg: RunConfig, horizon: float | None = None,
     """
     pipe = assemble_pipeline(cfg, horizon=horizon, rtol=rtol)
     points = grid if grid is not None else cfg.output.grid
-    systems = (pipe.vector_system, pipe.scalar_system, pipe.autonomous_system)
+    systems = (cfg.system, pipe.scalar_system, pipe.autonomous_system)
     report = verify_pointwise_ordering([integrate(s, pipe.horizon, pipe.tol) for s in systems],
                                        grid=points, tol=1e-4)
     return report, pipe
@@ -125,7 +113,7 @@ def fig2_protocol(cfg: RunConfig, horizon: float | None = None,
     Returns ``(boundary, scalar_estimate, autonomous_estimate, inclusion_ok)``.
     """
     pipe = assemble_pipeline(cfg, horizon=horizon)
-    homogeneous = replace(pipe.vector_system, forcing_amplitude=0.0, forcing_shape=None)
+    homogeneous = replace(cfg.system, forcing_amplitude=0.0, forcing_shape=None)
     scalar = pipe.scalar_system.homogeneous()
     autonomous = pipe.autonomous_system.homogeneous()
     a_cfg = cfg.analysis
@@ -150,7 +138,7 @@ def build_linear_chain(pipe: Pipeline):
     scalar = pipe.scalar_system
     auto = pipe.autonomous_system
     zt = cfg.reduction.zeta_tilde
-    vs = pipe.vector_system
+    vs = cfg.system
     forcing_norm = vs.forcing_shape.norm if vs.forcing_amplitude > 0 else ConstantFn(0.0)
     linear = build_linear_auxiliary(pipe.coefficients, linearize_majorant(scalar.majorant, zt),
                                     scalar.delays, forcing_norm, vs.forcing_amplitude,
@@ -190,7 +178,7 @@ def _out_dir(args) -> Path:
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
     pipe = assemble_pipeline(cfg, args.horizon, args.rtol, args.cap)
-    traj = integrate(pipe.vector_system, pipe.horizon, pipe.tol)
+    traj = integrate(cfg.system, pipe.horizon, pipe.tol)
     grid = np.linspace(traj.t_start, traj.t_end, cfg.output.grid)
     states = traj.eval_grid(grid)
     columns = [("t", grid)]
@@ -291,7 +279,7 @@ def _cmd_region(args) -> int:
         raise UsageError("the polar region sweep requires a 2-dimensional system")
     pipe = assemble_pipeline(cfg, args.horizon, cap=args.cap)
     criterion, probe_tol, duration = _search_settings(pipe)
-    boundary = estimate_vector_region(pipe.vector_system, criterion,
+    boundary = estimate_vector_region(cfg.system, criterion,
                                       cfg.analysis.r_max, cfg.analysis.bisect_tol,
                                       duration, probe_tol)
     out = _out_dir(args)
@@ -327,7 +315,7 @@ def _cmd_fts(args) -> int:
     if a.alpha is None or a.beta is None or a.T is None:
         raise UsageError("the fts command needs alpha, beta and T in [analysis]")
     pipe = assemble_pipeline(cfg, rtol=args.rtol, cap=args.cap)
-    traj = integrate(pipe.vector_system, cfg.system.t0 + a.T, pipe.tol)
+    traj = integrate(cfg.system, cfg.system.t0 + a.T, pipe.tol)
     report = classify_fts(traj, a.alpha, a.beta, a.T, a.gamma)
     print(f"FTS = {report.fts} (sup |x| = {report.sup_value:.6g})")
     if report.beta_crossing_time is not None:

@@ -3,7 +3,10 @@
 Format: sectioned key-value text.  ``#`` starts a comment (full line or
 trailing), section headers are ``[name]``, entries are ``key = value`` where
 keys may carry indices (``A0 1 1``).  Indices are 1-based in files and
-converted internally.  Grammar by section::
+converted internally.  Every number is finite, except that ``cap = inf``
+means no cap.  A key names one value and is given once; only the lines
+``f <i>``, ``A1_delayed <k>``, ``history sample`` and ``L_hat`` repeat.
+Grammar by section::
 
     [system]
       dim = 2                    # state dimension (required)
@@ -11,14 +14,15 @@ converted internally.  Grammar by section::
       A0 <i> <j> = <expr>        # linear part generating the reduction
       A1 <i> <j> = <expr>        # declared remainder matrix (optional)
       delay <k> = <expr>         # k-th delay h_k(t), k = 1..m
-      A1_delayed <k> = <number>  # adds weight * A1(t) * x(t - h_k)
+      A1_delayed <k> = <number>  # adds weight * A1(t) * x(t - h_k); repeats
       f <i> = <coeff expr> ; <slot> <coord> <power> ; ...
-                                 # monomial for coordinate i; slot 0 = current
+                                 # monomial for coordinate i; slot 0 = current;
+                                 # repeats
       F0 = <number>              # forcing amplitude (>= 0)
       e <i> = <expr>             # forcing shape coordinate (sup norm 1)
-      history = constant <v1> ... <vn>
-      history <i> = <expr>       # per-coordinate form
-      history sample = <t> <v1> ... <vn>   # repeated lines, increasing t
+      history = constant <v1> ... <vn>     # the history takes one of
+      history <i> = <expr>                 # these three forms; sample
+      history sample = <t> <v1> ... <vn>   # lines repeat, increasing t
 
     [reduction]
       p = <expr>                 # closed-form coefficients (both or neither)
@@ -38,12 +42,17 @@ converted internally.  Grammar by section::
 
     [output]
       grid = <int>
+
+Loading builds the vector system once.  Its constructors check what they
+hold; the loader checks only what needs the file's terms, such as its
+1-based indices and the history's coverage of the delay band.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .dde_core import DelaySpec, HistoryFunction, ToleranceSettings, VectorDelaySystem
@@ -58,21 +67,6 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "load_config_text"]
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
-
-
-@dataclass
-class SystemConfig:
-    dim: int
-    t0: float
-    a0_entries: dict
-    a1_entries: dict
-    delay_exprs: list
-    a1_delay_weights: list          # (slot, weight)
-    f_monomials: list               # (coord, coeff expr, [(slot, coord, power)])
-    forcing_amplitude: float
-    e_entries: dict
-    history_kind: str               # constant | expressions | samples
-    history_data: object
 
 
 @dataclass
@@ -108,57 +102,21 @@ class OutputConfig:
 
 @dataclass
 class RunConfig:
-    system: SystemConfig
+    """A loaded configuration: the vector system, the matrices it is built
+    from and the settings.  ``a1`` (None without ``A1`` entries) is one object,
+    shared by the system's delayed couplings and the scalar majorant's
+    ``|A1|`` term, so generated code that reads its norm in both reads it once.
+    """
+
+    system: VectorDelaySystem
+    a0: MatrixFunction
+    a1: MatrixFunction | None
     reduction: ReductionConfig
     solver: ToleranceSettings
     horizon: float
     analysis: AnalysisConfig
     output: OutputConfig
     source: str = "<memory>"
-
-    # -- assembly helpers --------------------------------------------------
-    def delay_spec(self) -> DelaySpec:
-        return DelaySpec.from_functions(self.system.delay_exprs)
-
-    def a0_matrix(self) -> MatrixFunction:
-        return MatrixFunction(self.system.dim, self.system.a0_entries)
-
-    def a1_matrix(self) -> MatrixFunction | None:
-        if not self.system.a1_entries and not self.system.a1_delay_weights:
-            return None
-        return MatrixFunction(self.system.dim, self.system.a1_entries)
-
-    def history(self) -> HistoryFunction:
-        sc = self.system
-        if sc.history_kind == "constant":
-            return HistoryFunction.constant(sc.history_data)
-        if sc.history_kind == "expressions":
-            return HistoryFunction.from_expressions(sc.history_data)
-        times, values = sc.history_data
-        return HistoryFunction.from_samples(times, values)
-
-    def build_vector_system(self, a1: MatrixFunction | None = None) -> VectorDelaySystem:
-        """The vector system; ``a1``, when given, is the remainder matrix
-        function to use (so a caller can share it and its norm)."""
-        sc = self.system
-        delays = self.delay_spec()
-        a0 = self.a0_matrix()
-        if a1 is None:
-            a1 = self.a1_matrix()
-        a_full = a0 if a1 is None else a0.plus(a1)
-        poly = None
-        if sc.f_monomials:
-            poly = PolynomialVectorField(sc.dim, delays.count, sc.f_monomials)
-        matrix_terms = [DelayedMatrixTerm(slot, weight, a1)
-                        for slot, weight in sc.a1_delay_weights]
-        nonlinear = None
-        if poly is not None or matrix_terms:
-            nonlinear = NonlinearTerm(sc.dim, delays.count, poly, matrix_terms)
-        shape = VectorFunction(sc.dim, sc.e_entries) if sc.forcing_amplitude > 0 else None
-        return VectorDelaySystem(
-            dim=sc.dim, A=a_full, f=nonlinear,
-            forcing_amplitude=sc.forcing_amplitude, forcing_shape=shape,
-            delays=delays, history=self.history(), t0=sc.t0)
 
     def l_hat_majorant(self) -> PolynomialMajorant:
         terms = [PolynomialTerm(ConstantFn(coeff), (power,))
@@ -182,11 +140,11 @@ def _parse_entries(text: str, source: str):
                 raise ConfigError(f"{source}:{lineno}: malformed section header {raw!r}")
             section = line[1:-1].strip().lower()
             continue
-        if "=" not in line:
+        key, equals, value = line.partition("=")
+        if not equals or not key.strip():
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         if section is None:
             raise ConfigError(f"{source}:{lineno}: entry before any [section]")
-        key, value = line.split("=", 1)
         yield section, key.strip(), value.strip(), lineno
 
 
@@ -197,11 +155,15 @@ def _expr(value: str, where: str) -> Expression:
         raise ConfigError(f"{where}: bad expression: {exc}") from exc
 
 
-def _number(value: str, where: str) -> float:
+def _number(value: str, where: str, inf_ok: bool = False) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError as exc:
         raise ConfigError(f"{where}: expected a number, got {value!r}") from exc
+    if math.isnan(number) or (math.isinf(number) and not inf_ok):
+        raise ConfigError(f"{where}: expected a finite number{' or inf' if inf_ok else ''}, "
+                          f"got {value!r}")
+    return number
 
 
 def _integer(value: str, where: str) -> int:
@@ -209,6 +171,81 @@ def _integer(value: str, where: str) -> int:
         return int(value)
     except ValueError as exc:
         raise ConfigError(f"{where}: expected an integer, got {value!r}") from exc
+
+
+def _criterion(value: str, where: str) -> str:
+    if value not in ("bounded", "decaying"):
+        raise ConfigError(f"{where}: criterion must be bounded|decaying")
+    return value
+
+
+def _constant_history(value: str, where: str) -> list[float]:
+    kind, *values = value.split() or [""]
+    if kind != "constant":
+        raise ConfigError(f"{where}: bare 'history =' takes 'constant v1 ... vn'")
+    return [_number(v, where) for v in values]
+
+
+def _sample(value: str, where: str) -> list[float]:
+    return [_number(v, where) for v in value.split()]
+
+
+def _l_hat_term(value: str, where: str) -> tuple[float, int]:
+    pieces = [p.strip() for p in value.split(";")]
+    if len(pieces) != 2:
+        raise ConfigError(f"{where}: L_hat terms are 'coeff ; power'")
+    return _number(pieces[0], where), _integer(pieces[1], where)
+
+
+def _monomial(value: str, where: str):
+    """``(coeff, [(slot, coord, power), ...])``, the coordinates 1-based."""
+    coeff, *factors = (p.strip() for p in value.split(";"))
+    if not factors:
+        raise ConfigError(f"{where}: a monomial needs a coefficient and at least one "
+                          f"'slot coord power' factor")
+    parsed = []
+    for piece in factors:
+        numbers = piece.split()
+        if len(numbers) != 3:
+            raise ConfigError(f"{where}: factor {piece!r} must be 'slot coord power'")
+        parsed.append(tuple(_integer(n, where) for n in numbers))
+    return _expr(coeff, where), parsed
+
+
+# the keys without indices: section -> key (lower case) -> (parser, field); the
+# [solver] fields but horizon are `ToleranceSettings` arguments, those of
+# [reduction], [analysis] and [output] the arguments of their config classes
+_KEYS = {
+    "system": {"dim": (_integer, "dim"), "t0": (_number, "t0"),
+               "f0": (_number, "forcing_amplitude"),
+               "history": (_constant_history, "history"),
+               "history sample": (_sample, "samples")},
+    "reduction": {"p": (_expr, "p_expr"), "c": (_expr, "c_expr"),
+                  "zeta_tilde": (_number, "zeta_tilde"), "margin": (_number, "margin")},
+    "solver": {"rtol": (_number, "rtol"), "atol": (_number, "atol"),
+               "cap": (partial(_number, inf_ok=True), "cap"), "horizon": (_number, "horizon")},
+    "analysis": {"criterion": (_criterion, "criterion"), "t": (_number, "T"),
+                 "l_hat": (_l_hat_term, "l_hat_terms"),
+                 **{name: (_number, name) for name in (
+                     "q_max", "r_max", "bisect_tol", "probe_rtol", "tail_fraction",
+                     "decay_ratio", "alpha", "beta", "gamma", "p_hat", "c_hat")}},
+    "output": {"grid": (_integer, "grid")},
+}
+
+# the [system] keys with indices: key -> (index count, parser, form of the line)
+_INDEXED = {
+    "a0": (2, _expr, "A0 row col = expr"),
+    "a1": (2, _expr, "A1 row col = expr"),
+    "delay": (1, _expr, "delay k = expr"),
+    "a1_delayed": (1, _number, "A1_delayed k = weight"),
+    "f": (1, _monomial, "f i = coeff ; slot coord power ; ..."),
+    "e": (1, _expr, "e i = expr"),
+    "history": (1, _expr, "history i = expr"),
+}
+
+# the keys whose lines repeat, each line adding to a list; every other key
+# names one value
+_REPEATED = {"history sample", "l_hat", "a1_delayed", "f"}
 
 
 def load_config(path) -> RunConfig:
@@ -222,201 +259,82 @@ def load_config(path) -> RunConfig:
 
 
 def load_config_text(text: str, source: str = "<memory>") -> RunConfig:
-    dim: int | None = None
-    t0 = 0.0
-    a0_entries: dict = {}
-    a1_entries: dict = {}
-    delay_exprs: dict[int, Expression] = {}
-    a1_delay_weights: list = []
-    f_monomials: list = []
-    forcing_amplitude = 0.0
-    e_entries: dict = {}
-    history_kind: str | None = None
-    history_constant = None
-    history_exprs: dict[int, Expression] = {}
-    history_samples: list = []
+    """Parse a run configuration and build its vector system.
 
-    reduction = ReductionConfig()
-    solver_fields = {"rtol": 1e-6, "atol": 1e-9, "cap": 1e6}
-    horizon = 50.0
-    analysis = AnalysisConfig()
-    output = OutputConfig()
-
-    matrix_targets = {"a0": a0_entries, "a1": a1_entries}
+    Every refusal is a `ConfigError` that names the source, and the line
+    where one line is at fault.
+    """
+    fields: dict[str, dict] = {section: {} for section in _KEYS}
+    # 1-based index -> value; a list of (index, value, line) for a key that repeats
+    indexed: dict = {name: [] if name in _REPEATED else {} for name in _INDEXED}
+    lines: dict[tuple, int] = {}          # a key that names one value -> its line
+    history_forms: dict[str, int] = {}    # form -> its first line
 
     for section, key, value, lineno in _parse_entries(text, source):
         where = f"{source}:{lineno}"
-        parts = key.split()
-        name = parts[0].lower()
-        if section == "system":
-            if name == "dim":
-                dim = _integer(value, where)
-            elif name == "t0":
-                t0 = _number(value, where)
-            elif name in matrix_targets:
-                if len(parts) != 3:
-                    raise ConfigError(f"{where}: matrix entries need 'A# row col = expr'")
-                i = _integer(parts[1], where) - 1
-                j = _integer(parts[2], where) - 1
-                matrix_targets[name][(i, j)] = _expr(value, where)
-            elif name == "delay":
-                if len(parts) != 2:
-                    raise ConfigError(f"{where}: delays are declared as 'delay k = expr'")
-                delay_exprs[_integer(parts[1], where)] = _expr(value, where)
-            elif name == "a1_delayed":
-                if len(parts) != 2:
-                    raise ConfigError(f"{where}: use 'A1_delayed k = weight'")
-                a1_delay_weights.append((_integer(parts[1], where), _number(value, where)))
-            elif name == "f":
-                if len(parts) != 2:
-                    raise ConfigError(f"{where}: monomials are declared as 'f i = ...'")
-                coord = _integer(parts[1], where) - 1
-                pieces = [p.strip() for p in value.split(";")]
-                if len(pieces) < 2:
-                    raise ConfigError(
-                        f"{where}: a monomial needs a coefficient and at least one "
-                        f"'slot coord power' factor")
-                coeff = _expr(pieces[0], where)
-                factors = []
-                for piece in pieces[1:]:
-                    nums = piece.split()
-                    if len(nums) != 3:
-                        raise ConfigError(
-                            f"{where}: factor {piece!r} must be 'slot coord power'")
-                    factors.append((_integer(nums[0], where),
-                                    _integer(nums[1], where) - 1,
-                                    _integer(nums[2], where)))
-                f_monomials.append((coord, coeff, factors))
-            elif name == "f0":
-                forcing_amplitude = _number(value, where)
-            elif name == "e":
-                if len(parts) != 2:
-                    raise ConfigError(f"{where}: forcing entries are 'e i = expr'")
-                e_entries[_integer(parts[1], where) - 1] = _expr(value, where)
-            elif name == "history":
-                if len(parts) == 1:
-                    tokens = value.split()
-                    if not tokens or tokens[0] != "constant":
-                        raise ConfigError(
-                            f"{where}: bare 'history =' takes 'constant v1 ... vn'")
-                    history_kind = "constant"
-                    history_constant = [_number(v, where) for v in tokens[1:]]
-                elif parts[1].lower() == "sample":
-                    history_kind = "samples"
-                    history_samples.append([_number(v, where) for v in value.split()])
-                else:
-                    history_kind = "expressions"
-                    history_exprs[_integer(parts[1], where) - 1] = _expr(value, where)
-            else:
-                raise ConfigError(f"{where}: unknown [system] key {key!r}")
-        elif section == "reduction":
-            if name == "p":
-                reduction.p_expr = _expr(value, where)
-            elif name == "c":
-                reduction.c_expr = _expr(value, where)
-            elif name == "zeta_tilde":
-                reduction.zeta_tilde = _number(value, where)
-            elif name == "margin":
-                reduction.margin = _number(value, where)
-            else:
-                raise ConfigError(f"{where}: unknown [reduction] key {key!r}")
-        elif section == "solver":
-            if name in solver_fields:
-                solver_fields[name] = _number(value, where)
-            elif name == "horizon":
-                horizon = _number(value, where)
-            else:
-                raise ConfigError(f"{where}: unknown [solver] key {key!r}")
-        elif section == "analysis":
-            if name == "criterion":
-                if value not in ("bounded", "decaying"):
-                    raise ConfigError(f"{where}: criterion must be bounded|decaying")
-                analysis.criterion = value
-            elif name in ("q_max", "r_max", "bisect_tol", "probe_rtol",
-                          "tail_fraction", "decay_ratio", "alpha", "beta",
-                          "gamma", "p_hat", "c_hat"):
-                setattr(analysis, name, _number(value, where))
-            elif name in ("t",):
-                analysis.T = _number(value, where)
-            elif name == "l_hat":
-                pieces = [p.strip() for p in value.split(";")]
-                if len(pieces) != 2:
-                    raise ConfigError(f"{where}: L_hat terms are 'coeff ; power'")
-                analysis.l_hat_terms.append(
-                    (_number(pieces[0], where), _integer(pieces[1], where)))
-            else:
-                raise ConfigError(f"{where}: unknown [analysis] key {key!r}")
-        elif section == "output":
-            if name == "grid":
-                output.grid = _integer(value, where)
-            else:
-                raise ConfigError(f"{where}: unknown [output] key {key!r}")
-        else:
+        words = key.lower().split()
+        name = " ".join(words)
+        if section not in _KEYS:
             raise ConfigError(f"{where}: unknown section [{section}]")
+        if section == "system" and words[0] == "history":
+            form = ("constant" if len(words) == 1 else
+                    "sampled" if words[1] == "sample" else "per-coordinate")
+            history_forms.setdefault(form, lineno)
+            if len(history_forms) > 1:
+                raise ConfigError(f"{where}: a {form} history after the history of line "
+                                  f"{min(history_forms.values())}; the history takes one form")
+        if name in _KEYS[section]:
+            parser, target = _KEYS[section][name]
+            if name in _REPEATED:
+                fields[section].setdefault(target, []).append(parser(value, where))
+                continue
+            store, at = fields[section], target
+        elif section == "system" and words[0] in _INDEXED:
+            name, (count, parser, usage) = words[0], _INDEXED[words[0]]
+            if len(words) != count + 1:
+                raise ConfigError(f"{where}: expected '{usage}'")
+            at = tuple(_integer(w, where) for w in words[1:])
+            if name in _REPEATED:
+                indexed[name].append((at, parser(value, where), lineno))
+                continue
+            store = indexed[name]
+        else:
+            raise ConfigError(f"{where}: unknown [{section}] key {key!r}")
+        if (name, at) in lines:
+            raise ConfigError(f"{where}: {key!r} repeats line {lines[name, at]}")
+        lines[name, at] = lineno
+        store[at] = parser(value, where)
 
-    # -- validation ---------------------------------------------------------
-    if dim is None:
+    system = fields["system"]
+    if "dim" not in system:
         raise ConfigError(f"{source}: missing required field 'dim' in [system]")
-    if dim < 1:
-        raise ConfigError(f"{source}: 'dim' must be positive")
-    delay_count = len(delay_exprs)
-    if delay_exprs and sorted(delay_exprs) != list(range(1, delay_count + 1)):
+    dim, t0 = system["dim"], system.get("t0", 0.0)
+    horizon = fields["solver"].pop("horizon", 50.0)
+    if horizon <= t0:
+        raise ConfigError(f"{source}: 'horizon' must exceed t0")
+
+    # -- the checks in the file's terms ------------------------------------
+    for name in ("a0", "a1", "e", "history"):
+        for index in indexed[name]:
+            if not all(1 <= i <= dim for i in index):
+                raise ConfigError(f"{source}:{lines[name, index]}: index outside 1..{dim}")
+    for (coord,), (_coeff, factors), line in indexed["f"]:
+        if not all(1 <= c <= dim for c in (coord, *(c for _s, c, _p in factors))):
+            raise ConfigError(f"{source}:{line}: coordinate outside 1..{dim}")
+    delay_count = len(indexed["delay"])
+    if sorted(indexed["delay"]) != [(k,) for k in range(1, delay_count + 1)]:
         raise ConfigError(f"{source}: delays must be numbered 1..m without gaps")
-    for (i, j) in list(a0_entries) + list(a1_entries):
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise ConfigError(
-                f"{source}: matrix index ({i + 1}, {j + 1}) outside a {dim}x{dim} matrix")
-    for slot, _w in a1_delay_weights:
-        if not 1 <= slot <= delay_count:
-            raise ConfigError(
-                f"{source}: 'A1_delayed {slot}' references a missing delay slot "
-                f"(system has {delay_count})")
-    if a1_delay_weights and not a1_entries:
+    if indexed["a1_delayed"] and not indexed["a1"]:
         raise ConfigError(f"{source}: 'A1_delayed' requires A1 entries")
-    for coord, _c, factors in f_monomials:
-        if not 0 <= coord < dim:
-            raise ConfigError(f"{source}: 'f {coord + 1}' outside the state dimension")
-        for slot, fc, power in factors:
-            if not 0 <= slot <= delay_count:
-                raise ConfigError(
-                    f"{source}: monomial references delay slot {slot} of a "
-                    f"{delay_count}-delay system")
-            if not 0 <= fc < dim:
-                raise ConfigError(f"{source}: monomial coordinate {fc + 1} outside 1..{dim}")
-            if power < 1:
-                raise ConfigError(f"{source}: monomial powers must be positive")
-    if forcing_amplitude < 0:
-        raise ConfigError(f"{source}: 'F0' must be nonnegative")
-    if forcing_amplitude > 0 and not e_entries:
-        raise ConfigError(f"{source}: 'F0 > 0' requires forcing shape entries 'e i'")
-    for i in e_entries:
-        if not 0 <= i < dim:
-            raise ConfigError(f"{source}: forcing entry 'e {i + 1}' outside the dimension")
-
-    if history_kind is None:
+    if not history_forms:
         raise ConfigError(f"{source}: missing history specification in [system]")
-    if history_kind == "constant":
-        if len(history_constant) != dim:
-            raise ConfigError(
-                f"{source}: constant history needs {dim} values, got "
-                f"{len(history_constant)}")
-        history_data: object = history_constant
-    elif history_kind == "expressions":
-        if sorted(history_exprs) != list(range(dim)):
-            raise ConfigError(
-                f"{source}: per-coordinate history must cover coordinates 1..{dim}")
-        history_data = [history_exprs[i] for i in range(dim)]
-    else:
-        if len(history_samples) < 2:
-            raise ConfigError(f"{source}: sampled history needs at least 2 lines")
-        for row in history_samples:
-            if len(row) != dim + 1:
-                raise ConfigError(
-                    f"{source}: each history sample needs a time and {dim} values")
-        times = [row[0] for row in history_samples]
-        values = [row[1:] for row in history_samples]
-        history_data = (times, values)
+    per_coordinate, samples = indexed["history"], system.get("samples", [])
+    if per_coordinate and len(per_coordinate) != dim:
+        raise ConfigError(f"{source}: per-coordinate history must cover coordinates 1..{dim}")
+    if any(len(row) != dim + 1 for row in samples):
+        raise ConfigError(f"{source}: each history sample needs a time and {dim} values")
 
+    reduction = ReductionConfig(**fields["reduction"])
     if (reduction.p_expr is None) != (reduction.c_expr is None):
         raise ConfigError(
             f"{source}: closed-form reduction needs both 'p' and 'c' (or neither)")
@@ -425,34 +343,41 @@ def load_config_text(text: str, source: str = "<memory>") -> RunConfig:
     if reduction.margin < 0:
         raise ConfigError(f"{source}: 'margin' must be nonnegative")
 
+    # -- the objects, whose constructors check the rest --------------------
     try:
-        solver = ToleranceSettings(rtol=solver_fields["rtol"],
-                                   atol=solver_fields["atol"],
-                                   cap=solver_fields["cap"])
+        a0 = MatrixFunction(dim, {(i - 1, j - 1): v for (i, j), v in indexed["a0"].items()})
+        a1 = (MatrixFunction(dim, {(i - 1, j - 1): v for (i, j), v in indexed["a1"].items()})
+              if indexed["a1"] else None)
+        delays = DelaySpec.from_functions([indexed["delay"][(k,)]
+                                           for k in range(1, delay_count + 1)])
+        monomials = [(coord - 1, coeff, [(slot, c - 1, power) for slot, c, power in factors])
+                     for (coord,), (coeff, factors), _line in indexed["f"]]
+        poly = PolynomialVectorField(dim, delay_count, monomials) if monomials else None
+        couplings = [DelayedMatrixTerm(slot, weight, a1)
+                     for (slot,), weight, _line in indexed["a1_delayed"]]
+        if "history" in system:
+            history = HistoryFunction.constant(system["history"])
+        elif per_coordinate:
+            history = HistoryFunction.from_expressions(
+                [per_coordinate[(i,)] for i in range(1, dim + 1)])
+        else:
+            history = HistoryFunction.from_samples([row[0] for row in samples],
+                                                   [row[1:] for row in samples])
+        vector_system = VectorDelaySystem(
+            dim=dim, A=a0 if a1 is None else a0.plus(a1),
+            f=NonlinearTerm(dim, delay_count, poly, couplings) if poly or couplings else None,
+            forcing_amplitude=system.get("forcing_amplitude", 0.0),
+            forcing_shape=(VectorFunction(dim, {i - 1: v for (i,), v in indexed["e"].items()})
+                           if indexed["e"] else None),
+            delays=delays, history=history, t0=t0)
+        tolerances = ToleranceSettings(**fields["solver"])
+        h_bar, _h_under = delays.bounds(t0, horizon)
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-    if not math.isfinite(horizon) or horizon <= t0:
-        raise ConfigError(f"{source}: 'horizon' must be finite and exceed t0")
-
-    system = SystemConfig(dim, t0, a0_entries, a1_entries,
-                          [delay_exprs[k] for k in sorted(delay_exprs)],
-                          a1_delay_weights, f_monomials, forcing_amplitude,
-                          e_entries, history_kind, history_data)
-    cfg = RunConfig(system, reduction, solver, horizon, analysis, output, source)
-
-    # history coverage check needs the delay band on [t0, horizon]
-    try:
-        h_bar, _h_under = cfg.delay_spec().bounds(t0, horizon)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: bad delays: {exc}") from exc
-    try:
-        history = cfg.history()
-    except ValueError as exc:
-        raise ConfigError(f"{source}: bad history: {exc}") from exc
-    if history.dim != dim:
-        raise ConfigError(f"{source}: history dimension {history.dim} != dim {dim}")
     if not history.covers(t0 - h_bar, t0):
         raise ConfigError(
             f"{source}: history must cover [{t0 - h_bar}, {t0}] "
             f"(it covers [{history.t_min}, {history.t_max}])")
-    return cfg
+    return RunConfig(vector_system, a0, a1, reduction, tolerances, horizon,
+                     AnalysisConfig(**fields["analysis"]), OutputConfig(**fields["output"]),
+                     source)

@@ -356,13 +356,15 @@ class VectorDelaySystem:
         if self.history.dim != self.dim:
             raise ValueError(
                 f"history dimension {self.history.dim} != system dimension {self.dim}")
+        # generated here, not on first use: the system of a loaded config is
+        # shared by all its runs, and each run then does the same work
+        object.__setattr__(self, "_rhs", self._generated_rhs())
 
     def rhs(self, t: float, y: np.ndarray, delayed: Sequence[np.ndarray]) -> np.ndarray:
         """Right side for one state ``(n,)`` or a batch of states ``(B, n)``."""
         return self._rhs[y.ndim - 1](t, y, delayed)
 
-    @cached_property
-    def _rhs(self):
+    def _generated_rhs(self):
         """`rhs` for a lone state and for a batch, from one source: coordinate
         ``i`` is ``sum_j A_ij(t) x_j + (monomials + sum weight * sum_j M_ij(t)
         x_j(t - h)) + F0 e_i(t)``, each sum in index order, with zero matrix

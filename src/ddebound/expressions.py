@@ -338,6 +338,8 @@ class _Parser:
             value = float(literal)
         except ValueError:
             self._error(f"bad number literal {literal!r}", start + 1)
+        if math.isinf(value):
+            self._error(f"number literal {literal!r} is not finite", start + 1)
         return Num(value)
 
     def _name(self) -> Expression:

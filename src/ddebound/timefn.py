@@ -95,10 +95,11 @@ _OVERFLOW_GUARD = 1e12
 def _elementwise(fn):
     """``fn`` of `math` on each entry of its broadcast arguments, with the bits
     of a scalar call (numpy's own ``exp``, ``power`` and ``hypot`` differ from
-    `math` in the last bit), written straight into a float array."""
+    `math` in the last bit), written straight into a float array; the entries
+    go in as Python numbers, which `math` reads faster than numpy scalars."""
     def apply(*args):
         args = np.broadcast_arrays(*args)
-        values = map(fn, *(a.ravel() for a in args))
+        values = map(fn, *(a.ravel().tolist() for a in args))
         return np.fromiter(values, float, args[0].size).reshape(args[0].shape)
     return apply
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,9 @@ T = 1
 """
 
 
+CASE_A = (resources.files("ddebound") / "configs/planar_case_a.cfg").read_text()
+
+
 class TestLoadConfig:
     def test_bundled_cases_load(self):
         for case in ("a", "b"):
@@ -69,9 +73,9 @@ class TestLoadConfig:
             assert cfg.system.dim == 2
             assert cfg.system.forcing_amplitude == 0.05
             assert cfg.horizon == 50.0
-            spec = cfg.delay_spec()
+            spec = cfg.system.delays
             assert spec.count == 1 and spec.bounds(cfg.system.t0, cfg.horizon)[0] == 0.5
-            vs = cfg.build_vector_system()
+            vs = cfg.system
             assert vs.dim == 2
             assert np.allclose(vs.history(0.0), [0.1, 0.1])
 
@@ -112,16 +116,77 @@ history sample = 0.0 1.0
 
     def test_minimal_system_builds(self):
         cfg = load_config_text(MINIMAL, "<test>")
-        vs = cfg.build_vector_system()
+        vs = cfg.system
         from ddebound import integrate
         traj = integrate(vs, 5.0, cfg.solver)
         assert traj.eval(1.0)[0] == pytest.approx(0.5 * math.exp(-1.0), rel=1e-5)
 
-    @pytest.mark.parametrize("key", ["rtol", "atol"])
+    @pytest.mark.parametrize("key", ["rtol", "atol", "horizon", "q_max", "F0", "zeta_tilde",
+                                     "margin", "history"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_tolerance_rejected(self, key, value):
-        with pytest.raises(ConfigError, match="positive and finite"):
-            load_config_text(f"{MINIMAL}{key} = {value}\n", "<test>")
+        # each on its own line of case a; the error names that line
+        lines = CASE_A.splitlines()
+        (row,) = [k for k, line in enumerate(lines) if line.startswith(f"{key} = ")]
+        lines[row] = f"{key} = constant {value} 0.1" if key == "history" else f"{key} = {value}"
+        with pytest.raises(ConfigError, match=rf"^<test>:{row + 1}: expected a finite number"):
+            load_config_text("\n".join(lines), "<test>")
+
+    def test_the_cap_may_be_infinite_but_not_nan(self):
+        assert load_config_text(f"{MINIMAL}cap = inf\n").solver.cap == math.inf
+        line = MINIMAL.count("\n") + 1
+        with pytest.raises(ConfigError, match=rf"^<test>:{line}: expected a finite number or inf"):
+            load_config_text(f"{MINIMAL}cap = nan\n", "<test>")
+
+    @pytest.mark.parametrize("after, line, refusal", [pytest.param(*case, id=case[1]) for case in [
+        ("dim = ", "dim = 3", "'dim' repeats line 13"),
+        ("A0 2 2 = ", "A0 2 2 = -1", "'A0 2 2' repeats line 16"),
+        ("delay 1 = ", "delay 1 = 0.7", "'delay 1' repeats line 19"),
+        ("e 2 = ", "e 2 = cos(t)", "'e 2' repeats line 23"),
+        ("history = ", "history = constant 0.2 0.2", "'history' repeats line 24"),
+        ("history = ", "history sample = -1 0.1 0.1", "the history takes one form"),
+        ("history = ", "history 1 = 0.1", "the history takes one form"),
+        ("p = ", "p = -3", "'p' repeats line 27"),
+        ("rtol = ", "rtol = 1e-7", "'rtol' repeats line 33"),
+        ("q_max = ", "q_max = 10", "'q_max' repeats line 40"),
+        ("grid = ", "grid = 10", "'grid' repeats line 46"),
+    ]])
+    def test_a_key_that_names_one_value_is_given_once(self, after, line, refusal):
+        lines = CASE_A.splitlines()
+        (row,) = [k for k, text in enumerate(lines) if text.startswith(after)]
+        lines.insert(row + 1, line)
+        with pytest.raises(ConfigError, match=rf"^<test>:{row + 2}: .*{re.escape(refusal)}"):
+            load_config_text("\n".join(lines), "<test>")
+
+    def test_lines_that_repeat_add_up(self):
+        text = CASE_A.replace("A1_delayed 1 = 0.5", "A1_delayed 1 = 0.5\nA1_delayed 1 = 0.25")
+        text = text.replace("f 2 = 0.1 ; 1 2 3", "f 2 = 0.1 ; 1 2 3\nf 2 = 0.2 ; 0 1 2")
+        cfg = load_config_text(text + "[analysis]\nL_hat = 1 ; 3\nL_hat = 2 ; 1\n")
+        assert [term.weight for term in cfg.system.f.matrix_terms] == [0.5, 0.25]
+        monomials = cfg.system.f.poly.monomials
+        assert [m.factors for m in monomials] == [((1, 1, 3),), ((0, 0, 2),)]
+        assert cfg.analysis.l_hat_terms == [(1.0, 3), (2.0, 1)]
+        samples = "history sample = -1 0.5\nhistory sample = 0 0.5"
+        cfg = load_config_text(MINIMAL.replace("history = constant 0.5", samples))
+        assert (cfg.system.history.t_min, cfg.system.history.t_max) == (-1.0, 0.0)
+
+    def test_one_remainder_matrix_object(self):
+        # the delayed coupling and the scalar majorant's |A1| term read the one A1
+        cfg = _bundled_config("a")
+        (coupling,) = cfg.system.f.matrix_terms
+        assert coupling.matrix is cfg.a1
+        scalar = cli.assemble_pipeline(cfg).scalar_system
+        (undelayed,) = [t for t in scalar.majorant.terms if t.exponents == (1, 0)]
+        assert undelayed.coeff is cfg.a1.norm
+
+    @pytest.mark.parametrize("line, refusal", [
+        ("= 2", "expected 'key = value', got '= 2'"),
+        ("delay 1 = 1e999", "number literal '1e999' is not finite"),
+    ])
+    def test_a_malformed_line_is_named(self, line, refusal):
+        row = MINIMAL.splitlines().index("[solver]") + 1
+        with pytest.raises(ConfigError, match=rf"^<test>:{row}: .*{re.escape(refusal)}"):
+            load_config_text(MINIMAL.replace("[solver]", f"{line}\n[solver]"), "<test>")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -138,7 +203,7 @@ history 1 = exp(t)
 history 2 = 1 + t
 """
         cfg = load_config_text(text, "<test>")
-        hist = cfg.history()
+        hist = cfg.system.history
         assert hist(-0.5)[0] == pytest.approx(math.exp(-0.5))
         assert hist(-0.5)[1] == pytest.approx(0.5)
 
@@ -457,7 +522,7 @@ class TestLazyPipeline:
 
         monkeypatch.setattr(cli, "compute_fundamental_matrix", refuse)
         pipe = cli.assemble_pipeline(load_config_text(ILL_CONDITIONED))
-        assert pipe.vector_system.dim == 2
+        assert pipe.config.system.dim == 2
         with pytest.raises(AssertionError, match="fundamental matrix was integrated"):
             pipe.scalar_system
 

@@ -535,8 +535,8 @@ PROBE = ToleranceSettings(rtol=1e-4, atol=1e-8, cap=1e6)
 
 
 def _case_a_homogeneous():
-    from ddebound.cli import _bundled_config, assemble_pipeline
-    vs = assemble_pipeline(_bundled_config("a")).vector_system
+    from ddebound.cli import _bundled_config
+    vs = _bundled_config("a").system
     return replace(vs, forcing_amplitude=0.0, forcing_shape=None)
 
 

@@ -51,8 +51,8 @@ def pipe(request):
 
 def _times(pipe, count=1000):
     rng = np.random.default_rng(11)
-    return np.concatenate([np.linspace(pipe.vector_system.t0, pipe.horizon, count // 2),
-                           rng.uniform(pipe.vector_system.t0, pipe.horizon,
+    return np.concatenate([np.linspace(pipe.config.system.t0, pipe.horizon, count // 2),
+                           rng.uniform(pipe.config.system.t0, pipe.horizon,
                                        count - count // 2)]).tolist()
 
 
@@ -122,7 +122,7 @@ def _old_linear(pipe, zeta_tilde):
         target = next(i for i, k in enumerate(term.exponents) if k > 0)
         buckets[target].append((term.coeff, zeta_tilde ** (term.degree - 1)))
     mu = [lambda t, b=tuple(b): sum(abs(f(t)) * s for f, s in b) for b in buckets]
-    norm = _library_norm(pipe.vector_system.forcing_shape)
+    norm = _library_norm(pipe.config.system.forcing_shape)
     rate = lambda t: p(t) + c(t) * abs(mu[0](t))
     delayed = [lambda t, g=m: c(t) * abs(g(t)) for m in mu[1:]]
     if isinstance(c, ConstantFn) and c.value == 1.0:
@@ -193,7 +193,7 @@ class TestForcingMagnitude:
     @pytest.mark.parametrize("name", ["a", "b", "reduce"])
     def test_equals_the_library_norm_at_10000_points(self, name):
         cfg = _config(name)
-        vs = cfg.build_vector_system()
+        vs = cfg.system
         assert isinstance(vs.forcing_shape, VectorFunction)
         library = _library_norm(vs.forcing_shape)
         grid = np.linspace(cfg.system.t0, cfg.horizon, 10_000).tolist()
@@ -270,7 +270,7 @@ class TestLinearCoefficients:
 class TestVectorRhs:
     @pytest.mark.parametrize("forced", [True, False])
     def test_batch_rows_equal_the_lone_state_and_the_term_loop(self, pipe, forced):
-        vs = pipe.vector_system
+        vs = pipe.config.system
         if not forced:
             vs = replace(vs, forcing_amplitude=0.0, forcing_shape=None)
         rng = np.random.default_rng(13)
@@ -301,7 +301,7 @@ class TestScalarRhs:
             assert _same(ss.rhs(*args), _old_scalar_rhs(ss, forcing, *args))
 
     def test_equals_the_term_loop(self, pipe):
-        vs = pipe.vector_system
+        vs = pipe.config.system
         norm = _library_norm(vs.forcing_shape)
         forcing = lambda t: vs.forcing_amplitude * norm(t)
         assert _same([pipe.scalar_system.forcing(t) for t in _times(pipe)],
@@ -312,7 +312,7 @@ class TestScalarRhs:
 
     def test_delayed_matrix_coefficient(self, pipe):
         # the majorant coefficient |weight| * |A1(t)| of the delayed coupling
-        f = pipe.vector_system.f
+        f = pipe.config.system.f
         (term,) = f.matrix_terms
         coeff = f.majorize().terms[-1].coeff
         norm = term.matrix.norm
@@ -383,7 +383,7 @@ class TestDirectSpline:
     @pytest.fixture(scope="class")
     def reduction(self):
         cfg = load_config(REDUCE_CONFIG)
-        W = compute_fundamental_matrix(cfg.a0_matrix(), cfg.system.t0, cfg.horizon,
+        W = compute_fundamental_matrix(cfg.a0, cfg.system.t0, cfg.horizon,
                                        ToleranceSettings(rtol=1e-8, atol=1e-12, cap=math.inf))
         ts = W.trajectory.ts
         knots = np.empty(2 * ts.size - 1)
@@ -425,7 +425,7 @@ class TestConstantHistories:
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_stacked_lookups_equal_the_per_member_calls(self, pipe, batch):
-        vs = replace(pipe.vector_system, forcing_amplitude=0.0, forcing_shape=None)
+        vs = replace(pipe.config.system, forcing_amplitude=0.0, forcing_shape=None)
         values = [np.array([0.3, -0.2]), np.array([0.05, 0.1])]
         constant = [HistoryFunction.constant(v) for v in values]
         called = [HistoryFunction(lambda t, v=v: v, 2) for v in values]
@@ -459,7 +459,7 @@ class TestMatrixNorm:
     def test_equals_the_closed_form_at_10000_points(self, name):
         cfg = _config(name)
         times = np.linspace(cfg.system.t0, cfg.horizon, 10_000).tolist()
-        for matrix in (cfg.a0_matrix(), cfg.a1_matrix(), cfg.a0_matrix().plus(cfg.a1_matrix())):
+        for matrix in (cfg.a0, cfg.a1, cfg.system.A):
             assert not matrix.is_constant
             expected = [_old_spectral_norm(matrix(t)) for t in times]
             assert _same([matrix.norm(t) for t in times], expected)
@@ -502,7 +502,7 @@ def _scalar_calls_of_generated(thunk):
 
 def _coefficient_reads(pipe):
     """Every coefficient read of the comparison systems of ``pipe``, by name."""
-    scalar, vs = pipe.scalar_system, pipe.vector_system
+    scalar, vs = pipe.scalar_system, pipe.config.system
     linear, constant = build_linear_chain(pipe)
     mu = linearize_majorant(scalar.majorant, pipe.config.reduction.zeta_tilde).mu
     (coupling,) = vs.f.matrix_terms
@@ -520,7 +520,7 @@ def _coefficient_reads(pipe):
 class TestGridValues:
     def test_rows_equal_the_calls_at_10000_points(self, pipe):
         reads = _coefficient_reads(pipe)
-        times = np.linspace(pipe.vector_system.t0, pipe.horizon, 10_000)
+        times = np.linspace(pipe.config.system.t0, pipe.horizon, 10_000)
         rows, scalar_calls = _scalar_calls_of_generated(
             lambda: grid_values(list(reads.values()), times))
         assert scalar_calls == 0

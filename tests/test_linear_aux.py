@@ -200,11 +200,11 @@ class TestIssBound:
         pipe = assemble_pipeline(_bundled_config("a"))
         linear, _constant = build_linear_chain(pipe)
         tol = ToleranceSettings(rtol=1e-6, atol=1e-9)
-        vector_traj = integrate(pipe.vector_system, 50.0, tol)
+        vector_traj = integrate(pipe.config.system, 50.0, tol)
         u_h = integrate(replace(linear, history=pipe.scalar_system.history,
                                 forcing_amplitude=0.0), 50.0, tol)
         u_nh = particular_response(linear, 50.0, tol)
-        amplitude = pipe.vector_system.forcing_amplitude
+        amplitude = pipe.config.system.forcing_amplitude
         report = iss_bound_series(vector_traj, u_h, u_nh, amplitude,
                                   np.linspace(0.0, 50.0, 600), tol=1e-6)
         assert report.holds

@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -315,10 +316,10 @@ class TestBuildAutonomousAuxiliary:
 
         monkeypatch.setattr(cli, "build_autonomous_auxiliary",
                             counted("freeze", build_autonomous_auxiliary))
+        text = (resources.files("ddebound") / "configs/planar_case_a.cfg").read_text()
         for dim, freeze in ((2, 0), (3, 10_000)):
-            cfg = cli._bundled_config("a")
-            cfg.system.dim = dim
-            cfg.system.history_data = [0.1] * dim
+            cfg = cli.load_config_text(text.replace("dim = 2", f"dim = {dim}").replace(
+                "history = constant 0.1 0.1", "history = constant" + " 0.1" * dim))
             pipe = cli.assemble_pipeline(cfg)
             pipe.autonomous_system    # the stages are built on first read
             counted("chain", cli.build_linear_chain)(pipe)
