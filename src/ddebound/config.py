@@ -372,7 +372,8 @@ def load_config_text(text: str, source: str = "<memory>") -> RunConfig:
             delays=delays, history=history, t0=t0)
         tolerances = ToleranceSettings(**fields["solver"])
         h_bar, _h_under = delays.bounds(t0, horizon)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # ArithmeticError: a constant expression that overflows when folded
         raise ConfigError(f"{source}: {exc}") from exc
     if not history.covers(t0 - h_bar, t0):
         raise ConfigError(

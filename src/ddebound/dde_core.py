@@ -21,7 +21,11 @@ runs its own checks on that horizon; `DelayProblem.problem` returns itself,
 so a custom right side is integrated by building a `DelayProblem` directly.
 `integrate_batch` runs the same loop for several histories of one problem,
 which share its delays, walls and kinks: the members form one flat state on
-one step sequence, and the right side sees them as a ``(B, n)`` array.
+one step sequence, and the right side sees them as a ``(B, n)`` array.  A
+lone state steps on Python floats, through step arithmetic generated once
+per state dimension (`_float_step`), and a batch on numpy rows (`_RowStep`);
+both add every sum in one documented order, so a batch member has the bits
+of its lone run and no result depends on the BLAS library.
 """
 
 from __future__ import annotations
@@ -29,9 +33,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import repeat
 from operator import attrgetter
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,6 +58,7 @@ __all__ = [
     "Perturbation",
     "DelayProblem",
     "Trajectory",
+    "StepStats",
     "integrate",
     "integrate_batch",
 ]
@@ -78,37 +84,51 @@ _HULL_ROUNDING = 16.0 * _EPS
 # Dormand-Prince 5(4): stage nodes, stage coefficients, 5th-order weights
 # (the 7th stage is evaluated at the new point and reused as the next first
 # stage), error weights (5th minus embedded 4th order, over all 7 stages) and
-# the matrix of the 4th-order continuous extension (Shampine 1986):
-# y(t + theta*h) = y + h * sum_j (stages^T P)[:, j] * theta^(j+1).
+# the matrix of the 4th-order continuous extension (Shampine 1986), one row
+# per stage: y(t + theta*h) = y + sum_j q_j theta^(j+1), q_j = h * sum_s
+# _P[s][j] k_s.
 _C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0)
 _A = (
-    None,
-    np.array([1.0 / 5.0]),
-    np.array([3.0 / 40.0, 9.0 / 40.0]),
-    np.array([44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0]),
-    np.array([19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0]),
-    np.array([9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
-              -5103.0 / 18656.0]),
+    (),
+    (1.0 / 5.0,),
+    (3.0 / 40.0, 9.0 / 40.0),
+    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
 )
-_B = np.array([35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-               11.0 / 84.0])
-_E = np.array([-71.0 / 57600.0, 0.0, 71.0 / 16695.0, -71.0 / 1920.0,
-               17253.0 / 339200.0, -22.0 / 525.0, 1.0 / 40.0])
-_P = np.array([
-    [1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0,
-     -12715105075.0 / 11282082432.0],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200.0 / 32700410799.0, -68118460800.0 / 10900136933.0,
-     87487479700.0 / 32700410799.0],
-    [0.0, -1754552775.0 / 470086768.0, 14199869525.0 / 1410260304.0,
-     -10690763975.0 / 1880347072.0],
-    [0.0, 127303824393.0 / 49829197408.0, -318862633887.0 / 49829197408.0,
-     701980252875.0 / 199316789632.0],
-    [0.0, -282668133.0 / 205662961.0, 2019193451.0 / 616988883.0,
-     -1453857185.0 / 822651844.0],
-    [0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0,
-     69997945.0 / 29380423.0],
-])
+_B = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0)
+_E = (-71.0 / 57600.0, 0.0, 71.0 / 16695.0, -71.0 / 1920.0, 17253.0 / 339200.0,
+      -22.0 / 525.0, 1.0 / 40.0)
+_P = (
+    (1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0,
+     -12715105075.0 / 11282082432.0),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200.0 / 32700410799.0, -68118460800.0 / 10900136933.0,
+     87487479700.0 / 32700410799.0),
+    (0.0, -1754552775.0 / 470086768.0, 14199869525.0 / 1410260304.0,
+     -10690763975.0 / 1880347072.0),
+    (0.0, 127303824393.0 / 49829197408.0, -318862633887.0 / 49829197408.0,
+     701980252875.0 / 199316789632.0),
+    (0.0, -282668133.0 / 205662961.0, 2019193451.0 / 616988883.0,
+     -1453857185.0 / 822651844.0),
+    (0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0, 69997945.0 / 29380423.0),
+)
+
+
+def _nonzero(coefficients) -> tuple[tuple[int, float], ...]:
+    return tuple((s, c) for s, c in enumerate(coefficients) if c != 0.0)
+
+
+# every combination of stages the step takes, as ``(stage, coefficient)``
+# pairs with the zero tableau entries dropped.  Both readings of the step
+# (`_float_step` on a lone state, `_RowStep` on a batch) sum ``coefficient *
+# stage`` over these pairs in stage order, left to right, and then scale the
+# sum by ``h``: ``y + h * (...)`` for a stage state and the update, ``h *
+# (...)`` for the error and the dense coefficients.
+_STAGE_ROWS = tuple(_nonzero(row) for row in _A[1:])
+_UPDATE = _nonzero(_B)
+_ERROR = _nonzero(_E)
+_DENSE = tuple(_nonzero(column) for column in zip(*_P))
 
 
 # a step's quartic y + sum_j q_j theta^(j+1) in the Bernstein basis of degree
@@ -300,7 +320,10 @@ class DelayProblem:
     ``y0`` is a jump at ``t0`` that delayed lookups see from the correct side.
     ``history`` may be omitted only when there are no delays and ``y0`` is
     given.  ``kinks`` are extra times where the right side loses smoothness;
-    the integrator steps onto those inside its interval.
+    the integrator steps onto those inside its interval.  A lone run calls
+    ``rhs.on_floats`` where the right side has it (the same function on a
+    state of Python floats, returning floats, as the system classes give),
+    and any other right side through one wrapper, arrays in and floats out.
     """
 
     rhs: Callable[[float, np.ndarray, Sequence[np.ndarray]], np.ndarray]
@@ -318,11 +341,12 @@ class DelayProblem:
         return self
 
 
-# the generated vector right side reads a lone state as Python floats and a
-# batch as columns, whose powers are taken entry by entry as ``float ** int``
-# (numpy's array power rounds differently): each row has the lone state's bits
-_ONE_STATE = {"_columns": np.ndarray.tolist, "_spow": pow}
-_BATCH = {"_columns": attrgetter("T"),
+# the generated vector right side reads a lone state as Python floats and
+# returns floats, and reads a batch as columns, whose powers are taken entry
+# by entry as ``float ** int`` (numpy's array power rounds differently): each
+# row has the lone state's bits
+_ONE_STATE = {"_spow": pow}
+_BATCH = {"_columns": attrgetter("T"), "_empty": np.empty,
           "_spow": lambda column, power: np.fromiter(map(pow, column.tolist(), repeat(power)),
                                                      float, column.size)}
 
@@ -362,15 +386,18 @@ class VectorDelaySystem:
 
     def rhs(self, t: float, y: np.ndarray, delayed: Sequence[np.ndarray]) -> np.ndarray:
         """Right side for one state ``(n,)`` or a batch of states ``(B, n)``."""
-        return self._rhs[y.ndim - 1](t, y, delayed)
+        if y.ndim == 1:
+            return np.array(self._rhs[0](t, y.tolist(), [z.tolist() for z in delayed]))
+        return self._rhs[1](t, y, delayed)
 
     def _generated_rhs(self):
-        """`rhs` for a lone state and for a batch, from one source: coordinate
-        ``i`` is ``sum_j A_ij(t) x_j + (monomials + sum weight * sum_j M_ij(t)
-        x_j(t - h)) + F0 e_i(t)``, each sum in index order, with zero matrix
-        entries dropped, constants as literals (a factor 1.0 left out) and each
-        distinct coefficient read once per call into a local."""
-        names: dict = {"_empty": np.empty}
+        """`rhs` on a lone state of Python floats (returning a tuple of
+        floats) and on a batch, from one source: coordinate ``i`` is ``sum_j
+        A_ij(t) x_j + (monomials + sum weight * sum_j M_ij(t) x_j(t - h)) + F0
+        e_i(t)``, each sum in index order, with zero matrix entries dropped,
+        constants as literals (a factor 1.0 left out) and each distinct
+        coefficient read once per call into a local."""
+        names: dict = {}
         reads: dict[str, str] = {}
 
         def times(*factors: str) -> str:
@@ -404,15 +431,22 @@ class VectorDelaySystem:
         forcing = [""] * self.dim
         for i, fn in self.forcing_shape.entries if self.forcing_amplitude > 0.0 else ():
             forcing[i] = times(_literal(self.forcing_amplitude), read(fn))
-        body = [*(f"{', '.join(columns)}, = _columns({f'delayed[{k - 1}]' if k else 'y'})"
-                  for k, columns in enumerate(states)),
-                *(f"{local} = {source}" for source, local in reads.items()),
-                "out = _empty(y.shape)", "columns = out.T"]
-        for i in range(self.dim):
-            terms = (linear[i], f"({' + '.join(nonlinear[i])})" if nonlinear[i] else "", forcing[i])
-            body.append(f"columns[{i}] = {' + '.join(filter(None, terms)) or '0.0'}")
-        return tuple(_generate("t, y, delayed", "out", {**names, **reading}, body)
-                     for reading in (_ONE_STATE, _BATCH))
+        values = [" + ".join(filter(None, (
+            linear[i], f"({' + '.join(nonlinear[i])})" if nonlinear[i] else "", forcing[i])))
+            or "0.0" for i in range(self.dim)]
+        reads_lines = [f"{local} = {source}" for source, local in reads.items()]
+
+        def unpack(columns: str) -> list[str]:
+            return [f"{', '.join(state)}, = {columns.format(f'delayed[{k - 1}]' if k else 'y')}"
+                    for k, state in enumerate(states)]
+
+        floats = _generate("t, y, delayed", f"({', '.join(values)},)", {**names, **_ONE_STATE},
+                           unpack("{}") + reads_lines)
+        batch = _generate("t, y, delayed", "out", {**names, **_BATCH},
+                          [*unpack("_columns({})"), *reads_lines,
+                           "out = _empty(y.shape)", "columns = out.T",
+                           *(f"columns[{i}] = {value}" for i, value in enumerate(values))])
+        return floats, batch
 
     def problem(self, horizon: float) -> DelayProblem:
         if self.forcing_amplitude > 0.0:
@@ -421,7 +455,8 @@ class VectorDelaySystem:
             if not 0.95 <= sup <= 1.05:
                 raise ValueError(
                     f"forcing shape must have unit sup norm; sampled sup is {sup!r}")
-        return DelayProblem(self.rhs, self.delays, self.history, self.t0)
+        return DelayProblem(_with_floats(self.rhs, self._rhs[0]), self.delays, self.history,
+                            self.t0)
 
 
 @dataclass(frozen=True)
@@ -476,18 +511,19 @@ class ScalarDelaySystem:
         return replace(self, forcing=as_time_function(0.0))
 
     def rhs(self, t: float, y: np.ndarray, delayed: Sequence[np.ndarray]) -> np.ndarray:
-        return self._rhs(t, y, delayed)
+        return np.array(self._rhs(t, y, delayed))
 
     @cached_property
     def _rhs(self):
-        """`rhs` as one generated function: ``p(t) y + c(t) (L(t, zeta) +
-        |g(t)| + L_R(t, zeta_R))`` in that order, with the majorants' terms
-        unrolled and clamped (`PolynomialMajorant._clamped_lines`) and every
-        coefficient inlined or called once."""
+        """`rhs` as one generated function on Python floats (numpy scalars
+        give the same bits), returning a one-tuple: ``p(t) y + c(t) (L(t,
+        zeta) + |g(t)| + L_R(t, zeta_R))`` in that order, with the majorants'
+        terms unrolled and clamped (`PolynomialMajorant._clamped_lines`) and
+        every coefficient inlined or called once."""
         m = self.delays.count
         count = m if self.perturbation is None else m + self.perturbation.delays.count
         lags = [f"d{i}" for i in range(count)]
-        names = {"_array": np.array}
+        names: dict = {}
         lines = ["z = y[0]", *(f"{d} = delayed[{i}][0]" for i, d in enumerate(lags)),
                  "total = 0.0", *self.majorant._clamped_lines(["z", *lags[:m]], names),
                  f"value = total + abs({_source_of(self.forcing, names)})"]
@@ -495,8 +531,7 @@ class ScalarDelaySystem:
             lines += ["total = 0.0",
                       *self.perturbation.majorant._clamped_lines(["z", *lags[m:]], names),
                       "value += total"]
-        result = (f"_array([{_source_of(self.p, names)} * z "
-                  f"+ {_source_of(self.c, names)} * value])")
+        result = f"({_source_of(self.p, names)} * z + {_source_of(self.c, names)} * value,)"
         return _generate("t, y, delayed", result, names, lines)
 
     def problem(self, horizon: float) -> DelayProblem:
@@ -505,7 +540,7 @@ class ScalarDelaySystem:
         spec = self.delays
         if self.perturbation is not None:
             spec = spec.merged_with(self.perturbation.delays)
-        problem = DelayProblem(self.rhs, spec, self.history, self.t0)
+        problem = DelayProblem(_with_floats(self.rhs, self._rhs), spec, self.history, self.t0)
         if horizon > self.coeff_horizon + 1e-9:
             raise ValueError(
                 f"coefficients are only valid up to t={self.coeff_horizon}, "
@@ -524,6 +559,17 @@ class ScalarDelaySystem:
         return replace(problem, kinks=locate_zeros(self.forcing, self.t0, horizon))
 
 
+@dataclass(frozen=True)
+class StepStats:
+    """Counts of one run of the stepping loop: accepted and rejected steps
+    (by the error test or for a value that is not finite) and right-side
+    evaluations, the first-step probe included."""
+
+    accepted: int
+    rejected: int
+    rhs_evals: int
+
+
 class Trajectory:
     """Dense piecewise-quartic solution of an integration.
 
@@ -531,13 +577,17 @@ class Trajectory:
     the Dormand-Prince continuous extension, ``y = ys[k] + sum_j coeffs[k][j]
     * theta^(j+1)`` with ``theta`` the fraction of the step; node values are
     reproduced exactly.  ``t_end`` may precede the last node when integration
-    was truncated by blow-up detection.
+    was truncated by blow-up detection.  ``stats`` are the `StepStats` of the
+    run that made it (the members of a batch share their run's), None for a
+    trajectory built otherwise.
     """
 
     def __init__(self, ts: np.ndarray, ys: np.ndarray,
                  coeffs: np.ndarray, t_end: float, blew_up: bool = False,
                  blow_time: float | None = None,
-                 history: HistoryFunction | None = None, history_span: float = 0.0):
+                 history: HistoryFunction | None = None, history_span: float = 0.0,
+                 stats: StepStats | None = None):
+        self.stats = stats
         self.ts = ts
         self.ys = ys
         self.coeffs = coeffs
@@ -680,21 +730,23 @@ class Trajectory:
 
 
 def _dense(y0, q, theta):
-    """Continuous extension ``y0 + sum_j q[j] theta^(j+1)`` in Horner form
-    (the same operations for one point and for a batch, so both agree)."""
+    """Continuous extension ``y0 + sum_j q[j] theta^(j+1)`` in Horner form, on
+    arrays: the nodes of a `Trajectory` and the delayed lookups of a batch.
+    A lone state's lookups run the same expression per coordinate on floats
+    (`_float_step`), so all of them agree bit for bit."""
     return y0 + theta * (q[0] + theta * (q[1] + theta * (q[2] + theta * q[3])))
 
 
 def _member_rms(x: np.ndarray, members: int) -> list[float]:
-    """Root mean square of each member's slice of the flat vector ``x``."""
-    if members == 1:    # the same numbers, without the slower axis reduction
-        return [float(np.sqrt(np.mean(x ** 2)))]
-    return np.sqrt(np.mean((x ** 2).reshape(members, -1), axis=1)).tolist()
+    """Root mean square of each member's slice of the flat vector ``x``: the
+    mean is the sum of the squares (numpy's pairwise order) over the count."""
+    squares = (x * x).reshape(members, -1)
+    return np.sqrt(np.add.reduce(squares, axis=1) / squares.shape[1]).tolist()
 
 
 def _initial_step(eval_rhs, t0, y0, f0, rtol, atol, max_step, members):
-    """Automatic first-step selection (standard two-probe heuristic), the
-    smallest over the members of a batch."""
+    """Automatic first-step selection (standard two-probe heuristic) on the
+    flat arrays ``y0``, ``f0``, the smallest over the members of a batch."""
     scale = atol + rtol * np.abs(y0)
     d0s = _member_rms(y0 / scale, members)
     d1s = _member_rms(f0 / scale, members)
@@ -708,6 +760,209 @@ def _initial_step(eval_rhs, t0, y0, f0, rtol, atol, max_step, members):
              else (0.01 / max(d1, d2)) ** (1.0 / 5.0)
              for d1, d2 in zip(d1s, d2s))
     return min(100.0 * h0, h1, max_step)
+
+
+def _pairwise(terms: Sequence[str]) -> str:
+    """Source of the sum of ``terms`` in the order of numpy's ``add.reduce``
+    over one contiguous row, the order of `_norm` and `_member_rms`: left to
+    right below 8 terms; up to 128 terms, 8 interleaved partial sums joined
+    pairwise and then the rest in order; beyond, the two halves (the first a
+    multiple of 8 long) summed so and added."""
+    n = len(terms)
+    if n < 8:
+        return " + ".join(terms)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return f"({_pairwise(terms[:half])}) + ({_pairwise(terms[half:])})"
+    blocks = n - n % 8
+    partial = [f"({' + '.join(terms[j:blocks:8])})" for j in range(8)]
+    joined = " + ".join(f"(({a} + {b}) + ({c} + {d}))" for a, b, c, d
+                        in (partial[:4], partial[4:]))
+    return " + ".join([f"({joined})", *terms[blocks:]])
+
+
+@cache
+def _float_step(dim: int) -> SimpleNamespace:
+    """The step arithmetic of `_integrate` on a lone state of ``dim`` Python
+    floats, generated once per dimension as straight-line source.
+
+    ``attempt(f, t, h, t_new, y, k, atol, rtol)`` takes one Dormand-Prince
+    step of size ``h`` from ``(t, y)`` with first stage ``k``, evaluating the
+    right side as ``f(time, state, left)``.  It returns None when a stage,
+    the new state or the error has an infinite or NaN entry, else ``(err,
+    y_new, k_new, q)``: the scaled RMS error, the new state, its stage and
+    the dense coefficients as one flat tuple (``q[j]`` of coordinate ``i`` at
+    ``j * dim + i``), the last three None when ``err > 1``.  ``horner(y, q,
+    theta)`` reads a step's continuous extension and ``norm(y)`` is `_norm`.
+    The combinations follow the rows ``_STAGE_ROWS`` ... ``_DENSE`` in their
+    order, and the sums of squares numpy's (`_pairwise`), so every value has
+    the bits of the batch reading, `_RowStep`."""
+    coords = range(dim)
+
+    def names(stem: str) -> list[str]:
+        return [f"{stem}{i}" for i in coords]
+
+    def state(values) -> str:
+        return f"({', '.join(values)},)"
+
+    def combined(row, i: int) -> str:
+        return " + ".join(f"k{s}_{i}" if c == 1.0 else f"{_literal(c)} * k{s}_{i}"
+                          for s, c in row)
+
+    lines = [f"{', '.join(names('y'))}, = y", f"{', '.join(names('k0_'))}, = k"]
+    for s, row in enumerate(_STAGE_ROWS, 1):
+        time = "t + h" if _C[s] == 1.0 else f"t + {_C[s]!r} * h"
+        trial = state(f"y{i} + h * ({combined(row, i)})" for i in coords)
+        lines.append(f"{', '.join(names(f'k{s}_'))}, = f({time}, {trial}, {s == 5})")
+    lines += [f"n{i} = y{i} + h * ({combined(_UPDATE, i)})" for i in coords]
+    lines.append(f"{', '.join(names('k6_'))}, = f(t_new, {state(names('n'))}, True)")
+    lines += [f"e{i} = h * ({combined(_ERROR, i)})" for i in coords]
+    # the error has every stage but the second with a nonzero weight
+    checks = " and ".join(f"_isfinite({v})" for v in names("n") + names("e") + names("k1_"))
+    lines += [f"if not ({checks}):", "    return None"]
+    for i in coords:
+        lines += [f"a = abs(y{i})", f"b = abs(n{i})",
+                  f"x{i} = e{i} / (atol + rtol * (a if a >= b else b))"]
+    lines += [f"err = _sqrt(({_pairwise([f'x{i} * x{i}' for i in coords])}) / {dim})",
+              "if err > 1.0:", "    return err, None, None, None"]
+    dense = state(f"h * ({combined(row, i)})" for row in _DENSE for i in coords)
+    attempt = _generate("f, t, h, t_new, y, k, atol, rtol",
+                        f"err, {state(names('n'))}, {state(names('k6_'))}, {dense}",
+                        {"_isfinite": math.isfinite}, lines)
+    q = [[f"q{j * dim + i}" for i in coords] for j in range(4)]
+    horner = _generate("y, q, theta", state(
+        f"y{i} + theta * ({q[0][i]} + theta * ({q[1][i]} + theta * ({q[2][i]} + theta "
+        f"* {q[3][i]})))" for i in coords),
+        lines=[f"{', '.join(names('y'))}, = y", f"{', '.join(sum(q, []))}, = q"])
+    norm = _generate("y", f"_sqrt({_pairwise([f'y{i} * y{i}' for i in coords])})",
+                     lines=[f"{', '.join(names('y'))}, = y"])
+    return SimpleNamespace(attempt=attempt, horner=horner, norm=norm)
+
+
+# where `_RowStep` keeps each stage: the second stage before the first, so
+# that every combination reads one block of rows (a view).  Only its first
+# two terms then change places, and a sum of two floats is the same either
+# way round: the reduction still gives the float source's bits.
+_ROW_OF_STAGE = (1, 0, 2, 3, 4, 5, 6)
+
+
+def _stage_sum(*rows) -> tuple:
+    """``(block, coefficients)`` of combination rows over the same stages,
+    for `_combine`: the slice of `_RowStep`'s rows holding those stages and
+    their coefficients in that order, as a column per row; None for one
+    stage with coefficient 1, which the float source reads as it is."""
+    at = {_ROW_OF_STAGE[s]: k for k, (s, _c) in enumerate(rows[0])}
+    block = slice(min(at), max(at) + 1)
+    coefficients = np.array([[[row[at[r]][1]] for r in range(block.start, block.stop)]
+                             for row in rows])
+    if coefficients.tolist() == [[[1.0]]]:
+        return block, None
+    return block, coefficients[0] if len(rows) == 1 else coefficients
+
+
+def _dense_sums() -> tuple:
+    """The dense rows grouped by their stages, each group `_combine`d at once:
+    ``(rows, block, coefficients)``, the rows of a group a slice."""
+    groups: dict = {}
+    for j, row in enumerate(_DENSE):
+        groups.setdefault(tuple(s for s, _c in row), []).append(j)
+    return tuple((slice(js[0], js[-1] + 1), *_stage_sum(*[_DENSE[j] for j in js]))
+                 for js in groups.values())
+
+
+def _combine(rows: np.ndarray, block: slice, coefficients: np.ndarray | None) -> np.ndarray:
+    """``sum_s coefficient_s * rows[s]`` over ``block`` for each row of
+    ``coefficients``: one ``np.add.reduce`` over the block, started from
+    -0.0, which adds the terms in order, as the float source does."""
+    if coefficients is None:
+        return rows[block]
+    return np.add.reduce(coefficients * rows[block], axis=-2, initial=-0.0)
+
+
+class _RowStep:
+    """The step arithmetic of `_integrate` on the flat rows of a batch, with
+    the interface of `_float_step`: each combination is `_combine`d, so every
+    entry has the bits of the lone reading."""
+
+    horner = staticmethod(_dense)
+
+    def __init__(self, members: int, size: int):
+        self.members = members
+        # the stages (at `_ROW_OF_STAGE`), the new state and the error, so
+        # that one check sees whether they are all finite
+        self.rows = np.empty((9, size))
+
+        # coefficients spread over the rows: numpy multiplies equal shapes
+        # faster than it broadcasts a column
+        def spread(block, coefficients):
+            return block, None if coefficients is None else np.repeat(coefficients, size, -1)
+
+        self.stage_sums = [spread(*_stage_sum(row)) for row in _STAGE_ROWS]
+        self.update_sum = spread(*_stage_sum(_UPDATE))
+        self.error_sum = spread(*_stage_sum(_ERROR))
+        self.dense_sums = [(js, *spread(*rest)) for js, *rest in _dense_sums()]
+
+    def attempt(self, f, t, h, t_new, y, k, atol, rtol):
+        rows = self.rows
+        rows[1] = k
+        for s, (block, coefficients) in enumerate(self.stage_sums, 1):
+            rows[_ROW_OF_STAGE[s]] = f(t + _C[s] * h,
+                                       y + h * _combine(rows, block, coefficients), s == 5)
+        y_new = np.add(y, h * _combine(rows, *self.update_sum), out=rows[7])
+        rows[6] = f(t_new, y_new, True)
+        err_vec = np.multiply(h, _combine(rows, *self.error_sum), out=rows[8])
+        if not np.isfinite(rows).all():
+            return None
+        x = err_vec / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
+        # the largest member RMS, `_member_rms`: the square root and the
+        # division are monotone, so they may follow the maximum
+        squares = np.add.reduce((x * x).reshape(self.members, -1), axis=1)
+        err = math.sqrt(float(squares.max()) / (x.size // self.members))
+        if err > 1.0:
+            return err, None, None, None
+        q = np.empty((4, y.size))
+        for js, block, coefficients in self.dense_sums:
+            np.multiply(h, _combine(rows, block, coefficients), out=q[js])
+        return err, y_new.copy(), rows[6].copy(), q
+
+    @staticmethod
+    def norm(y) -> float:
+        return float(_norm(y))
+
+
+def _read_only(values) -> np.ndarray:
+    array = np.array(values)
+    array.flags.writeable = False
+    return array
+
+
+def _float_reading(rhs, dim: int):
+    """A right side on arrays read on a lone state of Python floats: state
+    and delayed values go in as ``(dim,)`` arrays (the delayed ones
+    read-only, as the history they may be) and the result comes back as
+    floats.  Its shape is checked on every call, so a malformed right side
+    fails at the start time and is never mistaken for a rejected step."""
+    shape = (dim,)
+
+    def floats(t, y, delayed):
+        f = np.asarray(rhs(t, np.array(y), [_read_only(d) for d in delayed]), dtype=float)
+        if f.shape != shape:
+            raise ValueError(f"the right side returned shape {f.shape} for states "
+                             f"of shape {shape}")
+        return f.tolist()
+
+    return floats
+
+
+def _with_floats(rhs, floats):
+    """``rhs`` carrying ``floats``, the same right side on a lone state of
+    Python floats returning floats, as ``on_floats``: the reading `integrate`
+    runs.  Batches and other callers of ``rhs`` go through ``rhs``."""
+    def read(t, y, delayed):
+        return rhs(t, y, delayed)
+
+    read.on_floats = floats
+    return read
 
 
 def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> Trajectory:
@@ -753,8 +1008,12 @@ def integrate_batch(system, histories: Sequence[HistoryFunction], horizon: float
 
 def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
     """The stepping loop of `integrate` (``histories`` None: the problem's own
-    history and start value, states of shape ``(n,)``) and of
-    `integrate_batch` (states of shape ``(B, n)``)."""
+    history and start value, one state of Python floats) and of
+    `integrate_batch` (the members' states as one flat array, which the right
+    side sees with shape ``(B, n)``).  The two differ only in the reading of
+    the step arithmetic, `_float_step` or `_RowStep`, which give the same
+    bits: each member of a batch is the lone run of its history, as long as
+    the step sequence is the same."""
     tol = tol or ToleranceSettings()
     if horizon <= system.t0:
         raise ValueError(f"horizon {horizon!r} must exceed the start time {system.t0!r}")
@@ -789,23 +1048,28 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
     shape = (dim,) if lone else (members, dim)
     y0 = np.concatenate(starts)
     size = y0.size
+    step = _float_step(dim) if lone else _RowStep(members, size)
+    if lone:
+        y0 = tuple(y0.tolist())
 
     nodes_t: list[float] = [t0]
-    nodes_y: list[np.ndarray] = [y0]
-    nodes_q: list[np.ndarray] = []
+    nodes_y: list = [y0]
+    nodes_q: list = []
 
     lower_guard = t0 - h_bar - 1e-9 * max(1.0, abs(t0) + h_bar)
-    # constant histories are stacked once, read-only so that a right side
-    # writing into its delayed argument cannot change them
+    # constant histories are stacked once, as floats or read-only, so that a
+    # right side writing into its delayed argument cannot change them
     stacked = None
     if all(member is not None and member.vector is not None for member in histories):
         stacked = np.concatenate([member.vector for member in histories])
         stacked.flags.writeable = False
+        if lone:
+            stacked = tuple(stacked.tolist())
     # delayed arguments this close to t0 count as t0: from the left they read
     # the history, from the right the initial state (which may differ)
     start_snap = 1e-12 * max(1.0, abs(t0))
 
-    def past(tq: float, left: bool) -> np.ndarray:
+    def past(tq: float, left: bool):
         if tq < t0 - start_snap or (left and tq <= t0 + start_snap):
             if tq < lower_guard:
                 raise IntegrationError(
@@ -814,8 +1078,9 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
             if stacked is not None:
                 return stacked
             tq = min(tq, t0)
-            return np.concatenate([np.atleast_1d(np.asarray(member(tq), dtype=float))
-                                   for member in histories])
+            value = np.concatenate([np.atleast_1d(np.asarray(member(tq), dtype=float))
+                                    for member in histories])
+            return value.tolist() if lone else value
         if tq <= t0:
             return nodes_y[0]
         idx = bisect_right(nodes_t, tq) - 1
@@ -831,29 +1096,32 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
         ta = nodes_t[idx]
         if tq == ta:
             return nodes_y[idx]
-        return _dense(nodes_y[idx], nodes_q[idx], (tq - ta) / (nodes_t[idx + 1] - ta))
+        return step.horner(nodes_y[idx], nodes_q[idx], (tq - ta) / (nodes_t[idx + 1] - ta))
 
     rhs = problem.rhs
+    if lone:
+        rhs = getattr(rhs, "on_floats", None) or _float_reading(rhs, dim)
     # members frozen at the cap: state and stages held at zero, so their
     # error is zero and they leave the step control
     active = members
     frozen = np.zeros(size, dtype=bool)
     ends: list[int | None] = [None] * members
     blow_times: list[float | None] = [None] * members
+    evaluations = accepted = rejected = 0
 
-    def eval_rhs(t: float, y: np.ndarray, left: bool = False) -> np.ndarray:
+    def eval_rhs(t: float, y, left: bool = False):
+        nonlocal evaluations
+        evaluations += 1
         delayed = [past(t - fn(t), left) for fn in delay_fns] if has_delays else ()
-        if not lone:
-            y = y.reshape(shape)
-            delayed = [d.reshape(shape) for d in delayed]
-        f = np.asarray(rhs(t, y, delayed), dtype=float)
+        if lone:
+            return rhs(t, y, delayed)
+        f = np.asarray(rhs(t, y.reshape(shape), [d.reshape(shape) for d in delayed]),
+                       dtype=float)
         if f.shape != shape:
             # checked on every call, so a malformed right side fails at the
             # start time and is never mistaken for a rejected step
             raise ValueError(f"the right side returned shape {f.shape} for states "
                              f"of shape {shape}")
-        if lone:
-            return f
         f = f.reshape(size)
         return np.where(frozen, 0.0, f) if active < members else f
 
@@ -864,17 +1132,25 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
         frozen[b * dim:(b + 1) * dim] = True
         active -= 1
 
-    stages = np.empty((7, size))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f0 = eval_rhs(t0, y0)
-        if not np.all(np.isfinite(f0)):
+        # Python floats raise where arrays overflow to inf
+        try:
+            k = eval_rhs(t0, y0)
+        except ArithmeticError as exc:
+            raise IntegrationError(f"right side is not finite at the start time: {exc}",
+                                   time=t0) from exc
+        if len(k) != size:
+            raise ValueError(f"the right side returned {len(k)} values for states "
+                             f"of shape {shape}")
+        if not all(map(math.isfinite, k)):
             raise IntegrationError("right side is not finite at the start time", time=t0)
-        stages[0] = f0
 
         if tol.first_step is not None:
             h = min(tol.first_step, max_step)
         else:
-            h = _initial_step(eval_rhs, t0, y0, f0, tol.rtol, tol.atol, max_step, members)
+            h = _initial_step(
+                lambda t, y: np.asarray(eval_rhs(t, y.tolist() if lone else y), dtype=float),
+                t0, np.asarray(y0), np.asarray(k), tol.rtol, tol.atol, max_step, members)
 
         t = t0
         y = y0
@@ -907,8 +1183,7 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
                 on_break = True
             if h_eff < _step_floor(t):
                 blown = [b for b in range(members) if ends[b] is None
-                         and float(_norm(y[b * dim:(b + 1) * dim]))
-                         >= 0.01 * tol.cap]
+                         and step.norm(y[b * dim:(b + 1) * dim]) >= 0.01 * tol.cap]
                 if not blown:
                     raise IntegrationError(f"step size underflow at t={t!r}", time=t)
                 for b in blown:
@@ -917,73 +1192,64 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
                     break
                 # the rest of the batch starts its step control afresh
                 y = np.where(frozen, 0.0, y)
-                stages[0] = np.where(frozen, 0.0, stages[0])
+                k = np.where(frozen, 0.0, k)
                 h = max_step
                 err_prev = None
                 continue
 
             try:
-                for s in range(1, 6):
-                    stages[s] = eval_rhs(t + _C[s] * h_eff,
-                                         y + h_eff * (_A[s] @ stages[:s]),
-                                         left=s == 5)
-                y_new = y + h_eff * (_B @ stages[:6])
-                stages[6] = eval_rhs(t_new, y_new, left=True)
+                trial = step.attempt(eval_rhs, t, h_eff, t_new, y, k, tol.atol, tol.rtol)
             except (OverflowError, ValueError, ZeroDivisionError, FloatingPointError):
+                trial = None
+            if trial is None:
+                rejected += 1
                 h = 0.25 * h_eff
                 err_prev = None
                 continue
-            err_vec = h_eff * (_E @ stages)
-            if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(stages[6]))
-                    and np.all(np.isfinite(err_vec))):
-                h = 0.25 * h_eff
-                err_prev = None
-                continue
-            scale = tol.atol + tol.rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err_norm = max(_member_rms(err_vec / scale, members))
-
-            if err_norm <= 1.0:
-                q = h_eff * (_P.T @ stages)
-                nodes_t.append(t_new)
-                nodes_y.append(y_new)
-                nodes_q.append(q)
-                # a member's norm is at most the norm of the whole state
-                if float(_norm(y_new)) >= tol.cap:
-                    for b in range(members):
-                        part = slice(b * dim, (b + 1) * dim)
-                        if ends[b] is None and float(_norm(y_new[part])) >= tol.cap:
-                            crossing = _locate_cap_crossing(t, t_new, y[part], q[:, part],
-                                                            tol.cap, t, t_new)
-                            freeze(b, t_new if crossing is None else crossing)
-                    if not active:
-                        t = t_new
-                        break
-                    y_new = np.where(frozen, 0.0, y_new)
-                    stages[6] = np.where(frozen, 0.0, stages[6])
-                t = t_new
-                y = y_new
-                if on_break:
-                    stages[0] = eval_rhs(t, y)
-                else:
-                    stages[0] = stages[6]
-                if err_norm == 0.0:
-                    factor = _MAX_FACTOR
-                elif err_prev is None:
-                    factor = _SAFETY * err_norm ** _ERR_EXPONENT
-                else:
-                    factor = _SAFETY * err_norm ** (-_PI_ALPHA) * err_prev ** _PI_BETA
-                h_next = h_eff * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                # a step cut short to reach a break says nothing against the
-                # longer step proposed before the cut
-                h = max(h_next, h) if on_break else h_next
-                err_prev = err_norm
-            else:
+            err_norm, y_new, k_new, q = trial
+            if q is None:
+                rejected += 1
                 h = h_eff * max(_MIN_FACTOR, _SAFETY * err_norm ** _ERR_EXPONENT)
                 err_prev = None
+                continue
+
+            accepted += 1
+            nodes_t.append(t_new)
+            nodes_y.append(y_new)
+            nodes_q.append(q)
+            # a member's norm is at most the norm of the whole state
+            if step.norm(y_new) >= tol.cap:
+                for b in range(members):
+                    part = slice(b * dim, (b + 1) * dim)
+                    if ends[b] is None and step.norm(y_new[part]) >= tol.cap:
+                        crossing = _locate_cap_crossing(
+                            t, t_new, np.asarray(y[part]), np.reshape(q, (4, -1))[:, part],
+                            tol.cap, t, t_new)
+                        freeze(b, t_new if crossing is None else crossing)
+                if not active:
+                    t = t_new
+                    break
+                y_new = np.where(frozen, 0.0, y_new)
+                k_new = np.where(frozen, 0.0, k_new)
+            t = t_new
+            y = y_new
+            k = eval_rhs(t, y) if on_break else k_new
+            if err_norm == 0.0:
+                factor = _MAX_FACTOR
+            elif err_prev is None:
+                factor = _SAFETY * err_norm ** _ERR_EXPONENT
+            else:
+                factor = _SAFETY * err_norm ** (-_PI_ALPHA) * err_prev ** _PI_BETA
+            h_next = h_eff * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            # a step cut short to reach a break says nothing against the
+            # longer step proposed before the cut
+            h = max(h_next, h) if on_break else h_next
+            err_prev = err_norm
 
     ts = np.array(nodes_t)
     ys = np.array(nodes_y)
     coeffs = np.array(nodes_q).reshape(len(nodes_q), 4, size)
+    stats = StepStats(accepted, rejected, evaluations)
     trajectories = []
     for b, member in enumerate(histories):
         k = len(nodes_t) - 1 if ends[b] is None else ends[b]
@@ -992,7 +1258,7 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
         trajectories.append(Trajectory(
             ts[:k + 1], ys[:k + 1, part], coeffs[:k, :, part],
             blow_times[b] if blew_up else ts[k], blew_up, blow_times[b],
-            history=member, history_span=h_bar))
+            history=member, history_span=h_bar, stats=stats))
     return trajectories
 
 

@@ -9,14 +9,14 @@ it can be flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .analysis import _check_matched_histories
 from .dde_core import (DelayProblem, DelaySpec, HistoryFunction, ToleranceSettings,
-                       Trajectory, integrate)
+                       Trajectory, _with_floats, integrate)
 from .expressions import _generate
 from .majorant import LinearizedCoefficients
 from .reduction import CoefficientPair
@@ -50,6 +50,8 @@ class LinearScalarDDE:
     history: HistoryFunction
     t0: float = 0.0
     zeta_tilde: float | None = None
+    # the checks `problem` has passed, by coefficient functions, t0 and horizon
+    _checked: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rate", as_time_function(self.rate))
@@ -68,34 +70,46 @@ class LinearScalarDDE:
         return replace(self, forcing_amplitude=amplitude)
 
     def rhs(self, t, y, delayed):
-        return self._rhs(t, y, delayed)
+        return np.array(self._rhs(t, y, delayed))
 
     @cached_property
     def _rhs(self):
-        """`rhs` as one generated sum ``P(t) u + g_1(t) u(t - h_1) + ... +
-        F0 s(t)`` in that order, every coefficient inlined or called once; the
-        forcing term is left out when the amplitude is zero."""
-        names = {"_array": np.array}
+        """`rhs` as one generated sum on Python floats (numpy scalars give
+        the same bits), returning a one-tuple: ``P(t) u + g_1(t) u(t - h_1) +
+        ... + F0 s(t)`` in that order, every coefficient inlined or called
+        once; the forcing term is left out when the amplitude is zero."""
+        names: dict = {}
         terms = [f"{_source_of(self.rate, names)} * y[0]"]
         terms += [f"{_source_of(g, names)} * delayed[{i}][0]"
                   for i, g in enumerate(self.delayed_coeffs)]
         if self.forcing_amplitude != 0.0:
             terms.append(f"{_literal(self.forcing_amplitude)} * "
                          f"{_source_of(self.forcing_shape, names)}")
-        return _generate("t, y, delayed", f"_array([{' + '.join(terms)}])", names)
+        return _generate("t, y, delayed", f"({' + '.join(terms)},)", names)
 
     def problem(self, horizon: float) -> DelayProblem:
         """The problem on ``[t0, horizon]``; its kinks are the zeros of the
-        forcing shape (a norm, so they are its corners)."""
-        problem = DelayProblem(self.rhs, self.delays, self.history, self.t0)
-        grid, rows = sample(self.delayed_coeffs, self.t0, horizon)
-        negative = np.argwhere(rows < -1e-12)
-        if negative.size:
-            t = float(grid[negative[0, 1]])
-            raise ValueError(f"delayed coefficient is negative at t={t!r}")
+        forcing shape (a norm, so they are its corners).  The delayed
+        coefficients are checked nonnegative and the kinks located once per
+        coefficient functions, ``t0`` and horizon: the record passes through
+        `replace` with the functions, so the systems a check or chain makes
+        for each history and amplitude share it."""
+        checked = self._checked
+        if (self.delayed_coeffs, self.t0, horizon) not in checked:
+            grid, rows = sample(self.delayed_coeffs, self.t0, horizon)
+            negative = np.argwhere(rows < -1e-12)
+            if negative.size:
+                t = float(grid[negative[0, 1]])
+                raise ValueError(f"delayed coefficient is negative at t={t!r}")
+            checked[self.delayed_coeffs, self.t0, horizon] = True
+        problem = DelayProblem(_with_floats(self.rhs, self._rhs), self.delays, self.history,
+                               self.t0)
         if self.forcing_amplitude == 0.0:
             return problem
-        return replace(problem, kinks=locate_zeros(self.forcing_shape, self.t0, horizon))
+        key = (self.forcing_shape, self.t0, horizon)
+        if key not in checked:
+            checked[key] = locate_zeros(self.forcing_shape, self.t0, horizon)
+        return replace(problem, kinks=checked[key])
 
 
 def build_linear_auxiliary(coeffs: CoefficientPair, lc: LinearizedCoefficients,
@@ -146,7 +160,8 @@ def cauchy_function(sys: LinearScalarDDE, s: float, horizon: float,
         raise ValueError(f"horizon {horizon!r} must exceed s={s!r}")
     # the unit start over a zero pre-history is a jump at s: lookups strictly
     # before s read 0, lookups at or after s the dense solution
-    problem = DelayProblem(sys.with_amplitude(0.0).rhs, sys.delays,
+    unforced = sys.with_amplitude(0.0)
+    problem = DelayProblem(_with_floats(unforced.rhs, unforced._rhs), sys.delays,
                            HistoryFunction.constant([0.0]), s, y0=np.array([1.0]))
     return integrate(problem, horizon, tol)
 
@@ -166,16 +181,12 @@ def superposition_check(sys: LinearScalarDDE, history: HistoryFunction,
                         tol: ToleranceSettings | None = None) -> float:
     """Max residual of ``u(phi, F0) = u_h(phi) + F0 * u_nh`` on a 1001-point grid.
 
-    The problem's checks run once, on the unit-amplitude problem, whose
-    forcing kinks serve both forced runs; the homogeneous run has none."""
-    unit = _unit_forced(sys).problem(horizon)
+    The three runs share one coefficient set, so its checks run once
+    (`LinearScalarDDE.problem`); the homogeneous run has no kinks."""
+    particular = integrate(_unit_forced(sys), horizon, tol)
     forced = replace(sys, history=history, forcing_amplitude=forcing_amplitude)
-    full = integrate(DelayProblem(forced.rhs, sys.delays, history, sys.t0,
-                                  kinks=unit.kinks if forcing_amplitude != 0.0 else ()),
-                     horizon, tol)
-    homogeneous = integrate(DelayProblem(sys.with_amplitude(0.0).rhs, sys.delays, history,
-                                         sys.t0), horizon, tol)
-    particular = integrate(unit, horizon, tol)
+    full = integrate(forced, horizon, tol)
+    homogeneous = integrate(forced.with_amplitude(0.0), horizon, tol)
     grid = np.linspace(sys.t0, horizon, _SUPERPOSITION_POINTS)
     combined = (homogeneous.eval_grid(grid)[:, 0]
                 + forcing_amplitude * particular.eval_grid(grid)[:, 0])

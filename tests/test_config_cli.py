@@ -188,6 +188,11 @@ history sample = 0.0 1.0
         with pytest.raises(ConfigError, match=rf"^<test>:{row}: .*{re.escape(refusal)}"):
             load_config_text(MINIMAL.replace("[solver]", f"{line}\n[solver]"), "<test>")
 
+    def test_an_overflowing_constant_is_a_config_error(self):
+        text = CASE_A.replace("A1 1 2 = 1", "A1 1 2 = 1e308*10")
+        with pytest.raises(ConfigError, match=r"^<test>: .*non-finite value inf"):
+            load_config_text(text, "<test>")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             load_config_text(MINIMAL + "\nwarp = 9\n", "<test>")
@@ -272,6 +277,11 @@ class TestCliCommands:
 
     def test_unreadable_config_is_config_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_overflowing_constant_exits_as_a_config_error(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, CASE_A.replace("A1 1 2 = 1", "A1 1 2 = 1e308*10"))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "error: " in capsys.readouterr().err
 
     def test_simulate_writes_csv(self, tmp_path):
         cfg = self._write(tmp_path, MINIMAL)

@@ -12,6 +12,7 @@ from ddebound import (DelayProblem, DelaySpec, HistoryFunction, IntegrationError
                       integrate, integrate_batch, parse_expression)
 from ddebound import dde_core
 from ddebound.majorant import PolynomialMajorant
+from ddebound.linalg import MatrixFunction
 from ddebound.timefn import ConstantFn, locate_zeros
 from ddebound.vectorfield import NonlinearTerm, PolynomialVectorField
 
@@ -655,3 +656,147 @@ class TestConcurrentIntegrations:
         for traj in results:
             assert np.array_equal(traj.ts, reference.ts)
             assert np.array_equal(traj.ys, reference.ys)
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def _same_run(a: Trajectory, b: Trajectory) -> bool:
+    return all(np.array_equal(_bits(getattr(a, name)), _bits(getattr(b, name)))
+               for name in ("ts", "ys", "coeffs")) and a.t_end == b.t_end
+
+
+def _vector_system(dim: int, delays: int, history: HistoryFunction) -> VectorDelaySystem:
+    """A stable dim-dimensional system with time-varying coupling, a cubic
+    monomial per coordinate and, with a delay, a delayed square."""
+    entries = {(i, i): -2.0 - 0.1 * i for i in range(dim)}
+    for i in range(dim - 1):
+        entries[i, i + 1] = parse_expression(f"0.3*sin({i + 1}*t)")
+        entries[i + 1, i] = -0.2
+    monomials = [(i, -0.5, [(0, i, 3)]) for i in range(dim)]
+    if delays:
+        monomials += [(i, 0.25, [(1, (i + 1) % dim, 2)]) for i in range(dim)]
+    return VectorDelaySystem(
+        dim=dim, A=MatrixFunction(dim, entries),
+        f=NonlinearTerm(dim, delays, PolynomialVectorField(dim, delays, monomials)),
+        forcing_amplitude=0.0, forcing_shape=None,
+        delays=DelaySpec.constant([0.5] * delays), history=history, t0=0.0)
+
+
+# the Dormand-Prince 5(4) tableau written out again, for a step by hand
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = ((), (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+# the continuous extension's weights, one row per power of theta, stage 1 left out
+_DP_Q = ((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+         (-8048581381 / 2820520608, 0.0, 131558114200 / 32700410799,
+          -1754552775 / 470086768, 127303824393 / 49829197408, -282668133 / 205662961,
+          40617522 / 29380423),
+         (8663915743 / 2820520608, 0.0, -68118460800 / 10900136933,
+          14199869525 / 1410260304, -318862633887 / 49829197408, 2019193451 / 616988883,
+          -110615467 / 29380423),
+         (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+          -10690763975 / 1880347072, 701980252875 / 199316789632,
+          -1453857185 / 822651844, 69997945 / 29380423))
+
+
+def _by_hand(weights, stages, i):
+    """``sum_s weights[s] * stages[s][i]`` over the nonzero weights, left to right."""
+    terms = [w * k[i] for w, k in zip(weights, stages) if w != 0.0]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+class TestFloatStep:
+    """A lone state steps on Python floats, a batch on numpy rows; both sum
+    each stage combination in stage order, so they agree bit for bit."""
+
+    @pytest.mark.parametrize("dim, delays, history", [
+        (1, 0, HistoryFunction.constant([0.8])),
+        (3, 1, HistoryFunction.from_expressions(
+            [parse_expression(text) for text in ("0.5 + 0.1*t", "cos(t)", "-0.4")])),
+        (9, 0, HistoryFunction.constant(np.linspace(-0.9, 0.7, 9))),
+    ])
+    def test_lone_state_equals_a_one_member_batch(self, dim, delays, history):
+        # dimension 9 sums its squares in numpy's pairwise order
+        vs = _vector_system(dim, delays, history)
+        alone = integrate(vs, 6.0, DEFAULT)
+        (member,) = integrate_batch(vs, [history], 6.0, DEFAULT)
+        assert len(alone.ts) > 20
+        assert _same_run(alone, member)
+        assert alone.stats == member.stats
+
+    def test_fixed_step_equals_a_step_by_hand(self):
+        vs = _vector_system(2, 0, HistoryFunction.constant([0.6, -0.3]))
+        h = 0.125
+        traj = integrate(vs, h, ToleranceSettings(rtol=0.1, atol=0.1, first_step=h))
+        assert traj.ts.tolist() == [0.0, h]
+
+        def f(t, y):
+            return vs.rhs(t, np.array(y), []).tolist()
+
+        y = [0.6, -0.3]
+        stages = [f(0.0, y)]
+        for c, row in zip(_DP_C[1:], _DP_A[1:]):
+            stages.append(f(c * h if c != 1.0 else h,
+                            [y[i] + h * _by_hand(row, stages, i) for i in range(2)]))
+        new = [y[i] + h * _by_hand(_DP_B, stages, i) for i in range(2)]
+        stages.append(f(h, new))
+        q = [[h * _by_hand(row, stages, i) for i in range(2)] for row in _DP_Q]
+        assert np.array_equal(_bits(traj.ys[1]), _bits(new))
+        assert np.array_equal(_bits(traj.coeffs[0]), _bits(q))
+
+    def test_array_right_side_through_the_wrapper_equals_the_system(self):
+        from ddebound.cli import _bundled_config
+        vs = _bundled_config("a").system
+        plain = DelayProblem(vs.rhs, vs.delays, vs.history, vs.t0)
+        assert not hasattr(plain.rhs, "on_floats")
+        assert _same_run(integrate(plain, 20.0, DEFAULT), integrate(vs, 20.0, DEFAULT))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_right_side_that_stops_being_finite_fails_alike(self, bad):
+        # from t = 1 on every stage is infinite or NaN: each step is refused
+        # until the step floor, where the state is far below the cap
+        def rhs(t, y, z):
+            return np.where(t > 1.0, bad, -y)
+
+        problem = DelayProblem(rhs, DelaySpec.none(), HistoryFunction.constant([1.0]), 0.0)
+        errors = []
+        for run in (lambda: integrate(problem, 3.0, DEFAULT),
+                    lambda: integrate_batch(problem, [problem.history], 3.0, DEFAULT)):
+            with pytest.raises(IntegrationError, match="underflow") as info:
+                run()
+            errors.append(info.value.time)
+        assert errors[0] == errors[1]
+        assert errors[0] == pytest.approx(1.0, abs=1e-9)
+
+    def test_overflow_of_a_generated_power_is_a_rejected_step(self):
+        # x' = -x^5 from 100 with a first step of 1: the trial states of the
+        # long steps overflow in float ** int, which raises, and the step
+        # shrinks instead; x(1) = (4 + 100^-4)^(-1/4)
+        poly = PolynomialVectorField(1, 0, [(0, -1.0, [(0, 0, 5)])])
+        history = HistoryFunction.constant([100.0])
+        vs = VectorDelaySystem(dim=1, A=None, f=NonlinearTerm(1, 0, poly),
+                               forcing_amplitude=0.0, forcing_shape=None,
+                               delays=DelaySpec.none(), history=history)
+        tol = ToleranceSettings(rtol=1e-8, atol=1e-12, first_step=1.0)
+        alone = integrate(vs, 1.0, tol)
+        (member,) = integrate_batch(vs, [history], 1.0, tol)
+        assert not alone.blew_up and alone.stats.rejected > 0
+        assert alone.eval(1.0)[0] == pytest.approx((4.0 + 1e-8) ** -0.25, rel=1e-6)
+        assert _same_run(alone, member)
+
+    def test_step_counts(self):
+        problem = DelayProblem(lambda t, y, z: y * math.cos(t), DelaySpec.none(),
+                               HistoryFunction.constant([1.0]), 0.0)
+        traj = integrate(problem, 20.0, DEFAULT)
+        stats = traj.stats
+        assert stats.accepted == len(traj.ts) - 1
+        assert stats.rejected > 0
+        # the start value, the first-step probe and six stages per attempt
+        assert stats.rhs_evals == 2 + 6 * (stats.accepted + stats.rejected)

@@ -12,7 +12,7 @@ from ddebound import (DelaySpec, HistoryFunction, LinearScalarDDE, ToleranceSett
 from ddebound.linear_aux import build_linear_auxiliary
 from ddebound.majorant import LinearizedCoefficients, PolynomialMajorant, PolynomialTerm
 from ddebound.reduction import CoefficientPair
-from ddebound.timefn import ConstantFn, locate_zeros
+from ddebound.timefn import ConstantFn, locate_zeros, sample
 
 
 def _plain(rate=0.0, delayed=(), delays=None, shape=0.0, amplitude=0.0,
@@ -152,7 +152,27 @@ class TestSuperposition:
             res = superposition_check(sys, HistoryFunction.constant([phi]), amp, 20.0,
                                       ToleranceSettings())
             assert res < 1e-4
-        assert calls == [(0.0, 20.0)] * 2
+        # the checks share the system's coefficients: its kinks are located once
+        assert calls == [(0.0, 20.0)]
+
+    def test_coefficients_read_once_over_three_checks(self, monkeypatch):
+        from ddebound import linear_aux
+        grids = []
+
+        def counted(fns, t_lo, t_hi):
+            grids.append((t_lo, t_hi))
+            return sample(fns, t_lo, t_hi)
+
+        monkeypatch.setattr(linear_aux, "sample", counted)
+        sys = _benchmark_linearized(forcing_amplitude=1.0)
+        for phi, amp in ((0.05, 0.3), (0.1, 0.8), (0.02, 0.0)):
+            superposition_check(sys, HistoryFunction.constant([phi]), amp, 20.0,
+                                ToleranceSettings())
+        assert grids == [(0.0, 20.0)]
+        # a new horizon is a new interval to check
+        superposition_check(sys, HistoryFunction.constant([0.05]), 0.3, 25.0,
+                            ToleranceSettings())
+        assert grids == [(0.0, 20.0), (0.0, 25.0)]
 
 
 class TestLinearity:
