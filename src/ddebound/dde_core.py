@@ -21,11 +21,11 @@ runs its own checks on that horizon; `DelayProblem.problem` returns itself,
 so a custom right side is integrated by building a `DelayProblem` directly.
 `integrate_batch` runs the same loop for several histories of one problem,
 which share its delays, walls and kinks: the members form one flat state on
-one step sequence, and the right side sees them as a ``(B, n)`` array.  A
-lone state steps on Python floats, through step arithmetic generated once
-per state dimension (`_float_step`), and a batch on numpy rows (`_RowStep`);
-both add every sum in one documented order, so a batch member has the bits
-of its lone run and no result depends on the BLAS library.
+one step sequence, and the right side sees them as a ``(B, n)`` array.  The
+step arithmetic is one source, generated once per state dimension
+(`_generated_step`) and read on a lone state's Python floats or on a batch's
+one flat array; it adds every sum in one documented order, so a batch member
+has the bits of its lone run and no result depends on the BLAS library.
 """
 
 from __future__ import annotations
@@ -120,10 +120,10 @@ def _nonzero(coefficients) -> tuple[tuple[int, float], ...]:
 
 
 # every combination of stages the step takes, as ``(stage, coefficient)``
-# pairs with the zero tableau entries dropped.  Both readings of the step
-# (`_float_step` on a lone state, `_RowStep` on a batch) sum ``coefficient *
-# stage`` over these pairs in stage order, left to right, and then scale the
-# sum by ``h``: ``y + h * (...)`` for a stage state and the update, ``h *
+# pairs with the zero tableau entries dropped.  The generated step
+# (`_generated_step`, on floats or on a batch's flat array) sums ``coefficient
+# * stage`` over these pairs in stage order, left to right, and then scales
+# the sum by ``h``: ``y + h * (...)`` for a stage state and the update, ``h *
 # (...)`` for the error and the dense coefficients.
 _STAGE_ROWS = tuple(_nonzero(row) for row in _A[1:])
 _UPDATE = _nonzero(_B)
@@ -179,6 +179,12 @@ class ToleranceSettings:
             raise ValueError("rtol and atol must be positive and finite")
         if not self.cap > 0:
             raise ValueError("blow-up cap must be positive")
+        # a NaN first step never reaches the step floor, `min` drops a NaN
+        # step bound, and a step of zero or less divides by zero or underflows
+        for name in ("first_step", "max_step"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive or None, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -731,9 +737,10 @@ class Trajectory:
 
 def _dense(y0, q, theta):
     """Continuous extension ``y0 + sum_j q[j] theta^(j+1)`` in Horner form, on
-    arrays: the nodes of a `Trajectory` and the delayed lookups of a batch.
-    A lone state's lookups run the same expression per coordinate on floats
-    (`_float_step`), so all of them agree bit for bit."""
+    arrays: the nodes of a `Trajectory` and the delayed lookups of a batch,
+    whose generated step reads it as its ``horner``.  A lone state's lookups
+    run the same expression per coordinate on floats (`_generated_step`), so
+    all of them agree bit for bit."""
     return y0 + theta * (q[0] + theta * (q[1] + theta * (q[2] + theta * q[3])))
 
 
@@ -781,153 +788,75 @@ def _pairwise(terms: Sequence[str]) -> str:
     return " + ".join([f"({joined})", *terms[blocks:]])
 
 
+# what the names in the source of `_generated_step` are on a lone state's
+# Python floats and on a batch's flat array (``max`` and ``np.maximum`` pick
+# the same float when both are finite)
+_FLOAT_NAMES = {"_isfinite": math.isfinite, "_max": max}
+_ARRAY_NAMES = {"_isfinite": lambda a: np.isfinite(a).all(), "_max": np.maximum,
+                "_member_rms": _member_rms}
+
+
 @cache
-def _float_step(dim: int) -> SimpleNamespace:
-    """The step arithmetic of `_integrate` on a lone state of ``dim`` Python
-    floats, generated once per dimension as straight-line source.
+def _generated_step(dim: int, batch: bool) -> SimpleNamespace:
+    """The step arithmetic of `_integrate` for states of ``dim`` coordinates,
+    generated once as straight-line source and read on one of two kinds of
+    state: ``dim`` Python floats (a lone run), or, with ``batch``, a single
+    coordinate that is the whole flat numpy state of a batch.
 
     ``attempt(f, t, h, t_new, y, k, atol, rtol)`` takes one Dormand-Prince
     step of size ``h`` from ``(t, y)`` with first stage ``k``, evaluating the
     right side as ``f(time, state, left)``.  It returns None when a stage,
     the new state or the error has an infinite or NaN entry, else ``(err,
-    y_new, k_new, q)``: the scaled RMS error, the new state, its stage and
-    the dense coefficients as one flat tuple (``q[j]`` of coordinate ``i`` at
+    y_new, k_new, q)``: the scaled RMS error (of a batch, the largest member
+    RMS, `_member_rms`), the new state, its stage and the four dense
+    coefficients as one tuple (on floats ``q[j]`` of coordinate ``i`` is at
     ``j * dim + i``), the last three None when ``err > 1``.  ``horner(y, q,
-    theta)`` reads a step's continuous extension and ``norm(y)`` is `_norm`.
-    The combinations follow the rows ``_STAGE_ROWS`` ... ``_DENSE`` in their
-    order, and the sums of squares numpy's (`_pairwise`), so every value has
-    the bits of the batch reading, `_RowStep`."""
-    coords = range(dim)
+    theta)`` reads a step's continuous extension (on arrays `_dense`) and
+    ``norm(y)`` is `_norm`.  The combinations follow the rows
+    ``_STAGE_ROWS`` ... ``_DENSE`` in their order, and the sums of squares
+    numpy's (`_pairwise`), so a batch member has the bits of its lone run."""
+    coords = range(1 if batch else dim)
 
     def names(stem: str) -> list[str]:
         return [f"{stem}{i}" for i in coords]
 
     def state(values) -> str:
-        return f"({', '.join(values)},)"
+        values = list(values)
+        return values[0] if batch else f"({', '.join(values)},)"
 
     def combined(row, i: int) -> str:
         return " + ".join(f"k{s}_{i}" if c == 1.0 else f"{_literal(c)} * k{s}_{i}"
                           for s, c in row)
 
-    lines = [f"{', '.join(names('y'))}, = y", f"{', '.join(names('k0_'))}, = k"]
+    lines = [f"{state(names('y'))} = y", f"{state(names('k0_'))} = k"]
     for s, row in enumerate(_STAGE_ROWS, 1):
         time = "t + h" if _C[s] == 1.0 else f"t + {_C[s]!r} * h"
         trial = state(f"y{i} + h * ({combined(row, i)})" for i in coords)
-        lines.append(f"{', '.join(names(f'k{s}_'))}, = f({time}, {trial}, {s == 5})")
+        lines.append(f"{state(names(f'k{s}_'))} = f({time}, {trial}, {s == 5})")
     lines += [f"n{i} = y{i} + h * ({combined(_UPDATE, i)})" for i in coords]
-    lines.append(f"{', '.join(names('k6_'))}, = f(t_new, {state(names('n'))}, True)")
+    lines.append(f"{state(names('k6_'))} = f(t_new, {state(names('n'))}, True)")
     lines += [f"e{i} = h * ({combined(_ERROR, i)})" for i in coords]
     # the error has every stage but the second with a nonzero weight
     checks = " and ".join(f"_isfinite({v})" for v in names("n") + names("e") + names("k1_"))
     lines += [f"if not ({checks}):", "    return None"]
-    for i in coords:
-        lines += [f"a = abs(y{i})", f"b = abs(n{i})",
-                  f"x{i} = e{i} / (atol + rtol * (a if a >= b else b))"]
-    lines += [f"err = _sqrt(({_pairwise([f'x{i} * x{i}' for i in coords])}) / {dim})",
-              "if err > 1.0:", "    return err, None, None, None"]
-    dense = state(f"h * ({combined(row, i)})" for row in _DENSE for i in coords)
+    lines += [f"x{i} = e{i} / (atol + rtol * _max(abs(y{i}), abs(n{i})))" for i in coords]
+    lines.append(f"err = max(_member_rms(x0, x0.size // {dim}))" if batch else
+                 f"err = _sqrt(({_pairwise([f'x{i} * x{i}' for i in coords])}) / {dim})")
+    lines += ["if err > 1.0:", "    return err, None, None, None"]
+    dense = ", ".join(f"h * ({combined(row, i)})" for row in _DENSE for i in coords)
     attempt = _generate("f, t, h, t_new, y, k, atol, rtol",
-                        f"err, {state(names('n'))}, {state(names('k6_'))}, {dense}",
-                        {"_isfinite": math.isfinite}, lines)
+                        f"err, {state(names('n'))}, {state(names('k6_'))}, ({dense},)",
+                        _ARRAY_NAMES if batch else _FLOAT_NAMES, lines)
+    if batch:
+        return SimpleNamespace(attempt=attempt, horner=_dense, norm=_norm)
     q = [[f"q{j * dim + i}" for i in coords] for j in range(4)]
     horner = _generate("y, q, theta", state(
         f"y{i} + theta * ({q[0][i]} + theta * ({q[1][i]} + theta * ({q[2][i]} + theta "
         f"* {q[3][i]})))" for i in coords),
-        lines=[f"{', '.join(names('y'))}, = y", f"{', '.join(sum(q, []))}, = q"])
+        lines=[f"{state(names('y'))} = y", f"{', '.join(sum(q, []))}, = q"])
     norm = _generate("y", f"_sqrt({_pairwise([f'y{i} * y{i}' for i in coords])})",
-                     lines=[f"{', '.join(names('y'))}, = y"])
+                     lines=[f"{state(names('y'))} = y"])
     return SimpleNamespace(attempt=attempt, horner=horner, norm=norm)
-
-
-# where `_RowStep` keeps each stage: the second stage before the first, so
-# that every combination reads one block of rows (a view).  Only its first
-# two terms then change places, and a sum of two floats is the same either
-# way round: the reduction still gives the float source's bits.
-_ROW_OF_STAGE = (1, 0, 2, 3, 4, 5, 6)
-
-
-def _stage_sum(*rows) -> tuple:
-    """``(block, coefficients)`` of combination rows over the same stages,
-    for `_combine`: the slice of `_RowStep`'s rows holding those stages and
-    their coefficients in that order, as a column per row; None for one
-    stage with coefficient 1, which the float source reads as it is."""
-    at = {_ROW_OF_STAGE[s]: k for k, (s, _c) in enumerate(rows[0])}
-    block = slice(min(at), max(at) + 1)
-    coefficients = np.array([[[row[at[r]][1]] for r in range(block.start, block.stop)]
-                             for row in rows])
-    if coefficients.tolist() == [[[1.0]]]:
-        return block, None
-    return block, coefficients[0] if len(rows) == 1 else coefficients
-
-
-def _dense_sums() -> tuple:
-    """The dense rows grouped by their stages, each group `_combine`d at once:
-    ``(rows, block, coefficients)``, the rows of a group a slice."""
-    groups: dict = {}
-    for j, row in enumerate(_DENSE):
-        groups.setdefault(tuple(s for s, _c in row), []).append(j)
-    return tuple((slice(js[0], js[-1] + 1), *_stage_sum(*[_DENSE[j] for j in js]))
-                 for js in groups.values())
-
-
-def _combine(rows: np.ndarray, block: slice, coefficients: np.ndarray | None) -> np.ndarray:
-    """``sum_s coefficient_s * rows[s]`` over ``block`` for each row of
-    ``coefficients``: one ``np.add.reduce`` over the block, started from
-    -0.0, which adds the terms in order, as the float source does."""
-    if coefficients is None:
-        return rows[block]
-    return np.add.reduce(coefficients * rows[block], axis=-2, initial=-0.0)
-
-
-class _RowStep:
-    """The step arithmetic of `_integrate` on the flat rows of a batch, with
-    the interface of `_float_step`: each combination is `_combine`d, so every
-    entry has the bits of the lone reading."""
-
-    horner = staticmethod(_dense)
-
-    def __init__(self, members: int, size: int):
-        self.members = members
-        # the stages (at `_ROW_OF_STAGE`), the new state and the error, so
-        # that one check sees whether they are all finite
-        self.rows = np.empty((9, size))
-
-        # coefficients spread over the rows: numpy multiplies equal shapes
-        # faster than it broadcasts a column
-        def spread(block, coefficients):
-            return block, None if coefficients is None else np.repeat(coefficients, size, -1)
-
-        self.stage_sums = [spread(*_stage_sum(row)) for row in _STAGE_ROWS]
-        self.update_sum = spread(*_stage_sum(_UPDATE))
-        self.error_sum = spread(*_stage_sum(_ERROR))
-        self.dense_sums = [(js, *spread(*rest)) for js, *rest in _dense_sums()]
-
-    def attempt(self, f, t, h, t_new, y, k, atol, rtol):
-        rows = self.rows
-        rows[1] = k
-        for s, (block, coefficients) in enumerate(self.stage_sums, 1):
-            rows[_ROW_OF_STAGE[s]] = f(t + _C[s] * h,
-                                       y + h * _combine(rows, block, coefficients), s == 5)
-        y_new = np.add(y, h * _combine(rows, *self.update_sum), out=rows[7])
-        rows[6] = f(t_new, y_new, True)
-        err_vec = np.multiply(h, _combine(rows, *self.error_sum), out=rows[8])
-        if not np.isfinite(rows).all():
-            return None
-        x = err_vec / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
-        # the largest member RMS, `_member_rms`: the square root and the
-        # division are monotone, so they may follow the maximum
-        squares = np.add.reduce((x * x).reshape(self.members, -1), axis=1)
-        err = math.sqrt(float(squares.max()) / (x.size // self.members))
-        if err > 1.0:
-            return err, None, None, None
-        q = np.empty((4, y.size))
-        for js, block, coefficients in self.dense_sums:
-            np.multiply(h, _combine(rows, block, coefficients), out=q[js])
-        return err, y_new.copy(), rows[6].copy(), q
-
-    @staticmethod
-    def norm(y) -> float:
-        return float(_norm(y))
 
 
 def _read_only(values) -> np.ndarray:
@@ -1010,10 +939,10 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
     """The stepping loop of `integrate` (``histories`` None: the problem's own
     history and start value, one state of Python floats) and of
     `integrate_batch` (the members' states as one flat array, which the right
-    side sees with shape ``(B, n)``).  The two differ only in the reading of
-    the step arithmetic, `_float_step` or `_RowStep`, which give the same
-    bits: each member of a batch is the lone run of its history, as long as
-    the step sequence is the same."""
+    side sees with shape ``(B, n)``).  The two read one generated step
+    arithmetic (`_generated_step`), on floats or on the flat array, which
+    give the same bits: each member of a batch is the lone run of its
+    history, as long as the step sequence is the same."""
     tol = tol or ToleranceSettings()
     if horizon <= system.t0:
         raise ValueError(f"horizon {horizon!r} must exceed the start time {system.t0!r}")
@@ -1048,7 +977,7 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
     shape = (dim,) if lone else (members, dim)
     y0 = np.concatenate(starts)
     size = y0.size
-    step = _float_step(dim) if lone else _RowStep(members, size)
+    step = _generated_step(dim, not lone)
     if lone:
         y0 = tuple(y0.tolist())
 

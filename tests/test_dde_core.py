@@ -69,6 +69,20 @@ class TestToleranceSettings:
         with pytest.raises(ValueError, match="cap"):
             ToleranceSettings(cap=math.nan)
 
+    @pytest.mark.parametrize("field", ["first_step", "max_step"])
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -0.1])
+    def test_step_settings_must_be_positive(self, field, value):
+        # at a NaN first step the run would spin toward the step budget
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            ToleranceSettings(**{field: value})
+
+    @pytest.mark.parametrize("field", ["first_step", "max_step"])
+    def test_step_settings_may_be_infinite(self, field):
+        problem = DelayProblem(lambda t, y, z: -y, DelaySpec.none(),
+                               HistoryFunction.constant([1.0]), 0.0)
+        traj = integrate(problem, 1.0, ToleranceSettings(**{field: math.inf}))
+        assert traj.eval(1.0)[0] == pytest.approx(math.exp(-1.0), rel=1e-5)
+
 
 class TestHistoryFunction:
     def test_constant(self):
@@ -713,23 +727,27 @@ def _by_hand(weights, stages, i):
 
 
 class TestFloatStep:
-    """A lone state steps on Python floats, a batch on numpy rows; both sum
-    each stage combination in stage order, so they agree bit for bit."""
+    """One generated step source, read on a lone state's Python floats and on
+    a batch's flat array; both sum each stage combination in stage order, so
+    they agree bit for bit."""
 
+    @pytest.mark.parametrize("members", [1, 2])
     @pytest.mark.parametrize("dim, delays, history", [
         (1, 0, HistoryFunction.constant([0.8])),
         (3, 1, HistoryFunction.from_expressions(
             [parse_expression(text) for text in ("0.5 + 0.1*t", "cos(t)", "-0.4")])),
         (9, 0, HistoryFunction.constant(np.linspace(-0.9, 0.7, 9))),
     ])
-    def test_lone_state_equals_a_one_member_batch(self, dim, delays, history):
-        # dimension 9 sums its squares in numpy's pairwise order
+    def test_lone_state_equals_each_batch_member(self, dim, delays, history, members):
+        # dimension 9 sums its squares in numpy's pairwise order; a batch
+        # reads its error per member (`_member_rms`), so copies step as one
         vs = _vector_system(dim, delays, history)
         alone = integrate(vs, 6.0, DEFAULT)
-        (member,) = integrate_batch(vs, [history], 6.0, DEFAULT)
+        batch = integrate_batch(vs, [history] * members, 6.0, DEFAULT)
         assert len(alone.ts) > 20
-        assert _same_run(alone, member)
-        assert alone.stats == member.stats
+        for member in batch:
+            assert _same_run(alone, member)
+            assert alone.stats == member.stats
 
     def test_fixed_step_equals_a_step_by_hand(self):
         vs = _vector_system(2, 0, HistoryFunction.constant([0.6, -0.3]))
