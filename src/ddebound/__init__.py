@@ -14,8 +14,8 @@ from .analysis import (BoundednessCriterion, BoundReport, FtsReport, RadiusEstim
                        verify_pointwise_ordering)
 from .config import ConfigError, RunConfig, load_config, load_config_text
 from .dde_core import (DelayProblem, DelaySpec, HistoryFunction, IntegrationError,
-                       Perturbation, ScalarDelaySystem, ToleranceSettings, Trajectory,
-                       VectorDelaySystem, integrate, integrate_batch)
+                       ScalarDelaySystem, ToleranceSettings, Trajectory, VectorDelaySystem,
+                       integrate, integrate_batch)
 from .expressions import (EvaluationError, Expression, ExpressionSyntaxError,
                           parse_expression)
 from .linalg import MatrixFunction, VectorFunction, spectral_norm

@@ -17,10 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dde_core import (DelaySpec, HistoryFunction, Perturbation, ScalarDelaySystem,
-                       IntegrationError, ToleranceSettings, Trajectory,
-                       VectorDelaySystem, _norm, integrate, integrate_batch)
-from .majorant import PolynomialMajorant
+from .dde_core import (DelaySpec, HistoryFunction, ScalarDelaySystem, IntegrationError,
+                       ToleranceSettings, Trajectory, VectorDelaySystem, _norm, integrate,
+                       integrate_batch)
+from .majorant import PolynomialMajorant, PolynomialTerm
 from .timefn import ConstantFn, sample
 
 __all__ = [
@@ -216,11 +216,21 @@ def robust_stability_check(p_hat: float, c_hat: float, L_hat: PolynomialMajorant
 
 def build_perturbed_scalar(ss: ScalarDelaySystem, L_R: PolynomialMajorant,
                            perturbed_delays: DelaySpec) -> ScalarDelaySystem:
-    """Attach a persistent perturbation term ``c(t) L_R(...)`` with its own
-    (possibly shifted) delays.  ``L_R`` may carry constant terms."""
+    """Add a persistent perturbation ``c(t) L_R(t, y, y(t - h*_i))`` with its
+    own (possibly shifted) delays ``h*``.  Its terms join the system's
+    majorant: the ``h*`` become delay slots behind the system's ``m``, each
+    ``L_R`` term keeps its state exponent and moves its delayed exponents onto
+    those slots, and the system's terms read them with exponent 0.  ``L_R``
+    may carry constant terms."""
     if L_R.arg_count != perturbed_delays.count + 1:
         raise ValueError("perturbation majorant arguments do not match its delays")
-    return replace(ss, perturbation=Perturbation(L_R, perturbed_delays))
+    L, m, k = ss.majorant, ss.delays.count, perturbed_delays.count
+    merged = PolynomialMajorant(
+        (*(PolynomialTerm(term.coeff, term.exponents + (0,) * k) for term in L.terms),
+         *(PolynomialTerm(term.coeff, (term.exponents[0], *(0,) * m, *term.exponents[1:]))
+           for term in L_R.terms)),
+        m + k + 1, L.allow_constant_terms or L_R.allow_constant_terms)
+    return replace(ss, majorant=merged, delays=ss.delays.merged_with(perturbed_delays))
 
 
 @dataclass(frozen=True)
@@ -237,6 +247,8 @@ class BoundednessCriterion:
             raise ValueError(f"unknown criterion kind {self.kind!r}")
         if not 0.0 < self.tail_fraction < 1.0:
             raise ValueError("tail_fraction must lie in (0, 1)")
+        if not self.decay_ratio > 0.0:
+            raise ValueError("decay_ratio must be positive")
 
     def judge(self, traj: Trajectory, initial_norm: float, horizon_end: float) -> bool:
         """Good when the run completed to ``horizon_end`` without reading the
@@ -292,8 +304,6 @@ def _bisection(q_max: float, bisect_tol: float, criterion: BoundednessCriterion,
                horizon: float):
     """One radius search as a generator: it yields each probe magnitude,
     receives the verdict and returns the `RadiusEstimate`."""
-    if q_max <= 0:
-        raise ValueError("q_max must be positive")
     probes: list[tuple[float, bool]] = []
 
     def judged(q: float, good: bool) -> bool:
@@ -347,6 +357,8 @@ def estimate_scalar_radius(ss: ScalarDelaySystem, criterion: BoundednessCriterio
     monotonically in the constant history, so the good set is an interval.
     ``horizon`` is a duration from the system start time.
     """
+    if q_max <= 0:
+        raise ValueError("q_max must be positive")
     tol = replace(tol or ToleranceSettings(rtol=1e-4, atol=1e-8), cap=criterion.cap)
     horizon_end = ss.t0 + horizon
 
@@ -365,17 +377,18 @@ def estimate_scalar_radius(ss: ScalarDelaySystem, criterion: BoundednessCriterio
 def frozen_scalar_radius(ss: ScalarDelaySystem, criterion: BoundednessCriterion,
                          q_max: float, horizon: float = 50.0) -> RadiusEstimate:
     """Exact constant-history radius (status ``analytic``, no probes) of a
-    homogeneous system with constant coefficients.  It is monotone in its
-    history, so the radius is the smallest positive zero of ``g(q) = p*q +
-    c*L(q, ..., q)``: below it ``q`` is a super-solution, above it the solution
-    grows.  ``criterion`` and ``horizon`` are recorded only."""
+    homogeneous system with constant coefficients whose majorant has no
+    constant term.  It is monotone in its history, so the
+    radius is the smallest positive zero of ``g(q) = p*q + c*L(q, ..., q)``:
+    below it ``q`` is a super-solution, above it the solution grows.
+    ``criterion`` and ``horizon`` are recorded only."""
     if q_max <= 0:
         raise ValueError("q_max must be positive")
     fns = [ss.p, ss.c, ss.forcing] + [term.coeff for term in ss.majorant.terms]
     if not all(isinstance(fn, ConstantFn) for fn in fns) or ss.forcing.value != 0.0:
         raise ValueError("the frozen radius needs constant coefficients and no forcing")
-    if ss.perturbation is not None:
-        raise ValueError("the frozen radius needs an unperturbed system")
+    if any(term.degree == 0 for term in ss.majorant.terms):
+        raise ValueError("the frozen radius needs a majorant without constant (degree-0) terms")
     q_star = _frozen_root(ss.p.value, ss.c.value, ss.majorant, q_max)
     if q_star == 0.0:
         return _estimate(criterion, horizon, 0.0, 0.0, 0.0, "empty_at_zero")
@@ -420,6 +433,8 @@ def estimate_vector_region(vs: VectorDelaySystem, criterion: BoundednessCriterio
         raise ValueError("the polar region sweep is only defined for 2-dimensional systems")
     if angle_count < 1:
         raise ValueError(f"angle_count must be at least 1, got {angle_count!r}")
+    if r_max <= 0:
+        raise ValueError("r_max must be positive")
     tol = replace(tol or ToleranceSettings(rtol=1e-4, atol=1e-8), cap=criterion.cap)
     horizon_end = vs.t0 + horizon
     angles = np.arange(angle_count) * (2.0 * math.pi / angle_count)

@@ -55,7 +55,6 @@ __all__ = [
     "HistoryFunction",
     "VectorDelaySystem",
     "ScalarDelaySystem",
-    "Perturbation",
     "DelayProblem",
     "Trajectory",
     "StepStats",
@@ -466,24 +465,12 @@ class VectorDelaySystem:
 
 
 @dataclass(frozen=True)
-class Perturbation:
-    """Extra nonnegative right-side term with its own (perturbed) delays."""
-
-    majorant: PolynomialMajorant
-    delays: DelaySpec
-
-    def __post_init__(self):
-        if self.majorant.arg_count != self.delays.count + 1:
-            raise ValueError("perturbation majorant argument count does not match its delays")
-
-
-@dataclass(frozen=True)
 class ScalarDelaySystem:
     """Scalar comparison system ``y' = p(t)y + c(t)(L(t, y, y(t-h_i)) + g(t))``.
 
-    ``g`` is the nonnegative forcing magnitude.  An optional `Perturbation`
-    adds ``c(t) * L_R(t, y, y(t-h_i*))`` with its own delays.  Histories must
-    be nonnegative and ``c(t) >= 1``.
+    ``g`` is the nonnegative forcing magnitude.  A persistent perturbation
+    (`analysis.build_perturbed_scalar`) is more terms of ``L`` on more delays.
+    Histories must be nonnegative and ``c(t) >= 1``.
     """
 
     p: TimeFunction
@@ -493,7 +480,6 @@ class ScalarDelaySystem:
     delays: DelaySpec
     history: HistoryFunction
     t0: float = 0.0
-    perturbation: Perturbation | None = None
     coeff_horizon: float = math.inf
 
     def __post_init__(self):
@@ -523,37 +509,29 @@ class ScalarDelaySystem:
     def _rhs(self):
         """`rhs` as one generated function on Python floats (numpy scalars
         give the same bits), returning a one-tuple: ``p(t) y + c(t) (L(t,
-        zeta) + |g(t)| + L_R(t, zeta_R))`` in that order, with the majorants'
-        terms unrolled and clamped (`PolynomialMajorant._clamped_lines`) and
-        every coefficient inlined or called once."""
-        m = self.delays.count
-        count = m if self.perturbation is None else m + self.perturbation.delays.count
-        lags = [f"d{i}" for i in range(count)]
+        zeta) + |g(t)|)`` in that order, with the majorant's terms unrolled
+        and clamped (`PolynomialMajorant._clamped_lines`) and every
+        coefficient inlined or called once."""
+        lags = [f"d{i}" for i in range(self.delays.count)]
         names: dict = {}
         lines = ["z = y[0]", *(f"{d} = delayed[{i}][0]" for i, d in enumerate(lags)),
-                 "total = 0.0", *self.majorant._clamped_lines(["z", *lags[:m]], names),
+                 "total = 0.0", *self.majorant._clamped_lines(["z", *lags], names),
                  f"value = total + abs({_source_of(self.forcing, names)})"]
-        if self.perturbation is not None:
-            lines += ["total = 0.0",
-                      *self.perturbation.majorant._clamped_lines(["z", *lags[m:]], names),
-                      "value += total"]
         result = f"({_source_of(self.p, names)} * z + {_source_of(self.c, names)} * value,)"
         return _generate("t, y, delayed", result, names, lines)
 
     def problem(self, horizon: float) -> DelayProblem:
         """The problem on ``[t0, horizon]``; its kinks are the zeros of the
         forcing magnitude ``|g|``, where it has corners."""
-        spec = self.delays
-        if self.perturbation is not None:
-            spec = spec.merged_with(self.perturbation.delays)
-        problem = DelayProblem(_with_floats(self.rhs, self._rhs), spec, self.history, self.t0)
+        problem = DelayProblem(_with_floats(self.rhs, self._rhs), self.delays, self.history,
+                               self.t0)
         if horizon > self.coeff_horizon + 1e-9:
             raise ValueError(
                 f"coefficients are only valid up to t={self.coeff_horizon}, "
                 f"requested horizon {horizon}")
         # read where the history is defined: `integrate` refuses one that
         # does not cover the delay band
-        h_bar, _h_under = spec.bounds(self.t0, horizon)
+        h_bar, _h_under = self.delays.bounds(self.t0, horizon)
         lowest = sample([self.history.reduced(np.min)],
                         max(self.t0 - h_bar, self.history.t_min), self.t0)[1]
         if np.min(lowest) < -1e-12:

@@ -160,10 +160,9 @@ def cauchy_function(sys: LinearScalarDDE, s: float, horizon: float,
         raise ValueError(f"horizon {horizon!r} must exceed s={s!r}")
     # the unit start over a zero pre-history is a jump at s: lookups strictly
     # before s read 0, lookups at or after s the dense solution
-    unforced = sys.with_amplitude(0.0)
-    problem = DelayProblem(_with_floats(unforced.rhs, unforced._rhs), sys.delays,
-                           HistoryFunction.constant([0.0]), s, y0=np.array([1.0]))
-    return integrate(problem, horizon, tol)
+    unforced = replace(sys, t0=s, history=HistoryFunction.constant([0.0]),
+                       forcing_amplitude=0.0)
+    return integrate(replace(unforced.problem(horizon), y0=np.array([1.0])), horizon, tol)
 
 
 def _unit_forced(sys: LinearScalarDDE) -> LinearScalarDDE:

@@ -228,37 +228,23 @@ def build_autonomous_auxiliary(ss: ScalarDelaySystem, horizon: float,
     """Freeze all time-varying coefficients at their (inflated) suprema.
 
     ``p``, ``c``, ``|forcing|`` and every term coefficient of the majorant
-    and of the perturbation are sampled together in one `grid_supremum`
-    pass over ``[t0, horizon]``; sampled suprema are inflated by the
-    relative ``margin`` so the frozen system still dominates the original,
-    constants pass through exactly.  The frozen system is valid up to
-    ``horizon``, the end of the interval its suprema were read on.
+    are sampled together in one `grid_supremum` pass over ``[t0, horizon]``;
+    sampled suprema are inflated by the relative ``margin`` so the frozen
+    system still dominates the original, constants pass through exactly.
+    The frozen system is valid up to ``horizon``, the end of the interval its
+    suprema were read on.
     """
     t_lo, t_hi = ss.t0, horizon
     if t_hi <= t_lo:
         raise ValueError("horizon must exceed the start time")
-    majorants = [ss.majorant]
-    if ss.perturbation is not None:
-        majorants.append(ss.perturbation.majorant)
-    coeffs = [term.coeff for L in majorants for term in L.terms]
+    L = ss.majorant
     p_hat, c_hat, forcing_hat, *coeff_hats = grid_supremum(
-        [ss.p, ss.c, *(_compose("abs({})", fn) for fn in (ss.forcing, *coeffs))],
+        [ss.p, ss.c, *(_compose("abs({})", fn)
+                       for fn in (ss.forcing, *(term.coeff for term in L.terms)))],
         t_lo, t_hi, margin)
-    coeff_hats = iter(coeff_hats)
-    frozen = [PolynomialMajorant(
-        tuple(PolynomialTerm(ConstantFn(next(coeff_hats)), term.exponents) for term in L.terms),
-        L.arg_count, L.allow_constant_terms) for L in majorants]
-    perturbation = ss.perturbation
-    if perturbation is not None:
-        perturbation = replace(perturbation, majorant=frozen[1])
-    return ScalarDelaySystem(
-        p=ConstantFn(p_hat),
-        c=ConstantFn(max(c_hat, 1.0)),
-        majorant=frozen[0],
-        forcing=ConstantFn(forcing_hat),
-        delays=ss.delays,
-        history=ss.history,
-        t0=ss.t0,
-        perturbation=perturbation,
-        coeff_horizon=horizon,
-    )
+    frozen = PolynomialMajorant(
+        tuple(PolynomialTerm(ConstantFn(hat), term.exponents)
+              for hat, term in zip(coeff_hats, L.terms)),
+        L.arg_count, L.allow_constant_terms)
+    return replace(ss, p=ConstantFn(p_hat), c=ConstantFn(max(c_hat, 1.0)), majorant=frozen,
+                   forcing=ConstantFn(forcing_hat), coeff_horizon=horizon)

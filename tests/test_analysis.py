@@ -221,6 +221,23 @@ class TestPerturbedScalar:
         assert traj.sup_norm(0.0, 50.0) <= 0.06
         assert traj.eval(50.0)[0] < 0.05
 
+    def test_two_perturbations_add_up(self):
+        # y' = -2y + 1e-2 + 1e-2 settles at 0.01, and each perturbation's
+        # delay keeps its own slot
+        base = ScalarDelaySystem(p=-2.0, c=1.0, majorant=PolynomialMajorant.zero(1),
+                                 forcing=0.0, delays=DelaySpec.none(),
+                                 history=HistoryFunction.constant([0.0]), t0=0.0)
+        offset = PolynomialMajorant((PolynomialTerm(1e-2, (0,)),), 1,
+                                    allow_constant_terms=True)
+        twice = build_perturbed_scalar(build_perturbed_scalar(base, offset, DelaySpec.none()),
+                                       offset, DelaySpec.none())
+        assert integrate(twice, 50.0, DEFAULT).eval(50.0)[0] == pytest.approx(0.01, rel=1e-6)
+        bump = PolynomialMajorant((PolynomialTerm(0.05, (0, 1)),), 2)
+        delayed = build_perturbed_scalar(build_perturbed_scalar(
+            base, bump, DelaySpec.constant([0.5])), bump, DelaySpec.constant([0.7]))
+        assert [fn.value for fn in delayed.delays.delays] == [0.5, 0.7]
+        assert [term.exponents for term in delayed.majorant.terms] == [(0, 1, 0), (0, 0, 1)]
+
 
 class TestComparisonPrinciple:
     def test_randomized_dominating_pairs(self):
@@ -362,6 +379,25 @@ class TestFrozenRadius:
         forced = replace(self._frozen(-2.0, cubic), forcing=ConstantFn(0.1))
         with pytest.raises(ValueError, match="no forcing"):
             frozen_scalar_radius(forced, CRIT, 3.0)
+
+    def test_perturbed_cubic_is_exact(self):
+        # -2q + 0.25 q(t - 0.5)^3 on the diagonal: the root is sqrt(8)
+        bump = PolynomialMajorant((PolynomialTerm(0.25, (0, 3)),), 2)
+        perturbed = build_perturbed_scalar(self._frozen(-2.0, ()), bump,
+                                           DelaySpec.constant([0.5]))
+        estimate = frozen_scalar_radius(perturbed, CRIT, 10.0)
+        assert estimate.status == "analytic"
+        assert estimate.value == pytest.approx(math.sqrt(8.0), rel=1e-14)
+
+    def test_constant_term_rejected(self):
+        # y' = -2y + 1e-3 + y^3 settles at a small positive level, so its
+        # radius is not "empty at zero"
+        offset = PolynomialMajorant((PolynomialTerm(1e-3, (0,)),), 1,
+                                    allow_constant_terms=True)
+        perturbed = build_perturbed_scalar(self._frozen(-2.0, (PolynomialTerm(1.0, (3,)),)),
+                                           offset, DelaySpec.none())
+        with pytest.raises(ValueError, match=r"constant \(degree-0\) terms"):
+            frozen_scalar_radius(perturbed, CRIT, 3.0)
 
     @pytest.mark.parametrize("case", ["a", "b"])
     @pytest.mark.parametrize("kind", ["bounded_on_horizon", "decaying_tail"])

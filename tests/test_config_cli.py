@@ -456,6 +456,17 @@ probe_rtol = 1e-3
         assert first[1] == 4.0             # unbracketed above at r_max
         assert (tmp_path / "region.svg").exists()
 
+    def test_region_names_a_bound_that_is_not_positive(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, CASE_A.replace("r_max = 50", "r_max = -1"))
+        assert main(["region", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "r_max must be positive" in capsys.readouterr().err
+
+    def test_radius_refuses_a_decay_ratio_that_is_not_positive(self, tmp_path, capsys):
+        text = MINIMAL + "[analysis]\ncriterion = decaying\ndecay_ratio = -0.5\n"
+        cfg = self._write(tmp_path, text)
+        assert main(["radius", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "decay_ratio must be positive" in capsys.readouterr().err
+
     def test_reproduce_fig1_bundled_cases(self, tmp_path):
         assert main(["reproduce-fig1", "--out", str(tmp_path), "--svg"]) == 0
         for case in ("a", "b"):

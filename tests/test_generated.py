@@ -104,12 +104,8 @@ def _old_spectral_norm(m):
 
 def _old_scalar_rhs(ss, forcing, t, y, delayed):
     state = y[0]
-    m = ss.delays.count
-    zeta = [state] + [z[0] for z in delayed[:m]]
+    zeta = [state] + [z[0] for z in delayed]
     value = _old_clamped(ss.majorant, t, zeta) + abs(forcing(t))
-    if ss.perturbation is not None:
-        zeta_r = [state] + [z[0] for z in delayed[m:]]
-        value += _old_clamped(ss.perturbation.majorant, t, zeta_r)
     return np.array([ss.p(t) * state + ss.c(t) * value])
 
 
@@ -293,9 +289,8 @@ class TestVectorRhs:
 
 class TestScalarRhs:
     def _check(self, ss, forcing, times, rng):
-        count = ss.delays.count + (ss.perturbation.delays.count if ss.perturbation else 0)
         ys = _states(rng, len(times))
-        zs = [_states(rng, len(times)) for _ in range(count)]
+        zs = [_states(rng, len(times)) for _ in range(ss.delays.count)]
         for k, t in enumerate(times):
             args = (t, np.array([ys[k]]), [np.array([z[k]]) for z in zs])
             assert _same(ss.rhs(*args), _old_scalar_rhs(ss, forcing, *args))
@@ -321,14 +316,22 @@ class TestScalarRhs:
 
     def test_perturbed_system(self, pipe):
         # a zero constant term, a coefficient that vanishes on half the
-        # times, a constant term and a delay-only term
+        # times, a constant term and a delay-only term; the perturbation's
+        # terms follow the system's, so the sum is (L + L_R) + |g|
         bump = PolynomialMajorant((
             PolynomialTerm(0.0, (1, 1, 0)),
             PolynomialTerm(lambda t: max(0.0, math.sin(t)), (1, 0, 2)),
             PolynomialTerm(1e-3, (0, 0, 0)),
             PolynomialTerm(parse_expression("0.2*cos(3*t)"), (0, 2, 1)),
         ), 3, allow_constant_terms=True)
-        ss = build_perturbed_scalar(pipe.scalar_system, bump, DelaySpec.constant([0.51, 0.7]))
+        base, extra = pipe.scalar_system, DelaySpec.constant([0.51, 0.7])
+        ss = build_perturbed_scalar(base, bump, extra)
+        m = base.delays.count
+        assert ss.delays.delays == base.delays.delays + extra.delays
+        assert [(term.coeff, term.exponents) for term in ss.majorant.terms] == [
+            *((term.coeff, term.exponents + (0, 0)) for term in base.majorant.terms),
+            *((term.coeff, (term.exponents[0], *(0,) * m, *term.exponents[1:]))
+              for term in bump.terms)]
         self._check(ss, ss.forcing, _times(pipe), np.random.default_rng(9))
 
     def test_a_coefficient_read_by_two_terms_is_called_once(self):

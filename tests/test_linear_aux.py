@@ -58,13 +58,20 @@ class TestCauchyFunction:
                 math.exp(-0.7 * (float(t) - 1.0)), rel=1e-7)
 
     def test_delayed_term_sees_zero_prehistory(self):
-        # u' = -u(t-1): flat at 1 on [s, s+1), then 1 - (t-s-1)
-        sys = _plain(delayed=(-1.0,), delays=DelaySpec.constant([1.0]))
+        # u' = u(t-1): flat at 1 on [s, s+1), then 1 + (t-s-1)
+        sys = _plain(delayed=(1.0,), delays=DelaySpec.constant([1.0]))
         C = cauchy_function(sys, 2.0, 5.0, TIGHT)
         assert C.eval(2.0)[0] == 1.0
         assert C.eval(2.9)[0] == pytest.approx(1.0, abs=1e-12)
-        assert C.eval(3.5)[0] == pytest.approx(0.5, abs=1e-9)
-        assert C.eval(4.0)[0] == pytest.approx(0.0, abs=1e-9)
+        assert C.eval(3.5)[0] == pytest.approx(1.5, abs=1e-9)
+        assert C.eval(4.0)[0] == pytest.approx(2.0, abs=1e-9)
+
+    def test_negative_delayed_coefficient_rejected(self):
+        # u' = -u - 0.5 u(t-1) is no comparison system: its Cauchy function
+        # dips below zero, and `integrate` refuses the system as well
+        sys = _plain(rate=-1.0, delayed=(-0.5,), delays=DelaySpec.constant([1.0]))
+        with pytest.raises(ValueError, match="delayed coefficient is negative"):
+            cauchy_function(sys, 0.0, 10.0, TIGHT)
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):
