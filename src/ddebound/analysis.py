@@ -18,8 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .dde_core import (DelaySpec, HistoryFunction, ScalarDelaySystem, IntegrationError,
-                       ToleranceSettings, Trajectory, VectorDelaySystem, _norm, integrate,
-                       integrate_batch)
+                       ToleranceSettings, Trajectory, VectorDelaySystem, _norm, integrate)
 from .majorant import PolynomialMajorant, PolynomialTerm
 from .timefn import ConstantFn, sample
 
@@ -300,51 +299,45 @@ def _estimate(criterion: BoundednessCriterion, horizon: float, value: float, lo:
                           criterion.tail_fraction, criterion.decay_ratio, probes)
 
 
-def _bisection(q_max: float, bisect_tol: float, criterion: BoundednessCriterion,
-               horizon: float):
-    """One radius search as a generator: it yields each probe magnitude,
-    receives the verdict and returns the `RadiusEstimate`."""
+def _bisection(probe, q_max: float, bisect_tol: float, criterion: BoundednessCriterion,
+               horizon: float) -> RadiusEstimate:
+    """One radius search on ``[0, q_max]``: each magnitude ``q`` is judged by
+    ``probe(q) -> bool`` and logged with its verdict."""
     probes: list[tuple[float, bool]] = []
 
-    def judged(q: float, good: bool) -> bool:
+    def judged(q: float) -> bool:
+        good = probe(q)
         probes.append((q, good))
         return good
 
     def make(value, lo, hi, status):
         return _estimate(criterion, horizon, value, lo, hi, status, tuple(probes))
 
-    if judged(q_max, (yield q_max)):
+    if judged(q_max):
         return make(q_max, q_max, math.inf, "unbracketed_above")
-    if not judged(0.0, (yield 0.0)):
+    if not judged(0.0):
         return make(0.0, 0.0, 0.0, "empty_at_zero")
     lo, hi = 0.0, q_max
     for _ in range(_MAX_BISECTIONS):
         if hi - lo <= bisect_tol * max(hi, 1e-12):
             break
         mid = 0.5 * (lo + hi)
-        if judged(mid, (yield mid)):
+        if judged(mid):
             lo = mid
         else:
             hi = mid
     return make(0.5 * (lo + hi), lo, hi, "bracketed")
 
 
-def _lockstep(searches: Sequence, probe) -> list[RadiusEstimate]:
-    """Run `_bisection` searches side by side: every round collects the
-    pending magnitude of each unfinished search and judges them all with one
-    ``probe([(search index, magnitude), ...]) -> [verdict, ...]`` call."""
-    results: list[RadiusEstimate | None] = [None] * len(searches)
-    pending = [(k, next(search)) for k, search in enumerate(searches)]
-    while pending:
-        verdicts = probe(pending)
-        waiting = []
-        for (k, _q), verdict in zip(pending, verdicts):
-            try:
-                waiting.append((k, searches[k].send(verdict)))
-            except StopIteration as done:
-                results[k] = done.value
-        pending = waiting
-    return results
+def _verdict(criterion: BoundednessCriterion, system, magnitude: float, horizon_end: float,
+             tol: ToleranceSettings) -> bool:
+    """Whether the run of ``system`` from a history of norm ``magnitude`` is
+    good; a run that fails with `IntegrationError` is bad."""
+    try:
+        traj = integrate(system, horizon_end, tol)
+    except IntegrationError:
+        return False
+    return criterion.judge(traj, magnitude, horizon_end)
 
 
 def estimate_scalar_radius(ss: ScalarDelaySystem, criterion: BoundednessCriterion,
@@ -362,16 +355,10 @@ def estimate_scalar_radius(ss: ScalarDelaySystem, criterion: BoundednessCriterio
     tol = replace(tol or ToleranceSettings(rtol=1e-4, atol=1e-8), cap=criterion.cap)
     horizon_end = ss.t0 + horizon
 
-    def probe(batch):
-        ((_k, q),) = batch
-        try:
-            traj = integrate(ss.with_constant_history(q), horizon_end, tol)
-        except IntegrationError:
-            return [False]
-        return [criterion.judge(traj, q, horizon_end)]
+    def probe(q: float) -> bool:
+        return _verdict(criterion, ss.with_constant_history(q), q, horizon_end, tol)
 
-    (estimate,) = _lockstep([_bisection(q_max, bisect_tol, criterion, horizon)], probe)
-    return estimate
+    return _bisection(probe, q_max, bisect_tol, criterion, horizon)
 
 
 def frozen_scalar_radius(ss: ScalarDelaySystem, criterion: BoundednessCriterion,
@@ -422,12 +409,11 @@ def estimate_vector_region(vs: VectorDelaySystem, criterion: BoundednessCriterio
 
     For each of ``angle_count`` uniformly spaced angles the radial coordinate
     is bisected with the same good/bad oracle as the scalar search applied to
-    the vector solution norm.  The angles are bisected in lockstep: the
-    probes of one round are integrated together by `integrate_batch`, and a
-    round whose batch fails with `IntegrationError` is probed again one
-    angle at a time, where that error means "bad".  Radial monotonicity is
-    not assumed; the probe log of each estimate allows flips to be inspected
-    afterwards.
+    the vector solution norm, one angle after another and one `integrate`
+    run per probe; a run that fails with `IntegrationError` is a bad probe.
+    The system's problem is built once and each probe replaces its history.
+    Radial monotonicity is not assumed; the probe log of each estimate allows
+    flips to be inspected afterwards.
     """
     if vs.dim != 2:
         raise ValueError("the polar region sweep is only defined for 2-dimensional systems")
@@ -437,25 +423,17 @@ def estimate_vector_region(vs: VectorDelaySystem, criterion: BoundednessCriterio
         raise ValueError("r_max must be positive")
     tol = replace(tol or ToleranceSettings(rtol=1e-4, atol=1e-8), cap=criterion.cap)
     horizon_end = vs.t0 + horizon
+    problem = vs.problem(horizon_end)
     angles = np.arange(angle_count) * (2.0 * math.pi / angle_count)
-    directions = [np.array([math.cos(float(angle)), math.sin(float(angle))])
-                  for angle in angles]
 
-    def alone(history: HistoryFunction) -> Trajectory | None:
-        try:
-            return integrate(replace(vs, history=history), horizon_end, tol)
-        except IntegrationError:
-            return None
+    def radius(angle: float) -> RadiusEstimate:
+        direction = np.array([math.cos(angle), math.sin(angle)])
 
-    def probe(batch):
-        histories = [HistoryFunction.constant(r * directions[k]) for k, r in batch]
-        try:
-            trajs = integrate_batch(vs, histories, horizon_end, tol)
-        except IntegrationError:
-            trajs = [alone(history) for history in histories]
-        return [traj is not None and criterion.judge(traj, r, horizon_end)
-                for traj, (_k, r) in zip(trajs, batch)]
+        def probe(r: float) -> bool:
+            history = HistoryFunction.constant(r * direction)
+            return _verdict(criterion, replace(problem, history=history), r, horizon_end, tol)
 
-    searches = [_bisection(r_max, bisect_tol, criterion, horizon) for _ in angles]
-    return RegionBoundary(angles, tuple(_lockstep(searches, probe)), vs.t0,
+        return _bisection(probe, r_max, bisect_tol, criterion, horizon)
+
+    return RegionBoundary(angles, tuple(radius(float(angle)) for angle in angles), vs.t0,
                           vs.forcing_amplitude)

@@ -41,7 +41,7 @@ Grammar by section::
       L_hat = <coeff> ; <power>  # repeated, one-variable majorant terms
 
     [output]
-      grid = <int>
+      grid = <int>               # points of the output grid, at least 2
 
 Loading builds the vector system once.  Its constructors check what they
 hold; the loader checks only what needs the file's terms, such as its
@@ -173,6 +173,20 @@ def _integer(value: str, where: str) -> int:
         raise ConfigError(f"{where}: expected an integer, got {value!r}") from exc
 
 
+def _grid(value: str, where: str) -> int:
+    points = _integer(value, where)
+    if points < 2:
+        raise ConfigError(f"{where}: 'grid' needs at least 2 points, got {points}")
+    return points
+
+
+def _probe_rtol(value: str, where: str) -> float:
+    rtol = _number(value, where)
+    if rtol <= 0:
+        raise ConfigError(f"{where}: 'probe_rtol' must be positive, got {value!r}")
+    return rtol
+
+
 def _criterion(value: str, where: str) -> str:
     if value not in ("bounded", "decaying"):
         raise ConfigError(f"{where}: criterion must be bounded|decaying")
@@ -226,10 +240,11 @@ _KEYS = {
                "cap": (partial(_number, inf_ok=True), "cap"), "horizon": (_number, "horizon")},
     "analysis": {"criterion": (_criterion, "criterion"), "t": (_number, "T"),
                  "l_hat": (_l_hat_term, "l_hat_terms"),
+                 "probe_rtol": (_probe_rtol, "probe_rtol"),
                  **{name: (_number, name) for name in (
-                     "q_max", "r_max", "bisect_tol", "probe_rtol", "tail_fraction",
-                     "decay_ratio", "alpha", "beta", "gamma", "p_hat", "c_hat")}},
-    "output": {"grid": (_integer, "grid")},
+                     "q_max", "r_max", "bisect_tol", "tail_fraction", "decay_ratio",
+                     "alpha", "beta", "gamma", "p_hat", "c_hat")}},
+    "output": {"grid": (_grid, "grid")},
 }
 
 # the [system] keys with indices: key -> (index count, parser, form of the line)

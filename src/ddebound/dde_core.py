@@ -19,13 +19,9 @@ start value that differs from the history (a jump at ``t0``) and the kinks.
 A system class hands its problem over through ``problem(horizon)``, where it
 runs its own checks on that horizon; `DelayProblem.problem` returns itself,
 so a custom right side is integrated by building a `DelayProblem` directly.
-`integrate_batch` runs the same loop for several histories of one problem,
-which share its delays, walls and kinks: the members form one flat state on
-one step sequence, and the right side sees them as a ``(B, n)`` array.  The
-step arithmetic is one source, generated once per state dimension
-(`_generated_step`) and read on a lone state's Python floats or on a batch's
-one flat array; it adds every sum in one documented order, so a batch member
-has the bits of its lone run and no result depends on the BLAS library.
+The step arithmetic is one source, generated once per state dimension
+(`_generated_step`) and read on the state's Python floats; it adds every sum
+in one documented order, so no result depends on the BLAS library.
 """
 
 from __future__ import annotations
@@ -34,8 +30,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
-from itertools import repeat
-from operator import attrgetter
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
@@ -59,7 +53,6 @@ __all__ = [
     "Trajectory",
     "StepStats",
     "integrate",
-    "integrate_batch",
 ]
 
 _MIN_FACTOR = 0.2
@@ -120,10 +113,10 @@ def _nonzero(coefficients) -> tuple[tuple[int, float], ...]:
 
 # every combination of stages the step takes, as ``(stage, coefficient)``
 # pairs with the zero tableau entries dropped.  The generated step
-# (`_generated_step`, on floats or on a batch's flat array) sums ``coefficient
-# * stage`` over these pairs in stage order, left to right, and then scales
-# the sum by ``h``: ``y + h * (...)`` for a stage state and the update, ``h *
-# (...)`` for the error and the dense coefficients.
+# (`_generated_step`) sums ``coefficient * stage`` over these pairs in stage
+# order, left to right, and then scales the sum by ``h``: ``y + h * (...)``
+# for a stage state and the update, ``h * (...)`` for the error and the dense
+# coefficients.
 _STAGE_ROWS = tuple(_nonzero(row) for row in _A[1:])
 _UPDATE = _nonzero(_B)
 _ERROR = _nonzero(_E)
@@ -325,7 +318,7 @@ class DelayProblem:
     ``y0`` is a jump at ``t0`` that delayed lookups see from the correct side.
     ``history`` may be omitted only when there are no delays and ``y0`` is
     given.  ``kinks`` are extra times where the right side loses smoothness;
-    the integrator steps onto those inside its interval.  A lone run calls
+    the integrator steps onto those inside its interval.  It calls
     ``rhs.on_floats`` where the right side has it (the same function on a
     state of Python floats, returning floats, as the system classes give),
     and any other right side through one wrapper, arrays in and floats out.
@@ -344,16 +337,6 @@ class DelayProblem:
 
     def problem(self, horizon: float) -> "DelayProblem":
         return self
-
-
-# the generated vector right side reads a lone state as Python floats and
-# returns floats, and reads a batch as columns, whose powers are taken entry
-# by entry as ``float ** int`` (numpy's array power rounds differently): each
-# row has the lone state's bits
-_ONE_STATE = {"_spow": pow}
-_BATCH = {"_columns": attrgetter("T"), "_empty": np.empty,
-          "_spow": lambda column, power: np.fromiter(map(pow, column.tolist(), repeat(power)),
-                                                     float, column.size)}
 
 
 @dataclass(frozen=True)
@@ -390,18 +373,16 @@ class VectorDelaySystem:
         object.__setattr__(self, "_rhs", self._generated_rhs())
 
     def rhs(self, t: float, y: np.ndarray, delayed: Sequence[np.ndarray]) -> np.ndarray:
-        """Right side for one state ``(n,)`` or a batch of states ``(B, n)``."""
-        if y.ndim == 1:
-            return np.array(self._rhs[0](t, y.tolist(), [z.tolist() for z in delayed]))
-        return self._rhs[1](t, y, delayed)
+        """Right side for one state ``(n,)``."""
+        return np.array(self._rhs(t, y.tolist(), [z.tolist() for z in delayed]))
 
     def _generated_rhs(self):
-        """`rhs` on a lone state of Python floats (returning a tuple of
-        floats) and on a batch, from one source: coordinate ``i`` is ``sum_j
-        A_ij(t) x_j + (monomials + sum weight * sum_j M_ij(t) x_j(t - h)) + F0
-        e_i(t)``, each sum in index order, with zero matrix entries dropped,
-        constants as literals (a factor 1.0 left out) and each distinct
-        coefficient read once per call into a local."""
+        """`rhs` on a state of Python floats, returning a tuple of floats:
+        coordinate ``i`` is ``sum_j A_ij(t) x_j + (monomials + sum weight *
+        sum_j M_ij(t) x_j(t - h)) + F0 e_i(t)``, each sum in index order, with
+        zero matrix entries dropped, constants as literals (a factor 1.0 left
+        out), powers as ``float ** int`` and each distinct coefficient read
+        once per call into a local."""
         names: dict = {}
         reads: dict[str, str] = {}
 
@@ -427,7 +408,7 @@ class VectorDelaySystem:
         f = self.f
         for mono in f.poly.monomials if f is not None and f.poly is not None else ():
             nonlinear[mono.coord].append(times(read(mono.coeff), *(
-                states[slot][c] if power == 1 else f"_spow({states[slot][c]}, {power})"
+                states[slot][c] if power == 1 else f"{states[slot][c]} ** {power}"
                 for slot, c, power in mono.factors)))
         for term in f.matrix_terms if f is not None else ():
             for i, row in enumerate(product(term.matrix, states[term.slot])):
@@ -439,19 +420,10 @@ class VectorDelaySystem:
         values = [" + ".join(filter(None, (
             linear[i], f"({' + '.join(nonlinear[i])})" if nonlinear[i] else "", forcing[i])))
             or "0.0" for i in range(self.dim)]
-        reads_lines = [f"{local} = {source}" for source, local in reads.items()]
-
-        def unpack(columns: str) -> list[str]:
-            return [f"{', '.join(state)}, = {columns.format(f'delayed[{k - 1}]' if k else 'y')}"
-                    for k, state in enumerate(states)]
-
-        floats = _generate("t, y, delayed", f"({', '.join(values)},)", {**names, **_ONE_STATE},
-                           unpack("{}") + reads_lines)
-        batch = _generate("t, y, delayed", "out", {**names, **_BATCH},
-                          [*unpack("_columns({})"), *reads_lines,
-                           "out = _empty(y.shape)", "columns = out.T",
-                           *(f"columns[{i}] = {value}" for i, value in enumerate(values))])
-        return floats, batch
+        unpack = [f"{', '.join(state)}, = {f'delayed[{k - 1}]' if k else 'y'}"
+                  for k, state in enumerate(states)]
+        return _generate("t, y, delayed", f"({', '.join(values)},)", names,
+                         [*unpack, *(f"{local} = {source}" for source, local in reads.items())])
 
     def problem(self, horizon: float) -> DelayProblem:
         if self.forcing_amplitude > 0.0:
@@ -460,7 +432,7 @@ class VectorDelaySystem:
             if not 0.95 <= sup <= 1.05:
                 raise ValueError(
                     f"forcing shape must have unit sup norm; sampled sup is {sup!r}")
-        return DelayProblem(_with_floats(self.rhs, self._rhs[0]), self.delays, self.history,
+        return DelayProblem(_with_floats(self.rhs, self._rhs), self.delays, self.history,
                             self.t0)
 
 
@@ -562,8 +534,7 @@ class Trajectory:
     * theta^(j+1)`` with ``theta`` the fraction of the step; node values are
     reproduced exactly.  ``t_end`` may precede the last node when integration
     was truncated by blow-up detection.  ``stats`` are the `StepStats` of the
-    run that made it (the members of a batch share their run's), None for a
-    trajectory built otherwise.
+    run that made it, None for a trajectory built otherwise.
     """
 
     def __init__(self, ts: np.ndarray, ys: np.ndarray,
@@ -715,42 +686,36 @@ class Trajectory:
 
 def _dense(y0, q, theta):
     """Continuous extension ``y0 + sum_j q[j] theta^(j+1)`` in Horner form, on
-    arrays: the nodes of a `Trajectory` and the delayed lookups of a batch,
-    whose generated step reads it as its ``horner``.  A lone state's lookups
-    run the same expression per coordinate on floats (`_generated_step`), so
-    all of them agree bit for bit."""
+    the arrays of a `Trajectory`.  The delayed lookups of a run evaluate the
+    same expression per coordinate on floats (`_generated_step`), so the two
+    agree bit for bit."""
     return y0 + theta * (q[0] + theta * (q[1] + theta * (q[2] + theta * q[3])))
 
 
-def _member_rms(x: np.ndarray, members: int) -> list[float]:
-    """Root mean square of each member's slice of the flat vector ``x``: the
-    mean is the sum of the squares (numpy's pairwise order) over the count."""
-    squares = (x * x).reshape(members, -1)
-    return np.sqrt(np.add.reduce(squares, axis=1) / squares.shape[1]).tolist()
+def _rms(x: np.ndarray) -> float:
+    """Root mean square of ``x``: the sum of the squares (numpy's pairwise
+    order) over the count."""
+    return float(np.sqrt(np.add.reduce(x * x) / x.size))
 
 
-def _initial_step(eval_rhs, t0, y0, f0, rtol, atol, max_step, members):
+def _initial_step(eval_rhs, t0, y0, f0, rtol, atol, max_step):
     """Automatic first-step selection (standard two-probe heuristic) on the
-    flat arrays ``y0``, ``f0``, the smallest over the members of a batch."""
+    arrays ``y0``, ``f0``."""
     scale = atol + rtol * np.abs(y0)
-    d0s = _member_rms(y0 / scale, members)
-    d1s = _member_rms(f0 / scale, members)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-             for d0, d1 in zip(d0s, d1s))
-    h0 = min(h0, max_step)
-    y1 = y0 + h0 * f0
-    f1 = eval_rhs(t0 + h0, y1)
-    d2s = [d / h0 for d in _member_rms((f1 - f0) / scale, members)]
-    h1 = min(max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-             else (0.01 / max(d1, d2)) ** (1.0 / 5.0)
-             for d1, d2 in zip(d1s, d2s))
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, max_step)
+    f1 = eval_rhs(t0 + h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** (1.0 / 5.0))
     return min(100.0 * h0, h1, max_step)
 
 
 def _pairwise(terms: Sequence[str]) -> str:
     """Source of the sum of ``terms`` in the order of numpy's ``add.reduce``
-    over one contiguous row, the order of `_norm` and `_member_rms`: left to
-    right below 8 terms; up to 128 terms, 8 interleaved partial sums joined
+    over one contiguous row, the order of `_norm` and `_rms`: left to right
+    below 8 terms; up to 128 terms, 8 interleaved partial sums joined
     pairwise and then the rest in order; beyond, the two halves (the first a
     multiple of 8 long) summed so and added."""
     n = len(terms)
@@ -766,41 +731,29 @@ def _pairwise(terms: Sequence[str]) -> str:
     return " + ".join([f"({joined})", *terms[blocks:]])
 
 
-# what the names in the source of `_generated_step` are on a lone state's
-# Python floats and on a batch's flat array (``max`` and ``np.maximum`` pick
-# the same float when both are finite)
-_FLOAT_NAMES = {"_isfinite": math.isfinite, "_max": max}
-_ARRAY_NAMES = {"_isfinite": lambda a: np.isfinite(a).all(), "_max": np.maximum,
-                "_member_rms": _member_rms}
-
-
 @cache
-def _generated_step(dim: int, batch: bool) -> SimpleNamespace:
-    """The step arithmetic of `_integrate` for states of ``dim`` coordinates,
-    generated once as straight-line source and read on one of two kinds of
-    state: ``dim`` Python floats (a lone run), or, with ``batch``, a single
-    coordinate that is the whole flat numpy state of a batch.
+def _generated_step(dim: int) -> SimpleNamespace:
+    """The step arithmetic of `integrate` for states of ``dim`` Python
+    floats, generated once as straight-line source.
 
     ``attempt(f, t, h, t_new, y, k, atol, rtol)`` takes one Dormand-Prince
     step of size ``h`` from ``(t, y)`` with first stage ``k``, evaluating the
     right side as ``f(time, state, left)``.  It returns None when a stage,
     the new state or the error has an infinite or NaN entry, else ``(err,
-    y_new, k_new, q)``: the scaled RMS error (of a batch, the largest member
-    RMS, `_member_rms`), the new state, its stage and the four dense
-    coefficients as one tuple (on floats ``q[j]`` of coordinate ``i`` is at
+    y_new, k_new, q)``: the scaled RMS error, the new state, its stage and
+    the four dense coefficients as one tuple (``q[j]`` of coordinate ``i`` at
     ``j * dim + i``), the last three None when ``err > 1``.  ``horner(y, q,
-    theta)`` reads a step's continuous extension (on arrays `_dense`) and
-    ``norm(y)`` is `_norm`.  The combinations follow the rows
+    theta)`` reads a step's continuous extension (`_dense` per coordinate)
+    and ``norm(y)`` is `_norm`.  The combinations follow the rows
     ``_STAGE_ROWS`` ... ``_DENSE`` in their order, and the sums of squares
-    numpy's (`_pairwise`), so a batch member has the bits of its lone run."""
-    coords = range(1 if batch else dim)
+    numpy's (`_pairwise`)."""
+    coords = range(dim)
 
     def names(stem: str) -> list[str]:
         return [f"{stem}{i}" for i in coords]
 
     def state(values) -> str:
-        values = list(values)
-        return values[0] if batch else f"({', '.join(values)},)"
+        return f"({', '.join(values)},)"
 
     def combined(row, i: int) -> str:
         return " + ".join(f"k{s}_{i}" if c == 1.0 else f"{_literal(c)} * k{s}_{i}"
@@ -817,16 +770,13 @@ def _generated_step(dim: int, batch: bool) -> SimpleNamespace:
     # the error has every stage but the second with a nonzero weight
     checks = " and ".join(f"_isfinite({v})" for v in names("n") + names("e") + names("k1_"))
     lines += [f"if not ({checks}):", "    return None"]
-    lines += [f"x{i} = e{i} / (atol + rtol * _max(abs(y{i}), abs(n{i})))" for i in coords]
-    lines.append(f"err = max(_member_rms(x0, x0.size // {dim}))" if batch else
-                 f"err = _sqrt(({_pairwise([f'x{i} * x{i}' for i in coords])}) / {dim})")
+    lines += [f"x{i} = e{i} / (atol + rtol * max(abs(y{i}), abs(n{i})))" for i in coords]
+    lines.append(f"err = _sqrt(({_pairwise([f'x{i} * x{i}' for i in coords])}) / {dim})")
     lines += ["if err > 1.0:", "    return err, None, None, None"]
     dense = ", ".join(f"h * ({combined(row, i)})" for row in _DENSE for i in coords)
     attempt = _generate("f, t, h, t_new, y, k, atol, rtol",
                         f"err, {state(names('n'))}, {state(names('k6_'))}, ({dense},)",
-                        _ARRAY_NAMES if batch else _FLOAT_NAMES, lines)
-    if batch:
-        return SimpleNamespace(attempt=attempt, horner=_dense, norm=_norm)
+                        {"_isfinite": math.isfinite}, lines)
     q = [[f"q{j * dim + i}" for i in coords] for j in range(4)]
     horner = _generate("y, q, theta", state(
         f"y{i} + theta * ({q[0][i]} + theta * ({q[1][i]} + theta * ({q[2][i]} + theta "
@@ -844,11 +794,11 @@ def _read_only(values) -> np.ndarray:
 
 
 def _float_reading(rhs, dim: int):
-    """A right side on arrays read on a lone state of Python floats: state
-    and delayed values go in as ``(dim,)`` arrays (the delayed ones
-    read-only, as the history they may be) and the result comes back as
-    floats.  Its shape is checked on every call, so a malformed right side
-    fails at the start time and is never mistaken for a rejected step."""
+    """A right side on arrays read on a state of Python floats: state and
+    delayed values go in as ``(dim,)`` arrays (the delayed ones read-only, as
+    the history they may be) and the result comes back as floats.  Its shape
+    is checked on every call, so a malformed right side fails at the start
+    time and is never mistaken for a rejected step."""
     shape = (dim,)
 
     def floats(t, y, delayed):
@@ -862,9 +812,9 @@ def _float_reading(rhs, dim: int):
 
 
 def _with_floats(rhs, floats):
-    """``rhs`` carrying ``floats``, the same right side on a lone state of
-    Python floats returning floats, as ``on_floats``: the reading `integrate`
-    runs.  Batches and other callers of ``rhs`` go through ``rhs``."""
+    """``rhs`` carrying ``floats``, the same right side on a state of Python
+    floats returning floats, as ``on_floats``: the reading `integrate` runs.
+    Other callers of ``rhs`` go through ``rhs``."""
     def read(t, y, delayed):
         return rhs(t, y, delayed)
 
@@ -886,41 +836,14 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
     kinks; the stages at the end of a step read delayed values from the left
     there, and the next step starts from a fresh right-side evaluation.
     Integration stops early, with the first crossing time recorded, when the
-    state norm reaches ``tol.cap``.
+    state norm reaches ``tol.cap``.  A step that falls below the step floor
+    is a blow-up at that time when the state norm is at least ``0.01 *
+    tol.cap``, and an `IntegrationError` (underflow) otherwise.
+
+    The state is a tuple of Python floats, stepped by the generated step
+    arithmetic (`_generated_step`); a right side with ``on_floats`` is called
+    on it directly, any other through `_float_reading`.
     """
-    return _integrate(system, None, horizon, tol)[0]
-
-
-def integrate_batch(system, histories: Sequence[HistoryFunction], horizon: float,
-                    tol: ToleranceSettings | None = None) -> list[Trajectory]:
-    """Integrate ``system.problem(horizon)`` once per history, all on one step
-    sequence; one trajectory per history, in order.
-
-    The members share the delays, the walls and the kinks, so one run of
-    `integrate`'s loop carries them as one flat state.  The right side gets
-    states and delayed values of shape ``(B, n)`` and must return that
-    shape.  The step controller takes the largest per-member error, so each
-    member's local error is held at least as tightly as when it runs alone.
-    A member whose norm reaches ``tol.cap`` is frozen there, with its own
-    crossing time, and drops out of the error control; at the step floor the
-    members at or above ``0.01 * tol.cap`` are frozen.  Each member starts
-    from its history at the start time; every history must cover
-    ``[t0 - h_bar, t0]``, with ``h_bar`` the largest delay on ``[t0, horizon]``.
-    """
-    histories = list(histories)
-    if not histories:
-        raise ValueError("a batch needs at least one history")
-    return _integrate(system, histories, horizon, tol)
-
-
-def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
-    """The stepping loop of `integrate` (``histories`` None: the problem's own
-    history and start value, one state of Python floats) and of
-    `integrate_batch` (the members' states as one flat array, which the right
-    side sees with shape ``(B, n)``).  The two read one generated step
-    arithmetic (`_generated_step`), on floats or on the flat array, which
-    give the same bits: each member of a batch is the lone run of its
-    history, as long as the step sequence is the same."""
     tol = tol or ToleranceSettings()
     if horizon <= system.t0:
         raise ValueError(f"horizon {horizon!r} must exceed the start time {system.t0!r}")
@@ -937,41 +860,23 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
     kinks = [k for k in problem.kinks if t0 < k < horizon]
     kink_index = 0
 
-    lone = histories is None
-    if lone:
-        histories = [problem.history]
-    elif problem.y0 is not None:
-        raise ValueError("batch members start from their histories; the problem "
-                         "must not carry a start value")
-    for member in histories:
-        if member is not None and not member.covers(t0 - h_bar, t0):
-            raise ValueError(f"history must cover [{t0 - h_bar}, {t0}]")
-    starts = [member(t0) for member in histories] if problem.y0 is None else [problem.y0]
-    starts = [np.atleast_1d(np.asarray(s, dtype=float)) for s in starts]
-    dim = starts[0].size
-    if any(s.size != dim for s in starts):
-        raise ValueError("the histories of a batch differ in dimension")
-    members = len(starts)
-    shape = (dim,) if lone else (members, dim)
-    y0 = np.concatenate(starts)
-    size = y0.size
-    step = _generated_step(dim, not lone)
-    if lone:
-        y0 = tuple(y0.tolist())
+    history = problem.history
+    if history is not None and not history.covers(t0 - h_bar, t0):
+        raise ValueError(f"history must cover [{t0 - h_bar}, {t0}]")
+    start = history(t0) if problem.y0 is None else problem.y0
+    y0 = tuple(np.atleast_1d(np.asarray(start, dtype=float)).tolist())
+    dim = len(y0)
+    step = _generated_step(dim)
 
     nodes_t: list[float] = [t0]
     nodes_y: list = [y0]
     nodes_q: list = []
 
     lower_guard = t0 - h_bar - 1e-9 * max(1.0, abs(t0) + h_bar)
-    # constant histories are stacked once, as floats or read-only, so that a
-    # right side writing into its delayed argument cannot change them
-    stacked = None
-    if all(member is not None and member.vector is not None for member in histories):
-        stacked = np.concatenate([member.vector for member in histories])
-        stacked.flags.writeable = False
-        if lone:
-            stacked = tuple(stacked.tolist())
+    # a constant history is read once, as floats, so that a right side
+    # writing into its delayed argument cannot change it
+    constant = (tuple(history.vector.tolist())
+                if history is not None and history.vector is not None else None)
     # delayed arguments this close to t0 count as t0: from the left they read
     # the history, from the right the initial state (which may differ)
     start_snap = 1e-12 * max(1.0, abs(t0))
@@ -982,12 +887,9 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
                 raise IntegrationError(
                     f"delayed argument t={tq!r} falls below the history interval "
                     f"start {t0 - h_bar!r} (malformed delay)", time=tq)
-            if stacked is not None:
-                return stacked
-            tq = min(tq, t0)
-            value = np.concatenate([np.atleast_1d(np.asarray(member(tq), dtype=float))
-                                    for member in histories])
-            return value.tolist() if lone else value
+            if constant is not None:
+                return constant
+            return np.atleast_1d(np.asarray(history(min(tq, t0)), dtype=float)).tolist()
         if tq <= t0:
             return nodes_y[0]
         idx = bisect_right(nodes_t, tq) - 1
@@ -1005,39 +907,14 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
             return nodes_y[idx]
         return step.horner(nodes_y[idx], nodes_q[idx], (tq - ta) / (nodes_t[idx + 1] - ta))
 
-    rhs = problem.rhs
-    if lone:
-        rhs = getattr(rhs, "on_floats", None) or _float_reading(rhs, dim)
-    # members frozen at the cap: state and stages held at zero, so their
-    # error is zero and they leave the step control
-    active = members
-    frozen = np.zeros(size, dtype=bool)
-    ends: list[int | None] = [None] * members
-    blow_times: list[float | None] = [None] * members
+    rhs = getattr(problem.rhs, "on_floats", None) or _float_reading(problem.rhs, dim)
+    blow_time: float | None = None
     evaluations = accepted = rejected = 0
 
     def eval_rhs(t: float, y, left: bool = False):
         nonlocal evaluations
         evaluations += 1
-        delayed = [past(t - fn(t), left) for fn in delay_fns] if has_delays else ()
-        if lone:
-            return rhs(t, y, delayed)
-        f = np.asarray(rhs(t, y.reshape(shape), [d.reshape(shape) for d in delayed]),
-                       dtype=float)
-        if f.shape != shape:
-            # checked on every call, so a malformed right side fails at the
-            # start time and is never mistaken for a rejected step
-            raise ValueError(f"the right side returned shape {f.shape} for states "
-                             f"of shape {shape}")
-        f = f.reshape(size)
-        return np.where(frozen, 0.0, f) if active < members else f
-
-    def freeze(b: int, blow_time: float) -> None:
-        nonlocal active
-        ends[b] = len(nodes_t) - 1
-        blow_times[b] = blow_time
-        frozen[b * dim:(b + 1) * dim] = True
-        active -= 1
+        return rhs(t, y, [past(t - fn(t), left) for fn in delay_fns] if has_delays else ())
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # Python floats raise where arrays overflow to inf
@@ -1046,18 +923,17 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
         except ArithmeticError as exc:
             raise IntegrationError(f"right side is not finite at the start time: {exc}",
                                    time=t0) from exc
-        if len(k) != size:
+        if len(k) != dim:
             raise ValueError(f"the right side returned {len(k)} values for states "
-                             f"of shape {shape}")
+                             f"of shape {(dim,)}")
         if not all(map(math.isfinite, k)):
             raise IntegrationError("right side is not finite at the start time", time=t0)
 
         if tol.first_step is not None:
             h = min(tol.first_step, max_step)
         else:
-            h = _initial_step(
-                lambda t, y: np.asarray(eval_rhs(t, y.tolist() if lone else y), dtype=float),
-                t0, np.asarray(y0), np.asarray(k), tol.rtol, tol.atol, max_step, members)
+            h = _initial_step(lambda t, y: np.asarray(eval_rhs(t, y.tolist()), dtype=float),
+                              t0, np.asarray(y0), np.asarray(k), tol.rtol, tol.atol, max_step)
 
         t = t0
         y = y0
@@ -1089,20 +965,10 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
                 h_eff = t_new - t
                 on_break = True
             if h_eff < _step_floor(t):
-                blown = [b for b in range(members) if ends[b] is None
-                         and step.norm(y[b * dim:(b + 1) * dim]) >= 0.01 * tol.cap]
-                if not blown:
+                if step.norm(y) < 0.01 * tol.cap:
                     raise IntegrationError(f"step size underflow at t={t!r}", time=t)
-                for b in blown:
-                    freeze(b, t)
-                if not active:
-                    break
-                # the rest of the batch starts its step control afresh
-                y = np.where(frozen, 0.0, y)
-                k = np.where(frozen, 0.0, k)
-                h = max_step
-                err_prev = None
-                continue
+                blow_time = t
+                break
 
             try:
                 trial = step.attempt(eval_rhs, t, h_eff, t_new, y, k, tol.atol, tol.rtol)
@@ -1124,20 +990,11 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
             nodes_t.append(t_new)
             nodes_y.append(y_new)
             nodes_q.append(q)
-            # a member's norm is at most the norm of the whole state
             if step.norm(y_new) >= tol.cap:
-                for b in range(members):
-                    part = slice(b * dim, (b + 1) * dim)
-                    if ends[b] is None and step.norm(y_new[part]) >= tol.cap:
-                        crossing = _locate_cap_crossing(
-                            t, t_new, np.asarray(y[part]), np.reshape(q, (4, -1))[:, part],
-                            tol.cap, t, t_new)
-                        freeze(b, t_new if crossing is None else crossing)
-                if not active:
-                    t = t_new
-                    break
-                y_new = np.where(frozen, 0.0, y_new)
-                k_new = np.where(frozen, 0.0, k_new)
+                crossing = _locate_cap_crossing(t, t_new, np.asarray(y), np.reshape(q, (4, dim)),
+                                                tol.cap, t, t_new)
+                blow_time = t_new if crossing is None else crossing
+                break
             t = t_new
             y = y_new
             k = eval_rhs(t, y) if on_break else k_new
@@ -1154,19 +1011,11 @@ def _integrate(system, histories, horizon, tol) -> list[Trajectory]:
             err_prev = err_norm
 
     ts = np.array(nodes_t)
-    ys = np.array(nodes_y)
-    coeffs = np.array(nodes_q).reshape(len(nodes_q), 4, size)
-    stats = StepStats(accepted, rejected, evaluations)
-    trajectories = []
-    for b, member in enumerate(histories):
-        k = len(nodes_t) - 1 if ends[b] is None else ends[b]
-        part = slice(b * dim, (b + 1) * dim)
-        blew_up = blow_times[b] is not None
-        trajectories.append(Trajectory(
-            ts[:k + 1], ys[:k + 1, part], coeffs[:k, :, part],
-            blow_times[b] if blew_up else ts[k], blew_up, blow_times[b],
-            history=member, history_span=h_bar, stats=stats))
-    return trajectories
+    blew_up = blow_time is not None
+    return Trajectory(ts, np.array(nodes_y), np.array(nodes_q).reshape(len(nodes_q), 4, dim),
+                      blow_time if blew_up else ts[-1], blew_up, blow_time,
+                      history=history, history_span=h_bar,
+                      stats=StepStats(accepted, rejected, evaluations))
 
 
 def _norm_squared(ya, q) -> np.ndarray:

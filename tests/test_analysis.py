@@ -464,9 +464,9 @@ class TestVectorRegion:
             estimate_vector_region(sys, CRIT, 3.0, tol=PROBE, angle_count=0)
 
 
-class TestLockstepRegion:
+class TestRegionProtocol:
     # (lo, hi, probe count) of the five angles of case a and its scalar
-    # radius, as bisected one probe at a time; the autonomous radius is the
+    # radius, each probe one `integrate` run; the autonomous radius is the
     # exact root, inside the bracket [3.30810546875, 3.310546875] it was
     # once bisected to
     EXPECTED = [(22.57080078125, 22.5830078125, 14), (6.353759765625, 6.35986328125, 15),
@@ -482,16 +482,28 @@ class TestLockstepRegion:
         assert autonomous.value == pytest.approx(3.3103661346, abs=1e-10)
         assert inclusion
 
-    def test_batched_rounds_reproduce_the_single_probe_radii(self):
+    def test_probes_reproduce_the_expected_radii(self):
         from ddebound.cli import _bundled_config, fig2_protocol
         self._check(fig2_protocol(_bundled_config("a"), angle_count=5))
 
-    def test_failed_batch_falls_back_to_one_probe_at_a_time(self, monkeypatch):
+    def test_a_failing_probe_is_bad_and_other_angles_keep_brackets(self, monkeypatch):
         from ddebound import analysis
         from ddebound.cli import _bundled_config, fig2_protocol
 
-        def failing(*args, **kwargs):
-            raise IntegrationError("batch failed")
+        # every run of the second angle (72 degrees, the only one with both
+        # coordinates positive) fails once it leaves the origin
+        def failing(system, horizon, tol=None):
+            start = system.history.vector
+            if start is not None and start.size == 2 and start[0] > 0.0 and start[1] > 0.0:
+                raise IntegrationError("probe failed")
+            return integrate(system, horizon, tol)
 
-        monkeypatch.setattr(analysis, "integrate_batch", failing)
-        self._check(fig2_protocol(_bundled_config("a"), angle_count=5))
+        monkeypatch.setattr(analysis, "integrate", failing)
+        boundary, scalar, _autonomous, _inclusion = fig2_protocol(_bundled_config("a"),
+                                                                  angle_count=5)
+        failed = boundary.radii[1]
+        assert [good for _q, good in failed.probes] == [False, True] + [False] * 40
+        assert failed.lo == 0.0 and failed.status == "bracketed"
+        others = [(r.lo, r.hi, len(r.probes)) for k, r in enumerate(boundary.radii) if k != 1]
+        assert others == self.EXPECTED[:1] + self.EXPECTED[2:]
+        assert scalar.value == 3.685302734375

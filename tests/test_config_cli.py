@@ -188,6 +188,23 @@ history sample = 0.0 1.0
         with pytest.raises(ConfigError, match=rf"^<test>:{row}: .*{re.escape(refusal)}"):
             load_config_text(MINIMAL.replace("[solver]", f"{line}\n[solver]"), "<test>")
 
+    @pytest.mark.parametrize("line, refusal", [pytest.param(*case, id=case[0]) for case in [
+        ("grid = 1", "'grid' needs at least 2 points, got 1"),
+        ("grid = 0", "'grid' needs at least 2 points, got 0"),
+        ("grid = -5", "'grid' needs at least 2 points, got -5"),
+        ("probe_rtol = 0", "'probe_rtol' must be positive, got '0'"),
+        ("probe_rtol = -1e-4", "'probe_rtol' must be positive, got '-1e-4'"),
+    ]])
+    def test_a_setting_out_of_range_is_named(self, line, refusal):
+        # a grid of one point compares only t0; probe_rtol = 0 used to fail
+        # only once a search built its tolerances
+        key = line.split()[0]
+        lines = CASE_A.splitlines()
+        (row,) = [k for k, text in enumerate(lines) if text.startswith(f"{key} = ")]
+        lines[row] = line
+        with pytest.raises(ConfigError, match=rf"^<test>:{row + 1}: {re.escape(refusal)}$"):
+            load_config_text("\n".join(lines), "<test>")
+
     def test_an_overflowing_constant_is_a_config_error(self):
         text = CASE_A.replace("A1 1 2 = 1", "A1 1 2 = 1e308*10")
         with pytest.raises(ConfigError, match=r"^<test>: .*non-finite value inf"):

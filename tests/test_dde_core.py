@@ -9,7 +9,7 @@ from conftest import (DEFAULT, TIGHT, cubic_basin_scalar, delayed_decay_oracle,
                       delayed_decay_system, linear_ode_system, narrow_excursion)
 from ddebound import (DelayProblem, DelaySpec, HistoryFunction, IntegrationError,
                       ScalarDelaySystem, ToleranceSettings, Trajectory, VectorDelaySystem,
-                      integrate, integrate_batch, parse_expression)
+                      integrate, parse_expression)
 from ddebound import dde_core
 from ddebound.majorant import PolynomialMajorant
 from ddebound.linalg import MatrixFunction
@@ -214,12 +214,8 @@ class TestIntegrate:
         history = HistoryFunction.from_samples([-1.0, 0.0], [[1.0], [1.0]])
         problem = DelayProblem(lambda t, y, z: -z[0], delay, history)
         assert integrate(problem, 5.0, DEFAULT).t_end == 5.0
-        assert integrate_batch(problem, [history], 5.0, DEFAULT)[0].t_end == 5.0
-        refusal = re.escape("history must cover [-1.5, 0.0]")
-        with pytest.raises(ValueError, match=refusal):
+        with pytest.raises(ValueError, match=re.escape("history must cover [-1.5, 0.0]")):
             integrate(problem, 10.0, DEFAULT)
-        with pytest.raises(ValueError, match=refusal):
-            integrate_batch(problem, [history], 10.0, DEFAULT)
 
     def test_scalar_history_not_covering_the_band_is_refused(self):
         short = HistoryFunction.from_samples([-0.5, 0.0], [[0.1], [0.1]])
@@ -481,6 +477,23 @@ class TestDetectBlowup:
         assert traj.first_crossing(0.75, 0.0, 0.9) is None
 
 
+    def test_step_floor_is_a_blow_up_only_near_the_cap(self):
+        # the right side fails for y >= 5, so the run from 1 meets the step
+        # floor near t = 4 with a norm near 5: a blow-up there when that norm
+        # is at least 0.01 * cap, an underflow when it is below
+        def rhs(t, y, z):
+            return np.where(y >= 5.0, np.nan, 1.0 * (y > 0.0))
+
+        problem = DelayProblem(rhs, DelaySpec.none(), HistoryFunction.constant([1.0]), 0.0)
+        traj = integrate(problem, 10.0, ToleranceSettings(rtol=1e-6, atol=1e-9, cap=100.0))
+        assert traj.blew_up
+        assert traj.blow_time == pytest.approx(4.0, abs=1e-9)
+        assert traj.t_end == traj.blow_time == traj.ts[-1]
+        with pytest.raises(IntegrationError, match="underflow") as info:
+            integrate(problem, 10.0, ToleranceSettings(rtol=1e-6, atol=1e-9, cap=1000.0))
+        assert info.value.time == traj.blow_time
+
+
 class TestKinks:
     def test_zeros_of_crossing_and_touching_functions(self):
         exact = np.arange(160) * math.pi / 10.0
@@ -544,113 +557,6 @@ class TestScalarSystemGuards:
         with pytest.raises(ValueError):
             integrate(sys, 5.0, DEFAULT)
         integrate(sys, 2.0, DEFAULT)
-
-
-PROBE = ToleranceSettings(rtol=1e-4, atol=1e-8, cap=1e6)
-
-
-def _case_a_homogeneous():
-    from ddebound.cli import _bundled_config
-    vs = _bundled_config("a").system
-    return replace(vs, forcing_amplitude=0.0, forcing_shape=None)
-
-
-class TestIntegrateBatch:
-    @pytest.mark.parametrize("radius", [10.0, 50.0])
-    def test_one_member_batch_equals_integrate(self, radius):
-        vs = _case_a_homogeneous()
-        history = HistoryFunction.constant([radius, 0.0])
-        alone = integrate(replace(vs, history=history), 50.0, PROBE)
-        (member,) = integrate_batch(vs, [history], 50.0, PROBE)
-        assert alone.blew_up == (radius == 50.0)
-        for name in ("ts", "ys", "coeffs"):
-            assert np.array_equal(getattr(member, name), getattr(alone, name)), name
-        assert member.t_end == alone.t_end
-        assert member.blew_up == alone.blew_up
-
-    def test_mixed_batch_matches_single_runs(self):
-        # angle 0 of case a: the radius lies in [22.5708, 22.5830], so the
-        # batch holds survivors and members that reach the cap at different times
-        vs = _case_a_homogeneous()
-        radii = [0.0, 10.0, 22.5, 22.6, 50.0]
-        histories = [HistoryFunction.constant([r, 0.0]) for r in radii]
-        batch = integrate_batch(vs, histories, 50.0, PROBE)
-        grid = np.linspace(0.0, 50.0, 2001)
-        for r, history, member in zip(radii, histories, batch):
-            alone = integrate(replace(vs, history=history), 50.0, PROBE)
-            assert member.blew_up == alone.blew_up, r
-            assert member.history is history
-            if alone.blew_up:
-                assert member.blow_time == pytest.approx(alone.blow_time, rel=1e-3)
-            else:
-                expected = alone.norm_grid(grid)
-                gap = np.max(np.abs(member.norm_grid(grid) - expected))
-                assert gap <= 100 * PROBE.rtol * max(np.max(expected), 1e-300), r
-        assert [m.blew_up for m in batch] == [False, False, False, True, True]
-
-    def test_idle_members_do_not_loosen_the_step_control(self):
-        # members resting at zero have zero error: the step sequence is the
-        # lone member's (an average over the members would stretch it)
-        problem = DelayProblem(lambda t, y, z: y * math.cos(t), DelaySpec.none(),
-                               HistoryFunction.constant([1.0]), 0.0)
-        tol = ToleranceSettings(rtol=1e-6, atol=1e-9, first_step=0.01)
-        alone = integrate(problem, 20.0, tol)
-        *idle, member = integrate_batch(
-            problem, [HistoryFunction.constant([0.0])] * 3 + [problem.history], 20.0, tol)
-        assert abs(len(member.ts) - len(alone.ts)) <= 1
-        grid = np.linspace(0.0, 20.0, 401)
-        assert np.allclose(member.eval_grid(grid)[:, 0], np.exp(np.sin(grid)), rtol=1e-4)
-        assert all(not np.any(m.ys) for m in idle)
-
-    def test_member_frozen_at_the_step_floor_leaves_the_rest_running(self):
-        # the right side fails for y >= 5, so the first member runs into the
-        # step floor at t = 4 with a norm above 0.01 * cap; the second one
-        # stays at zero and must still reach the horizon
-        def rhs(t, y, z):
-            return np.where(y >= 5.0, np.nan, 1.0 * (y > 0.0))
-
-        problem = DelayProblem(rhs, DelaySpec.none(), HistoryFunction.constant([1.0]), 0.0)
-        tol = ToleranceSettings(rtol=1e-6, atol=1e-9, cap=100.0)
-        alone = integrate(problem, 10.0, tol)
-        stuck, running = integrate_batch(
-            problem, [HistoryFunction.constant([1.0]), HistoryFunction.constant([0.0])],
-            10.0, tol)
-        assert alone.blew_up and stuck.blew_up
-        assert stuck.blow_time == pytest.approx(alone.blow_time, abs=1e-9)
-        assert stuck.t_end == stuck.ts[-1]
-        assert not running.blew_up
-        assert running.t_end == 10.0
-        assert running.eval(10.0)[0] == 0.0
-
-    def test_right_side_of_the_wrong_shape_is_rejected_before_the_first_step(self,
-                                                                            monkeypatch):
-        calls = []
-        lone_rhs = ScalarDelaySystem.rhs
-
-        def counted(self, t, y, delayed):
-            calls.append(t)
-            return lone_rhs(self, t, y, delayed)
-
-        monkeypatch.setattr(ScalarDelaySystem, "rhs", counted)
-        histories = [HistoryFunction.constant([0.1]), HistoryFunction.constant([0.2])]
-        with pytest.raises(ValueError, match="shape"):
-            integrate_batch(cubic_basin_scalar(), histories, 5.0, DEFAULT)
-        assert calls == [0.0]
-
-    def test_batch_inputs_are_checked(self):
-        one = HistoryFunction.constant([1.0])
-        short = HistoryFunction.from_samples([-0.5, 0.0], [1.0, 1.0])
-        with pytest.raises(ValueError, match="cover"):
-            integrate_batch(delayed_decay_system(), [one, short], 3.0, DEFAULT)
-        with pytest.raises(ValueError, match="dimension"):
-            integrate_batch(delayed_decay_system(),
-                            [one, HistoryFunction.constant([1.0, 2.0])], 3.0, DEFAULT)
-        with pytest.raises(ValueError, match="at least one"):
-            integrate_batch(delayed_decay_system(), [], 3.0, DEFAULT)
-        jump = DelayProblem(lambda t, y, z: -y, DelaySpec.none(), None, 0.0,
-                            y0=np.array([1.0]))
-        with pytest.raises(ValueError, match="start value"):
-            integrate_batch(jump, [one], 3.0, DEFAULT)
 
 
 class TestConcurrentIntegrations:
@@ -727,27 +633,8 @@ def _by_hand(weights, stages, i):
 
 
 class TestFloatStep:
-    """One generated step source, read on a lone state's Python floats and on
-    a batch's flat array; both sum each stage combination in stage order, so
-    they agree bit for bit."""
-
-    @pytest.mark.parametrize("members", [1, 2])
-    @pytest.mark.parametrize("dim, delays, history", [
-        (1, 0, HistoryFunction.constant([0.8])),
-        (3, 1, HistoryFunction.from_expressions(
-            [parse_expression(text) for text in ("0.5 + 0.1*t", "cos(t)", "-0.4")])),
-        (9, 0, HistoryFunction.constant(np.linspace(-0.9, 0.7, 9))),
-    ])
-    def test_lone_state_equals_each_batch_member(self, dim, delays, history, members):
-        # dimension 9 sums its squares in numpy's pairwise order; a batch
-        # reads its error per member (`_member_rms`), so copies step as one
-        vs = _vector_system(dim, delays, history)
-        alone = integrate(vs, 6.0, DEFAULT)
-        batch = integrate_batch(vs, [history] * members, 6.0, DEFAULT)
-        assert len(alone.ts) > 20
-        for member in batch:
-            assert _same_run(alone, member)
-            assert alone.stats == member.stats
+    """The generated step source on a state of Python floats sums each stage
+    combination in stage order."""
 
     def test_fixed_step_equals_a_step_by_hand(self):
         vs = _vector_system(2, 0, HistoryFunction.constant([0.6, -0.3]))
@@ -776,6 +663,28 @@ class TestFloatStep:
         assert not hasattr(plain.rhs, "on_floats")
         assert _same_run(integrate(plain, 20.0, DEFAULT), integrate(vs, 20.0, DEFAULT))
 
+    @pytest.mark.parametrize("dim", [1, 9, 130])
+    def test_generated_norm_is_the_state_norm(self, dim):
+        # the loop reads the cap on the generated norm and a trajectory on
+        # `_norm`; both sum the squares in numpy's pairwise order
+        y = np.random.default_rng(dim).normal(size=dim)
+        norm = dde_core._generated_step(dim).norm(tuple(y.tolist()))
+        assert _bits(norm) == _bits(dde_core._norm(y))
+
+    def test_right_side_of_the_wrong_shape_fails_before_the_first_step(self):
+        # a plain right side goes through the float reading, which checks the
+        # shape of every result
+        calls = []
+
+        def rhs(t, y, z):
+            calls.append(t)
+            return np.array([-y[0], 0.0])
+
+        problem = DelayProblem(rhs, DelaySpec.none(), HistoryFunction.constant([0.1]), 0.0)
+        with pytest.raises(ValueError, match="shape"):
+            integrate(problem, 5.0, DEFAULT)
+        assert calls == [0.0]
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_right_side_that_stops_being_finite_fails_alike(self, bad):
         # from t = 1 on every stage is infinite or NaN: each step is refused
@@ -784,14 +693,9 @@ class TestFloatStep:
             return np.where(t > 1.0, bad, -y)
 
         problem = DelayProblem(rhs, DelaySpec.none(), HistoryFunction.constant([1.0]), 0.0)
-        errors = []
-        for run in (lambda: integrate(problem, 3.0, DEFAULT),
-                    lambda: integrate_batch(problem, [problem.history], 3.0, DEFAULT)):
-            with pytest.raises(IntegrationError, match="underflow") as info:
-                run()
-            errors.append(info.value.time)
-        assert errors[0] == errors[1]
-        assert errors[0] == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(IntegrationError, match="underflow") as info:
+            integrate(problem, 3.0, DEFAULT)
+        assert info.value.time == pytest.approx(1.0, abs=1e-9)
 
     def test_overflow_of_a_generated_power_is_a_rejected_step(self):
         # x' = -x^5 from 100 with a first step of 1: the trial states of the
@@ -803,11 +707,9 @@ class TestFloatStep:
                                forcing_amplitude=0.0, forcing_shape=None,
                                delays=DelaySpec.none(), history=history)
         tol = ToleranceSettings(rtol=1e-8, atol=1e-12, first_step=1.0)
-        alone = integrate(vs, 1.0, tol)
-        (member,) = integrate_batch(vs, [history], 1.0, tol)
-        assert not alone.blew_up and alone.stats.rejected > 0
-        assert alone.eval(1.0)[0] == pytest.approx((4.0 + 1e-8) ** -0.25, rel=1e-6)
-        assert _same_run(alone, member)
+        traj = integrate(vs, 1.0, tol)
+        assert not traj.blew_up and traj.stats.rejected > 0
+        assert traj.eval(1.0)[0] == pytest.approx((4.0 + 1e-8) ** -0.25, rel=1e-6)
 
     def test_step_counts(self):
         problem = DelayProblem(lambda t, y, z: y * math.cos(t), DelaySpec.none(),

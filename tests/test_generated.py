@@ -2,8 +2,7 @@
 compositions they replace: the forcing magnitude, the matrix norms, the
 linear comparison coefficients, both scalar right sides and the reduction's
 splines; and the whole-grid evaluator reads each of them as its calls would.
-The vector right side equals a term-by-term sum in Python floats, for a lone
-state and for each row of a batch.
+The vector right side equals a term-by-term sum in Python floats.
 
 Each reference below is the former composition written out: lambdas over
 ``np.linalg.norm``, over ``spectral_norm``, over ``sum`` and over a per-term
@@ -21,7 +20,7 @@ from scipy.interpolate import CubicSpline
 
 from ddebound import (DelayProblem, DelaySpec, HistoryFunction, PolynomialMajorant,
                       PolynomialTerm, ScalarDelaySystem, ToleranceSettings, integrate,
-                      integrate_batch, linearize_majorant, parse_expression)
+                      linearize_majorant, parse_expression)
 from ddebound.analysis import build_perturbed_scalar
 from ddebound.cli import _bundled_config, assemble_pipeline, build_linear_chain
 from ddebound.config import load_config
@@ -265,7 +264,7 @@ class TestLinearCoefficients:
 
 class TestVectorRhs:
     @pytest.mark.parametrize("forced", [True, False])
-    def test_batch_rows_equal_the_lone_state_and_the_term_loop(self, pipe, forced):
+    def test_equals_the_term_loop(self, pipe, forced):
         vs = pipe.config.system
         if not forced:
             vs = replace(vs, forcing_amplitude=0.0, forcing_shape=None)
@@ -274,17 +273,10 @@ class TestVectorRhs:
         ys = _states(rng, len(times) * vs.dim).reshape(len(times), vs.dim)
         zs = [_states(rng, ys.size).reshape(ys.shape) for _ in range(vs.delays.count)]
 
-        def lone(t, k):
-            return vs.rhs(t, ys[k], [z[k] for z in zs])
-
         for k, t in enumerate(times):
-            value = lone(t, k)
-            assert _same(value, _term_by_term_vector_rhs(vs, t, ys[k], [z[k] for z in zs]))
-            assert _same(vs.rhs(t, ys[k:k + 1], [z[k:k + 1] for z in zs])[0], value)
-        for start in range(0, len(times), 40):
-            t, members = times[start], range(start, start + 40)
-            batch = vs.rhs(t, ys[start:start + 40], [z[start:start + 40] for z in zs])
-            assert _same(batch, [lone(t, k) for k in members])
+            delayed = [z[k] for z in zs]
+            assert _same(vs.rhs(t, ys[k], delayed),
+                         _term_by_term_vector_rhs(vs, t, ys[k], delayed))
 
 
 class TestScalarRhs:
@@ -426,21 +418,14 @@ class TestConstantHistories:
         assert _same(norm.vector, [float(np.linalg.norm(history.vector))])
         assert _same(norm(-1.0), [0.5])
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_stacked_lookups_equal_the_per_member_calls(self, pipe, batch):
+    def test_stacked_lookups_equal_the_per_member_calls(self, pipe):
         vs = replace(pipe.config.system, forcing_amplitude=0.0, forcing_shape=None)
-        values = [np.array([0.3, -0.2]), np.array([0.05, 0.1])]
-        constant = [HistoryFunction.constant(v) for v in values]
-        called = [HistoryFunction(lambda t, v=v: v, 2) for v in values]
-        assert all(h.vector is None for h in called)
-        if batch:
-            a = integrate_batch(vs, constant, 10.0)
-            b = integrate_batch(vs, called, 10.0)
-        else:
-            a = [integrate(replace(vs, history=constant[0]), 10.0)]
-            b = [integrate(replace(vs, history=called[0]), 10.0)]
-        for x, y in zip(a, b, strict=True):
-            assert _same(x.ys, y.ys) and _same(x.coeffs, y.coeffs)
+        value = np.array([0.3, -0.2])
+        called = HistoryFunction(lambda t: value, 2)
+        assert called.vector is None
+        x = integrate(replace(vs, history=HistoryFunction.constant(value)), 10.0)
+        y = integrate(replace(vs, history=called), 10.0)
+        assert _same(x.ys, y.ys) and _same(x.coeffs, y.coeffs)
 
     def test_right_side_cannot_write_into_a_history(self):
         seen = []
