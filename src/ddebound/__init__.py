@@ -15,7 +15,7 @@ from .analysis import (BoundednessCriterion, BoundReport, FtsReport, RadiusEstim
 from .config import ConfigError, RunConfig, load_config, load_config_text
 from .dde_core import (DelayProblem, DelaySpec, HistoryFunction, IntegrationError,
                        ScalarDelaySystem, ToleranceSettings, Trajectory, VectorDelaySystem,
-                       integrate)
+                       integrate, on_arrays)
 from .expressions import (EvaluationError, Expression, ExpressionSyntaxError,
                           parse_expression)
 from .linalg import MatrixFunction, VectorFunction, spectral_norm

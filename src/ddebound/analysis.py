@@ -12,6 +12,7 @@ constant-coefficient system (a polynomial root).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -77,26 +78,34 @@ def verify_pointwise_ordering(trajs: Sequence[Trajectory], grid: int | np.ndarra
     history must agree with the first one's at the sampled history points.
 
     The reported series lie on ``grid`` over the domain all trajectories
-    share.  Each adjacent pair is compared on the domain the two of them
-    share, which is longer when another trajectory stopped early (a bound
-    that blew up): there an integer ``grid`` is spread over the pair's
-    domain, while an explicit grid is kept as given.
+    share: an integral count of at least 2 spread over it, or an explicit
+    non-empty 1-D grid of times.  Each adjacent pair is compared on the
+    domain the two of them share, which is longer when another trajectory
+    stopped early (a bound that blew up): there a count is spread over the
+    pair's domain, while an explicit grid is kept as given.
     """
     if len(trajs) < 2:
         raise ValueError("need at least two trajectories to compare")
+    try:
+        points = operator.index(grid)
+    except TypeError:
+        points = None
+        grid = np.asarray(grid, dtype=float)
+        if grid.ndim != 1 or grid.size == 0:
+            raise ValueError(f"an explicit grid must be a non-empty 1-D array of times, "
+                             f"not of shape {grid.shape}") from None
+    if points is not None and points < 2:
+        raise ValueError(f"the grid count must be at least 2, not {points!r}")
     t0 = trajs[0].t_start
     t_end = min(t.t_end for t in trajs)
     for traj in trajs:
         if abs(traj.t_start - t0) > 1e-12:
             raise ValueError("trajectories do not share a start time")
     _check_matched_histories(trajs, tol)
-    points = grid if isinstance(grid, int) else None
     if points is not None:
         grid = np.linspace(t0, t_end, points)
-    else:
-        grid = np.asarray(grid, dtype=float)
-        if grid[0] < t0 - 1e-12 or grid[-1] > t_end + 1e-12:
-            raise ValueError("grid leaves the shared trajectory domain")
+    elif grid[0] < t0 - 1e-12 or grid[-1] > t_end + 1e-12:
+        raise ValueError("grid leaves the shared trajectory domain")
     series = [t.norm_grid(grid) for t in trajs]
     max_violation = -math.inf
     first_violation = None
@@ -348,15 +357,19 @@ def estimate_scalar_radius(ss: ScalarDelaySystem, criterion: BoundednessCriterio
 
     Valid because solutions of the scalar comparison system increase
     monotonically in the constant history, so the good set is an interval.
-    ``horizon`` is a duration from the system start time.
+    ``horizon`` is a duration from the system start time.  The problem is
+    built once, from the system with the constant history 0 (the system's
+    own history is not read), and each probe replaces its history.
     """
     if q_max <= 0:
         raise ValueError("q_max must be positive")
     tol = replace(tol or ToleranceSettings(rtol=1e-4, atol=1e-8), cap=criterion.cap)
     horizon_end = ss.t0 + horizon
+    problem = ss.with_constant_history(0.0).problem(horizon_end)
 
     def probe(q: float) -> bool:
-        return _verdict(criterion, ss.with_constant_history(q), q, horizon_end, tol)
+        history = HistoryFunction.constant([q])
+        return _verdict(criterion, replace(problem, history=history), q, horizon_end, tol)
 
     return _bisection(probe, q_max, bisect_tol, criterion, horizon)
 

@@ -9,6 +9,7 @@ Commands: ``simulate``, ``reduce``, ``verify``, ``radius``, ``region``,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -81,7 +82,10 @@ def assemble_pipeline(cfg: RunConfig, horizon: float | None = None,
                       rtol: float | None = None, cap: float | None = None) -> Pipeline:
     """The pipeline of a run configuration, with the horizon, relative
     tolerance and cap overridden where given; its stages are built on
-    first read."""
+    first read.  A horizon that is not finite is refused here, before any
+    stage samples a coefficient on it."""
+    if horizon is not None and not math.isfinite(horizon):
+        raise UsageError(f"--horizon must be finite, not {horizon!r}")
     tol = cfg.solver
     if rtol is not None:
         tol = replace(tol, rtol=rtol)

@@ -19,13 +19,17 @@ start value that differs from the history (a jump at ``t0``) and the kinks.
 A system class hands its problem over through ``problem(horizon)``, where it
 runs its own checks on that horizon; `DelayProblem.problem` returns itself,
 so a custom right side is integrated by building a `DelayProblem` directly.
-The step arithmetic is one source, generated once per state dimension
-(`_generated_step`) and read on the state's Python floats; it adds every sum
-in one documented order, so no result depends on the BLAS library.
+The state is a tuple of Python floats and ``rhs`` is called on it, returning
+one float per coordinate: the system classes generate such a right side, and
+one written on arrays is read through `on_arrays`.  The step arithmetic is
+one source, generated once per state dimension (`_generated_step`); it adds
+every sum in one documented order, so no result depends on the BLAS library.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
@@ -53,6 +57,7 @@ __all__ = [
     "Trajectory",
     "StepStats",
     "integrate",
+    "on_arrays",
 ]
 
 _MIN_FACTOR = 0.2
@@ -317,14 +322,14 @@ class DelayProblem:
     The start value is ``history(t0)`` unless ``y0`` is given; a different
     ``y0`` is a jump at ``t0`` that delayed lookups see from the correct side.
     ``history`` may be omitted only when there are no delays and ``y0`` is
-    given.  ``kinks`` are extra times where the right side loses smoothness;
-    the integrator steps onto those inside its interval.  It calls
-    ``rhs.on_floats`` where the right side has it (the same function on a
-    state of Python floats, returning floats, as the system classes give),
-    and any other right side through one wrapper, arrays in and floats out.
+    given.  ``kinks`` are extra times, in any order, where the right side
+    loses smoothness; the integrator steps onto those inside its interval.
+    ``rhs`` takes the state and each delayed value as a sequence of Python
+    floats and returns one float per coordinate; a right side written on
+    arrays is passed as ``on_arrays(rhs)``.
     """
 
-    rhs: Callable[[float, np.ndarray, Sequence[np.ndarray]], np.ndarray]
+    rhs: Callable[[float, Sequence[float], Sequence[Sequence[float]]], Sequence[float]]
     delays: DelaySpec
     history: HistoryFunction | None
     t0: float = 0.0
@@ -370,14 +375,11 @@ class VectorDelaySystem:
                 f"history dimension {self.history.dim} != system dimension {self.dim}")
         # generated here, not on first use: the system of a loaded config is
         # shared by all its runs, and each run then does the same work
-        object.__setattr__(self, "_rhs", self._generated_rhs())
-
-    def rhs(self, t: float, y: np.ndarray, delayed: Sequence[np.ndarray]) -> np.ndarray:
-        """Right side for one state ``(n,)``."""
-        return np.array(self._rhs(t, y.tolist(), [z.tolist() for z in delayed]))
+        object.__setattr__(self, "rhs", self._generated_rhs())
 
     def _generated_rhs(self):
-        """`rhs` on a state of Python floats, returning a tuple of floats:
+        """The right side ``rhs(t, y, delayed)`` on a state of Python floats
+        (numpy scalars give the same bits), returning a tuple of floats:
         coordinate ``i`` is ``sum_j A_ij(t) x_j + (monomials + sum weight *
         sum_j M_ij(t) x_j(t - h)) + F0 e_i(t)``, each sum in index order, with
         zero matrix entries dropped, constants as literals (a factor 1.0 left
@@ -432,8 +434,7 @@ class VectorDelaySystem:
             if not 0.95 <= sup <= 1.05:
                 raise ValueError(
                     f"forcing shape must have unit sup norm; sampled sup is {sup!r}")
-        return DelayProblem(_with_floats(self.rhs, self._rhs), self.delays, self.history,
-                            self.t0)
+        return DelayProblem(self.rhs, self.delays, self.history, self.t0)
 
 
 @dataclass(frozen=True)
@@ -474,16 +475,14 @@ class ScalarDelaySystem:
     def homogeneous(self) -> "ScalarDelaySystem":
         return replace(self, forcing=as_time_function(0.0))
 
-    def rhs(self, t: float, y: np.ndarray, delayed: Sequence[np.ndarray]) -> np.ndarray:
-        return np.array(self._rhs(t, y, delayed))
-
     @cached_property
-    def _rhs(self):
-        """`rhs` as one generated function on Python floats (numpy scalars
-        give the same bits), returning a one-tuple: ``p(t) y + c(t) (L(t,
-        zeta) + |g(t)|)`` in that order, with the majorant's terms unrolled
-        and clamped (`PolynomialMajorant._clamped_lines`) and every
-        coefficient inlined or called once."""
+    def rhs(self):
+        """The right side ``rhs(t, y, delayed)``, one generated function on
+        Python floats (numpy scalars give the same bits), returning a
+        one-tuple: ``p(t) y + c(t) (L(t, zeta) + |g(t)|)`` in that order, with
+        the majorant's terms unrolled and clamped
+        (`PolynomialMajorant._clamped_lines`) and every coefficient inlined or
+        called once."""
         lags = [f"d{i}" for i in range(self.delays.count)]
         names: dict = {}
         lines = ["z = y[0]", *(f"{d} = delayed[{i}][0]" for i, d in enumerate(lags)),
@@ -495,8 +494,7 @@ class ScalarDelaySystem:
     def problem(self, horizon: float) -> DelayProblem:
         """The problem on ``[t0, horizon]``; its kinks are the zeros of the
         forcing magnitude ``|g|``, where it has corners."""
-        problem = DelayProblem(_with_floats(self.rhs, self._rhs), self.delays, self.history,
-                               self.t0)
+        problem = DelayProblem(self.rhs, self.delays, self.history, self.t0)
         if horizon > self.coeff_horizon + 1e-9:
             raise ValueError(
                 f"coefficients are only valid up to t={self.coeff_horizon}, "
@@ -692,21 +690,15 @@ def _dense(y0, q, theta):
     return y0 + theta * (q[0] + theta * (q[1] + theta * (q[2] + theta * q[3])))
 
 
-def _rms(x: np.ndarray) -> float:
-    """Root mean square of ``x``: the sum of the squares (numpy's pairwise
-    order) over the count."""
-    return float(np.sqrt(np.add.reduce(x * x) / x.size))
-
-
-def _initial_step(eval_rhs, t0, y0, f0, rtol, atol, max_step):
+def _initial_step(eval_rhs, rms, t0, y0, f0, rtol, atol, max_step):
     """Automatic first-step selection (standard two-probe heuristic) on the
-    arrays ``y0``, ``f0``."""
-    scale = atol + rtol * np.abs(y0)
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    float states ``y0``, ``f0``; ``rms`` is the generated root mean square."""
+    scale = [atol + rtol * abs(v) for v in y0]
+    d0 = rms([v / s for v, s in zip(y0, scale)])
+    d1 = rms([f / s for f, s in zip(f0, scale)])
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, max_step)
-    f1 = eval_rhs(t0 + h0, y0 + h0 * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
+    f1 = eval_rhs(t0 + h0, tuple(v + h0 * f for v, f in zip(y0, f0)))
+    d2 = rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** (1.0 / 5.0))
     return min(100.0 * h0, h1, max_step)
@@ -714,7 +706,7 @@ def _initial_step(eval_rhs, t0, y0, f0, rtol, atol, max_step):
 
 def _pairwise(terms: Sequence[str]) -> str:
     """Source of the sum of ``terms`` in the order of numpy's ``add.reduce``
-    over one contiguous row, the order of `_norm` and `_rms`: left to right
+    over one contiguous row, the order of `_norm`: left to right
     below 8 terms; up to 128 terms, 8 interleaved partial sums joined
     pairwise and then the rest in order; beyond, the two halves (the first a
     multiple of 8 long) summed so and added."""
@@ -743,8 +735,9 @@ def _generated_step(dim: int) -> SimpleNamespace:
     y_new, k_new, q)``: the scaled RMS error, the new state, its stage and
     the four dense coefficients as one tuple (``q[j]`` of coordinate ``i`` at
     ``j * dim + i``), the last three None when ``err > 1``.  ``horner(y, q,
-    theta)`` reads a step's continuous extension (`_dense` per coordinate)
-    and ``norm(y)`` is `_norm`.  The combinations follow the rows
+    theta)`` reads a step's continuous extension (`_dense` per coordinate),
+    ``norm(y)`` is `_norm` and ``rms(y)`` the root mean square, the same sum
+    of squares over ``dim``.  The combinations follow the rows
     ``_STAGE_ROWS`` ... ``_DENSE`` in their order, and the sums of squares
     numpy's (`_pairwise`)."""
     coords = range(dim)
@@ -782,9 +775,10 @@ def _generated_step(dim: int) -> SimpleNamespace:
         f"y{i} + theta * ({q[0][i]} + theta * ({q[1][i]} + theta * ({q[2][i]} + theta "
         f"* {q[3][i]})))" for i in coords),
         lines=[f"{state(names('y'))} = y", f"{', '.join(sum(q, []))}, = q"])
-    norm = _generate("y", f"_sqrt({_pairwise([f'y{i} * y{i}' for i in coords])})",
-                     lines=[f"{state(names('y'))} = y"])
-    return SimpleNamespace(attempt=attempt, horner=horner, norm=norm)
+    squares = _pairwise([f"y{i} * y{i}" for i in coords])
+    norm = _generate("y", f"_sqrt({squares})", lines=[f"{state(names('y'))} = y"])
+    rms = _generate("y", f"_sqrt(({squares}) / {dim})", lines=[f"{state(names('y'))} = y"])
+    return SimpleNamespace(attempt=attempt, horner=horner, norm=norm, rms=rms)
 
 
 def _read_only(values) -> np.ndarray:
@@ -793,33 +787,21 @@ def _read_only(values) -> np.ndarray:
     return array
 
 
-def _float_reading(rhs, dim: int):
-    """A right side on arrays read on a state of Python floats: state and
-    delayed values go in as ``(dim,)`` arrays (the delayed ones read-only, as
-    the history they may be) and the result comes back as floats.  Its shape
-    is checked on every call, so a malformed right side fails at the start
-    time and is never mistaken for a rejected step."""
-    shape = (dim,)
-
+def on_arrays(rhs):
+    """The right side ``rhs(t, y, delayed)`` written on arrays, read on a
+    state of Python floats: state and delayed values go in as ``(n,)`` arrays
+    (the delayed ones read-only, as the history they may be) and the result
+    comes back as floats.  Its shape is checked against the state's on every
+    call, so a malformed right side fails at the start time and is never
+    mistaken for a rejected step."""
     def floats(t, y, delayed):
         f = np.asarray(rhs(t, np.array(y), [_read_only(d) for d in delayed]), dtype=float)
-        if f.shape != shape:
+        if f.shape != (len(y),):
             raise ValueError(f"the right side returned shape {f.shape} for states "
-                             f"of shape {shape}")
+                             f"of shape {(len(y),)}")
         return f.tolist()
 
     return floats
-
-
-def _with_floats(rhs, floats):
-    """``rhs`` carrying ``floats``, the same right side on a state of Python
-    floats returning floats, as ``on_floats``: the reading `integrate` runs.
-    Other callers of ``rhs`` go through ``rhs``."""
-    def read(t, y, delayed):
-        return rhs(t, y, delayed)
-
-    read.on_floats = floats
-    return read
 
 
 def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> Trajectory:
@@ -832,21 +814,25 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
     ``h_under`` keeps every delayed lookup out of the current step, and a
     lookup past the accepted solution (a delay below its sampled minimum)
     raises `IntegrationError`.
-    Steps end exactly on the walls ``t0 + k*h_under`` and on the system's
-    kinks; the stages at the end of a step read delayed values from the left
-    there, and the next step starts from a fresh right-side evaluation.
+    Steps end exactly on the breaks: the walls ``t0 + k*h_under`` and the
+    system's kinks, merged into one ascending sequence.  The stages at the
+    end of a step read delayed values from the left there, and the next step
+    starts from a fresh right-side evaluation.
     Integration stops early, with the first crossing time recorded, when the
     state norm reaches ``tol.cap``.  A step that falls below the step floor
     is a blow-up at that time when the state norm is at least ``0.01 *
     tol.cap``, and an `IntegrationError` (underflow) otherwise.
 
     The state is a tuple of Python floats, stepped by the generated step
-    arithmetic (`_generated_step`); a right side with ``on_floats`` is called
-    on it directly, any other through `_float_reading`.
+    arithmetic (`_generated_step`), and ``problem.rhs`` is called on it; a
+    result of the wrong length fails at the start time.  A horizon that
+    leaves no step after the start time (the loop's own end test), NaN or
+    infinite, is refused.
     """
     tol = tol or ToleranceSettings()
-    if horizon <= system.t0:
-        raise ValueError(f"horizon {horizon!r} must exceed the start time {system.t0!r}")
+    if not system.t0 < horizon - 1e-13 * max(1.0, abs(horizon)):
+        raise ValueError(f"horizon {horizon!r} leaves no step after the start time "
+                         f"{system.t0!r}")
     problem = system.problem(horizon)
     t0 = float(problem.t0)
     delay_fns = problem.delays.delays
@@ -857,8 +843,9 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
     if tol.max_step is not None:
         max_step = min(max_step, tol.max_step)
 
-    kinks = [k for k in problem.kinks if t0 < k < horizon]
-    kink_index = 0
+    walls = (t0 + k * h_under for k in itertools.count(1)) if has_delays else ()
+    breaks = heapq.merge(sorted(k for k in problem.kinks if t0 < k < horizon), walls)
+    next_break = next(breaks, math.inf)
 
     history = problem.history
     if history is not None and not history.covers(t0 - h_bar, t0):
@@ -907,7 +894,7 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
             return nodes_y[idx]
         return step.horner(nodes_y[idx], nodes_q[idx], (tq - ta) / (nodes_t[idx + 1] - ta))
 
-    rhs = getattr(problem.rhs, "on_floats", None) or _float_reading(problem.rhs, dim)
+    rhs = problem.rhs
     blow_time: float | None = None
     evaluations = accepted = rejected = 0
 
@@ -932,13 +919,11 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
         if tol.first_step is not None:
             h = min(tol.first_step, max_step)
         else:
-            h = _initial_step(lambda t, y: np.asarray(eval_rhs(t, y.tolist()), dtype=float),
-                              t0, np.asarray(y0), np.asarray(k), tol.rtol, tol.atol, max_step)
+            h = _initial_step(eval_rhs, step.rms, t0, y0, k, tol.rtol, tol.atol, max_step)
 
         t = t0
         y = y0
         err_prev: float | None = None
-        wall_index = 1
 
         steps = 0
         while t < horizon - 1e-13 * max(1.0, abs(horizon)):
@@ -949,19 +934,10 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
             t_new = t + h_eff if h_eff < horizon - t else horizon
             on_break = False
             near = 1e-12 * max(1.0, abs(t))
-            breakpoint_ = math.inf
-            if has_delays:
-                wall = t0 + wall_index * h_under
-                while wall <= t + near:
-                    wall_index += 1
-                    wall = t0 + wall_index * h_under
-                breakpoint_ = wall
-            while kink_index < len(kinks) and kinks[kink_index] <= t + near:
-                kink_index += 1
-            if kink_index < len(kinks):
-                breakpoint_ = min(breakpoint_, kinks[kink_index])
-            if t_new >= breakpoint_ - 1e-12 * max(1.0, abs(breakpoint_)):
-                t_new = breakpoint_
+            while next_break <= t + near:
+                next_break = next(breaks, math.inf)
+            if t_new >= next_break - 1e-12 * max(1.0, abs(next_break)):
+                t_new = next_break
                 h_eff = t_new - t
                 on_break = True
             if h_eff < _step_floor(t):

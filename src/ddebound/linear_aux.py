@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import _check_matched_histories
 from .dde_core import (DelayProblem, DelaySpec, HistoryFunction, ToleranceSettings,
-                       Trajectory, _with_floats, integrate)
+                       Trajectory, integrate)
 from .expressions import _generate
 from .majorant import LinearizedCoefficients
 from .reduction import CoefficientPair
@@ -69,15 +69,13 @@ class LinearScalarDDE:
     def with_amplitude(self, amplitude: float) -> "LinearScalarDDE":
         return replace(self, forcing_amplitude=amplitude)
 
-    def rhs(self, t, y, delayed):
-        return np.array(self._rhs(t, y, delayed))
-
     @cached_property
-    def _rhs(self):
-        """`rhs` as one generated sum on Python floats (numpy scalars give
-        the same bits), returning a one-tuple: ``P(t) u + g_1(t) u(t - h_1) +
-        ... + F0 s(t)`` in that order, every coefficient inlined or called
-        once; the forcing term is left out when the amplitude is zero."""
+    def rhs(self):
+        """The right side ``rhs(t, y, delayed)``, one generated sum on Python
+        floats (numpy scalars give the same bits), returning a one-tuple:
+        ``P(t) u + g_1(t) u(t - h_1) + ... + F0 s(t)`` in that order, every
+        coefficient inlined or called once; the forcing term is left out when
+        the amplitude is zero."""
         names: dict = {}
         terms = [f"{_source_of(self.rate, names)} * y[0]"]
         terms += [f"{_source_of(g, names)} * delayed[{i}][0]"
@@ -102,8 +100,7 @@ class LinearScalarDDE:
                 t = float(grid[negative[0, 1]])
                 raise ValueError(f"delayed coefficient is negative at t={t!r}")
             checked[self.delayed_coeffs, self.t0, horizon] = True
-        problem = DelayProblem(_with_floats(self.rhs, self._rhs), self.delays, self.history,
-                               self.t0)
+        problem = DelayProblem(self.rhs, self.delays, self.history, self.t0)
         if self.forcing_amplitude == 0.0:
             return problem
         key = (self.forcing_shape, self.t0, horizon)

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .dde_core import (DelayProblem, DelaySpec, ScalarDelaySystem, ToleranceSettings,
-                       Trajectory, VectorDelaySystem, integrate)
+                       Trajectory, VectorDelaySystem, integrate, on_arrays)
 from .majorant import PolynomialMajorant, PolynomialTerm
 from .timefn import ConstantFn, _compose, as_time_function, grid_supremum
 
@@ -111,7 +111,8 @@ def compute_fundamental_matrix(A, t0: float, horizon: float,
 
     tol = tol or ToleranceSettings(rtol=1e-8, atol=1e-12, cap=math.inf)
     start = np.append(np.eye(n).ravel(), 0.0)
-    traj = integrate(DelayProblem(rhs, DelaySpec.none(), None, t0, y0=start), horizon, tol)
+    traj = integrate(DelayProblem(on_arrays(rhs), DelaySpec.none(), None, t0, y0=start),
+                     horizon, tol)
     return FundamentalMatrixSolution(A, traj, n, t0, horizon)
 
 

@@ -16,7 +16,7 @@ from ddebound import (BoundednessCriterion, DelayProblem, DelaySpec,
                       HistoryFunction, PolynomialMajorant, PolynomialTerm,
                       ToleranceSettings, classify_fts,
                       compute_fundamental_matrix, estimate_scalar_radius,
-                      integrate, linearize_majorant,
+                      integrate, linearize_majorant, on_arrays,
                       parse_expression, robust_stability_check, superposition_check,
                       verify_pointwise_ordering)
 from ddebound.cli import (_bundled_config, assemble_pipeline, build_linear_chain,
@@ -64,8 +64,10 @@ def test_criterion_02_comparison_principle_suite():
 
         q_hi = float(rng.uniform(0.0, 1.0))
         q_lo = q_hi if trial % 2 == 0 else q_hi - float(rng.uniform(0.0, 0.5))
-        lower = DelayProblem(dominated, delays, HistoryFunction.constant([q_lo]), 0.0)
-        upper = DelayProblem(dominating, delays, HistoryFunction.constant([q_hi]), 0.0)
+        lower = DelayProblem(on_arrays(dominated), delays, HistoryFunction.constant([q_lo]),
+                             0.0)
+        upper = DelayProblem(on_arrays(dominating), delays, HistoryFunction.constant([q_hi]),
+                             0.0)
         u1 = integrate(lower, 5.0, tol)
         u2 = integrate(upper, 5.0, tol)
         grid = np.linspace(0.0, 5.0, 101)

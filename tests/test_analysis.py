@@ -10,7 +10,7 @@ from ddebound import (BoundednessCriterion, DelayProblem, DelaySpec,
                       HistoryFunction, IntegrationError, PolynomialMajorant,
                       PolynomialTerm, RobustReport, ScalarDelaySystem, ToleranceSettings,
                       Trajectory, build_perturbed_scalar, classify_fts, estimate_scalar_radius,
-                      estimate_vector_region, frozen_scalar_radius, integrate,
+                      estimate_vector_region, frozen_scalar_radius, integrate, on_arrays,
                       parse_expression, robust_stability_check, verify_pointwise_ordering)
 from ddebound.timefn import ConstantFn
 
@@ -47,7 +47,8 @@ class TestVerifyPointwiseOrdering:
         # top reaches the cap at ln 5, but middle falls below bottom after
         # t = 2: the pair (bottom, middle) is checked on all of [0, 4]
         def run(rhs):
-            problem = DelayProblem(rhs, DelaySpec.none(), HistoryFunction.constant([1.0]))
+            problem = DelayProblem(on_arrays(rhs), DelaySpec.none(),
+                                   HistoryFunction.constant([1.0]))
             return integrate(problem, 4.0, ToleranceSettings(cap=5.0))
 
         bottom = run(lambda t, y, z: np.zeros(1))
@@ -62,6 +63,29 @@ class TestVerifyPointwiseOrdering:
         # the reported series stay on the domain all three share
         assert report.grid[-1] == top.t_end
         assert report.grid.size == 400
+
+    @pytest.mark.parametrize("count", [1, 0, -2, True])
+    def test_a_grid_count_below_two_is_refused(self, count):
+        a = integrate(linear_ode_system(-1.0, 1.0), 5.0, DEFAULT)
+        with pytest.raises(ValueError, match="grid count must be at least 2"):
+            verify_pointwise_ordering([a, a], grid=count)
+
+    def test_any_integral_count_is_a_count(self):
+        a = integrate(linear_ode_system(-1.0, 1.0), 5.0, DEFAULT)
+        report = verify_pointwise_ordering([a, a], grid=np.int64(50))
+        assert report.holds
+        assert np.array_equal(report.grid, np.linspace(0.0, 5.0, 50))
+
+    @pytest.mark.parametrize("grid", [[], np.empty((2, 3)), np.float64(1.0)])
+    def test_an_explicit_grid_must_be_a_non_empty_row(self, grid):
+        a = integrate(linear_ode_system(-1.0, 1.0), 5.0, DEFAULT)
+        with pytest.raises(ValueError, match="non-empty 1-D array"):
+            verify_pointwise_ordering([a, a], grid=grid)
+
+    def test_fig1_protocol_refuses_a_one_point_grid(self):
+        from ddebound.cli import _bundled_config, fig1_protocol
+        with pytest.raises(ValueError, match="grid count must be at least 2"):
+            fig1_protocol(_bundled_config("a"), horizon=5.0, grid=1)
 
 
 class TestClassifyFts:
@@ -259,8 +283,8 @@ class TestComparisonPrinciple:
 
             q2 = float(rng.uniform(0.0, 1.0))
             q1 = q2 if trial % 2 == 0 else q2 - float(rng.uniform(0.0, 0.5))
-            lower = DelayProblem(f1, delays, HistoryFunction.constant([q1]), 0.0)
-            upper = DelayProblem(f2, delays, HistoryFunction.constant([q2]), 0.0)
+            lower = DelayProblem(on_arrays(f1), delays, HistoryFunction.constant([q1]), 0.0)
+            upper = DelayProblem(on_arrays(f2), delays, HistoryFunction.constant([q2]), 0.0)
             u1 = integrate(lower, 5.0, tol)
             u2 = integrate(upper, 5.0, tol)
             for t in np.linspace(0.0, 5.0, 101):
@@ -333,6 +357,34 @@ class TestScalarRadius:
         estimate = estimate_scalar_radius(cubic_basin_scalar(), crit, 3.0,
                                           bisect_tol=1e-3, horizon=50.0, tol=PROBE)
         assert estimate.value == pytest.approx(math.sqrt(2.0), abs=2e-3)
+
+    def test_one_problem_per_search_on_case_a(self, monkeypatch):
+        # the search builds its problem once and each probe replaces the
+        # history, so the right side is generated and `c >= 1` sampled once
+        from ddebound.cli import _bundled_config, _search_settings, assemble_pipeline
+        pipe = assemble_pipeline(_bundled_config("a"))
+        scalar = pipe.scalar_system.homogeneous()
+        criterion, probe_tol, duration = _search_settings(pipe)
+        built = []
+        problem = ScalarDelaySystem.problem
+
+        def counted(self, horizon):
+            built.append(horizon)
+            return problem(self, horizon)
+
+        monkeypatch.setattr(ScalarDelaySystem, "problem", counted)
+        a = pipe.config.analysis
+        estimate = estimate_scalar_radius(scalar, criterion, a.q_max, a.bisect_tol, duration,
+                                          probe_tol)
+        assert estimate.status == "bracketed" and len(estimate.probes) == 15
+        assert len(built) == 1
+
+    def test_the_system_history_is_not_read(self):
+        negative = cubic_basin_scalar().with_constant_history(-1.0)
+        estimates = [estimate_scalar_radius(ss, CRIT, 3.0, bisect_tol=1e-2, horizon=20.0,
+                                            tol=PROBE)
+                     for ss in (negative, cubic_basin_scalar())]
+        assert estimates[0] == estimates[1]
 
     def test_empty_at_zero_when_forcing_blows_up(self):
         cubic = PolynomialMajorant((PolynomialTerm(1.0, (3,)),), 1)

@@ -64,6 +64,7 @@ T = 1
 
 
 CASE_A = (resources.files("ddebound") / "configs/planar_case_a.cfg").read_text()
+REDUCE_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "reduce.cfg"
 
 
 class TestLoadConfig:
@@ -319,6 +320,26 @@ class TestCliCommands:
         assert main(["reproduce-fig1", "--case", "a", "--rtol", "nan",
                      "--out", str(tmp_path)]) == 2
         assert "positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, horizon, refusal", [
+        ("radius", "nan", "--horizon must be finite, not nan"),
+        ("region", "inf", "--horizon must be finite, not inf"),
+        ("reproduce-fig1", "inf", "--horizon must be finite, not inf"),
+        ("verify", "1e-14", "horizon 1e-14 leaves no step after the start time 0.0"),
+        ("reduce", "1e-14", "horizon 1e-14 leaves no step after the start time 0.0"),
+    ])
+    def test_a_horizon_that_leaves_no_step_is_refused(self, tmp_path, capsys, command,
+                                                      horizon, refusal):
+        # `region` samples the forcing before any run, so the flag is checked
+        # before the pipeline builds anything; a finite horizon too close to
+        # t0 fails the integrator's own end test
+        config = (["--case", "a"] if command == "reproduce-fig1" else
+                  ["--config", str(REDUCE_CONFIG) if command == "reduce"
+                   else self._write(tmp_path, CASE_A)])
+        status = main([command, *config, "--horizon", horizon, "--out", str(tmp_path)])
+        assert status == 2
+        assert refusal in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_csv_output_is_deterministic(self, tmp_path):
         cfg = self._write(tmp_path, MINIMAL)

@@ -9,7 +9,7 @@ from conftest import (DEFAULT, TIGHT, cubic_basin_scalar, delayed_decay_oracle,
                       delayed_decay_system, linear_ode_system, narrow_excursion)
 from ddebound import (DelayProblem, DelaySpec, HistoryFunction, IntegrationError,
                       ScalarDelaySystem, ToleranceSettings, Trajectory, VectorDelaySystem,
-                      integrate, parse_expression)
+                      integrate, on_arrays, parse_expression)
 from ddebound import dde_core
 from ddebound.majorant import PolynomialMajorant
 from ddebound.linalg import MatrixFunction
@@ -78,7 +78,7 @@ class TestToleranceSettings:
 
     @pytest.mark.parametrize("field", ["first_step", "max_step"])
     def test_step_settings_may_be_infinite(self, field):
-        problem = DelayProblem(lambda t, y, z: -y, DelaySpec.none(),
+        problem = DelayProblem(on_arrays(lambda t, y, z: -y), DelaySpec.none(),
                                HistoryFunction.constant([1.0]), 0.0)
         traj = integrate(problem, 1.0, ToleranceSettings(**{field: math.inf}))
         assert traj.eval(1.0)[0] == pytest.approx(math.exp(-1.0), rel=1e-5)
@@ -174,7 +174,7 @@ class TestIntegrate:
         delay = parse_expression("0.5 - 0.45*exp(-((t-3.4)/1e-6)^2)")
         spec = DelaySpec.from_functions([delay])
         assert spec.bounds(0.0, 10.0)[1] == 0.5
-        problem = DelayProblem(lambda t, y, z: -z[0], spec,
+        problem = DelayProblem(on_arrays(lambda t, y, z: -z[0]), spec,
                                HistoryFunction.constant([1.0]), 0.0)
         tol = ToleranceSettings(rtol=0.1, atol=0.1, first_step=0.5, max_step=0.5)
         with pytest.raises(IntegrationError, match="past the accepted solution") as err:
@@ -202,6 +202,13 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(delayed_decay_system(), -1.0, DEFAULT)
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, 0.0, 1e-14])
+    def test_a_horizon_that_leaves_no_step_is_refused(self, horizon):
+        # the loop's own end test: a NaN or infinite horizon fails it too,
+        # and 1e-14 would end the run at t0 with one node
+        with pytest.raises(ValueError, match="leaves no step after the start time"):
+            integrate(delayed_decay_system(), horizon, DEFAULT)
+
     def test_history_not_covering_delay_interval(self):
         hist = HistoryFunction.from_samples([-0.5, 0.0], [[1.0], [1.0]])
         sys = delayed_decay_system(history=hist)   # needs [-1, 0]
@@ -212,7 +219,7 @@ class TestIntegrate:
         # h(t) = 0.5 + 0.1 t reaches 1.0 on [0, 5] and 1.5 on [0, 10]
         delay = DelaySpec.from_functions([parse_expression("0.5 + 0.1*t")])
         history = HistoryFunction.from_samples([-1.0, 0.0], [[1.0], [1.0]])
-        problem = DelayProblem(lambda t, y, z: -z[0], delay, history)
+        problem = DelayProblem(on_arrays(lambda t, y, z: -z[0]), delay, history)
         assert integrate(problem, 5.0, DEFAULT).t_end == 5.0
         with pytest.raises(ValueError, match=re.escape("history must cover [-1.5, 0.0]")):
             integrate(problem, 10.0, DEFAULT)
@@ -225,7 +232,7 @@ class TestIntegrate:
             integrate(scalar, 2.0, DEFAULT)
 
     def test_problem_without_history_needs_start_value_and_no_delays(self):
-        rhs = lambda t, y, z: -y
+        rhs = on_arrays(lambda t, y, z: -y)
         problem = DelayProblem(rhs, DelaySpec.none(), None, 0.0, y0=np.array([1.0]))
         assert problem.problem(1.0) is problem
         assert integrate(problem, 1.0, TIGHT).eval(1.0)[0] == pytest.approx(math.exp(-1.0))
@@ -240,7 +247,8 @@ class TestIntegrate:
                 return np.array([math.nan])
             return np.array([1.0])
 
-        sys = DelayProblem(rhs, DelaySpec.none(), HistoryFunction.constant([0.0]), 0.0)
+        sys = DelayProblem(on_arrays(rhs), DelaySpec.none(), HistoryFunction.constant([0.0]),
+                           0.0)
         with pytest.raises(IntegrationError) as err:
             integrate(sys, 2.0, DEFAULT)
         assert err.value.time == pytest.approx(0.5, abs=1e-6)
@@ -291,7 +299,7 @@ class TestEvalTrajectory:
             traj.eval(-0.1)
 
     def test_crossings_of_a_level(self):
-        sine = DelayProblem(lambda t, y, delayed: np.array([math.cos(t)]),
+        sine = DelayProblem(on_arrays(lambda t, y, delayed: np.array([math.cos(t)])),
                             DelaySpec.none(), None, y0=np.array([0.0]))
         traj = integrate(sine, 2.0 * math.pi, ToleranceSettings(rtol=1e-10, atol=1e-12))
         crossings = traj.crossings(0.5, 0.0, 2.0 * math.pi)
@@ -396,7 +404,7 @@ class TestSupNorm:
     def test_bernstein_screen_passes_few_steps_of_an_oscillation(self):
         # y' = -y(t-2) oscillates with growing amplitude; the screen of the
         # last stretch passes only the steps near its peak
-        osc = integrate(DelayProblem(lambda t, y, z: -z[0], DelaySpec.constant([2.0]),
+        osc = integrate(DelayProblem(on_arrays(lambda t, y, z: -z[0]), DelaySpec.constant([2.0]),
                                      HistoryFunction.constant([1.0])), 30.0, TIGHT)
         lo, hi, first, last = osc._window(20.0, 30.0)
         best = float(np.max(osc.norm_grid(np.linspace(lo, hi, 1001))))
@@ -412,9 +420,9 @@ class TestSupNorm:
         def ellipse(t, y, z):
             return np.array([y[1], -4.0 * y[0] - 0.1 * y[1]])
 
-        spiral = integrate(DelayProblem(ellipse, DelaySpec.none(),
+        spiral = integrate(DelayProblem(on_arrays(ellipse), DelaySpec.none(),
                                         HistoryFunction.constant([1.0, 0.0])), 10.0, TIGHT)
-        osc = integrate(DelayProblem(lambda t, y, z: -z[0], DelaySpec.constant([2.0]),
+        osc = integrate(DelayProblem(on_arrays(lambda t, y, z: -z[0]), DelaySpec.constant([2.0]),
                                      HistoryFunction.constant([1.0])), 30.0, TIGHT)
         for traj, lo, hi in ((spiral, 0.1, 10.0), (osc, 3.0, 30.0), (osc, 10.0, 12.5)):
             grid = np.linspace(lo, hi, 20_001)
@@ -484,7 +492,8 @@ class TestDetectBlowup:
         def rhs(t, y, z):
             return np.where(y >= 5.0, np.nan, 1.0 * (y > 0.0))
 
-        problem = DelayProblem(rhs, DelaySpec.none(), HistoryFunction.constant([1.0]), 0.0)
+        problem = DelayProblem(on_arrays(rhs), DelaySpec.none(), HistoryFunction.constant([1.0]),
+                               0.0)
         traj = integrate(problem, 10.0, ToleranceSettings(rtol=1e-6, atol=1e-9, cap=100.0))
         assert traj.blew_up
         assert traj.blow_time == pytest.approx(4.0, abs=1e-9)
@@ -515,6 +524,14 @@ class TestKinks:
         traj = integrate(system, 50.0, ToleranceSettings(rtol=1e-6, atol=1e-9))
         inner = [k for k in kinks if 0.0 < k < 50.0]
         assert np.all(np.isin(inner, traj.ts))
+
+    def test_unsorted_kinks_each_give_a_node(self):
+        problem = DelayProblem(on_arrays(lambda t, y, z: -y), DelaySpec.none(),
+                               HistoryFunction.constant([1.0]), kinks=(3.0, 1.0))
+        traj = integrate(problem, 5.0, DEFAULT)
+        assert {1.0, 3.0} <= set(traj.ts.tolist())
+        in_order = integrate(replace(problem, kinks=(1.0, 3.0)), 5.0, DEFAULT)
+        assert np.array_equal(traj.ts, in_order.ts) and np.array_equal(traj.ys, in_order.ys)
 
     def test_bound_stays_high_order(self):
         # the 2(3) stepper took 10,913 steps here; a 5(4) pair that loses
@@ -643,7 +660,7 @@ class TestFloatStep:
         assert traj.ts.tolist() == [0.0, h]
 
         def f(t, y):
-            return vs.rhs(t, np.array(y), []).tolist()
+            return list(vs.rhs(t, y, []))
 
         y = [0.6, -0.3]
         stages = [f(0.0, y)]
@@ -659,8 +676,12 @@ class TestFloatStep:
     def test_array_right_side_through_the_wrapper_equals_the_system(self):
         from ddebound.cli import _bundled_config
         vs = _bundled_config("a").system
-        plain = DelayProblem(vs.rhs, vs.delays, vs.history, vs.t0)
-        assert not hasattr(plain.rhs, "on_floats")
+
+        def on_array_states(t, y, delayed):
+            assert isinstance(y, np.ndarray) and all(isinstance(z, np.ndarray) for z in delayed)
+            return np.array(vs.rhs(t, y.tolist(), [z.tolist() for z in delayed]))
+
+        plain = DelayProblem(on_arrays(on_array_states), vs.delays, vs.history, vs.t0)
         assert _same_run(integrate(plain, 20.0, DEFAULT), integrate(vs, 20.0, DEFAULT))
 
     @pytest.mark.parametrize("dim", [1, 9, 130])
@@ -671,9 +692,31 @@ class TestFloatStep:
         norm = dde_core._generated_step(dim).norm(tuple(y.tolist()))
         assert _bits(norm) == _bits(dde_core._norm(y))
 
+    @pytest.mark.parametrize("dim", [1, 9, 130])
+    def test_generated_rms_is_numpys(self, dim):
+        # the first step reads the generated RMS: numpy's pairwise sum of the
+        # squares over the count, as it was computed on arrays
+        y = np.random.default_rng(dim).normal(size=dim)
+        rms = dde_core._generated_step(dim).rms(tuple(y.tolist()))
+        assert _bits(rms) == _bits(np.sqrt(np.add.reduce(y * y) / y.size))
+
     def test_right_side_of_the_wrong_shape_fails_before_the_first_step(self):
-        # a plain right side goes through the float reading, which checks the
-        # shape of every result
+        # `on_arrays` checks the shape of every result
+        calls = []
+
+        def rhs(t, y, z):
+            calls.append(t)
+            return np.array([-y[0], 0.0])
+
+        problem = DelayProblem(on_arrays(rhs), DelaySpec.none(),
+                               HistoryFunction.constant([0.1]), 0.0)
+        with pytest.raises(ValueError, match="shape"):
+            integrate(problem, 5.0, DEFAULT)
+        assert calls == [0.0]
+
+    def test_array_right_side_without_the_wrapper_fails_at_the_start_time(self):
+        # `integrate` checks the length of the first result, which stops an
+        # array right side passed as is
         calls = []
 
         def rhs(t, y, z):
@@ -681,7 +724,7 @@ class TestFloatStep:
             return np.array([-y[0], 0.0])
 
         problem = DelayProblem(rhs, DelaySpec.none(), HistoryFunction.constant([0.1]), 0.0)
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError, match="returned 2 values"):
             integrate(problem, 5.0, DEFAULT)
         assert calls == [0.0]
 
@@ -692,7 +735,8 @@ class TestFloatStep:
         def rhs(t, y, z):
             return np.where(t > 1.0, bad, -y)
 
-        problem = DelayProblem(rhs, DelaySpec.none(), HistoryFunction.constant([1.0]), 0.0)
+        problem = DelayProblem(on_arrays(rhs), DelaySpec.none(), HistoryFunction.constant([1.0]),
+                               0.0)
         with pytest.raises(IntegrationError, match="underflow") as info:
             integrate(problem, 3.0, DEFAULT)
         assert info.value.time == pytest.approx(1.0, abs=1e-9)
@@ -712,7 +756,7 @@ class TestFloatStep:
         assert traj.eval(1.0)[0] == pytest.approx((4.0 + 1e-8) ** -0.25, rel=1e-6)
 
     def test_step_counts(self):
-        problem = DelayProblem(lambda t, y, z: y * math.cos(t), DelaySpec.none(),
+        problem = DelayProblem(on_arrays(lambda t, y, z: y * math.cos(t)), DelaySpec.none(),
                                HistoryFunction.constant([1.0]), 0.0)
         traj = integrate(problem, 20.0, DEFAULT)
         stats = traj.stats

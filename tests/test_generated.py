@@ -20,7 +20,7 @@ from scipy.interpolate import CubicSpline
 
 from ddebound import (DelayProblem, DelaySpec, HistoryFunction, PolynomialMajorant,
                       PolynomialTerm, ScalarDelaySystem, ToleranceSettings, integrate,
-                      linearize_majorant, parse_expression)
+                      linearize_majorant, on_arrays, parse_expression)
 from ddebound.analysis import build_perturbed_scalar
 from ddebound.cli import _bundled_config, assemble_pipeline, build_linear_chain
 from ddebound.config import load_config
@@ -435,7 +435,7 @@ class TestConstantHistories:
             return -delayed[0]
 
         history = HistoryFunction.constant([1.0])
-        integrate(DelayProblem(rhs, DelaySpec.constant([1.0]), history), 0.5)
+        integrate(DelayProblem(on_arrays(rhs), DelaySpec.constant([1.0]), history), 0.5)
         assert seen and not any(seen)
         assert _same(history.vector, [1.0])
 
