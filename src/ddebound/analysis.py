@@ -68,6 +68,19 @@ def _check_matched_histories(trajs: Sequence[Trajectory], tol: float) -> None:
                              f"norm {float(reference[i])!r} vs {float(values[i])!r}")
 
 
+def _explicit_grid(grid) -> np.ndarray:
+    """``grid`` as an array of times, refused unless it is a non-empty,
+    strictly increasing row: the first violation is read as the first entry
+    past the tolerance, and the covered domain from the first and last."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"an explicit grid must be a non-empty 1-D array of times, "
+                         f"not of shape {grid.shape}")
+    if not np.all(grid[1:] > grid[:-1]):
+        raise ValueError("an explicit grid must be strictly increasing")
+    return grid
+
+
 def verify_pointwise_ordering(trajs: Sequence[Trajectory], grid: int | np.ndarray = 2000,
                               tol: float = 1e-4) -> BoundReport:
     """Check ``s_1(t) <= s_2(t) <= ...`` pointwise.
@@ -79,10 +92,10 @@ def verify_pointwise_ordering(trajs: Sequence[Trajectory], grid: int | np.ndarra
 
     The reported series lie on ``grid`` over the domain all trajectories
     share: an integral count of at least 2 spread over it, or an explicit
-    non-empty 1-D grid of times.  Each adjacent pair is compared on the
-    domain the two of them share, which is longer when another trajectory
-    stopped early (a bound that blew up): there a count is spread over the
-    pair's domain, while an explicit grid is kept as given.
+    non-empty, strictly increasing 1-D grid of times.  Each adjacent pair is
+    compared on the domain the two of them share, which is longer when
+    another trajectory stopped early (a bound that blew up): there a count is
+    spread over the pair's domain, while an explicit grid is kept as given.
     """
     if len(trajs) < 2:
         raise ValueError("need at least two trajectories to compare")
@@ -90,11 +103,9 @@ def verify_pointwise_ordering(trajs: Sequence[Trajectory], grid: int | np.ndarra
         points = operator.index(grid)
     except TypeError:
         points = None
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0:
-            raise ValueError(f"an explicit grid must be a non-empty 1-D array of times, "
-                             f"not of shape {grid.shape}") from None
-    if points is not None and points < 2:
+    if points is None:
+        grid = _explicit_grid(grid)
+    elif points < 2:
         raise ValueError(f"the grid count must be at least 2, not {points!r}")
     t0 = trajs[0].t_start
     t_end = min(t.t_end for t in trajs)
@@ -311,7 +322,10 @@ def _estimate(criterion: BoundednessCriterion, horizon: float, value: float, lo:
 def _bisection(probe, q_max: float, bisect_tol: float, criterion: BoundednessCriterion,
                horizon: float) -> RadiusEstimate:
     """One radius search on ``[0, q_max]``: each magnitude ``q`` is judged by
-    ``probe(q) -> bool`` and logged with its verdict."""
+    ``probe(q) -> bool`` and logged with its verdict.  ``bisect_tol`` is the
+    relative width at which the bracket stops halving, in ``(0, 1)``."""
+    if not 0 < bisect_tol < 1:
+        raise ValueError(f"bisect_tol must lie in (0, 1), got {bisect_tol!r}")
     probes: list[tuple[float, bool]] = []
 
     def judged(q: float) -> bool:

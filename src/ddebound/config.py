@@ -187,6 +187,13 @@ def _probe_rtol(value: str, where: str) -> float:
     return rtol
 
 
+def _bisect_tol(value: str, where: str) -> float:
+    tol = _number(value, where)
+    if not 0 < tol < 1:
+        raise ConfigError(f"{where}: 'bisect_tol' must lie in (0, 1), got {value!r}")
+    return tol
+
+
 def _criterion(value: str, where: str) -> str:
     if value not in ("bounded", "decaying"):
         raise ConfigError(f"{where}: criterion must be bounded|decaying")
@@ -241,8 +248,9 @@ _KEYS = {
     "analysis": {"criterion": (_criterion, "criterion"), "t": (_number, "T"),
                  "l_hat": (_l_hat_term, "l_hat_terms"),
                  "probe_rtol": (_probe_rtol, "probe_rtol"),
+                 "bisect_tol": (_bisect_tol, "bisect_tol"),
                  **{name: (_number, name) for name in (
-                     "q_max", "r_max", "bisect_tol", "tail_fraction", "decay_ratio",
+                     "q_max", "r_max", "tail_fraction", "decay_ratio",
                      "alpha", "beta", "gamma", "p_hat", "c_hat")}},
     "output": {"grid": (_grid, "grid")},
 }

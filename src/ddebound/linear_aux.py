@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .analysis import _check_matched_histories
+from .analysis import _check_matched_histories, _explicit_grid
 from .dde_core import (DelayProblem, DelaySpec, HistoryFunction, ToleranceSettings,
                        Trajectory, integrate)
 from .expressions import _generate
@@ -204,14 +204,15 @@ class IssReport:
 def iss_bound_series(vector_traj: Trajectory, u_h: Trajectory, u_nh: Trajectory,
                      forcing_amplitude: float, grid: np.ndarray,
                      tol: float = 1e-6) -> IssReport:
-    """Evaluate the input-to-state style bound on ``grid``.
+    """Evaluate the input-to-state style bound on ``grid``, a non-empty,
+    strictly increasing 1-D array of times.
 
     Histories must be matched (the scalar history of ``u_h`` equal to the
     norm of the vector history); violations of the bound itself are reported,
     not raised, since they are the expected failure mode outside the
     linearization's validity.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _explicit_grid(grid)
     for traj in (vector_traj, u_h, u_nh):
         if not traj.covers(grid[0], grid[-1]):
             raise ValueError("time grid leaves a trajectory domain")

@@ -3,12 +3,13 @@
 The fundamental matrix ``w(t)`` of the linear part, ``w' = A0(t) w`` with
 ``w(t0) = I``, is integrated in the scaled form ``w = e^s V``: ``s`` carries
 the mean rate ``tr A0 / n`` and ``V`` (with ``det V = 1``) the rest, so the
-solver's tolerances stay meaningful while ``w`` itself decays.  The log-norm
-rate is ``p(t) = u1^T A0(t) u1`` for the leading left singular vector ``u1``
-of ``w(t)`` (the derivative of ``ln sigma_max``), and ``c(t)`` is its
-condition number.  The scalar system then reads
-``y' = p(t) y + c(t) (L(t, ...) + |F(t)|)`` with the scalar history equal to
-the norm of the vector history.
+solver's tolerances stay meaningful while ``w`` itself decays.  Its right side
+is a `VectorDelaySystem` generated from the entries of ``A0``, so the solve
+calls no BLAS kernel.  The log-norm rate is ``p(t) = u1^T A0(t) u1`` for the
+leading left singular vector ``u1`` of ``w(t)`` (the derivative of
+``ln sigma_max``), and ``c(t)`` is its condition number.  The scalar system
+then reads ``y' = p(t) y + c(t) (L(t, ...) + |F(t)|)`` with the scalar
+history equal to the norm of the vector history.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dde_core import (DelayProblem, DelaySpec, ScalarDelaySystem, ToleranceSettings,
-                       Trajectory, VectorDelaySystem, integrate, on_arrays)
+from .dde_core import (DelayProblem, DelaySpec, HistoryFunction, ScalarDelaySystem,
+                       ToleranceSettings, Trajectory, VectorDelaySystem, integrate)
+from .linalg import MatrixFunction, VectorFunction
 from .majorant import PolynomialMajorant, PolynomialTerm
 from .timefn import ConstantFn, _compose, as_time_function, grid_supremum
 
@@ -52,12 +54,11 @@ class FundamentalMatrixSolution:
     """Dense ``w(t) = e^s(t) V(t)`` with ``w(t0) = I``; the trajectory state is
     ``V`` flattened, then ``s``."""
 
-    def __init__(self, A, trajectory: Trajectory, dim: int, t0: float, horizon: float):
+    def __init__(self, A: MatrixFunction, trajectory: Trajectory):
         self.A = A
         self.trajectory = trajectory
-        self.dim = dim
-        self.t0 = t0
-        self.horizon = horizon
+        self.dim = A.dim
+        self.horizon = trajectory.t_end
 
     def w(self, t: float) -> np.ndarray:
         state = self.trajectory.eval(t)
@@ -81,7 +82,7 @@ class FundamentalMatrixSolution:
             k = int(bad[0])
             raise IllConditionedError(float(times[k]), float(scale[k] * sigma[k, 0]),
                                       float(scale[k] * sigma[k, -1]))
-        a = np.array([np.asarray(self.A(float(t)), dtype=float) for t in times])
+        a = np.array([self.A(t) for t in times.tolist()])
         projected = np.einsum("kji,kjl,klm->kim", u, a, u)      # U^T A0 U
         rate = projected[:, 0, 0].copy()
         ties = (sigma >= sigma[:, :1] * (1.0 - _TIE)).sum(axis=1)
@@ -91,29 +92,28 @@ class FundamentalMatrixSolution:
         return scale * sigma[:, 0], sigma[:, 0] / sigma[:, -1], rate
 
 
-def compute_fundamental_matrix(A, t0: float, horizon: float,
+def compute_fundamental_matrix(A: MatrixFunction, t0: float, horizon: float,
                                tol: ToleranceSettings | None = None) -> FundamentalMatrixSolution:
     """Integrate ``w' = A(t) w``, ``w(t0) = I`` with dense output, as
-    ``V' = (A - (tr A / n) I) V``, ``s' = tr A / n`` with ``w = e^s V``."""
-    probe = np.asarray(A(t0), dtype=float)
-    if probe.ndim != 2 or probe.shape[0] != probe.shape[1]:
-        raise ValueError(f"A(t0) has shape {probe.shape}, expected square")
-    n = probe.shape[0]
-
-    def rhs(t, state, delayed):
-        a = np.asarray(A(t), dtype=float)
-        rate = np.trace(a) / n
-        v = state[:-1].reshape(n, n)
-        out = np.empty(n * n + 1)
-        out[:-1] = (a @ v - rate * v).ravel()
-        out[-1] = rate
-        return out
-
-    tol = tol or ToleranceSettings(rtol=1e-8, atol=1e-12, cap=math.inf)
+    ``V' = (A - r I) V``, ``s' = r`` with ``w = e^s V`` and ``r = tr A / n``:
+    a `VectorDelaySystem` on ``(V flattened, s)`` whose linear part holds the
+    entries of ``A - r I`` once per column of ``V``."""
+    if not isinstance(A, MatrixFunction):
+        raise TypeError(f"expected a MatrixFunction, not {A!r}")
+    n, entries = A.dim, A.entries()
+    diagonal = [as_time_function(entries.get((i, i), 0.0)) for i in range(n)]
+    rate = _compose(f"({' + '.join(['{}'] * n)}) / {n}", *diagonal)
+    entries.update({(i, i): _compose("{} - {}", diagonal[i], rate) for i in range(n)})
+    block = {(i * n + k, j * n + k): value for (i, j), value in entries.items() for k in range(n)}
     start = np.append(np.eye(n).ravel(), 0.0)
-    traj = integrate(DelayProblem(on_arrays(rhs), DelaySpec.none(), None, t0, y0=start),
+    system = VectorDelaySystem(n * n + 1, MatrixFunction(n * n + 1, block), None, 1.0,
+                               VectorFunction(n * n + 1, {n * n: rate}), DelaySpec.none(),
+                               HistoryFunction.constant(start), t0)
+    tol = tol or ToleranceSettings(rtol=1e-8, atol=1e-12, cap=math.inf)
+    # not system.problem(): its unit-sup check normalises a forcing, and s' = r is none
+    traj = integrate(DelayProblem(system.rhs, DelaySpec.none(), None, t0, y0=start),
                      horizon, tol)
-    return FundamentalMatrixSolution(A, traj, n, t0, horizon)
+    return FundamentalMatrixSolution(A, traj)
 
 
 @dataclass(frozen=True)

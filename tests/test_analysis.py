@@ -82,6 +82,18 @@ class TestVerifyPointwiseOrdering:
         with pytest.raises(ValueError, match="non-empty 1-D array"):
             verify_pointwise_ordering([a, a], grid=grid)
 
+    @pytest.mark.parametrize("grid", [np.linspace(5.0, 0.0, 51), [0.0, 1.0, 1.0, 2.0]],
+                             ids=["descending", "repeated"])
+    def test_an_explicit_grid_out_of_order_is_refused(self, grid):
+        # read in its given order, the descending grid reported its first
+        # entry, 5.0, as the first violation; on the ascending grid it is 0.1
+        lower = integrate(linear_ode_system(-0.5, 1.0), 5.0, DEFAULT)
+        upper = integrate(linear_ode_system(-1.0, 1.0), 5.0, DEFAULT)
+        ascending = verify_pointwise_ordering([lower, upper], grid=np.linspace(0.0, 5.0, 51))
+        assert ascending.first_violation_time == pytest.approx(0.1, abs=1e-12)
+        with pytest.raises(ValueError, match="^an explicit grid must be strictly increasing$"):
+            verify_pointwise_ordering([lower, upper], grid=grid)
+
     def test_fig1_protocol_refuses_a_one_point_grid(self):
         from ddebound.cli import _bundled_config, fig1_protocol
         with pytest.raises(ValueError, match="grid count must be at least 2"):
@@ -396,6 +408,13 @@ class TestScalarRadius:
         assert estimate.value == 0.0
 
 
+    @pytest.mark.parametrize("bisect_tol", [2.0, -0.05, 0.0, 1.0, math.nan])
+    def test_a_bisect_tol_outside_the_unit_interval_is_refused(self, bisect_tol):
+        with pytest.raises(ValueError, match=r"^bisect_tol must lie in \(0, 1\)"):
+            estimate_scalar_radius(cubic_basin_scalar(), CRIT, 3.0, bisect_tol=bisect_tol,
+                                   horizon=50.0, tol=PROBE)
+
+
 class TestFrozenRadius:
     def _frozen(self, p, terms, arg_count=1, delays=None):
         return ScalarDelaySystem(p=p, c=1.0, majorant=PolynomialMajorant(terms, arg_count),
@@ -537,6 +556,23 @@ class TestRegionProtocol:
     def test_probes_reproduce_the_expected_radii(self):
         from ddebound.cli import _bundled_config, fig2_protocol
         self._check(fig2_protocol(_bundled_config("a"), angle_count=5))
+
+    @pytest.mark.parametrize("bisect_tol", [2.0, -0.05])
+    def test_a_bisect_tol_outside_the_unit_interval_runs_no_probe(self, bisect_tol,
+                                                                  monkeypatch):
+        # bisect_tol = 2 once bracketed every angle by [0, 50] after two
+        # probes, and -0.05 ran 42 probes per angle
+        from ddebound import analysis
+        from ddebound.cli import _bundled_config, fig2_protocol
+
+        def refuse(system, horizon, tol=None):
+            raise AssertionError("a probe ran")
+
+        monkeypatch.setattr(analysis, "integrate", refuse)
+        cfg = _bundled_config("a")
+        cfg = replace(cfg, analysis=replace(cfg.analysis, bisect_tol=bisect_tol))
+        with pytest.raises(ValueError, match=r"^bisect_tol must lie in \(0, 1\)"):
+            fig2_protocol(cfg, angle_count=3)
 
     def test_a_failing_probe_is_bad_and_other_angles_keep_brackets(self, monkeypatch):
         from ddebound import analysis

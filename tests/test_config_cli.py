@@ -195,6 +195,10 @@ history sample = 0.0 1.0
         ("grid = -5", "'grid' needs at least 2 points, got -5"),
         ("probe_rtol = 0", "'probe_rtol' must be positive, got '0'"),
         ("probe_rtol = -1e-4", "'probe_rtol' must be positive, got '-1e-4'"),
+        ("bisect_tol = 2", "'bisect_tol' must lie in (0, 1), got '2'"),
+        ("bisect_tol = -0.05", "'bisect_tol' must lie in (0, 1), got '-0.05'"),
+        ("bisect_tol = 0", "'bisect_tol' must lie in (0, 1), got '0'"),
+        ("bisect_tol = 1", "'bisect_tol' must lie in (0, 1), got '1'"),
     ]])
     def test_a_setting_out_of_range_is_named(self, line, refusal):
         # a grid of one point compares only t0; probe_rtol = 0 used to fail
@@ -498,6 +502,14 @@ probe_rtol = 1e-3
         cfg = self._write(tmp_path, CASE_A.replace("r_max = 50", "r_max = -1"))
         assert main(["region", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "r_max must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["region", "reproduce-fig2"])
+    def test_a_bisect_tol_outside_the_unit_interval_exits_2(self, tmp_path, capsys, command):
+        # bisect_tol = 2 once bracketed every angle after two probes
+        cfg = self._write(tmp_path, CASE_A.replace("bisect_tol = 1e-3", "bisect_tol = 2"))
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "'bisect_tol' must lie in (0, 1), got '2'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_radius_refuses_a_decay_ratio_that_is_not_positive(self, tmp_path, capsys):
         text = MINIMAL + "[analysis]\ncriterion = decaying\ndecay_ratio = -0.5\n"

@@ -246,6 +246,18 @@ class TestIssBound:
         with pytest.raises(ValueError, match="time grid leaves a trajectory domain"):
             iss_bound_series(traj, traj, traj, 0.0, np.linspace(0.0, 5.0 + 5e-10, 20))
 
+    @pytest.mark.parametrize("grid", [np.linspace(5.0, 0.0, 51), [0.0, 1.0, 1.0, 2.0]],
+                             ids=["descending", "repeated"])
+    def test_an_explicit_grid_out_of_order_is_refused(self, grid):
+        # read in its given order, the descending grid reported its first
+        # entry, 5.0, as the first violation; on the ascending grid it is 0.1
+        norms = integrate(_plain(rate=-0.5, history=1.0), 5.0, TIGHT)
+        bound = integrate(_plain(rate=-1.0, history=1.0), 5.0, TIGHT)
+        ascending = iss_bound_series(norms, bound, bound, 0.0, np.linspace(0.0, 5.0, 51))
+        assert ascending.first_violation_time == pytest.approx(0.1, abs=1e-12)
+        with pytest.raises(ValueError, match="^an explicit grid must be strictly increasing$"):
+            iss_bound_series(norms, bound, bound, 0.0, grid)
+
     def test_violation_reported_not_raised(self):
         big = integrate(_plain(rate=0.1, history=1.0), 5.0, TIGHT)
         small_sys = _plain(rate=-1.0, history=1.0)

@@ -170,6 +170,39 @@ class TestCoefficientPair:
         assert pair.c(17.0) == 1.0
 
 
+class TestGeneratedFundamentalSolve:
+    # the solve is a vector system generated from the entries of A0: each
+    # column of V is one block of n coordinates, with A0's row i, shifted by
+    # the mean rate on the diagonal, in the row of coordinate i of every block
+    def test_non_normal_time_varying_3x3_matches_an_independent_solve(self):
+        from scipy.integrate import solve_ivp
+
+        def a0(t):
+            return np.array([[-1.0 + 0.3 * math.sin(t), 2.0 * math.cos(t), 0.5],
+                             [0.1, -2.0 + 0.2 * math.cos(2.0 * t), 1.5 * math.sin(t)],
+                             [0.3 * math.cos(t), 0.0, -1.5 + math.exp(-t)]])
+
+        A = MatrixFunction(3, {(0, 0): parse_expression("-1 + 0.3*sin(t)"),
+                               (0, 1): parse_expression("2*cos(t)"),
+                               (0, 2): 0.5,
+                               (1, 0): 0.1,
+                               (1, 1): parse_expression("-2 + 0.2*cos(2*t)"),
+                               (1, 2): parse_expression("1.5*sin(t)"),
+                               (2, 0): parse_expression("0.3*cos(t)"),
+                               (2, 2): parse_expression("-1.5 + exp(-t)")})
+        W = compute_fundamental_matrix(A, 0.0, 5.0, FUND_TOL)
+        ref = solve_ivp(lambda t, w: (a0(t) @ w.reshape(3, 3)).ravel(), (0.0, 5.0),
+                        np.eye(3).ravel(), method="DOP853", rtol=1e-13, atol=1e-16,
+                        dense_output=True)
+        for t in np.linspace(0.0, 5.0, 21).tolist():
+            expected = ref.sol(t).reshape(3, 3)
+            assert np.linalg.norm(W.w(t) - expected) <= 1e-7 * np.linalg.norm(expected)
+
+    def test_a_plain_callable_is_refused(self):
+        with pytest.raises(TypeError, match="expected a MatrixFunction"):
+            compute_fundamental_matrix(lambda t: -np.eye(2), 0.0, 1.0, FUND_TOL)
+
+
 def _planar_benchmark_system(forcing_amplitude=0.0, dim=2):
     lam = parse_expression("-3 + 0.1*sin(5*t)")
     a0 = MatrixFunction(dim, {(i, i): lam for i in range(dim)})
