@@ -24,12 +24,12 @@ from .analysis import (BoundednessCriterion, classify_fts, estimate_scalar_radiu
 from .config import ConfigError, RunConfig, load_config, load_config_text
 from .dde_core import IntegrationError, ScalarDelaySystem, ToleranceSettings, integrate
 from .expressions import EvaluationError
-from .linear_aux import build_linear_auxiliary
-from .majorant import PolynomialMajorant, linearize_majorant
+from .linear_aux import build_linear_chain  # noqa: F401  (perfbench reads it here)
+from .majorant import PolynomialMajorant
 from .plotting import Curve, emit_csv, emit_region_svg, emit_svg
 from .reduction import (CoefficientPair, IllConditionedError, build_autonomous_auxiliary,
                         build_scalar_auxiliary, compute_fundamental_matrix)
-from .timefn import ConstantFn, grid_supremum, grid_values
+from .timefn import grid_values
 
 __all__ = ["main", "run_command", "UsageError", "assemble_pipeline",
            "fig1_protocol", "fig2_protocol"]
@@ -132,28 +132,6 @@ def fig2_protocol(cfg: RunConfig, horizon: float | None = None,
     inclusion = (scalar_estimate.value <= boundary.min_radius() + slack
                  and autonomous_estimate.value <= boundary.min_radius() + slack)
     return boundary, scalar_estimate, autonomous_estimate, inclusion
-
-
-def build_linear_chain(pipe: Pipeline):
-    """The time-varying linearization u of the scalar system and the
-    constant-coefficient U, the same linearization of its frozen variant,
-    for the chain and superposition commands/tests."""
-    cfg = pipe.config
-    scalar = pipe.scalar_system
-    auto = pipe.autonomous_system
-    zt = cfg.reduction.zeta_tilde
-    vs = cfg.system
-    forcing_norm = vs.forcing_shape.norm if vs.forcing_amplitude > 0 else ConstantFn(0.0)
-    linear = build_linear_auxiliary(pipe.coefficients, linearize_majorant(scalar.majorant, zt),
-                                    scalar.delays, forcing_norm, vs.forcing_amplitude,
-                                    scalar.history, scalar.t0)
-    (forcing_norm_hat,) = grid_supremum([forcing_norm], scalar.t0, pipe.horizon,
-                                        cfg.reduction.margin)
-    constant = build_linear_auxiliary(CoefficientPair.closed_form(auto.p, auto.c),
-                                      linearize_majorant(auto.majorant, zt),
-                                      scalar.delays, ConstantFn(forcing_norm_hat),
-                                      vs.forcing_amplitude, scalar.history, scalar.t0)
-    return linear, constant
 
 
 # ---------------------------------------------------------------------------

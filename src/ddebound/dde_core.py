@@ -4,14 +4,16 @@ The integrator is the explicit embedded Runge-Kutta 5(4) pair of Dormand and
 Prince (FSAL, local extrapolation) with the pair's 4th-order continuous
 extension (Shampine's free interpolant) as dense output; delayed lookups,
 `Trajectory` evaluation and the blow-up crossing all read that polynomial.
-Step sizes are capped by the minimal delay, and steps end exactly on the walls
-``t0 + k*h_under`` and on the kinks a system reports (the zeros of the
-``|forcing|`` term of the scalar systems), so no step spans a point where the
-right side loses smoothness.  At such a break the stages at the end of the
-step read delayed values from the left and the next step re-evaluates its
-first stage instead of reusing the last one, so a history that jumps at the
-start time (the Cauchy function) is seen from the correct side.  No further
-discontinuity tracking is performed.
+Step sizes are capped by the minimal delay, and steps end exactly on the
+breaks: for constant delays ``tau_i`` the times ``t0 + sum_i n_i tau_i`` up to
+six delays deep (`DelaySpec.breaks`), where the start's derivative jump
+propagates while it lies within the pair's order, for time-varying delays the
+walls ``t0 + k*h_under``, and in both cases the kinks a system reports (the
+zeros of the ``|forcing|`` term of the scalar systems).  At a break the
+stages at the end of the step read delayed values from the left and the next
+step re-evaluates its first stage instead of reusing the last one, so a
+history that jumps at the start time (the Cauchy function) is seen from the
+correct side.
 
 `integrate` takes one problem type, `DelayProblem`: the right side
 ``rhs(t, y, delayed)``, the delays, the history, the start time, an optional
@@ -22,8 +24,9 @@ so a custom right side is integrated by building a `DelayProblem` directly.
 The state is a tuple of Python floats and ``rhs`` is called on it, returning
 one float per coordinate: the system classes generate such a right side, and
 one written on arrays is read through `on_arrays`.  The step arithmetic is
-one source, generated once per state dimension (`_generated_step`); it adds
-every sum in one documented order, so no result depends on the BLAS library.
+one source, generated once per state dimension and constant delays
+(`_generated_step`), which reads the delayed arguments itself; it adds every
+sum in one documented order, so no result depends on the BLAS library.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
@@ -77,6 +80,10 @@ _NUDGE_ULPS = 4
 _SCREEN_SLACK = 1e-12
 # the rounding of the Bernstein control points, relative to the triangle bound
 _HULL_ROUNDING = 16.0 * _EPS
+# how many delays deep the breaks of constant delays are followed: a start
+# value that jumps from the history makes the k-th derivative jump at
+# t0 + k*tau, and from the 6th on the jump lies beyond the pair's order 5
+_BREAK_DEPTH = 6
 
 # Dormand-Prince 5(4): stage nodes, stage coefficients, 5th-order weights
 # (the 7th stage is evaluated at the new point and reused as the next first
@@ -227,6 +234,20 @@ class DelaySpec:
         if not math.isfinite(h_bar):
             raise ValueError("delays must be bounded")
         return h_bar, h_under
+
+    def breaks(self, t0: float, horizon: float) -> tuple[float, ...] | None:
+        """The ascending times ``t0 + sum_i n_i tau_i`` in ``(t0, horizon)``
+        with ``1 <= sum_i n_i <= _BREAK_DEPTH``, when every delay is a
+        constant ``tau_i``: where a start value that jumps from the history
+        makes a derivative up to the pair's order jump.  Each sum is rounded
+        once (``math.fsum``), so one delay gives the times ``t0 + k*tau``.
+        None when a delay varies in time."""
+        if not all(isinstance(fn, ConstantFn) for fn in self.delays):
+            return None
+        values = [fn.value for fn in self.delays]
+        times = {t0 + math.fsum(lags) for depth in range(1, _BREAK_DEPTH + 1)
+                 for lags in itertools.combinations_with_replacement(values, depth)}
+        return tuple(sorted(time for time in times if t0 < time < horizon))
 
     def merged_with(self, other: "DelaySpec") -> "DelaySpec":
         return DelaySpec(self.delays + other.delays)
@@ -516,12 +537,16 @@ class ScalarDelaySystem:
 @dataclass(frozen=True)
 class StepStats:
     """Counts of one run of the stepping loop: accepted and rejected steps
-    (by the error test or for a value that is not finite) and right-side
-    evaluations, the first-step probe included."""
+    (by the error test or for a value that is not finite), right-side
+    evaluations, the first-step probe included, and the breaks (walls,
+    propagated breaks and kinks) the run stepped onto and went on from, each
+    with one more evaluation.  An attempt counts as six evaluations, also one
+    cut short by an arithmetic exception."""
 
     accepted: int
     rejected: int
     rhs_evals: int
+    breaks: int
 
 
 class Trajectory:
@@ -690,14 +715,15 @@ def _dense(y0, q, theta):
     return y0 + theta * (q[0] + theta * (q[1] + theta * (q[2] + theta * q[3])))
 
 
-def _initial_step(eval_rhs, rms, t0, y0, f0, rtol, atol, max_step):
+def _initial_step(evaluate, rms, t0, y0, f0, rtol, atol, max_step):
     """Automatic first-step selection (standard two-probe heuristic) on the
-    float states ``y0``, ``f0``; ``rms`` is the generated root mean square."""
+    float states ``y0``, ``f0``; ``evaluate(t, y)`` evaluates the right side
+    and ``rms`` is the generated root mean square."""
     scale = [atol + rtol * abs(v) for v in y0]
     d0 = rms([v / s for v, s in zip(y0, scale)])
     d1 = rms([f / s for f, s in zip(f0, scale)])
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, max_step)
-    f1 = eval_rhs(t0 + h0, tuple(v + h0 * f for v, f in zip(y0, f0)))
+    f1 = evaluate(t0 + h0, tuple(v + h0 * f for v, f in zip(y0, f0)))
     d2 = rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** (1.0 / 5.0))
@@ -724,23 +750,35 @@ def _pairwise(terms: Sequence[str]) -> str:
 
 
 @cache
-def _generated_step(dim: int) -> SimpleNamespace:
+def _generated_step(dim: int, lags: tuple[float | None, ...]) -> SimpleNamespace:
     """The step arithmetic of `integrate` for states of ``dim`` Python
-    floats, generated once as straight-line source.
+    floats and the delays ``lags`` (per delay its value when it is constant,
+    else None), generated once as straight-line source.
 
-    ``attempt(f, t, h, t_new, y, k, atol, rtol)`` takes one Dormand-Prince
-    step of size ``h`` from ``(t, y)`` with first stage ``k``, evaluating the
-    right side as ``f(time, state, left)``.  It returns None when a stage,
-    the new state or the error has an infinite or NaN entry, else ``(err,
-    y_new, k_new, q)``: the scaled RMS error, the new state, its stage and
-    the four dense coefficients as one tuple (``q[j]`` of coordinate ``i`` at
-    ``j * dim + i``), the last three None when ``err > 1``.  ``horner(y, q,
+    Each right-side evaluation is written out as ``rhs(ts, state,
+    (past(ts - lag, left), ...))``, where ``past(time, left)`` is the run's
+    delayed lookup: a constant delay as a literal, which gives the bits of
+    ``ts - fn(ts)``, and the ``i``-th delay otherwise as a call ``d<i>(ts)``
+    of an argument, so no callable is kept in the cache.  The two functions
+    that evaluate take ``rhs, past`` and then the delay functions ``d<i>``
+    that vary, in delay order, before their own arguments.
+
+    ``evaluate(..., t, y)`` is one evaluation at ``(t, y)``, its delayed
+    values read from the right.  ``attempt(..., t, h, t_new, y, k, atol,
+    rtol)`` takes one Dormand-Prince step of size ``h`` from ``(t, y)`` with
+    first stage ``k``; the stages at ``t + h`` and ``t_new`` read their
+    delayed values from the left.  It returns None when a stage, the new
+    state or the error has an infinite or NaN entry, else ``(err, y_new,
+    k_new, q)``: the scaled RMS error, the new state, its stage and the four
+    dense coefficients as one tuple (``q[j]`` of coordinate ``i`` at ``j *
+    dim + i``), the last three None when ``err > 1``.  ``horner(y, q,
     theta)`` reads a step's continuous extension (`_dense` per coordinate),
     ``norm(y)`` is `_norm` and ``rms(y)`` the root mean square, the same sum
     of squares over ``dim``.  The combinations follow the rows
     ``_STAGE_ROWS`` ... ``_DENSE`` in their order, and the sums of squares
     numpy's (`_pairwise`)."""
     coords = range(dim)
+    extra = "".join(f"d{i}, " for i, lag in enumerate(lags) if lag is None)
 
     def names(stem: str) -> list[str]:
         return [f"{stem}{i}" for i in coords]
@@ -752,13 +790,20 @@ def _generated_step(dim: int) -> SimpleNamespace:
         return " + ".join(f"k{s}_{i}" if c == 1.0 else f"{_literal(c)} * k{s}_{i}"
                           for s, c in row)
 
+    def evaluation(values: str, left: bool) -> str:
+        # the right side at the time ``ts``
+        delayed = [f"past(ts - {_literal(lag) if lag is not None else f'd{i}(ts)'}, {left})"
+                   for i, lag in enumerate(lags)]
+        return f"rhs(ts, {values}, {state(delayed) if lags else '()'})"
+
+    evaluate = _generate(f"rhs, past, {extra}ts, y", evaluation("y", False))
     lines = [f"{state(names('y'))} = y", f"{state(names('k0_'))} = k"]
     for s, row in enumerate(_STAGE_ROWS, 1):
-        time = "t + h" if _C[s] == 1.0 else f"t + {_C[s]!r} * h"
         trial = state(f"y{i} + h * ({combined(row, i)})" for i in coords)
-        lines.append(f"{state(names(f'k{s}_'))} = f({time}, {trial}, {s == 5})")
+        lines += ["ts = t + h" if _C[s] == 1.0 else f"ts = t + {_C[s]!r} * h",
+                  f"{state(names(f'k{s}_'))} = {evaluation(trial, s == 5)}"]
     lines += [f"n{i} = y{i} + h * ({combined(_UPDATE, i)})" for i in coords]
-    lines.append(f"{state(names('k6_'))} = f(t_new, {state(names('n'))}, True)")
+    lines += ["ts = t_new", f"{state(names('k6_'))} = {evaluation(state(names('n')), True)}"]
     lines += [f"e{i} = h * ({combined(_ERROR, i)})" for i in coords]
     # the error has every stage but the second with a nonzero weight
     checks = " and ".join(f"_isfinite({v})" for v in names("n") + names("e") + names("k1_"))
@@ -767,7 +812,7 @@ def _generated_step(dim: int) -> SimpleNamespace:
     lines.append(f"err = _sqrt(({_pairwise([f'x{i} * x{i}' for i in coords])}) / {dim})")
     lines += ["if err > 1.0:", "    return err, None, None, None"]
     dense = ", ".join(f"h * ({combined(row, i)})" for row in _DENSE for i in coords)
-    attempt = _generate("f, t, h, t_new, y, k, atol, rtol",
+    attempt = _generate(f"rhs, past, {extra}t, h, t_new, y, k, atol, rtol",
                         f"err, {state(names('n'))}, {state(names('k6_'))}, ({dense},)",
                         {"_isfinite": math.isfinite}, lines)
     q = [[f"q{j * dim + i}" for i in coords] for j in range(4)]
@@ -778,7 +823,7 @@ def _generated_step(dim: int) -> SimpleNamespace:
     squares = _pairwise([f"y{i} * y{i}" for i in coords])
     norm = _generate("y", f"_sqrt({squares})", lines=[f"{state(names('y'))} = y"])
     rms = _generate("y", f"_sqrt(({squares}) / {dim})", lines=[f"{state(names('y'))} = y"])
-    return SimpleNamespace(attempt=attempt, horner=horner, norm=norm, rms=rms)
+    return SimpleNamespace(evaluate=evaluate, attempt=attempt, horner=horner, norm=norm, rms=rms)
 
 
 def _read_only(values) -> np.ndarray:
@@ -814,20 +859,23 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
     ``h_under`` keeps every delayed lookup out of the current step, and a
     lookup past the accepted solution (a delay below its sampled minimum)
     raises `IntegrationError`.
-    Steps end exactly on the breaks: the walls ``t0 + k*h_under`` and the
-    system's kinks, merged into one ascending sequence.  The stages at the
-    end of a step read delayed values from the left there, and the next step
-    starts from a fresh right-side evaluation.
+    Steps end exactly on the breaks, one ascending sequence merged from the
+    system's kinks and, for constant delays, the propagated breaks of
+    `DelaySpec.breaks` (``t0 + sum_i n_i tau_i``, up to six delays deep), for
+    a delay that varies in time the walls ``t0 + k*h_under``.  The stages at
+    the end of a step read delayed values from the left there, and the next
+    step starts from a fresh right-side evaluation.
     Integration stops early, with the first crossing time recorded, when the
     state norm reaches ``tol.cap``.  A step that falls below the step floor
     is a blow-up at that time when the state norm is at least ``0.01 *
     tol.cap``, and an `IntegrationError` (underflow) otherwise.
 
     The state is a tuple of Python floats, stepped by the generated step
-    arithmetic (`_generated_step`), and ``problem.rhs`` is called on it; a
-    result of the wrong length fails at the start time.  A horizon that
-    leaves no step after the start time (the loop's own end test), NaN or
-    infinite, is refused.
+    arithmetic (`_generated_step`), which calls ``problem.rhs`` on it with
+    the delayed values it looks up itself, each constant delay a literal of
+    the source; a result of the wrong length fails at the start time.  A
+    horizon that leaves no step after the start time (the loop's own end
+    test), NaN or infinite, is refused.
     """
     tol = tol or ToleranceSettings()
     if not system.t0 < horizon - 1e-13 * max(1.0, abs(horizon)):
@@ -836,15 +884,16 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
     problem = system.problem(horizon)
     t0 = float(problem.t0)
     delay_fns = problem.delays.delays
-    has_delays = bool(delay_fns)
     h_bar, h_under = problem.delays.bounds(t0, horizon)
 
     max_step = min(h_under, horizon - t0)
     if tol.max_step is not None:
         max_step = min(max_step, tol.max_step)
 
-    walls = (t0 + k * h_under for k in itertools.count(1)) if has_delays else ()
-    breaks = heapq.merge(sorted(k for k in problem.kinks if t0 < k < horizon), walls)
+    propagated = problem.delays.breaks(t0, horizon)
+    if propagated is None:
+        propagated = (t0 + k * h_under for k in itertools.count(1))
+    breaks = heapq.merge(sorted(k for k in problem.kinks if t0 < k < horizon), propagated)
     next_break = next(breaks, math.inf)
 
     history = problem.history
@@ -853,7 +902,8 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
     start = history(t0) if problem.y0 is None else problem.y0
     y0 = tuple(np.atleast_1d(np.asarray(start, dtype=float)).tolist())
     dim = len(y0)
-    step = _generated_step(dim)
+    lags = tuple(fn.value if isinstance(fn, ConstantFn) else None for fn in delay_fns)
+    step = _generated_step(dim, lags)
 
     nodes_t: list[float] = [t0]
     nodes_y: list = [y0]
@@ -894,19 +944,17 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
             return nodes_y[idx]
         return step.horner(nodes_y[idx], nodes_q[idx], (tq - ta) / (nodes_t[idx + 1] - ta))
 
-    rhs = problem.rhs
+    varying = [fn for fn, lag in zip(delay_fns, lags) if lag is None]
+    evaluate = partial(step.evaluate, problem.rhs, past, *varying)
+    attempt = partial(step.attempt, problem.rhs, past, *varying)
     blow_time: float | None = None
-    evaluations = accepted = rejected = 0
-
-    def eval_rhs(t: float, y, left: bool = False):
-        nonlocal evaluations
-        evaluations += 1
-        return rhs(t, y, [past(t - fn(t), left) for fn in delay_fns] if has_delays else ())
+    evaluations = accepted = rejected = stepped_breaks = 0
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # Python floats raise where arrays overflow to inf
         try:
-            k = eval_rhs(t0, y0)
+            evaluations += 1
+            k = evaluate(t0, y0)
         except ArithmeticError as exc:
             raise IntegrationError(f"right side is not finite at the start time: {exc}",
                                    time=t0) from exc
@@ -919,7 +967,8 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
         if tol.first_step is not None:
             h = min(tol.first_step, max_step)
         else:
-            h = _initial_step(eval_rhs, step.rms, t0, y0, k, tol.rtol, tol.atol, max_step)
+            evaluations += 1
+            h = _initial_step(evaluate, step.rms, t0, y0, k, tol.rtol, tol.atol, max_step)
 
         t = t0
         y = y0
@@ -946,8 +995,9 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
                 blow_time = t
                 break
 
+            evaluations += 6
             try:
-                trial = step.attempt(eval_rhs, t, h_eff, t_new, y, k, tol.atol, tol.rtol)
+                trial = attempt(t, h_eff, t_new, y, k, tol.atol, tol.rtol)
             except (OverflowError, ValueError, ZeroDivisionError, FloatingPointError):
                 trial = None
             if trial is None:
@@ -973,7 +1023,12 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
                 break
             t = t_new
             y = y_new
-            k = eval_rhs(t, y) if on_break else k_new
+            if on_break:
+                evaluations += 1
+                stepped_breaks += 1
+                k = evaluate(t, y)
+            else:
+                k = k_new
             if err_norm == 0.0:
                 factor = _MAX_FACTOR
             elif err_prev is None:
@@ -991,7 +1046,7 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
     return Trajectory(ts, np.array(nodes_y), np.array(nodes_q).reshape(len(nodes_q), 4, dim),
                       blow_time if blew_up else ts[-1], blew_up, blow_time,
                       history=history, history_span=h_bar,
-                      stats=StepStats(accepted, rejected, evaluations))
+                      stats=StepStats(accepted, rejected, evaluations, stepped_breaks))
 
 
 def _norm_squared(ya, q) -> np.ndarray:

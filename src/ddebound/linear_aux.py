@@ -18,16 +18,17 @@ from .analysis import _check_matched_histories, _explicit_grid
 from .dde_core import (DelayProblem, DelaySpec, HistoryFunction, ToleranceSettings,
                        Trajectory, integrate)
 from .expressions import _generate
-from .majorant import LinearizedCoefficients
+from .majorant import LinearizedCoefficients, linearize_majorant
 from .reduction import CoefficientPair
-from .timefn import (TimeFunction, _compose, _literal, _source_of, as_time_function,
-                     locate_zeros, sample)
+from .timefn import (ConstantFn, TimeFunction, _compose, _literal, _source_of,
+                     as_time_function, grid_supremum, locate_zeros, sample)
 
 __all__ = [
     "LinearScalarDDE",
     "LinearResponse",
     "IssReport",
     "build_linear_auxiliary",
+    "build_linear_chain",
     "integrate_linear",
     "cauchy_function",
     "particular_response",
@@ -126,6 +127,29 @@ def build_linear_auxiliary(coeffs: CoefficientPair, lc: LinearizedCoefficients,
     shape = _compose("{} * {}", c, as_time_function(forcing_norm))
     return LinearScalarDDE(rate, delayed, delays, shape, forcing_amplitude,
                            history, t0, zeta_tilde=lc.zeta_tilde)
+
+
+def build_linear_chain(pipe):
+    """The time-varying linearization u of the scalar system of ``pipe`` (a
+    `cli.Pipeline`) and the constant-coefficient U, the same linearization of
+    its frozen variant: the two linear systems of the chain ``y <= u <= U``
+    and of the superposition checks."""
+    cfg = pipe.config
+    scalar = pipe.scalar_system
+    auto = pipe.autonomous_system
+    zt = cfg.reduction.zeta_tilde
+    vs = cfg.system
+    forcing_norm = vs.forcing_shape.norm if vs.forcing_amplitude > 0 else ConstantFn(0.0)
+    linear = build_linear_auxiliary(pipe.coefficients, linearize_majorant(scalar.majorant, zt),
+                                    scalar.delays, forcing_norm, vs.forcing_amplitude,
+                                    scalar.history, scalar.t0)
+    (forcing_norm_hat,) = grid_supremum([forcing_norm], scalar.t0, pipe.horizon,
+                                        cfg.reduction.margin)
+    constant = build_linear_auxiliary(CoefficientPair.closed_form(auto.p, auto.c),
+                                      linearize_majorant(auto.majorant, zt),
+                                      scalar.delays, ConstantFn(forcing_norm_hat),
+                                      vs.forcing_amplitude, scalar.history, scalar.t0)
+    return linear, constant
 
 
 @dataclass(frozen=True)

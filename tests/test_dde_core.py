@@ -543,6 +543,50 @@ class TestKinks:
         assert len(traj.ts) - 1 < 3000
 
 
+class TestBreaks:
+    def test_one_constant_delay_breaks_six_deep(self):
+        assert DelaySpec.constant([0.5]).breaks(0.0, 50.0) == tuple(0.5 * k for k in range(1, 7))
+        assert DelaySpec.constant([0.5]).breaks(1.0, 2.5) == (1.5, 2.0)
+        assert DelaySpec.none().breaks(0.0, 5.0) == ()
+
+    def test_several_constant_delays_break_at_their_sums(self):
+        # every t0 + sum n_i tau_i with 1 <= sum n_i <= 6 below the horizon,
+        # not only the multiples 0.5k of the smallest delay
+        spec = DelaySpec.constant([0.5, 0.7])
+        breaks = spec.breaks(0.0, 3.0)
+        assert breaks == tuple(sorted(set(breaks)))
+        # 0.5a + 0.7b < 3 for 17 pairs (a, b), no two of them equal
+        assert len(breaks) == 17 and max(breaks) < 3.0
+        assert {0.5, 0.7, 1.0, 1.2, 1.4} <= set(breaks)
+        problem = DelayProblem(on_arrays(lambda t, y, z: -z[0] - z[1]), spec,
+                               HistoryFunction.constant([1.0]), 0.0)
+        traj = integrate(problem, 3.0, DEFAULT)
+        for node in (0.7, 1.2, 1.4):
+            assert node in traj.ts
+        assert traj.stats.breaks == len(breaks)
+
+    def test_time_varying_delay_steps_onto_every_wall(self):
+        spec = DelaySpec.from_functions([parse_expression("1 + 0.5*sin(t)")])
+        assert spec.breaks(0.0, 9.8) is None
+        h_under = spec.bounds(0.0, 9.8)[1]
+        walls = [k * h_under for k in range(1, 20) if k * h_under < 9.8]
+        problem = DelayProblem(on_arrays(lambda t, y, z: -z[0]), spec,
+                               HistoryFunction.constant([1.0]), 0.0)
+        traj = integrate(problem, 9.8, DEFAULT)
+        assert np.all(np.isin(walls, traj.ts))
+        assert traj.stats.breaks == len(walls) == 19
+
+    def test_vector_run_of_case_a_steps_onto_six_breaks(self):
+        # the one delay 0.5 from a constant history: 0.5, 1.0, ..., 3.0, not
+        # the 100 walls 0.5k of [0, 50]
+        from ddebound.cli import _bundled_config
+
+        traj = integrate(_bundled_config("a").system, 50.0,
+                         ToleranceSettings(rtol=1e-6, atol=1e-9))
+        assert traj.stats.breaks == 6
+        assert np.all(np.isin([0.5 * k for k in range(1, 7)], traj.ts))
+
+
 class TestScalarSystemGuards:
     def test_negative_history_rejected(self):
         sys = cubic_basin_scalar().with_constant_history(-0.1)
@@ -689,7 +733,7 @@ class TestFloatStep:
         # the loop reads the cap on the generated norm and a trajectory on
         # `_norm`; both sum the squares in numpy's pairwise order
         y = np.random.default_rng(dim).normal(size=dim)
-        norm = dde_core._generated_step(dim).norm(tuple(y.tolist()))
+        norm = dde_core._generated_step(dim, ()).norm(tuple(y.tolist()))
         assert _bits(norm) == _bits(dde_core._norm(y))
 
     @pytest.mark.parametrize("dim", [1, 9, 130])
@@ -697,7 +741,7 @@ class TestFloatStep:
         # the first step reads the generated RMS: numpy's pairwise sum of the
         # squares over the count, as it was computed on arrays
         y = np.random.default_rng(dim).normal(size=dim)
-        rms = dde_core._generated_step(dim).rms(tuple(y.tolist()))
+        rms = dde_core._generated_step(dim, ()).rms(tuple(y.tolist()))
         assert _bits(rms) == _bits(np.sqrt(np.add.reduce(y * y) / y.size))
 
     def test_right_side_of_the_wrong_shape_fails_before_the_first_step(self):
@@ -763,4 +807,14 @@ class TestFloatStep:
         assert stats.accepted == len(traj.ts) - 1
         assert stats.rejected > 0
         # the start value, the first-step probe and six stages per attempt
+        assert stats.breaks == 0
         assert stats.rhs_evals == 2 + 6 * (stats.accepted + stats.rejected)
+
+    def test_step_counts_of_a_delayed_run(self):
+        # and one evaluation after each break: here the delay's 1, 2 and 3
+        hist = HistoryFunction.from_expressions([parse_expression("exp(t)")])
+        traj = integrate(delayed_decay_system(history=hist), 3.5, TIGHT)
+        stats = traj.stats
+        assert stats.accepted == len(traj.ts) - 1
+        assert stats.breaks == 3
+        assert stats.rhs_evals == 2 + 6 * (stats.accepted + stats.rejected) + stats.breaks

@@ -9,7 +9,7 @@ from ddebound import (DelaySpec, HistoryFunction, LinearScalarDDE, ToleranceSett
                       cauchy_function, integrate, integrate_linear, iss_bound_series,
                       linearize_majorant, parse_expression, particular_response,
                       superposition_check)
-from ddebound.linear_aux import build_linear_auxiliary
+from ddebound.linear_aux import build_linear_auxiliary, build_linear_chain
 from ddebound.majorant import LinearizedCoefficients, PolynomialMajorant, PolynomialTerm
 from ddebound.reduction import CoefficientPair
 from ddebound.timefn import ConstantFn, locate_zeros, sample
@@ -88,7 +88,7 @@ class TestCauchyFunction:
         # U' = a U + b U(t - h): its Cauchy function decays at the rightmost
         # characteristic root lambda = a + W0(b h e^(-a h)) / h
         from scipy.special import lambertw
-        from ddebound.cli import _bundled_config, assemble_pipeline, build_linear_chain
+        from ddebound.cli import _bundled_config, assemble_pipeline
         _linear, constant = build_linear_chain(assemble_pipeline(_bundled_config(case)))
         a = constant.rate.value
         (b,) = [g.value for g in constant.delayed_coeffs]
@@ -223,7 +223,7 @@ class TestIssBound:
     def test_benchmark_chain_bound_holds(self):
         # |x(t)| <= u_h(t) + F0 * u_nh(t) on the bundled planar system with a
         # small amplitude and history inside the linearization radius
-        from ddebound.cli import _bundled_config, assemble_pipeline, build_linear_chain
+        from ddebound.cli import _bundled_config, assemble_pipeline
         pipe = assemble_pipeline(_bundled_config("a"))
         linear, _constant = build_linear_chain(pipe)
         tol = ToleranceSettings(rtol=1e-6, atol=1e-9)
@@ -296,7 +296,7 @@ class TestConstantBuilder:
         assert sys.forcing_shape.value == 1.5 * 0.8
 
     def test_frozen_coefficients_dominate_time_varying_ones(self):
-        from ddebound.cli import _bundled_config, assemble_pipeline, build_linear_chain
+        from ddebound.cli import _bundled_config, assemble_pipeline
         pipe = assemble_pipeline(_bundled_config("a"))
         linear, constant = build_linear_chain(pipe)
         for t in np.linspace(0.0, 50.0, 2001).tolist():
@@ -307,7 +307,7 @@ class TestConstantBuilder:
     def test_forced_chain_stays_dominated(self):
         # with forcing on, the frozen system must still ride above the
         # time-varying one (its forcing shape is the supremum of c|e|)
-        from ddebound.cli import _bundled_config, assemble_pipeline, build_linear_chain
+        from ddebound.cli import _bundled_config, assemble_pipeline
         from ddebound import verify_pointwise_ordering
         pipe = assemble_pipeline(_bundled_config("a"))
         linear, constant = build_linear_chain(pipe)
