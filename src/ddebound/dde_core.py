@@ -24,8 +24,8 @@ so a custom right side is integrated by building a `DelayProblem` directly.
 The state is a tuple of Python floats and ``rhs`` is called on it, returning
 one float per coordinate: the system classes generate such a right side, and
 one written on arrays is read through `on_arrays`.  The step arithmetic is
-one source, generated once per state dimension and constant delays
-(`_generated_step`), which reads the delayed arguments itself; it adds every
+one source, generated once per state dimension and choice of the delays that
+vary (`_generated_step`), which reads the delayed arguments itself; it adds every
 sum in one documented order, so no result depends on the BLAS library.
 """
 
@@ -750,18 +750,19 @@ def _pairwise(terms: Sequence[str]) -> str:
 
 
 @cache
-def _generated_step(dim: int, lags: tuple[float | None, ...]) -> SimpleNamespace:
+def _generated_step(dim: int, varying: tuple[bool, ...]) -> SimpleNamespace:
     """The step arithmetic of `integrate` for states of ``dim`` Python
-    floats and the delays ``lags`` (per delay its value when it is constant,
-    else None), generated once as straight-line source.
+    floats and delays that vary in time where ``varying`` is true, generated
+    once as straight-line source.
 
     Each right-side evaluation is written out as ``rhs(ts, state,
-    (past(ts - lag, left), ...))``, where ``past(time, left)`` is the run's
-    delayed lookup: a constant delay as a literal, which gives the bits of
-    ``ts - fn(ts)``, and the ``i``-th delay otherwise as a call ``d<i>(ts)``
-    of an argument, so no callable is kept in the cache.  The two functions
-    that evaluate take ``rhs, past`` and then the delay functions ``d<i>``
-    that vary, in delay order, before their own arguments.
+    (past(ts - d0, left), ...))``, where ``past(time, left)`` is the run's
+    delayed lookup and ``d<i>`` the ``i``-th delay, an argument: a constant
+    delay as its float, read as ``ts - d0`` (the bits of ``ts - fn(ts)``),
+    and one that varies as its function, read as ``ts - d0(ts)``.  So the
+    cache holds no delay, and runs that differ only in their delays' values
+    share one step.  The two functions that evaluate take ``rhs, past`` and
+    then every delay ``d<i>``, in delay order, before their own arguments.
 
     ``evaluate(..., t, y)`` is one evaluation at ``(t, y)``, its delayed
     values read from the right.  ``attempt(..., t, h, t_new, y, k, atol,
@@ -778,7 +779,7 @@ def _generated_step(dim: int, lags: tuple[float | None, ...]) -> SimpleNamespace
     ``_STAGE_ROWS`` ... ``_DENSE`` in their order, and the sums of squares
     numpy's (`_pairwise`)."""
     coords = range(dim)
-    extra = "".join(f"d{i}, " for i, lag in enumerate(lags) if lag is None)
+    extra = "".join(f"d{i}, " for i in range(len(varying)))
 
     def names(stem: str) -> list[str]:
         return [f"{stem}{i}" for i in coords]
@@ -792,9 +793,9 @@ def _generated_step(dim: int, lags: tuple[float | None, ...]) -> SimpleNamespace
 
     def evaluation(values: str, left: bool) -> str:
         # the right side at the time ``ts``
-        delayed = [f"past(ts - {_literal(lag) if lag is not None else f'd{i}(ts)'}, {left})"
-                   for i, lag in enumerate(lags)]
-        return f"rhs(ts, {values}, {state(delayed) if lags else '()'})"
+        delayed = [f"past(ts - d{i}{'(ts)' if varies else ''}, {left})"
+                   for i, varies in enumerate(varying)]
+        return f"rhs(ts, {values}, {state(delayed) if varying else '()'})"
 
     evaluate = _generate(f"rhs, past, {extra}ts, y", evaluation("y", False))
     lines = [f"{state(names('y'))} = y", f"{state(names('k0_'))} = k"]
@@ -872,8 +873,8 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
 
     The state is a tuple of Python floats, stepped by the generated step
     arithmetic (`_generated_step`), which calls ``problem.rhs`` on it with
-    the delayed values it looks up itself, each constant delay a literal of
-    the source; a result of the wrong length fails at the start time.  A
+    the delayed values it looks up itself, each constant delay passed in as
+    its float; a result of the wrong length fails at the start time.  A
     horizon that leaves no step after the start time (the loop's own end
     test), NaN or infinite, is refused.
     """
@@ -902,8 +903,8 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
     start = history(t0) if problem.y0 is None else problem.y0
     y0 = tuple(np.atleast_1d(np.asarray(start, dtype=float)).tolist())
     dim = len(y0)
-    lags = tuple(fn.value if isinstance(fn, ConstantFn) else None for fn in delay_fns)
-    step = _generated_step(dim, lags)
+    delays = [fn.value if isinstance(fn, ConstantFn) else fn for fn in delay_fns]
+    step = _generated_step(dim, tuple(callable(d) for d in delays))
 
     nodes_t: list[float] = [t0]
     nodes_y: list = [y0]
@@ -944,9 +945,8 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
             return nodes_y[idx]
         return step.horner(nodes_y[idx], nodes_q[idx], (tq - ta) / (nodes_t[idx + 1] - ta))
 
-    varying = [fn for fn, lag in zip(delay_fns, lags) if lag is None]
-    evaluate = partial(step.evaluate, problem.rhs, past, *varying)
-    attempt = partial(step.attempt, problem.rhs, past, *varying)
+    evaluate = partial(step.evaluate, problem.rhs, past, *delays)
+    attempt = partial(step.attempt, problem.rhs, past, *delays)
     blow_time: float | None = None
     evaluations = accepted = rejected = stepped_breaks = 0
 

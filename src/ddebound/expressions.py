@@ -1,42 +1,36 @@
-"""Small arithmetic expression language for time-varying coefficients.
+"""Arithmetic expressions of time for the coefficients of a system.
 
-Grammar (recursive descent, 1-based column positions in errors)::
-
-    expression := term (('+' | '-') term)*
-    term       := unary (('*' | '/') unary)*
-    unary      := '-' unary | power
-    power      := atom ('^' unary)?          # right associative
-    atom       := NUMBER | 't' | NAME '(' expression ')' | '(' expression ')'
-
-Precedence is ``^`` > unary ``-`` > ``*`` ``/`` > ``+`` ``-``; all binary
-operators are left associative except ``^``.  The only variable is ``t``; the
-available functions are ``sin``, ``cos``, ``exp`` and ``abs``.
+The language is Python's arithmetic on floats, with ``^`` for powers: number
+literals (digits with at most one dot and an optional exponent ``e±digits``),
+the variable ``t``, the binary operators ``+ - * / ^``, unary ``-``,
+parentheses and the functions ``sin``, ``cos``, ``exp`` and ``abs`` of one
+argument.  Python's own parser reads the text (`ast.parse`, with ``^`` read
+as ``**``), so precedence and associativity are Python's: ``^`` binds
+tightest and to the right, above a unary ``-`` on its left (``-3^2`` is -9,
+``2^-3`` is 0.125), then ``*`` ``/`` and ``+`` ``-``, both left associative.
+One walk over the tree refuses every other construct, and a tree more than
+``_MAX_DEPTH`` nodes deep; every refusal is an `ExpressionSyntaxError` with
+the 1-based column of the text it refuses.
 
 Expressions are evaluated in real arithmetic (``math.pow`` semantics, so a
 negative base with a fractional exponent is an error rather than a complex
-number).  Each node compiles once to a Python callable: `Expression.compiled`
-returns it for integration loops, and `Expression.evaluate`, the strict
-evaluator used during validation, runs it and rejects non-finite results.
-The compiler, `_generate`, also builds the package's other generated
-functions (comparison coefficients and right sides), which inline the source
-of the compiled expressions they read.
+number).  Each expression compiles once, when it is parsed, to a Python
+callable: `Expression.compiled` returns it for integration loops, and
+`Expression.evaluate`, the strict evaluator used during validation, runs it
+and rejects non-finite results.  The compiler, `_generate`, also builds the
+package's other generated functions (comparison coefficients and right
+sides), which inline the source of the compiled expressions they read.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
 
 __all__ = [
     "Expression",
-    "Num",
-    "TimeVar",
-    "Neg",
-    "BinOp",
-    "Call",
     "ExpressionSyntaxError",
     "EvaluationError",
     "parse_expression",
@@ -48,7 +42,17 @@ _NAMESPACE = {**{f"_{name}": fn for name, fn in _FUNCTIONS.items()},
               "_pow": math.pow, "_sqrt": math.sqrt, "_hypot": math.hypot,
               "inf": math.inf, "nan": math.nan}
 
-_BINARY_OPS = ("+", "-", "*", "/", "^")
+_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_NUMBER = re.compile(r"[0-9]*\.?[0-9]*(?:[eE][+-]?[0-9]+)?")
+# the deepest tree parse_expression accepts, in nodes from the root: deep
+# enough for a 199-term chain of powers inside two operations, and shallow
+# enough for `ast.unparse` (three frames a level) and for the compiled source,
+# whose parentheses nest at most one level a node below the root, so at most
+# the 200 levels Python's tokenizer reads
+_MAX_DEPTH = 201
+
+# the variable in generated source
+_TIME = re.compile(r"\bt\b")
 # a call of a named function at t in generated source
 _CALL_AT_T = re.compile(r"(?<![\w.])(\w+)\(t\)")
 
@@ -98,14 +102,18 @@ class EvaluationError(ArithmeticError):
 
 
 class Expression:
-    """Base class of AST nodes."""
+    """A coefficient expression: the tree `parse_expression` checked (its
+    numbers floats, ``^`` as Python's ``**``) and the function of ``t``
+    compiled from it.  Expressions with the same tree are equal."""
 
-    __slots__ = ()
+    def __init__(self, tree: ast.expr, compiled):
+        self.tree = tree
+        self._compiled = compiled
 
     def evaluate(self, t: float) -> float:
         """Strictly evaluate at time ``t``; non-finite results are errors."""
         try:
-            value = self.compiled()(t)
+            value = self._compiled(t)
         except ZeroDivisionError as exc:
             raise EvaluationError(f"division by zero at t={t!r}") from exc
         except (OverflowError, ValueError) as exc:
@@ -116,15 +124,12 @@ class Expression:
 
     def compiled(self):
         """The ``t -> float`` callable behind :meth:`evaluate`, compiled once
-        per node; it does not check finiteness."""
+        per expression; it does not check finiteness."""
         return self._compiled
 
-    @cached_property
-    def _compiled(self):
-        return _generate("t", self._source())
-
     def is_constant(self) -> bool:
-        raise NotImplementedError
+        # ``t`` is the one name of the compiled source that is not a function
+        return _TIME.search(self._compiled.source[2]) is None
 
     def constant_value(self) -> float:
         """Value of a time-independent expression."""
@@ -132,243 +137,96 @@ class Expression:
             raise ValueError("expression depends on t")
         return self.evaluate(0.0)
 
-    def _source(self) -> str:
-        raise NotImplementedError
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Expression) and ast.dump(self.tree) == ast.dump(other.tree)
+
+    def __hash__(self) -> int:
+        return hash(ast.dump(self.tree))
 
     def __str__(self) -> str:
-        return self._format(0)
+        return ast.unparse(self.tree).replace("**", "^")
 
-    def _format(self, context: int) -> str:
-        raise NotImplementedError
-
-
-# Precedence levels used by the printer: additive=1, multiplicative=2,
-# unary minus=3, power=4, atoms=5.
+    def __repr__(self) -> str:
+        return f"parse_expression({str(self)!r})"
 
 
-@dataclass(frozen=True)
-class Num(Expression):
-    value: float
+def _checked(node: ast.expr, source: str, column, depth: int = 1) -> ast.expr:
+    """The Python form of ``node``, a node of the parsed ``source``, after
+    checking it and its operands against the language: a copy in which
+    ``a ** b`` is ``_pow(a, b)`` and ``sin(x)`` is ``_sin(x)``, sharing the
+    leaves.  A number literal becomes a float in ``node`` itself.  Anything
+    else, or a node deeper than ``_MAX_DEPTH``, raises
+    `ExpressionSyntaxError` at ``column(node.col_offset)``."""
+    def refuse(message: str):
+        raise ExpressionSyntaxError(message, column(node.col_offset))
 
-    def is_constant(self) -> bool:
-        return True
+    def checked(operand: ast.expr) -> ast.expr:
+        return _checked(operand, source, column, depth + 1)
 
-    def _source(self) -> str:
-        return repr(float(self.value))
-
-    def _format(self, context: int) -> str:
-        return repr(float(self.value)) if self.value >= 0 else f"({self.value!r})"
-
-
-@dataclass(frozen=True)
-class TimeVar(Expression):
-    def is_constant(self) -> bool:
-        return False
-
-    def _source(self) -> str:
-        return "t"
-
-    def _format(self, context: int) -> str:
-        return "t"
-
-
-@dataclass(frozen=True)
-class Neg(Expression):
-    arg: Expression
-
-    def is_constant(self) -> bool:
-        return self.arg.is_constant()
-
-    def _source(self) -> str:
-        return f"(-{self.arg._source()})"
-
-    def _format(self, context: int) -> str:
-        inner = f"-{self.arg._format(3)}"
-        return f"({inner})" if context > 3 else inner
-
-
-@dataclass(frozen=True)
-class BinOp(Expression):
-    op: str
-    left: Expression
-    right: Expression
-
-    def __post_init__(self):
-        if self.op not in _BINARY_OPS:
-            raise ValueError(f"unknown operator {self.op!r}")
-
-    def is_constant(self) -> bool:
-        return self.left.is_constant() and self.right.is_constant()
-
-    def _source(self) -> str:
-        a, b = self.left._source(), self.right._source()
-        if self.op == "^":
-            return f"_pow({a}, {b})"
-        return f"({a} {self.op} {b})"
-
-    def _format(self, context: int) -> str:
-        if self.op in ("+", "-"):
-            prec = 1
-            text = f"{self.left._format(1)} {self.op} {self.right._format(2)}"
-        elif self.op in ("*", "/"):
-            prec = 2
-            text = f"{self.left._format(2)} {self.op} {self.right._format(3)}"
-        else:  # '^': right associative, base must bind tighter than ^
-            prec = 4
-            text = f"{self.left._format(5)}^{self.right._format(4)}"
-        return f"({text})" if context > prec else text
-
-
-@dataclass(frozen=True)
-class Call(Expression):
-    name: str
-    arg: Expression
-
-    def __post_init__(self):
-        if self.name not in _FUNCTIONS:
-            raise ValueError(f"unknown function {self.name!r}")
-
-    def is_constant(self) -> bool:
-        return self.arg.is_constant()
-
-    def _source(self) -> str:
-        return f"_{self.name}({self.arg._source()})"
-
-    def _format(self, context: int) -> str:
-        return f"{self.name}({self.arg._format(0)})"
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    # -- lexing helpers ---------------------------------------------------
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _column(self) -> int:
-        return self.pos + 1
-
-    def _error(self, message: str, column: int | None = None):
-        raise ExpressionSyntaxError(message, self._column() if column is None else column)
-
-    # -- grammar ----------------------------------------------------------
-    def parse(self) -> Expression:
-        if not self.text.strip():
-            self._error("empty expression", 1)
-        node = self._expression()
-        self._skip_ws()
-        if self.pos < len(self.text):
-            self._error(f"unexpected {self.text[self.pos]!r}")
+    if depth > _MAX_DEPTH:
+        refuse(f"expression nested deeper than {_MAX_DEPTH} levels")
+    text = source[node.col_offset:node.end_col_offset]
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _OPERATORS):
+        left, right = checked(node.left), checked(node.right)
+        if isinstance(node.op, ast.Pow):
+            return ast.Call(ast.Name("_pow"), [left, right], [])
+        return ast.BinOp(left, node.op, right)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return ast.UnaryOp(node.op, checked(node.operand))
+    if isinstance(node, ast.Name):
+        if node.id != "t":
+            refuse(f"unknown name {node.id!r}")
         return node
-
-    def _expression(self) -> Expression:
-        node = self._term()
-        while self._peek() in ("+", "-"):
-            op = self.text[self.pos]
-            self.pos += 1
-            node = BinOp(op, node, self._term())
+    if isinstance(node, ast.Constant) and _NUMBER.fullmatch(text):
+        node.value = float(text)
+        if math.isinf(node.value):
+            refuse(f"number literal {text!r} is not finite")
         return node
-
-    def _term(self) -> Expression:
-        node = self._unary()
-        while self._peek() in ("*", "/"):
-            op = self.text[self.pos]
-            self.pos += 1
-            node = BinOp(op, node, self._unary())
-        return node
-
-    def _unary(self) -> Expression:
-        if self._peek() == "-":
-            self.pos += 1
-            return Neg(self._unary())
-        return self._power()
-
-    def _power(self) -> Expression:
-        base = self._atom()
-        if self._peek() == "^":
-            self.pos += 1
-            return BinOp("^", base, self._unary())
-        return base
-
-    def _atom(self) -> Expression:
-        ch = self._peek()
-        col = self._column()
-        if ch == "":
-            self._error("unexpected end of expression", col)
-        if ch == "(":
-            self.pos += 1
-            if self._peek() == ")":
-                self._error("empty parentheses")
-            node = self._expression()
-            if self._peek() != ")":
-                self._error("expected ')'")
-            self.pos += 1
-            return node
-        if ch.isdigit() or ch == ".":
-            return self._number()
-        if ch.isalpha() or ch == "_":
-            return self._name()
-        self._error(f"unexpected {ch!r}", col)
-
-    def _number(self) -> Expression:
-        start = self.pos
-        text = self.text
-        n = len(text)
-        while self.pos < n and (text[self.pos].isdigit() or text[self.pos] == "."):
-            self.pos += 1
-        if self.pos < n and text[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < n and text[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < n and text[self.pos].isdigit():
-                while self.pos < n and text[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark  # 'e' belonged to something else; not a valid exponent
-        literal = text[start:self.pos]
-        try:
-            value = float(literal)
-        except ValueError:
-            self._error(f"bad number literal {literal!r}", start + 1)
-        if math.isinf(value):
-            self._error(f"number literal {literal!r} is not finite", start + 1)
-        return Num(value)
-
-    def _name(self) -> Expression:
-        start = self.pos
-        text = self.text
-        while self.pos < len(text) and (text[self.pos].isalnum() or text[self.pos] == "_"):
-            self.pos += 1
-        name = text[start:self.pos]
-        if name == "t":
-            return TimeVar()
-        if name in _FUNCTIONS:
-            if self._peek() != "(":
-                self._error(f"function {name!r} requires parentheses", start + 1)
-            self.pos += 1
-            if self._peek() == ")":
-                self._error(f"empty argument to {name!r}")
-            arg = self._expression()
-            if self._peek() != ")":
-                self._error("expected ')'")
-            self.pos += 1
-            return Call(name, arg)
-        self._error(f"unknown identifier {name!r}", start + 1)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        name = node.func.id
+        if name not in _FUNCTIONS:
+            refuse(f"unknown function {name!r}")
+        if len(node.args) != 1 or node.keywords:
+            refuse(f"{name} takes one argument")
+        return ast.Call(ast.Name(f"_{name}"), [checked(node.args[0])], [])
+    refuse(f"unexpected {text!r}")
 
 
 def parse_expression(text: str) -> Expression:
-    """Parse coefficient text into an `Expression` AST.
+    """Parse coefficient text into an `Expression`.
 
-    Raises `ExpressionSyntaxError` (with a 1-based column) on malformed input.
+    Every whitespace character reads as a space.  Raises
+    `ExpressionSyntaxError` (with a 1-based column) on text outside the
+    language, on text Python's parser refuses (with its message), and on an
+    expression too deep to parse or compile.
     """
     if not isinstance(text, str):
         raise TypeError("expression text must be a string")
-    return _Parser(text).parse()
+    spaced = "".join(" " if ch.isspace() else ch for ch in text)
+    body = spaced.lstrip()
+    if not body:
+        raise ExpressionSyntaxError("empty expression", 1)
+    # Python reads "**" as a power and "#" as a comment, and past printable
+    # ASCII it counts columns in UTF-8 bytes
+    bad = re.search(r"\*\*|#|[^ -~]", spaced)
+    if bad:
+        raise ExpressionSyntaxError(f"unexpected {bad[0]!r}", bad.start() + 1)
+    source = body.replace("^", "**")
+    lead = len(spaced) - len(body)
+
+    def column(offset: int) -> int:
+        # the column in ``text`` of ``source[offset]``: each "**" was one "^"
+        return lead + offset - source.count("**", 0, offset) + 1
+
+    try:
+        tree = ast.parse(source, mode="eval").body
+        python = _checked(tree, source, column)
+    except SyntaxError as exc:
+        raise ExpressionSyntaxError(exc.msg, column(max(exc.offset or 1, 1) - 1)) from exc
+    except (RecursionError, MemoryError) as exc:
+        raise ExpressionSyntaxError("expression nested too deeply to parse", 1) from exc
+    try:
+        compiled = _generate("t", ast.unparse(python))
+    except (RecursionError, MemoryError, SyntaxError) as exc:
+        raise ExpressionSyntaxError(f"expression too deep to compile ({exc})", 1) from exc
+    return Expression(tree, compiled)

@@ -58,15 +58,22 @@ def _literal(value: float) -> str:
     return f"({text})" if text.startswith("-") else text
 
 
+# generated code nests an inlined body in parentheses, and a composition the
+# bodies it inlines, but Python's tokenizer stops at 200 nested parentheses
+_INLINE_PARENS = 100
+
+
 def _source_of(fn: TimeFunction, names: dict) -> str:
     """Source that reads ``fn`` at ``t`` inside generated code: a literal for
-    a constant, the inlined body of a generated time function, else a call of
-    ``fn``, which joins ``names``.  Names are keyed by object identity, so
-    inlined bodies never clash."""
+    a constant, the inlined body of a generated time function with fewer than
+    ``_INLINE_PARENS`` parentheses, else a call of ``fn``, which joins
+    ``names``.  Names are keyed by object identity, so inlined bodies never
+    clash."""
     if isinstance(fn, ConstantFn):
         return _literal(fn.value)
     source = getattr(fn, "source", None)
-    if source is not None and source[0] == "t" and not source[1]:
+    if source is not None and source[0] == "t" and not source[1] \
+            and source[2].count("(") < _INLINE_PARENS:
         _params, _lines, body, inner = source
         names.update(inner)
         return f"({body})"

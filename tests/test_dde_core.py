@@ -744,6 +744,16 @@ class TestFloatStep:
         rms = dde_core._generated_step(dim, ()).rms(tuple(y.tolist()))
         assert _bits(rms) == _bits(np.sqrt(np.add.reduce(y * y) / y.size))
 
+    def test_constant_delays_of_other_values_share_one_step(self):
+        # the step is cached by the state dimension and which delays vary; a
+        # constant delay's value is an argument
+        dde_core._generated_step.cache_clear()
+        history = HistoryFunction.constant([0.1, 0.1])
+        rhs = _vector_system(2, 1, history).rhs
+        for delay in (0.5, 0.7):
+            integrate(DelayProblem(rhs, DelaySpec.constant([delay]), history, 0.0), 2.0, DEFAULT)
+        assert dde_core._generated_step.cache_info().currsize == 1
+
     def test_right_side_of_the_wrong_shape_fails_before_the_first_step(self):
         # `on_arrays` checks the shape of every result
         calls = []
