@@ -285,17 +285,15 @@ class BoundednessCriterion:
 @dataclass(frozen=True)
 class RadiusEstimate:
     """Bisection bracket for the largest good constant-history magnitude, or
-    its exact value with ``lo == hi == value``."""
+    its exact value with ``lo == hi == value``, with the criterion that
+    judges a magnitude good and the horizon it was judged on."""
 
     value: float
     lo: float
     hi: float
     status: str     # bracketed | analytic (exact) | unbracketed_above | empty_at_zero
-    criterion: str
+    criterion: BoundednessCriterion
     horizon: float
-    cap: float
-    tail_fraction: float
-    decay_ratio: float
     probes: tuple[tuple[float, bool], ...] = ()
 
     def monotone_flips(self) -> tuple[float, ...]:
@@ -313,12 +311,6 @@ class RadiusEstimate:
 _MAX_BISECTIONS = 40
 
 
-def _estimate(criterion: BoundednessCriterion, horizon: float, value: float, lo: float,
-              hi: float, status: str, probes=()) -> RadiusEstimate:
-    return RadiusEstimate(value, lo, hi, status, criterion.kind, horizon, criterion.cap,
-                          criterion.tail_fraction, criterion.decay_ratio, probes)
-
-
 def _bisection(probe, q_max: float, bisect_tol: float, criterion: BoundednessCriterion,
                horizon: float) -> RadiusEstimate:
     """One radius search on ``[0, q_max]``: each magnitude ``q`` is judged by
@@ -334,7 +326,7 @@ def _bisection(probe, q_max: float, bisect_tol: float, criterion: BoundednessCri
         return good
 
     def make(value, lo, hi, status):
-        return _estimate(criterion, horizon, value, lo, hi, status, tuple(probes))
+        return RadiusEstimate(value, lo, hi, status, criterion, horizon, tuple(probes))
 
     if judged(q_max):
         return make(q_max, q_max, math.inf, "unbracketed_above")
@@ -405,10 +397,10 @@ def frozen_scalar_radius(ss: ScalarDelaySystem, criterion: BoundednessCriterion,
         raise ValueError("the frozen radius needs a majorant without constant (degree-0) terms")
     q_star = _frozen_root(ss.p.value, ss.c.value, ss.majorant, q_max)
     if q_star == 0.0:
-        return _estimate(criterion, horizon, 0.0, 0.0, 0.0, "empty_at_zero")
+        return RadiusEstimate(0.0, 0.0, 0.0, "empty_at_zero", criterion, horizon)
     if q_star >= q_max:
-        return _estimate(criterion, horizon, q_max, q_max, math.inf, "unbracketed_above")
-    return _estimate(criterion, horizon, q_star, q_star, q_star, "analytic")
+        return RadiusEstimate(q_max, q_max, math.inf, "unbracketed_above", criterion, horizon)
+    return RadiusEstimate(q_star, q_star, q_star, "analytic", criterion, horizon)
 
 
 @dataclass(frozen=True)

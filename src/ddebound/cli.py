@@ -248,7 +248,7 @@ def _cmd_radius(args) -> int:
     emit_csv([("q", [p[0] for p in probes]),
               ("good", [1.0 if p[1] else 0.0 for p in probes])],
              out / "radius.csv")
-    print(f"scalar radius ({estimate.criterion}, horizon {duration:g}): "
+    print(f"scalar radius ({estimate.criterion.kind}, horizon {duration:g}): "
           f"{estimate.value:.6g}  bracket [{estimate.lo:.6g}, {estimate.hi:.6g}] "
           f"status {estimate.status}")
     print(f"wrote {out / 'radius.csv'}")

@@ -36,7 +36,8 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, partial, reduce
+from operator import add, mul
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
@@ -145,11 +146,15 @@ _BERNSTEIN = np.array([[math.comb(i, j) / math.comb(4, j) for j in range(5)]
 def _norm(x):
     """Euclidean norm over the last axis of ``x``: a number for one vector,
     an array for a stack of them.  Every state and history magnitude reads
-    it, so a vector and the same vector as a row round alike; below 8
-    entries the squares are summed in index order, as in the generated norm
-    of a `VectorFunction`.  (``np.linalg.norm`` of one vector is a dot
-    product and may differ from both in the last bit.)"""
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
+    it, and the squares are summed left to right in index order, as in the
+    generated norm of a step and of a `VectorFunction`, so a vector, the same
+    vector as a row and those norms round alike.  (``np.linalg.norm`` of one
+    vector is a dot product and ``np.add.reduce`` sums pairwise from 8
+    entries on; either may differ in the last bit.)"""
+    if x.ndim == 1:
+        values = x.tolist()
+        return math.sqrt(reduce(add, map(mul, values, values)))
+    return np.sqrt(np.cumsum(x * x, axis=-1)[..., -1])
 
 
 def _step_floor(t: float) -> float:
@@ -730,25 +735,6 @@ def _initial_step(evaluate, rms, t0, y0, f0, rtol, atol, max_step):
     return min(100.0 * h0, h1, max_step)
 
 
-def _pairwise(terms: Sequence[str]) -> str:
-    """Source of the sum of ``terms`` in the order of numpy's ``add.reduce``
-    over one contiguous row, the order of `_norm`: left to right
-    below 8 terms; up to 128 terms, 8 interleaved partial sums joined
-    pairwise and then the rest in order; beyond, the two halves (the first a
-    multiple of 8 long) summed so and added."""
-    n = len(terms)
-    if n < 8:
-        return " + ".join(terms)
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return f"({_pairwise(terms[:half])}) + ({_pairwise(terms[half:])})"
-    blocks = n - n % 8
-    partial = [f"({' + '.join(terms[j:blocks:8])})" for j in range(8)]
-    joined = " + ".join(f"(({a} + {b}) + ({c} + {d}))" for a, b, c, d
-                        in (partial[:4], partial[4:]))
-    return " + ".join([f"({joined})", *terms[blocks:]])
-
-
 @cache
 def _generated_step(dim: int, varying: tuple[bool, ...]) -> SimpleNamespace:
     """The step arithmetic of `integrate` for states of ``dim`` Python
@@ -777,7 +763,7 @@ def _generated_step(dim: int, varying: tuple[bool, ...]) -> SimpleNamespace:
     ``norm(y)`` is `_norm` and ``rms(y)`` the root mean square, the same sum
     of squares over ``dim``.  The combinations follow the rows
     ``_STAGE_ROWS`` ... ``_DENSE`` in their order, and the sums of squares
-    numpy's (`_pairwise`)."""
+    the coordinates in index order."""
     coords = range(dim)
     extra = "".join(f"d{i}, " for i in range(len(varying)))
 
@@ -810,7 +796,7 @@ def _generated_step(dim: int, varying: tuple[bool, ...]) -> SimpleNamespace:
     checks = " and ".join(f"_isfinite({v})" for v in names("n") + names("e") + names("k1_"))
     lines += [f"if not ({checks}):", "    return None"]
     lines += [f"x{i} = e{i} / (atol + rtol * max(abs(y{i}), abs(n{i})))" for i in coords]
-    lines.append(f"err = _sqrt(({_pairwise([f'x{i} * x{i}' for i in coords])}) / {dim})")
+    lines.append(f"err = _sqrt(({' + '.join(f'x{i} * x{i}' for i in coords)}) / {dim})")
     lines += ["if err > 1.0:", "    return err, None, None, None"]
     dense = ", ".join(f"h * ({combined(row, i)})" for row in _DENSE for i in coords)
     attempt = _generate(f"rhs, past, {extra}t, h, t_new, y, k, atol, rtol",
@@ -821,7 +807,7 @@ def _generated_step(dim: int, varying: tuple[bool, ...]) -> SimpleNamespace:
         f"y{i} + theta * ({q[0][i]} + theta * ({q[1][i]} + theta * ({q[2][i]} + theta "
         f"* {q[3][i]})))" for i in coords),
         lines=[f"{state(names('y'))} = y", f"{', '.join(sum(q, []))}, = q"])
-    squares = _pairwise([f"y{i} * y{i}" for i in coords])
+    squares = " + ".join(f"y{i} * y{i}" for i in coords)
     norm = _generate("y", f"_sqrt({squares})", lines=[f"{state(names('y'))} = y"])
     rms = _generate("y", f"_sqrt(({squares}) / {dim})", lines=[f"{state(names('y'))} = y"])
     return SimpleNamespace(evaluate=evaluate, attempt=attempt, horner=horner, norm=norm, rms=rms)

@@ -44,6 +44,11 @@ _NAMESPACE = {**{f"_{name}": fn for name, fn in _FUNCTIONS.items()},
 
 _OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _NUMBER = re.compile(r"[0-9]*\.?[0-9]*(?:[eE][+-]?[0-9]+)?")
+# names and number literals, longest first, as Python's tokenizer reads them:
+# a number run into a letter or "_" (``1or 2``, ``2t``) is refused before the
+# tokenizer warns about it on stderr
+_WORD = re.compile(r"[A-Za-z_]\w*|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+                   r"(?P<run_on>[A-Za-z_])?")
 # the deepest tree parse_expression accepts, in nodes from the root: deep
 # enough for a 199-term chain of powers inside two operations, and shallow
 # enough for `ast.unparse` (three frames a level) and for the compiled source,
@@ -211,6 +216,10 @@ def parse_expression(text: str) -> Expression:
     bad = re.search(r"\*\*|#|[^ -~]", spaced)
     if bad:
         raise ExpressionSyntaxError(f"unexpected {bad[0]!r}", bad.start() + 1)
+    for word in _WORD.finditer(spaced):
+        if word["run_on"]:
+            raise ExpressionSyntaxError(
+                f"number {word['number']!r} runs into {word['run_on']!r}", word.start() + 1)
     source = body.replace("^", "**")
     lead = len(spaced) - len(body)
 

@@ -132,9 +132,9 @@ class VectorFunction:
 
     `norm` is ``t -> |v(t)|``, generated once from the entries.  With more
     than one entry it is the square root of the sum of squares in index
-    order, which below dimension 8 is the state norm ``dde_core._norm`` of
-    ``v(t)`` bit for bit.  With one entry it is ``abs`` of that entry, which
-    equals that norm unless the square under- or overflows.
+    order, which is the state norm ``dde_core._norm`` of ``v(t)`` bit for
+    bit.  With one entry it is ``abs`` of that entry, which equals that norm
+    unless the square under- or overflows.
     """
 
     def __init__(self, dim: int, entries: Mapping[int, object]):

@@ -28,10 +28,6 @@ class Curve:
     y: np.ndarray
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def emit_csv(columns: Sequence[tuple[str, Sequence[float]]], path) -> None:
     """Write named columns as CSV (UTF-8, header row, full precision)."""
     if not columns:
@@ -43,9 +39,8 @@ def emit_csv(columns: Sequence[tuple[str, Sequence[float]]], path) -> None:
         raise ValueError("columns are empty")
     path = Path(path)
     lines = [",".join(name for name, _values in columns)]
-    n = lengths.pop()
-    for k in range(n):
-        lines.append(",".join(_fmt(values[k]) for _name, values in columns))
+    floats = [np.asarray(values, dtype=float).tolist() for _name, values in columns]
+    lines += [",".join(map(repr, row)) for row in zip(*floats)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -482,6 +482,8 @@ class TestFrozenRadius:
         bisected = estimate_scalar_radius(frozen, crit, cfg.analysis.q_max, tol=PROBE)
         assert exact.status == "analytic" and bisected.status == "bracketed"
         assert bisected.lo <= exact.value <= bisected.hi
+        # each estimate holds the criterion that judged it
+        assert exact.criterion is crit and bisected.criterion is crit
 
 
 class TestVectorRegion:

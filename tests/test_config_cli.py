@@ -251,6 +251,16 @@ class TestCsvEmission:
         back = float(path.read_text().strip().split("\n")[1])
         assert back == value
 
+    def test_bytes_equal_the_repr_of_each_value(self, tmp_path):
+        # each column is converted once; every value reads as repr(float(v))
+        special = [-0.0, 5e-324, 1e16, math.inf, 0.1]
+        columns = [("t", np.linspace(0.0, 1.0, 5)), ("a", special),
+                   ("b", np.array(special, dtype=np.float32)), ("c", [1, 2, 3, 4, np.float64(5.5)])]
+        path = tmp_path / "out.csv"
+        emit_csv(columns, path)
+        rows = [",".join(repr(float(values[k])) for _name, values in columns) for k in range(5)]
+        assert path.read_bytes() == ("t,a,b,c\n" + "\n".join(rows) + "\n").encode()
+
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_csv([], tmp_path / "out.csv")

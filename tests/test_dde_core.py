@@ -12,7 +12,7 @@ from ddebound import (DelayProblem, DelaySpec, HistoryFunction, IntegrationError
                       integrate, on_arrays, parse_expression)
 from ddebound import dde_core
 from ddebound.majorant import PolynomialMajorant
-from ddebound.linalg import MatrixFunction
+from ddebound.linalg import MatrixFunction, VectorFunction
 from ddebound.timefn import ConstantFn, locate_zeros
 from ddebound.vectorfield import NonlinearTerm, PolynomialVectorField
 
@@ -731,18 +731,26 @@ class TestFloatStep:
     @pytest.mark.parametrize("dim", [1, 9, 130])
     def test_generated_norm_is_the_state_norm(self, dim):
         # the loop reads the cap on the generated norm and a trajectory on
-        # `_norm`; both sum the squares in numpy's pairwise order
+        # `_norm`, of one vector or of a stack; a forcing shape's norm is
+        # generated from its entries.  All sum the squares in index order
         y = np.random.default_rng(dim).normal(size=dim)
-        norm = dde_core._generated_step(dim, ()).norm(tuple(y.tolist()))
-        assert _bits(norm) == _bits(dde_core._norm(y))
+        norm = dde_core._norm(y)
+        assert _bits(dde_core._norm(np.stack([2.0 * y, y, -y]))[1]) == _bits(norm)
+        assert _bits(dde_core._norm(np.stack([[y, y], [y, -y]]))[1, 1]) == _bits(norm)
+        assert _bits(dde_core._generated_step(dim, ()).norm(tuple(y.tolist()))) == _bits(norm)
+        assert _bits(VectorFunction(dim, dict(enumerate(y.tolist()))).norm(0.5)) == _bits(norm)
 
     @pytest.mark.parametrize("dim", [1, 9, 130])
     def test_generated_rms_is_numpys(self, dim):
-        # the first step reads the generated RMS: numpy's pairwise sum of the
-        # squares over the count, as it was computed on arrays
+        # the first step reads the generated RMS: the squares folded left to
+        # right, over the count, as numpy's sequential `cumsum` adds them
         y = np.random.default_rng(dim).normal(size=dim)
         rms = dde_core._generated_step(dim, ()).rms(tuple(y.tolist()))
-        assert _bits(rms) == _bits(np.sqrt(np.add.reduce(y * y) / y.size))
+        total = 0.0
+        for v in y.tolist():
+            total += v * v
+        assert _bits(rms) == _bits(math.sqrt(total / dim))
+        assert _bits(rms) == _bits(np.sqrt(np.cumsum(y * y)[-1] / dim))
 
     def test_constant_delays_of_other_values_share_one_step(self):
         # the step is cached by the state dimension and which delays vary; a

@@ -1,4 +1,5 @@
 import math
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -69,11 +70,22 @@ def test_syntax_errors(text):
     ("t^2 + 05", 7),            # Python's tokenizer refuses leading zeros
     ("t^2 + t # 2", 9),         # not a comment
     ("t^2 +\n  sin", 9),
+    ("1or 2", 1),               # a number run into a name, which Python's
+    ("1e5or 2", 1),             # tokenizer would warn about on stderr
+    ("2t", 1),
+    ("5.t", 1),
+    ("1.5e-3x", 1),
+    ("t + 1if t else 2", 5),
+    ("t^2 + 0x1for 2", 7),
+    ("t.5or 2", 2),             # a name ends before the dot
 ])
-def test_refusal_column(text, column):
-    with pytest.raises(ExpressionSyntaxError) as err:
-        parse_expression(text)
+def test_refusal_column(text, column, capfd):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse_expression(text)
     assert err.value.column == column, str(err.value)
+    assert caught == [] and capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("text, value", [
@@ -83,6 +95,10 @@ def test_refusal_column(text, column):
     (".5", lambda t: 0.5),
     ("5.", lambda t: 5.0),
     ("2.5E2", lambda t: 250.0),
+    ("1e5", lambda t: 1e5),
+    ("5.e3", lambda t: 5e3),
+    ("1E+5", lambda t: 1e5),
+    ("1e-3*t", lambda t: 1e-3 * t),
     ("-3^2", lambda t: -9.0),
     ("2^-3", lambda t: 0.125),
     ("2^3^2", lambda t: 512.0),
@@ -91,6 +107,18 @@ def test_accepted_text(text, value):
     expression = parse_expression(text)
     for t in (0.0, 0.5, 2.0):
         assert expression.evaluate(t) == value(t)
+
+
+def test_config_with_a_number_run_into_a_name_exits_2_without_a_warning(tmp_path, capfd):
+    cfg = tmp_path / "or.cfg"
+    cfg.write_text("[system]\ndim = 1\nA0 1 1 = 1or 2\nhistory = constant 1\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert caught == []
+    err = capfd.readouterr().err
+    assert f"{cfg}:3: bad expression: column 1: number '1' runs into 'o'" in err
+    assert "Warning" not in err
 
 
 def test_syntax_error_column_is_reported():
