@@ -217,18 +217,15 @@ def _frozen_root(p_hat: float, c_hat: float, majorant: PolynomialMajorant,
 
 def robust_stability_check(p_hat: float, c_hat: float, L_hat: PolynomialMajorant,
                            y_max: float = 1e6) -> RobustReport:
-    """Closed-form criterion: ``p_hat*y + c_hat*L_hat(y) < 0`` on ``(0, y_plus)``.
+    """Closed-form criterion: ``p_hat*y + c_hat*L_hat(y, ..., y) < 0`` on
+    ``(0, y_plus)``, for a majorant with constant coefficients.
 
     ``y_plus`` is the smallest positive root of the expression, ``y_max``
     when there is none below it, and 0 (the criterion fails) when the
-    expression is nonnegative right above 0.  Requires ``p_hat < 0``.
+    expression is nonnegative right above 0, as it is for ``p_hat >= 0``.
     """
-    if p_hat >= 0:
-        raise ValueError(f"the criterion requires sup p(t) < 0; got p_hat={p_hat!r}")
     if c_hat < 1.0:
         raise ValueError(f"condition-number bound must be >= 1; got {c_hat!r}")
-    if L_hat.arg_count != 1:
-        raise ValueError("the closed-form criterion takes a one-variable majorant")
     y_plus = _frozen_root(p_hat, c_hat, L_hat, y_max)
     return RobustReport(y_plus > 0.0, y_plus)
 
@@ -409,8 +406,6 @@ class RegionBoundary:
 
     angles: np.ndarray
     radii: tuple[RadiusEstimate, ...]
-    t0: float
-    forcing_amplitude: float
 
     def radius_values(self) -> np.ndarray:
         return np.array([r.value for r in self.radii])
@@ -454,5 +449,4 @@ def estimate_vector_region(vs: VectorDelaySystem, criterion: BoundednessCriterio
 
         return _bisection(probe, r_max, bisect_tol, criterion, horizon)
 
-    return RegionBoundary(angles, tuple(radius(float(angle)) for angle in angles), vs.t0,
-                          vs.forcing_amplitude)
+    return RegionBoundary(angles, tuple(radius(float(angle)) for angle in angles))

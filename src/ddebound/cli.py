@@ -28,7 +28,7 @@ from .linear_aux import build_linear_chain  # noqa: F401  (perfbench reads it he
 from .majorant import PolynomialMajorant
 from .plotting import Curve, emit_csv, emit_region_svg, emit_svg
 from .reduction import (CoefficientPair, IllConditionedError, build_autonomous_auxiliary,
-                        build_scalar_auxiliary, compute_fundamental_matrix)
+                        build_scalar_auxiliary, coefficients_of)
 from .timefn import grid_values
 
 __all__ = ["main", "run_command", "UsageError", "assemble_pipeline",
@@ -46,9 +46,10 @@ class Pipeline:
     """The scalar side of one config, for the analysis commands.
 
     Each stage is built the first time it is read and kept: the reduction's
-    coefficients, the scalar comparison system and its frozen autonomous
-    variant.  The vector system is the config's own (``config.system``), so a
-    command that reads only that builds no reduction.
+    coefficients, read off ``A0``, the scalar comparison system and its
+    frozen autonomous variant.  The vector system is the config's own
+    (``config.system``), so a command that reads only that builds no
+    reduction.
     """
 
     config: RunConfig
@@ -57,11 +58,7 @@ class Pipeline:
 
     @cached_property
     def coefficients(self) -> CoefficientPair:
-        red = self.config.reduction
-        if red.p_expr is not None:
-            return CoefficientPair.closed_form(red.p_expr, red.c_expr)
-        return CoefficientPair.from_fundamental(compute_fundamental_matrix(
-            self.config.a0, self.config.system.t0, self.horizon))
+        return coefficients_of(self.config.a0, self.config.system.t0, self.horizon)
 
     @cached_property
     def scalar_system(self) -> ScalarDelaySystem:
@@ -271,7 +268,8 @@ def _cmd_region(args) -> int:
               ("hi", [min(r.hi, 1e308) for r in boundary.radii])],
              out / "region.csv")
     if args.svg:
-        emit_region_svg([("region", boundary.angles, boundary.radius_values())],
+        emit_region_svg([("region", boundary.angles,
+                          np.maximum(boundary.radius_values(), 1e-12))],
                         out / "region.svg", title="region boundary (ln radius)")
     print(f"region sweep over {len(boundary.angles)} angles: min radius "
           f"{boundary.min_radius():.6g}")
@@ -280,12 +278,8 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_robust(args) -> int:
-    cfg = _load(args)
-    a = cfg.analysis
-    if a.p_hat is None or a.c_hat is None or not a.l_hat_terms:
-        raise UsageError("the robust command needs p_hat, c_hat and L_hat terms "
-                         "in the [analysis] section")
-    report = robust_stability_check(a.p_hat, a.c_hat, cfg.l_hat_majorant())
+    auto = assemble_pipeline(_load(args)).autonomous_system
+    report = robust_stability_check(auto.p.value, auto.c.value, auto.majorant)
     print(f"y_plus = {report.y_plus:.6g}")
     print(f"holds = {report.holds}")
     return 0 if report.holds else 1

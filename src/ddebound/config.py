@@ -5,7 +5,7 @@ trailing), section headers are ``[name]``, entries are ``key = value`` where
 keys may carry indices (``A0 1 1``).  Indices are 1-based in files and
 converted internally.  Every number is finite, except that ``cap = inf``
 means no cap.  A key names one value and is given once; only the lines
-``f <i>``, ``A1_delayed <k>``, ``history sample`` and ``L_hat`` repeat.
+``f <i>``, ``A1_delayed <k>`` and ``history sample`` repeat.
 Grammar by section::
 
     [system]
@@ -25,8 +25,6 @@ Grammar by section::
       history sample = <t> <v1> ... <vn>   # lines repeat, increasing t
 
     [reduction]
-      p = <expr>                 # closed-form coefficients (both or neither)
-      c = <expr>
       zeta_tilde = <number>      # linearization radius
       margin = <number>          # relative inflation of sampled suprema
 
@@ -37,29 +35,28 @@ Grammar by section::
       criterion = bounded | decaying
       q_max, r_max, bisect_tol, probe_rtol, tail_fraction, decay_ratio
       alpha, beta, gamma, T      # finite-time classification
-      p_hat, c_hat               # closed-form robust criterion
-      L_hat = <coeff> ; <power>  # repeated, one-variable majorant terms
 
     [output]
       grid = <int>               # points of the output grid, at least 2
 
 Loading builds the vector system once.  Its constructors check what they
 hold; the loader checks only what needs the file's terms, such as its
-1-based indices and the history's coverage of the delay band.
+1-based indices and the history's coverage of the delay band.  What the
+system fixes is not a key: the reduction's rate ``p`` and condition number
+``c`` come from ``A0`` (`reduction.coefficients_of`), and the robust
+criterion reads the suprema of the frozen scalar system.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
 from .dde_core import DelaySpec, HistoryFunction, ToleranceSettings, VectorDelaySystem
 from .expressions import Expression, ExpressionSyntaxError, parse_expression
 from .linalg import MatrixFunction, VectorFunction
-from .majorant import PolynomialMajorant, PolynomialTerm
-from .timefn import ConstantFn
 from .vectorfield import DelayedMatrixTerm, NonlinearTerm, PolynomialVectorField
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "load_config_text"]
@@ -71,8 +68,6 @@ class ConfigError(ValueError):
 
 @dataclass
 class ReductionConfig:
-    p_expr: Expression | None = None
-    c_expr: Expression | None = None
     zeta_tilde: float = 0.5
     margin: float = 1e-3
 
@@ -90,9 +85,6 @@ class AnalysisConfig:
     beta: float | None = None
     gamma: float | None = None
     T: float | None = None
-    p_hat: float | None = None
-    c_hat: float | None = None
-    l_hat_terms: list = field(default_factory=list)   # (coeff, power)
 
 
 @dataclass
@@ -117,11 +109,6 @@ class RunConfig:
     analysis: AnalysisConfig
     output: OutputConfig
     source: str = "<memory>"
-
-    def l_hat_majorant(self) -> PolynomialMajorant:
-        terms = [PolynomialTerm(ConstantFn(coeff), (power,))
-                 for coeff, power in self.analysis.l_hat_terms]
-        return PolynomialMajorant(tuple(terms), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +198,6 @@ def _sample(value: str, where: str) -> list[float]:
     return [_number(v, where) for v in value.split()]
 
 
-def _l_hat_term(value: str, where: str) -> tuple[float, int]:
-    pieces = [p.strip() for p in value.split(";")]
-    if len(pieces) != 2:
-        raise ConfigError(f"{where}: L_hat terms are 'coeff ; power'")
-    return _number(pieces[0], where), _integer(pieces[1], where)
-
-
 def _monomial(value: str, where: str):
     """``(coeff, [(slot, coord, power), ...])``, the coordinates 1-based."""
     coeff, *factors = (p.strip() for p in value.split(";"))
@@ -241,17 +221,15 @@ _KEYS = {
                "f0": (_number, "forcing_amplitude"),
                "history": (_constant_history, "history"),
                "history sample": (_sample, "samples")},
-    "reduction": {"p": (_expr, "p_expr"), "c": (_expr, "c_expr"),
-                  "zeta_tilde": (_number, "zeta_tilde"), "margin": (_number, "margin")},
+    "reduction": {"zeta_tilde": (_number, "zeta_tilde"), "margin": (_number, "margin")},
     "solver": {"rtol": (_number, "rtol"), "atol": (_number, "atol"),
                "cap": (partial(_number, inf_ok=True), "cap"), "horizon": (_number, "horizon")},
     "analysis": {"criterion": (_criterion, "criterion"), "t": (_number, "T"),
-                 "l_hat": (_l_hat_term, "l_hat_terms"),
                  "probe_rtol": (_probe_rtol, "probe_rtol"),
                  "bisect_tol": (_bisect_tol, "bisect_tol"),
                  **{name: (_number, name) for name in (
                      "q_max", "r_max", "tail_fraction", "decay_ratio",
-                     "alpha", "beta", "gamma", "p_hat", "c_hat")}},
+                     "alpha", "beta", "gamma")}},
     "output": {"grid": (_grid, "grid")},
 }
 
@@ -268,7 +246,7 @@ _INDEXED = {
 
 # the keys whose lines repeat, each line adding to a list; every other key
 # names one value
-_REPEATED = {"history sample", "l_hat", "a1_delayed", "f"}
+_REPEATED = {"history sample", "a1_delayed", "f"}
 
 
 def load_config(path) -> RunConfig:
@@ -358,9 +336,6 @@ def load_config_text(text: str, source: str = "<memory>") -> RunConfig:
         raise ConfigError(f"{source}: each history sample needs a time and {dim} values")
 
     reduction = ReductionConfig(**fields["reduction"])
-    if (reduction.p_expr is None) != (reduction.c_expr is None):
-        raise ConfigError(
-            f"{source}: closed-form reduction needs both 'p' and 'c' (or neither)")
     if reduction.zeta_tilde <= 0:
         raise ConfigError(f"{source}: 'zeta_tilde' must be positive")
     if reduction.margin < 0:

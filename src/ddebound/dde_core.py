@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expressions import _generate
+from .expressions import _folded, _generate
 from .linalg import MatrixFunction, VectorFunction
 from .majorant import PolynomialMajorant
 from .timefn import (ConstantFn, TimeFunction, _golden_minimum, _literal, _source_of,
@@ -796,7 +796,8 @@ def _generated_step(dim: int, varying: tuple[bool, ...]) -> SimpleNamespace:
     checks = " and ".join(f"_isfinite({v})" for v in names("n") + names("e") + names("k1_"))
     lines += [f"if not ({checks}):", "    return None"]
     lines += [f"x{i} = e{i} / (atol + rtol * max(abs(y{i}), abs(n{i})))" for i in coords]
-    lines.append(f"err = _sqrt(({' + '.join(f'x{i} * x{i}' for i in coords)}) / {dim})")
+    sum_lines, total = _folded(f"x{i} * x{i}" for i in coords)
+    lines += [*sum_lines, f"err = _sqrt(({total}) / {dim})"]
     lines += ["if err > 1.0:", "    return err, None, None, None"]
     dense = ", ".join(f"h * ({combined(row, i)})" for row in _DENSE for i in coords)
     attempt = _generate(f"rhs, past, {extra}t, h, t_new, y, k, atol, rtol",
@@ -807,9 +808,10 @@ def _generated_step(dim: int, varying: tuple[bool, ...]) -> SimpleNamespace:
         f"y{i} + theta * ({q[0][i]} + theta * ({q[1][i]} + theta * ({q[2][i]} + theta "
         f"* {q[3][i]})))" for i in coords),
         lines=[f"{state(names('y'))} = y", f"{', '.join(sum(q, []))}, = q"])
-    squares = " + ".join(f"y{i} * y{i}" for i in coords)
-    norm = _generate("y", f"_sqrt({squares})", lines=[f"{state(names('y'))} = y"])
-    rms = _generate("y", f"_sqrt(({squares}) / {dim})", lines=[f"{state(names('y'))} = y"])
+    sum_lines, squares = _folded(f"y{i} * y{i}" for i in coords)
+    squared = [f"{state(names('y'))} = y", *sum_lines]
+    norm = _generate("y", f"_sqrt({squares})", lines=squared)
+    rms = _generate("y", f"_sqrt(({squares}) / {dim})", lines=squared)
     return SimpleNamespace(evaluate=evaluate, attempt=attempt, horner=horner, norm=norm, rms=rms)
 
 

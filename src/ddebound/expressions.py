@@ -94,6 +94,22 @@ def _generate(params: str, result: str, names=None, lines=(), namespace=_NAMESPA
     return fn
 
 
+# the most terms of one generated sum: a left fold nests one level of the
+# syntax tree per term, and CPython's compiler stops at about 3,000 levels
+_SUM_TERMS = 1000
+
+
+def _folded(terms, name: str = "s") -> tuple[list[str], str]:
+    """``(lines, result)`` of the source ``terms`` summed left to right: the
+    sum itself up to ``_SUM_TERMS`` terms, else ``name`` after lines that
+    fold ``_SUM_TERMS`` terms a statement into it."""
+    terms = list(terms)
+    if len(terms) <= _SUM_TERMS:
+        return [], " + ".join(terms)
+    chunks = [" + ".join(terms[k:k + _SUM_TERMS]) for k in range(0, len(terms), _SUM_TERMS)]
+    return [f"{name} = {chunks[0]}", *(f"{name} = {name} + {chunk}" for chunk in chunks[1:])], name
+
+
 class ExpressionSyntaxError(ValueError):
     """Raised on malformed expression text; carries the 1-based column."""
 

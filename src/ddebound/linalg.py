@@ -11,7 +11,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .expressions import _generate
+from .expressions import _folded, _generate
 from .timefn import ConstantFn, _compose, _literal, _source_of, as_time_function
 
 __all__ = [
@@ -152,5 +152,5 @@ class VectorFunction:
         else:
             names: dict = {}
             lines = [f"e{k} = {_source_of(fn, names)}" for k, (_i, fn) in enumerate(self.entries)]
-            squares = " + ".join(f"e{k} * e{k}" for k in range(len(self.entries)))
-            self.norm = _generate("t", f"_sqrt({squares})", names, lines)
+            sum_lines, squares = _folded(f"e{k} * e{k}" for k in range(len(self.entries)))
+            self.norm = _generate("t", f"_sqrt({squares})", names, [*lines, *sum_lines])

@@ -33,6 +33,7 @@ __all__ = [
     "FundamentalMatrixSolution",
     "CoefficientPair",
     "compute_fundamental_matrix",
+    "coefficients_of",
     "build_scalar_auxiliary",
     "build_autonomous_auxiliary",
 ]
@@ -151,6 +152,27 @@ class CoefficientPair:
         return cls(_piecewise_cubic(CubicSpline(knots, rate)),
                    _piecewise_cubic(CubicSpline(knots, condition)),
                    "numerical", t_hi=W.horizon)
+
+
+def coefficients_of(A: MatrixFunction, t0: float, horizon: float) -> CoefficientPair:
+    """``p`` and ``c`` of the linear part ``A`` on ``[t0, horizon]``.  For ``A =
+    a(t) I`` (no entry off the diagonal; every diagonal entry the same
+    constant or function, or a generated function of the same source) the
+    fundamental matrix is ``e^(int a) I``, so the pair is closed form: ``p``
+    is the entry itself and ``c = 1``.  Any other ``A`` is reduced numerically."""
+    entries = A.entries()
+    diagonal = [as_time_function(entries.get((i, i), 0.0)) for i in range(A.dim)]
+    if (all(i == j for i, j in entries)
+            and all(_same_function(fn, diagonal[0]) for fn in diagonal)):
+        return CoefficientPair.closed_form(diagonal[0], 1.0)
+    return CoefficientPair.from_fundamental(compute_fundamental_matrix(A, t0, horizon))
+
+
+def _same_function(f, g) -> bool:
+    if isinstance(f, ConstantFn) and isinstance(g, ConstantFn):
+        return f.value == g.value
+    source = getattr(f, "source", None)     # a ConstantFn has none
+    return f is g or (source is not None and source == getattr(g, "source", None))
 
 
 def _piecewise_cubic(spline):

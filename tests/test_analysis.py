@@ -184,9 +184,18 @@ class TestRobustStability:
         report = robust_stability_check(-1.0, 2.0, L)
         assert not report.holds
 
-    def test_positive_rate_rejected(self):
-        with pytest.raises(ValueError):
-            robust_stability_check(0.5, 1.0, PolynomialMajorant.zero(1))
+    def test_positive_rate_fails_at_zero(self):
+        # p_hat >= 0: the expression is nonnegative right above 0
+        for p_hat in (0.5, 0.0):
+            assert robust_stability_check(p_hat, 1.0, PolynomialMajorant.zero(1)) == \
+                RobustReport(False, 0.0)
+
+    def test_delayed_arguments_read_the_one_value(self):
+        # L(y, y) of -2y + 0.5y^3 + 0.5y(t - h)^3 is y^3: the root is sqrt(2)
+        L = PolynomialMajorant((PolynomialTerm(0.5, (3, 0)), PolynomialTerm(0.5, (0, 3))), 2)
+        one = PolynomialMajorant((PolynomialTerm(1.0, (3,)),), 1)
+        assert robust_stability_check(-2.0, 1.0, L) == robust_stability_check(-2.0, 1.0, one)
+        assert robust_stability_check(-2.0, 1.0, L).y_plus == pytest.approx(math.sqrt(2.0))
 
     def test_constant_term_fails_at_zero(self):
         L = PolynomialMajorant((PolynomialTerm(0.1, (0,)), PolynomialTerm(1.0, (3,))), 1,

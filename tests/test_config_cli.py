@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import ddebound
-from ddebound import cli
+from ddebound import cli, reduction
+from ddebound.analysis import BoundednessCriterion, frozen_scalar_radius
 from ddebound.cli import _bundled_config, main
 from ddebound.config import ConfigError, load_config_text
 from ddebound.plotting import Curve, emit_csv, emit_region_svg, emit_svg
@@ -22,17 +23,6 @@ A0 1 1 = -1
 history = constant 0.5
 [solver]
 horizon = 5
-"""
-
-ROBUST_ONLY = """
-[system]
-dim = 1
-A0 1 1 = -1
-history = constant 0.1
-[analysis]
-p_hat = -2
-c_hat = 1
-L_hat = 1 ; 3
 """
 
 # the delay grows from 0.5 to 1.0 on the configured [0, 5] and to 1.5 on [0, 10]
@@ -63,7 +53,11 @@ T = 1
 """
 
 
-CASE_A = (resources.files("ddebound") / "configs/planar_case_a.cfg").read_text()
+def _bundled_text(case: str) -> str:
+    return (resources.files("ddebound") / f"configs/planar_case_{case}.cfg").read_text()
+
+
+CASE_A = _bundled_text("a")
 REDUCE_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "reduce.cfg"
 
 
@@ -147,10 +141,10 @@ history sample = 0.0 1.0
         ("history = ", "history = constant 0.2 0.2", "'history' repeats line 24"),
         ("history = ", "history sample = -1 0.1 0.1", "the history takes one form"),
         ("history = ", "history 1 = 0.1", "the history takes one form"),
-        ("p = ", "p = -3", "'p' repeats line 27"),
-        ("rtol = ", "rtol = 1e-7", "'rtol' repeats line 33"),
-        ("q_max = ", "q_max = 10", "'q_max' repeats line 40"),
-        ("grid = ", "grid = 10", "'grid' repeats line 46"),
+        ("zeta_tilde = ", "zeta_tilde = 0.7", "'zeta_tilde' repeats line 27"),
+        ("rtol = ", "rtol = 1e-7", "'rtol' repeats line 31"),
+        ("q_max = ", "q_max = 10", "'q_max' repeats line 38"),
+        ("grid = ", "grid = 10", "'grid' repeats line 44"),
     ]])
     def test_a_key_that_names_one_value_is_given_once(self, after, line, refusal):
         lines = CASE_A.splitlines()
@@ -162,11 +156,10 @@ history sample = 0.0 1.0
     def test_lines_that_repeat_add_up(self):
         text = CASE_A.replace("A1_delayed 1 = 0.5", "A1_delayed 1 = 0.5\nA1_delayed 1 = 0.25")
         text = text.replace("f 2 = 0.1 ; 1 2 3", "f 2 = 0.1 ; 1 2 3\nf 2 = 0.2 ; 0 1 2")
-        cfg = load_config_text(text + "[analysis]\nL_hat = 1 ; 3\nL_hat = 2 ; 1\n")
+        cfg = load_config_text(text)
         assert [term.weight for term in cfg.system.f.matrix_terms] == [0.5, 0.25]
         monomials = cfg.system.f.poly.monomials
         assert [m.factors for m in monomials] == [((1, 1, 3),), ((0, 0, 2),)]
-        assert cfg.analysis.l_hat_terms == [(1.0, 3), (2.0, 1)]
         samples = "history sample = -1 0.5\nhistory sample = 0 0.5"
         cfg = load_config_text(MINIMAL.replace("history = constant 0.5", samples))
         assert (cfg.system.history.t_min, cfg.system.history.t_max) == (-1.0, 0.0)
@@ -218,6 +211,21 @@ history sample = 0.0 1.0
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             load_config_text(MINIMAL + "\nwarp = 9\n", "<test>")
+
+    @pytest.mark.parametrize("section, line", [
+        ("reduction", "p = -1"), ("reduction", "c = 1"), ("analysis", "p_hat = -2"),
+        ("analysis", "c_hat = 1"), ("analysis", "L_hat = 1 ; 3")])
+    def test_what_the_system_fixes_is_not_a_key(self, tmp_path, capsys, section, line):
+        # p and c come from A0, and robust reads the frozen system's suprema
+        row = CASE_A.splitlines().index(f"[{section}]") + 2
+        path = tmp_path / "run.cfg"
+        path.write_text(CASE_A.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        command = "robust" if section == "analysis" else "reduce"
+        assert main([command, "--config", str(path), *(["--out", str(tmp_path)]
+                                                      if command == "reduce" else [])]) == 2
+        key = line.split(" =")[0]
+        assert f"{path}:{row}: unknown [{section}] key {key!r}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_per_coordinate_history_expressions(self):
         text = """
@@ -380,17 +388,22 @@ class TestCliCommands:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_robust_command(self, tmp_path, capsys):
-        cfg = self._write(tmp_path, ROBUST_ONLY)
-        assert main(["robust", "--config", cfg]) == 0
-        out = capsys.readouterr().out
-        assert "1.41421" in out
-        assert "holds = True" in out
+        # y_plus is the exact radius of each bundled case's homogeneous frozen
+        # system (3.31037 and 1.40268)
+        for case in ("a", "b"):
+            cfg = _bundled_config(case)
+            auto = cli.assemble_pipeline(cfg).autonomous_system.homogeneous()
+            radius = frozen_scalar_radius(auto, BoundednessCriterion(), cfg.analysis.q_max)
+            assert radius.status == "analytic"
+            path = self._write(tmp_path, _bundled_text(case))
+            assert main(["robust", "--config", path]) == 0
+            assert capsys.readouterr().out == f"y_plus = {radius.value:.6g}\nholds = True\n"
 
-    def test_robust_failure_exit_code(self, tmp_path):
-        text = ROBUST_ONLY.replace("p_hat = -2", "p_hat = -1")
-        text = text.replace("L_hat = 1 ; 3", "L_hat = 2 ; 1")
-        cfg = self._write(tmp_path, text)
+    def test_robust_failure_exit_code(self, tmp_path, capsys):
+        # A0 = I: p = 1, and the criterion fails at 0 (no usage error)
+        cfg = self._write(tmp_path, re.sub(r"A0 (\d) \1 = .*", r"A0 \1 \1 = 1", CASE_A))
         assert main(["robust", "--config", cfg]) == 1
+        assert capsys.readouterr().out == "y_plus = 0\nholds = False\n"
 
     def test_region_rejects_non_planar_systems(self, tmp_path):
         text = """
@@ -424,9 +437,6 @@ dim = 2
 A0 1 1 = -1 + 0.2*sin(t)
 A0 2 2 = -1 + 0.2*sin(t)
 history = constant 0.3 0.4
-[reduction]
-p = -1 + 0.2*sin(t)
-c = 1
 [solver]
 horizon = 10
 [output]
@@ -465,9 +475,6 @@ dim = 1
 A0 1 1 = -2
 f 1 = 1 ; 0 1 3
 history = constant 0.1
-[reduction]
-p = -2
-c = 1
 [solver]
 horizon = 50
 [analysis]
@@ -489,9 +496,6 @@ dim = 2
 A0 1 1 = -1
 A0 2 2 = -1
 history = constant 0.0 0.0
-[reduction]
-p = -1
-c = 1
 [solver]
 horizon = 10
 [analysis]
@@ -507,6 +511,30 @@ probe_rtol = 1e-3
         first = [float(v) for v in rows[1].split(",")]
         assert first[1] == 4.0             # unbracketed above at r_max
         assert (tmp_path / "region.svg").exists()
+
+    def test_region_svg_of_radii_empty_at_zero(self, tmp_path, capsys):
+        # x' = 5x + (1, 0) reaches the cap from every history, 0 included, so
+        # every angle is empty_at_zero: the CSV keeps the zero radii, and the
+        # plot floors them at 1e-12
+        text = """
+[system]
+dim = 2
+A0 1 1 = 5
+A0 2 2 = 5
+F0 = 1
+e 1 = 1
+history = constant 0 0
+[solver]
+horizon = 5
+[analysis]
+r_max = 2
+"""
+        cfg = self._write(tmp_path, text)
+        assert main(["region", "--config", cfg, "--out", str(tmp_path), "--svg"]) == 0
+        rows = (tmp_path / "region.csv").read_text().strip().split("\n")[1:]
+        assert {row.split(",")[1] for row in rows} == {"0.0"}
+        assert (tmp_path / "region.svg").read_text().startswith("<svg")
+        assert "min radius 0" in capsys.readouterr().out
 
     def test_region_names_a_bound_that_is_not_positive(self, tmp_path, capsys):
         cfg = self._write(tmp_path, CASE_A.replace("r_max = 50", "r_max = -1"))
@@ -601,7 +629,7 @@ class TestLazyPipeline:
         def refuse(*args, **kwargs):
             raise AssertionError("the fundamental matrix was integrated")
 
-        monkeypatch.setattr(cli, "compute_fundamental_matrix", refuse)
+        monkeypatch.setattr(reduction, "compute_fundamental_matrix", refuse)
         pipe = cli.assemble_pipeline(load_config_text(ILL_CONDITIONED))
         assert pipe.config.system.dim == 2
         with pytest.raises(AssertionError, match="fundamental matrix was integrated"):

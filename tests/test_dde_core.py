@@ -728,11 +728,13 @@ class TestFloatStep:
         plain = DelayProblem(on_arrays(on_array_states), vs.delays, vs.history, vs.t0)
         assert _same_run(integrate(plain, 20.0, DEFAULT), integrate(vs, 20.0, DEFAULT))
 
-    @pytest.mark.parametrize("dim", [1, 9, 130])
+    @pytest.mark.parametrize("dim", [1, 9, 130, 3000])
     def test_generated_norm_is_the_state_norm(self, dim):
         # the loop reads the cap on the generated norm and a trajectory on
         # `_norm`, of one vector or of a stack; a forcing shape's norm is
-        # generated from its entries.  All sum the squares in index order
+        # generated from its entries.  All sum the squares in index order,
+        # past 1,000 terms in statements of 1,000 (one sum of 3,000 terms
+        # nests too deep to compile)
         y = np.random.default_rng(dim).normal(size=dim)
         norm = dde_core._norm(y)
         assert _bits(dde_core._norm(np.stack([2.0 * y, y, -y]))[1]) == _bits(norm)
@@ -740,7 +742,7 @@ class TestFloatStep:
         assert _bits(dde_core._generated_step(dim, ()).norm(tuple(y.tolist()))) == _bits(norm)
         assert _bits(VectorFunction(dim, dict(enumerate(y.tolist()))).norm(0.5)) == _bits(norm)
 
-    @pytest.mark.parametrize("dim", [1, 9, 130])
+    @pytest.mark.parametrize("dim", [1, 9, 130, 3000])
     def test_generated_rms_is_numpys(self, dim):
         # the first step reads the generated RMS: the squares folded left to
         # right, over the count, as numpy's sequential `cumsum` adds them

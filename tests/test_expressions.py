@@ -232,7 +232,6 @@ def test_deepest_call_chains_run_through_every_stage(tmp_path):
     # the deepest call chains still compile in each right side, the numerical
     # reduction and the majorant built from them
     text = resources.files("ddebound").joinpath("configs/planar_case_a.cfg").read_text()
-    text = text.replace("\np = -3 + 0.1*sin(5*t)\nc = 1\n", "\n")
     text = text.replace("A0 1 1 = -3 + 0.1*sin(5*t)",
                         "A0 1 1 = " + "sin(" * (_MAX_DEPTH - 1) + "t" + ")" * (_MAX_DEPTH - 1))
     text = text.replace("e 2 = sin(10*t)",

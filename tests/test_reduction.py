@@ -9,6 +9,9 @@ from ddebound import (CoefficientPair, DelaySpec, HistoryFunction, ScalarDelaySy
                       ToleranceSettings, VectorDelaySystem, build_autonomous_auxiliary,
                       build_scalar_auxiliary, compute_fundamental_matrix,
                       integrate, parse_expression, verify_pointwise_ordering)
+from ddebound import reduction
+from ddebound.cli import _bundled_config, assemble_pipeline, fig1_protocol
+from ddebound.config import load_config_text
 from ddebound.dde_core import _norm
 from ddebound.linalg import MatrixFunction, VectorFunction, spectral_norm
 from ddebound.majorant import PolynomialMajorant, PolynomialTerm
@@ -168,6 +171,67 @@ class TestCoefficientPair:
         assert pair.provenance == "closed_form"
         assert pair.p(0.0) == -3.0
         assert pair.c(17.0) == 1.0
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the fundamental matrix was integrated")
+
+
+def _a0_config(diagonal: str) -> str:
+    return f"[system]\ndim = 2\n{diagonal}\nhistory = constant 0.1 0.1\n[solver]\nhorizon = 3\n"
+
+
+class TestCoefficientsFromA0:
+    # the reduction reads p and c off A0: in closed form when A0 is a(t) I,
+    # else from the integrated fundamental matrix
+
+    @pytest.mark.parametrize("case", ["a", "b"])
+    def test_bundled_cases_read_the_diagonal_entry(self, case, monkeypatch):
+        monkeypatch.setattr(reduction, "compute_fundamental_matrix", _refuse)
+        cfg = _bundled_config(case)
+        pipe = assemble_pipeline(cfg)
+        assert pipe.coefficients.provenance == "closed_form"
+        assert pipe.coefficients.p is cfg.a0.entries()[(0, 0)]
+        assert pipe.scalar_system.p is pipe.coefficients.p
+        assert pipe.coefficients.c.value == 1.0
+
+    @pytest.mark.parametrize("text", [
+        "[system]\ndim = 1\nA0 1 1 = -1 + 0.2*sin(t)\nhistory = constant 0.1\n",
+        "[system]\ndim = 1\nA0 1 1 = -2\nhistory = constant 0.1\n",
+        _a0_config("A0 1 1 = -1 + 0.2*sin(t)\nA0 2 2 = -1+0.2 * sin(t)"),
+        _a0_config("A0 1 1 = -2\nA0 2 2 = -2\nA0 1 2 = 0"),
+        _a0_config(""),
+    ], ids=["dim 1", "dim 1 constant", "diag(a, a)", "diag(-2, -2)", "zero"])
+    def test_a_times_the_identity_integrates_nothing(self, text, monkeypatch):
+        monkeypatch.setattr(reduction, "compute_fundamental_matrix", _refuse)
+        cfg = load_config_text(text)
+        pipe = assemble_pipeline(cfg)
+        diagonal = cfg.a0.entries().get((0, 0), 0.0)
+        assert pipe.coefficients.provenance == "closed_form"
+        if callable(diagonal):
+            assert pipe.coefficients.p is diagonal
+        else:
+            assert pipe.coefficients.p.value == diagonal
+        assert pipe.scalar_system.c.value == 1.0
+
+    @pytest.mark.parametrize("diagonal", [
+        "A0 1 1 = -1\nA0 2 2 = -2",
+        "A0 1 1 = -1\nA0 2 2 = -1\nA0 1 2 = 0.5",
+        "A0 1 1 = -1 + 0.2*sin(t)\nA0 2 2 = -1 + 0.2*cos(t)",
+        "A0 1 1 = -1",
+    ], ids=["diag(-1, -2)", "off-diagonal", "two functions", "one entry"])
+    def test_any_other_a0_stays_numerical(self, diagonal):
+        assert assemble_pipeline(load_config_text(_a0_config(diagonal))).coefficients.provenance \
+            == "numerical"
+
+    def test_case_a_bound_equals_the_typed_rate(self):
+        # the bound on A0's own entry is the bound on the same text typed as p
+        cfg = _bundled_config("a")
+        report, _pipe = fig1_protocol(cfg)
+        typed = CoefficientPair.closed_form(parse_expression("-3 + 0.1*sin(5*t)"), 1.0)
+        scalar = build_scalar_auxiliary(cfg.system, cfg.a1, typed, cfg.system.f.majorize())
+        y = integrate(scalar, cfg.horizon, cfg.solver).norm_grid(report.grid)
+        assert y.tobytes() == report.scalar_bounds[0].tobytes()
 
 
 class TestGeneratedFundamentalSolve:
@@ -350,9 +414,12 @@ class TestBuildAutonomousAuxiliary:
         monkeypatch.setattr(cli, "build_autonomous_auxiliary",
                             counted("freeze", build_autonomous_auxiliary))
         text = (resources.files("ddebound") / "configs/planar_case_a.cfg").read_text()
+        rate = "-3 + 0.1*sin(5*t)"
         for dim, freeze in ((2, 0), (3, 10_000)):
+            # A0 stays a(t) I, so the reduction keeps its closed form
             cfg = cli.load_config_text(text.replace("dim = 2", f"dim = {dim}").replace(
-                "history = constant 0.1 0.1", "history = constant" + " 0.1" * dim))
+                "history = constant 0.1 0.1", "history = constant" + " 0.1" * dim).replace(
+                f"A0 2 2 = {rate}", "\n".join(f"A0 {i} {i} = {rate}" for i in range(2, dim + 1))))
             pipe = cli.assemble_pipeline(cfg)
             pipe.autonomous_system    # the stages are built on first read
             counted("chain", cli.build_linear_chain)(pipe)
@@ -381,8 +448,6 @@ class TestNumericalProvenanceBound:
     def test_non_normal_matrix_end_to_end(self):
         # coefficients from the integrated fundamental matrix (no closed form)
         # must still produce a dominating scalar bound chain
-        from ddebound.config import load_config_text
-        from ddebound.cli import fig1_protocol
         text = """
 [system]
 dim = 2
