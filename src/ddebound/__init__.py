@@ -19,9 +19,8 @@ from .dde_core import (DelayProblem, DelaySpec, HistoryFunction, IntegrationErro
 from .expressions import (EvaluationError, Expression, ExpressionSyntaxError,
                           parse_expression)
 from .linalg import MatrixFunction, VectorFunction, spectral_norm
-from .linear_aux import (IssReport, LinearResponse, LinearScalarDDE,
-                         build_linear_auxiliary, cauchy_function, integrate_linear,
-                         iss_bound_series, particular_response, superposition_check)
+from .linear_aux import (LinearScalarDDE, build_linear_auxiliary, cauchy_function,
+                         superposition_check)
 from .majorant import (LinearizedCoefficients, PolynomialMajorant, PolynomialTerm,
                        linearize_majorant, majorize_polynomial)
 from .reduction import (CoefficientPair, FundamentalMatrixSolution,

@@ -68,20 +68,7 @@ def _check_matched_histories(trajs: Sequence[Trajectory], tol: float) -> None:
                              f"norm {float(reference[i])!r} vs {float(values[i])!r}")
 
 
-def _explicit_grid(grid) -> np.ndarray:
-    """``grid`` as an array of times, refused unless it is a non-empty,
-    strictly increasing row: the first violation is read as the first entry
-    past the tolerance, and the covered domain from the first and last."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError(f"an explicit grid must be a non-empty 1-D array of times, "
-                         f"not of shape {grid.shape}")
-    if not np.all(grid[1:] > grid[:-1]):
-        raise ValueError("an explicit grid must be strictly increasing")
-    return grid
-
-
-def verify_pointwise_ordering(trajs: Sequence[Trajectory], grid: int | np.ndarray = 2000,
+def verify_pointwise_ordering(trajs: Sequence[Trajectory], grid: int = 2000,
                               tol: float = 1e-4) -> BoundReport:
     """Check ``s_1(t) <= s_2(t) <= ...`` pointwise.
 
@@ -90,22 +77,20 @@ def verify_pointwise_ordering(trajs: Sequence[Trajectory], grid: int | np.ndarra
     scalar bound trajectories.  Histories must be matched: the norm of every
     history must agree with the first one's at the sampled history points.
 
-    The reported series lie on ``grid`` over the domain all trajectories
-    share: an integral count of at least 2 spread over it, or an explicit
-    non-empty, strictly increasing 1-D grid of times.  Each adjacent pair is
-    compared on the domain the two of them share, which is longer when
-    another trajectory stopped early (a bound that blew up): there a count is
-    spread over the pair's domain, while an explicit grid is kept as given.
+    ``grid`` is a point count of at least 2 (`operator.index`, so numpy
+    integers count).  The reported series lie on that many points spread over
+    the domain all trajectories share.  Each adjacent pair is compared on the
+    domain the two of them share, which is longer when another trajectory
+    stopped early (a bound that blew up): there the count is spread over the
+    pair's domain.
     """
     if len(trajs) < 2:
         raise ValueError("need at least two trajectories to compare")
     try:
         points = operator.index(grid)
     except TypeError:
-        points = None
-    if points is None:
-        grid = _explicit_grid(grid)
-    elif points < 2:
+        raise ValueError(f"the grid is a point count, not {type(grid).__name__}") from None
+    if points < 2:
         raise ValueError(f"the grid count must be at least 2, not {points!r}")
     t0 = trajs[0].t_start
     t_end = min(t.t_end for t in trajs)
@@ -113,17 +98,14 @@ def verify_pointwise_ordering(trajs: Sequence[Trajectory], grid: int | np.ndarra
         if abs(traj.t_start - t0) > 1e-12:
             raise ValueError("trajectories do not share a start time")
     _check_matched_histories(trajs, tol)
-    if points is not None:
-        grid = np.linspace(t0, t_end, points)
-    elif grid[0] < t0 - 1e-12 or grid[-1] > t_end + 1e-12:
-        raise ValueError("grid leaves the shared trajectory domain")
+    grid = np.linspace(t0, t_end, points)
     series = [t.norm_grid(grid) for t in trajs]
     max_violation = -math.inf
     first_violation = None
     for k in range(len(trajs) - 1):
         pair_end = min(trajs[k].t_end, trajs[k + 1].t_end)
         pair_grid, lower, upper = grid, series[k], series[k + 1]
-        if points is not None and pair_end > t_end:
+        if pair_end > t_end:
             pair_grid = np.linspace(t0, pair_end, points)
             lower, upper = trajs[k].norm_grid(pair_grid), trajs[k + 1].norm_grid(pair_grid)
         gaps = lower - upper

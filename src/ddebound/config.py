@@ -25,7 +25,9 @@ Grammar by section::
       history sample = <t> <v1> ... <vn>   # lines repeat, increasing t
 
     [reduction]
-      zeta_tilde = <number>      # linearization radius
+      zeta_tilde = <number>      # linearization radius of the linear chain
+                                 # u, U; read only through the library
+                                 # (linear_aux.build_linear_chain)
       margin = <number>          # relative inflation of sampled suprema
 
     [solver]

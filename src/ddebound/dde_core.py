@@ -463,6 +463,14 @@ class VectorDelaySystem:
         return DelayProblem(self.rhs, self.delays, self.history, self.t0)
 
 
+def _check_coeff_horizon(coeff_horizon: float, horizon: float) -> None:
+    """Refuse a run past ``coeff_horizon``, the end of the interval a
+    comparison system's coefficients were read on."""
+    if horizon > coeff_horizon + 1e-9:
+        raise ValueError(f"coefficients are only valid up to t={coeff_horizon}, "
+                         f"requested horizon {horizon}")
+
+
 @dataclass(frozen=True)
 class ScalarDelaySystem:
     """Scalar comparison system ``y' = p(t)y + c(t)(L(t, y, y(t-h_i)) + g(t))``.
@@ -521,10 +529,7 @@ class ScalarDelaySystem:
         """The problem on ``[t0, horizon]``; its kinks are the zeros of the
         forcing magnitude ``|g|``, where it has corners."""
         problem = DelayProblem(self.rhs, self.delays, self.history, self.t0)
-        if horizon > self.coeff_horizon + 1e-9:
-            raise ValueError(
-                f"coefficients are only valid up to t={self.coeff_horizon}, "
-                f"requested horizon {horizon}")
+        _check_coeff_horizon(self.coeff_horizon, horizon)
         # read where the history is defined: `integrate` refuses one that
         # does not cover the delay band
         h_bar, _h_under = self.delays.bounds(self.t0, horizon)

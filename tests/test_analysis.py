@@ -76,23 +76,13 @@ class TestVerifyPointwiseOrdering:
         assert report.holds
         assert np.array_equal(report.grid, np.linspace(0.0, 5.0, 50))
 
-    @pytest.mark.parametrize("grid", [[], np.empty((2, 3)), np.float64(1.0)])
-    def test_an_explicit_grid_must_be_a_non_empty_row(self, grid):
+    @pytest.mark.parametrize("grid", [np.linspace(0.0, 5.0, 51), [0.0, 1.0, 2.0],
+                                      np.float64(50.0), 50.0],
+                             ids=["array", "list", "numpy-float", "float"])
+    def test_a_grid_that_is_not_a_point_count_is_refused(self, grid):
         a = integrate(linear_ode_system(-1.0, 1.0), 5.0, DEFAULT)
-        with pytest.raises(ValueError, match="non-empty 1-D array"):
+        with pytest.raises(ValueError, match="^the grid is a point count, not "):
             verify_pointwise_ordering([a, a], grid=grid)
-
-    @pytest.mark.parametrize("grid", [np.linspace(5.0, 0.0, 51), [0.0, 1.0, 1.0, 2.0]],
-                             ids=["descending", "repeated"])
-    def test_an_explicit_grid_out_of_order_is_refused(self, grid):
-        # read in its given order, the descending grid reported its first
-        # entry, 5.0, as the first violation; on the ascending grid it is 0.1
-        lower = integrate(linear_ode_system(-0.5, 1.0), 5.0, DEFAULT)
-        upper = integrate(linear_ode_system(-1.0, 1.0), 5.0, DEFAULT)
-        ascending = verify_pointwise_ordering([lower, upper], grid=np.linspace(0.0, 5.0, 51))
-        assert ascending.first_violation_time == pytest.approx(0.1, abs=1e-12)
-        with pytest.raises(ValueError, match="^an explicit grid must be strictly increasing$"):
-            verify_pointwise_ordering([lower, upper], grid=grid)
 
     def test_fig1_protocol_refuses_a_one_point_grid(self):
         from ddebound.cli import _bundled_config, fig1_protocol

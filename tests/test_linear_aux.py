@@ -1,14 +1,15 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import TIGHT
 from ddebound import (DelaySpec, HistoryFunction, LinearScalarDDE, ToleranceSettings,
-                      cauchy_function, integrate, integrate_linear, iss_bound_series,
-                      linearize_majorant, parse_expression, particular_response,
-                      superposition_check)
+                      cauchy_function, integrate, linearize_majorant, load_config,
+                      parse_expression, superposition_check, verify_pointwise_ordering)
+from ddebound.cli import _bundled_config, assemble_pipeline
 from ddebound.linear_aux import build_linear_auxiliary, build_linear_chain
 from ddebound.majorant import LinearizedCoefficients, PolynomialMajorant, PolynomialTerm
 from ddebound.reduction import CoefficientPair
@@ -16,15 +17,14 @@ from ddebound.timefn import ConstantFn, locate_zeros, sample
 
 
 def _plain(rate=0.0, delayed=(), delays=None, shape=0.0, amplitude=0.0,
-           history=0.0, zeta_tilde=None):
+           history=0.0):
     return LinearScalarDDE(rate=rate, delayed_coeffs=tuple(delayed),
                            delays=delays or DelaySpec.none(),
                            forcing_shape=shape, forcing_amplitude=amplitude,
-                           history=HistoryFunction.constant([history]), t0=0.0,
-                           zeta_tilde=zeta_tilde)
+                           history=HistoryFunction.constant([history]), t0=0.0)
 
 
-def _benchmark_linearized(forcing_amplitude=0.0, zeta_tilde=0.5, history=0.05):
+def _benchmark_linearized(forcing_amplitude=0.0, history=0.05):
     """Linearized comparison system of the bundled planar test system."""
     lam = parse_expression("-3 + 0.1*sin(5*t)")
     coeffs = CoefficientPair.closed_form(lam, 1.0)
@@ -38,7 +38,7 @@ def _benchmark_linearized(forcing_amplitude=0.0, zeta_tilde=0.5, history=0.05):
         PolynomialTerm(lambda t: 0.5 * a1_norm(t), (0, 1)),
         PolynomialTerm(0.1, (0, 3)),
     ), 2)
-    lc = linearize_majorant(L, zeta_tilde)
+    lc = linearize_majorant(L, 0.5)
     e_norm = parse_expression("abs(sin(10*t))")
     return build_linear_auxiliary(coeffs, lc, DelaySpec.constant([0.5]), e_norm,
                                   forcing_amplitude,
@@ -88,7 +88,6 @@ class TestCauchyFunction:
         # U' = a U + b U(t - h): its Cauchy function decays at the rightmost
         # characteristic root lambda = a + W0(b h e^(-a h)) / h
         from scipy.special import lambertw
-        from ddebound.cli import _bundled_config, assemble_pipeline
         _linear, constant = build_linear_chain(assemble_pipeline(_bundled_config(case)))
         a = constant.rate.value
         (b,) = [g.value for g in constant.delayed_coeffs]
@@ -97,26 +96,6 @@ class TestCauchyFunction:
         C = cauchy_function(constant, 0.0, 30.0, ToleranceSettings(rtol=1e-10, atol=1e-14))
         fitted = math.log(C.eval(30.0)[0] / C.eval(20.0)[0]) / 10.0
         assert fitted == pytest.approx(rate, abs=1e-6)
-
-
-class TestParticularResponse:
-    def test_zero_forcing(self):
-        traj = particular_response(_plain(rate=-1.0, shape=0.0), 5.0, TIGHT)
-        assert max(abs(traj.eval(float(t))[0]) for t in np.linspace(0, 5, 50)) < 1e-12
-
-    def test_first_order_step_response(self):
-        traj = particular_response(_plain(rate=-1.0, shape=1.0, history=7.0), 5.0, TIGHT)
-        # history is replaced by zero: u = 1 - e^{-t}
-        for t in np.linspace(0.0, 5.0, 21):
-            assert traj.eval(float(t))[0] == pytest.approx(
-                1.0 - math.exp(-float(t)), abs=1e-7)
-
-    def test_benchmark_instance_nonnegative_and_bounded(self):
-        sys = _benchmark_linearized(forcing_amplitude=1.0)
-        traj = particular_response(sys, 50.0, ToleranceSettings())
-        values = [traj.eval(float(t))[0] for t in np.linspace(0.0, 50.0, 800)]
-        assert min(values) >= -1e-8
-        assert max(values) < 10.0
 
 
 class TestSuperposition:
@@ -199,73 +178,43 @@ class TestLinearity:
             integrate(sys, 3.0, TIGHT)
 
 
-class TestLinearizationTracking:
-    def test_within_domain(self):
-        sys = _benchmark_linearized(zeta_tilde=0.5, history=0.05)
-        response = integrate_linear(sys, 20.0, TIGHT)
-        assert not response.exceeded_linearization
-        assert response.sup_value == pytest.approx(0.05, abs=1e-6)
-
-    def test_flagged_when_exceeded(self):
-        sys = _benchmark_linearized(zeta_tilde=0.01, history=0.05)
-        response = integrate_linear(sys, 5.0, TIGHT)
-        assert response.exceeded_linearization
-
-
-class TestIssBound:
-    def test_zero_system(self):
-        zero = _plain(rate=0.0)
-        traj = integrate(zero, 5.0, TIGHT)
-        report = iss_bound_series(traj, traj, traj, 0.0, np.linspace(0.0, 5.0, 50))
+class TestForcedChain:
+    @pytest.mark.parametrize("case", ["a", "b"])
+    def test_the_norm_lies_below_the_whole_chain(self, case):
+        # |x| <= y <= u <= U with the config's history and forcing: u is the
+        # forced response u_h + F0 u_nh (superposition), and it stays inside
+        # the linearization radius it was built for
+        cfg = _bundled_config(case)
+        pipe = assemble_pipeline(cfg)
+        linear, constant = build_linear_chain(pipe)
+        x, y, u, upper = (integrate(s, pipe.horizon, pipe.tol) for s in
+                          (cfg.system, pipe.scalar_system, linear, constant))
+        report = verify_pointwise_ordering([x, y, u, upper], grid=2000, tol=1e-4)
         assert report.holds
-        assert report.max_violation <= 0.0
+        assert u.sup_norm() <= cfg.reduction.zeta_tilde
 
-    def test_benchmark_chain_bound_holds(self):
-        # |x(t)| <= u_h(t) + F0 * u_nh(t) on the bundled planar system with a
-        # small amplitude and history inside the linearization radius
-        from ddebound.cli import _bundled_config, assemble_pipeline
-        pipe = assemble_pipeline(_bundled_config("a"))
-        linear, _constant = build_linear_chain(pipe)
-        tol = ToleranceSettings(rtol=1e-6, atol=1e-9)
-        vector_traj = integrate(pipe.config.system, 50.0, tol)
-        u_h = integrate(replace(linear, history=pipe.scalar_system.history,
-                                forcing_amplitude=0.0), 50.0, tol)
-        u_nh = particular_response(linear, 50.0, tol)
-        amplitude = pipe.config.system.forcing_amplitude
-        report = iss_bound_series(vector_traj, u_h, u_nh, amplitude,
-                                  np.linspace(0.0, 50.0, 600), tol=1e-6)
-        assert report.holds
 
-    def test_mismatched_domain_rejected(self):
-        zero = _plain(rate=0.0)
-        traj = integrate(zero, 5.0, TIGHT)
-        short = integrate(zero, 2.0, TIGHT)
-        with pytest.raises(ValueError):
-            iss_bound_series(traj, short, short, 0.0, np.linspace(0.0, 5.0, 20))
-        # past t_end by more than the 1e-12 every evaluation allows
-        with pytest.raises(ValueError, match="time grid leaves a trajectory domain"):
-            iss_bound_series(traj, traj, traj, 0.0, np.linspace(0.0, 5.0 + 5e-10, 20))
+class TestCoefficientHorizon:
+    # u is valid as far as the reduction's coefficients, U as far as the
+    # frozen system it linearizes; past either the splines extrapolate and
+    # the suprema were never read
+    REDUCE_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "reduce.cfg"
 
-    @pytest.mark.parametrize("grid", [np.linspace(5.0, 0.0, 51), [0.0, 1.0, 1.0, 2.0]],
-                             ids=["descending", "repeated"])
-    def test_an_explicit_grid_out_of_order_is_refused(self, grid):
-        # read in its given order, the descending grid reported its first
-        # entry, 5.0, as the first violation; on the ascending grid it is 0.1
-        norms = integrate(_plain(rate=-0.5, history=1.0), 5.0, TIGHT)
-        bound = integrate(_plain(rate=-1.0, history=1.0), 5.0, TIGHT)
-        ascending = iss_bound_series(norms, bound, bound, 0.0, np.linspace(0.0, 5.0, 51))
-        assert ascending.first_violation_time == pytest.approx(0.1, abs=1e-12)
-        with pytest.raises(ValueError, match="^an explicit grid must be strictly increasing$"):
-            iss_bound_series(norms, bound, bound, 0.0, grid)
-
-    def test_violation_reported_not_raised(self):
-        big = integrate(_plain(rate=0.1, history=1.0), 5.0, TIGHT)
-        small_sys = _plain(rate=-1.0, history=1.0)
-        small = integrate(small_sys, 5.0, TIGHT)
-        report = iss_bound_series(big, small, small, 0.0, np.linspace(0.0, 5.0, 64))
-        assert not report.holds
-        assert report.max_violation > 0.0
-        assert report.first_violation_time is not None
+    def test_runs_past_the_coefficient_horizon_are_refused(self):
+        numerical = assemble_pipeline(load_config(self.REDUCE_CONFIG), horizon=10.0)
+        linear, _constant = build_linear_chain(numerical)
+        _linear, constant = build_linear_chain(assemble_pipeline(_bundled_config("b"),
+                                                                 horizon=10.0))
+        refused = "^coefficients are only valid up to t=10.0, requested horizon "
+        with pytest.raises(ValueError, match=refused + "11.5$"):
+            integrate(linear, 11.5)
+        with pytest.raises(ValueError, match=refused + "20.0$"):
+            integrate(constant, 20.0)
+        with pytest.raises(ValueError, match=refused + "10.5$"):
+            cauchy_function(linear, 0.0, 10.5)
+        for run in (integrate(linear, 10.0), integrate(constant, 10.0),
+                    cauchy_function(linear, 0.0, 10.0)):
+            assert run.t_end == 10.0
 
 
 class TestConstantBuilder:
@@ -296,7 +245,6 @@ class TestConstantBuilder:
         assert sys.forcing_shape.value == 1.5 * 0.8
 
     def test_frozen_coefficients_dominate_time_varying_ones(self):
-        from ddebound.cli import _bundled_config, assemble_pipeline
         pipe = assemble_pipeline(_bundled_config("a"))
         linear, constant = build_linear_chain(pipe)
         for t in np.linspace(0.0, 50.0, 2001).tolist():
@@ -307,8 +255,6 @@ class TestConstantBuilder:
     def test_forced_chain_stays_dominated(self):
         # with forcing on, the frozen system must still ride above the
         # time-varying one (its forcing shape is the supremum of c|e|)
-        from ddebound.cli import _bundled_config, assemble_pipeline
-        from ddebound import verify_pointwise_ordering
         pipe = assemble_pipeline(_bundled_config("a"))
         linear, constant = build_linear_chain(pipe)
         assert constant.forcing_shape(0.0) >= 1.0
