@@ -10,7 +10,7 @@ trapping/stability region radii by bisection.
 from .analysis import (BoundednessCriterion, BoundReport, FtsReport, RadiusEstimate,
                        RegionBoundary, RobustReport, build_perturbed_scalar,
                        classify_fts, estimate_scalar_radius, estimate_vector_region,
-                       frozen_scalar_radius, robust_stability_check,
+                       frozen_scalar_radius, invariant_radius, robust_stability_check,
                        verify_pointwise_ordering)
 from .config import ConfigError, RunConfig, load_config, load_config_text
 from .dde_core import (DelayProblem, DelaySpec, HistoryFunction, IntegrationError,

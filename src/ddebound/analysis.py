@@ -6,7 +6,10 @@ blow-up cap on the simulated horizon, "decaying" additionally requires the
 exact sup of the run's tail (`Trajectory.sup_norm`) to fall below a fraction
 of the initial norm.  Estimates are therefore horizon-certified, not
 asymptotic statements, except the exact radius of a frozen
-constant-coefficient system (a polynomial root).
+constant-coefficient system (a polynomial root).  A "bounded" run may stop
+early, trapped in a ball its solutions cannot leave
+(`ToleranceSettings.trap`): that is bounded for all time, which implies the
+horizon verdict.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "build_perturbed_scalar",
     "estimate_scalar_radius",
     "frozen_scalar_radius",
+    "invariant_radius",
     "estimate_vector_region",
 ]
 
@@ -249,10 +253,14 @@ class BoundednessCriterion:
             raise ValueError("decay_ratio must be positive")
 
     def judge(self, traj: Trajectory, initial_norm: float, horizon_end: float) -> bool:
-        """Good when the run completed to ``horizon_end`` without reading the
-        cap; for ``decaying_tail`` also when its exact sup on the last
-        ``tail_fraction`` of the run is at most ``decay_ratio * initial_norm``."""
-        if (traj.blew_up or traj.t_end < horizon_end - 1e-9
+        """Good when the run completed to ``horizon_end``, or ended trapped
+        (`ToleranceSettings.trap`), without reading the cap; for
+        ``decaying_tail`` also when its exact sup on the last
+        ``tail_fraction`` of the run is at most ``decay_ratio * initial_norm``.
+        A trapped run has no tail to read, so ``decaying_tail`` refuses it."""
+        if traj.trapped and self.kind == "decaying_tail":
+            raise ValueError("a trapped run has no tail for the decaying_tail criterion")
+        if (traj.blew_up or (traj.t_end < horizon_end - 1e-9 and not traj.trapped)
                 or traj.first_crossing(self.cap) is not None):
             return False
         if self.kind == "bounded_on_horizon":
@@ -265,7 +273,10 @@ class BoundednessCriterion:
 class RadiusEstimate:
     """Bisection bracket for the largest good constant-history magnitude, or
     its exact value with ``lo == hi == value``, with the criterion that
-    judges a magnitude good and the horizon it was judged on."""
+    judges a magnitude good and the horizon it was judged on.  ``probes``
+    logs each probe as ``(magnitude, good)`` and ``steps`` its accepted steps,
+    in the same order: 0 for a run trapped at the start time and for one that
+    failed with `IntegrationError`."""
 
     value: float
     lo: float
@@ -274,6 +285,7 @@ class RadiusEstimate:
     criterion: BoundednessCriterion
     horizon: float
     probes: tuple[tuple[float, bool], ...] = ()
+    steps: tuple[int, ...] = ()
 
     def monotone_flips(self) -> tuple[float, ...]:
         """Probe magnitudes that were good above some bad probe (diagnostic)."""
@@ -293,19 +305,23 @@ _MAX_BISECTIONS = 40
 def _bisection(probe, q_max: float, bisect_tol: float, criterion: BoundednessCriterion,
                horizon: float) -> RadiusEstimate:
     """One radius search on ``[0, q_max]``: each magnitude ``q`` is judged by
-    ``probe(q) -> bool`` and logged with its verdict.  ``bisect_tol`` is the
-    relative width at which the bracket stops halving, in ``(0, 1)``."""
+    ``probe(q) -> (good, steps)`` and logged with its verdict and steps.
+    ``bisect_tol`` is the relative width at which the bracket stops halving,
+    in ``(0, 1)``."""
     if not 0 < bisect_tol < 1:
         raise ValueError(f"bisect_tol must lie in (0, 1), got {bisect_tol!r}")
     probes: list[tuple[float, bool]] = []
+    steps: list[int] = []
 
     def judged(q: float) -> bool:
-        good = probe(q)
+        good, accepted = probe(q)
         probes.append((q, good))
+        steps.append(accepted)
         return good
 
     def make(value, lo, hi, status):
-        return RadiusEstimate(value, lo, hi, status, criterion, horizon, tuple(probes))
+        return RadiusEstimate(value, lo, hi, status, criterion, horizon, tuple(probes),
+                              tuple(steps))
 
     if judged(q_max):
         return make(q_max, q_max, math.inf, "unbracketed_above")
@@ -324,14 +340,26 @@ def _bisection(probe, q_max: float, bisect_tol: float, criterion: BoundednessCri
 
 
 def _verdict(criterion: BoundednessCriterion, system, magnitude: float, horizon_end: float,
-             tol: ToleranceSettings) -> bool:
+             tol: ToleranceSettings) -> tuple[bool, int]:
     """Whether the run of ``system`` from a history of norm ``magnitude`` is
-    good; a run that fails with `IntegrationError` is bad."""
+    good, and its accepted steps; a run that fails with `IntegrationError`
+    is bad, with 0 steps."""
     try:
         traj = integrate(system, horizon_end, tol)
     except IntegrationError:
-        return False
-    return criterion.judge(traj, magnitude, horizon_end)
+        return False, 0
+    return criterion.judge(traj, magnitude, horizon_end), traj.stats.accepted
+
+
+def _search_tolerances(criterion: BoundednessCriterion,
+                       tol: ToleranceSettings | None) -> ToleranceSettings:
+    """The probe tolerances of a radius search, default ``rtol=1e-4,
+    atol=1e-8``, with the criterion's cap; a trap is refused with
+    ``decaying_tail``, which reads the tail a trapped run does not have."""
+    tol = replace(tol or ToleranceSettings(rtol=1e-4, atol=1e-8), cap=criterion.cap)
+    if tol.trap is not None and criterion.kind == "decaying_tail":
+        raise ValueError("a trap ends runs before the tail that decaying_tail reads")
+    return tol
 
 
 def estimate_scalar_radius(ss: ScalarDelaySystem, criterion: BoundednessCriterion,
@@ -344,11 +372,14 @@ def estimate_scalar_radius(ss: ScalarDelaySystem, criterion: BoundednessCriterio
     monotonically in the constant history, so the good set is an interval.
     ``horizon`` is a duration from the system start time.  The problem is
     built once, from the system with the constant history 0 (the system's
-    own history is not read), and each probe replaces its history.
+    own history is not read), and each probe replaces its history.  A
+    ``tol.trap`` (`ToleranceSettings`) ends a probe as good once its delay
+    window lies in that ball; it must be a ball the solutions cannot leave
+    (`invariant_radius`), and ``decaying_tail`` refuses it.
     """
     if q_max <= 0:
         raise ValueError("q_max must be positive")
-    tol = replace(tol or ToleranceSettings(rtol=1e-4, atol=1e-8), cap=criterion.cap)
+    tol = _search_tolerances(criterion, tol)
     horizon_end = ss.t0 + horizon
     problem = ss.with_constant_history(0.0).problem(horizon_end)
 
@@ -357,6 +388,14 @@ def estimate_scalar_radius(ss: ScalarDelaySystem, criterion: BoundednessCriterio
         return _verdict(criterion, replace(problem, history=history), q, horizon_end, tol)
 
     return _bisection(probe, q_max, bisect_tol, criterion, horizon)
+
+
+def _check_frozen(ss: ScalarDelaySystem) -> None:
+    fns = [ss.p, ss.c, ss.forcing] + [term.coeff for term in ss.majorant.terms]
+    if not all(isinstance(fn, ConstantFn) for fn in fns) or ss.forcing.value != 0.0:
+        raise ValueError("the frozen radius needs constant coefficients and no forcing")
+    if any(term.degree == 0 for term in ss.majorant.terms):
+        raise ValueError("the frozen radius needs a majorant without constant (degree-0) terms")
 
 
 def frozen_scalar_radius(ss: ScalarDelaySystem, criterion: BoundednessCriterion,
@@ -369,17 +408,35 @@ def frozen_scalar_radius(ss: ScalarDelaySystem, criterion: BoundednessCriterion,
     ``criterion`` and ``horizon`` are recorded only."""
     if q_max <= 0:
         raise ValueError("q_max must be positive")
-    fns = [ss.p, ss.c, ss.forcing] + [term.coeff for term in ss.majorant.terms]
-    if not all(isinstance(fn, ConstantFn) for fn in fns) or ss.forcing.value != 0.0:
-        raise ValueError("the frozen radius needs constant coefficients and no forcing")
-    if any(term.degree == 0 for term in ss.majorant.terms):
-        raise ValueError("the frozen radius needs a majorant without constant (degree-0) terms")
+    _check_frozen(ss)
     q_star = _frozen_root(ss.p.value, ss.c.value, ss.majorant, q_max)
     if q_star == 0.0:
         return RadiusEstimate(0.0, 0.0, 0.0, "empty_at_zero", criterion, horizon)
     if q_star >= q_max:
         return RadiusEstimate(q_max, q_max, math.inf, "unbracketed_above", criterion, horizon)
     return RadiusEstimate(q_star, q_star, q_star, "analytic", criterion, horizon)
+
+
+# how many floats below the frozen root `invariant_radius` looks for one at
+# which the frozen right side reads at most 0
+_TRAP_ULPS = 1024
+
+
+def invariant_radius(ss: ScalarDelaySystem, radius: float) -> float:
+    """The largest float ``q <= radius`` at which the right side of the
+    frozen homogeneous system ``ss``, evaluated in floats at ``y = q`` with
+    every delayed value ``q``, reads at most 0, searched at most
+    ``_TRAP_ULPS`` floats down (`frozen_scalar_radius` reads its root off
+    ``np.roots``, which may overshoot); 0 if none is.  Such a constant ``q``
+    is a super-solution of ``ss`` and of every system it dominates, so the
+    ball of radius ``q`` is a trap (`ToleranceSettings.trap`) for them."""
+    _check_frozen(ss)
+    q = radius
+    for _ in range(_TRAP_ULPS):
+        if q <= 0.0 or ss.rhs(ss.t0, (q,), ((q,),) * ss.delays.count)[0] <= 0.0:
+            return max(q, 0.0)
+        q = math.nextafter(q, 0.0)
+    return 0.0
 
 
 @dataclass(frozen=True)
@@ -409,7 +466,10 @@ def estimate_vector_region(vs: VectorDelaySystem, criterion: BoundednessCriterio
     run per probe; a run that fails with `IntegrationError` is a bad probe.
     The system's problem is built once and each probe replaces its history.
     Radial monotonicity is not assumed; the probe log of each estimate allows
-    flips to be inspected afterwards.
+    flips to be inspected afterwards.  A ``tol.trap`` ends a probe as good
+    once the norm of its delay window lies in that ball; the caller vouches
+    that the vector solutions cannot leave it (`cli.fig2_protocol` passes
+    one only for a closed-form reduction), and ``decaying_tail`` refuses it.
     """
     if vs.dim != 2:
         raise ValueError("the polar region sweep is only defined for 2-dimensional systems")
@@ -417,7 +477,7 @@ def estimate_vector_region(vs: VectorDelaySystem, criterion: BoundednessCriterio
         raise ValueError(f"angle_count must be at least 1, got {angle_count!r}")
     if r_max <= 0:
         raise ValueError("r_max must be positive")
-    tol = replace(tol or ToleranceSettings(rtol=1e-4, atol=1e-8), cap=criterion.cap)
+    tol = _search_tolerances(criterion, tol)
     horizon_end = vs.t0 + horizon
     problem = vs.problem(horizon_end)
     angles = np.arange(angle_count) * (2.0 * math.pi / angle_count)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (BoundednessCriterion, classify_fts, estimate_scalar_radius,
-                       estimate_vector_region, frozen_scalar_radius,
+                       estimate_vector_region, frozen_scalar_radius, invariant_radius,
                        robust_stability_check, verify_pointwise_ordering)
 from .config import ConfigError, RunConfig, load_config, load_config_text
 from .dde_core import IntegrationError, ScalarDelaySystem, ToleranceSettings, integrate
@@ -111,6 +111,17 @@ def fig2_protocol(cfg: RunConfig, horizon: float | None = None,
     """Stability-region protocol: polar sweep of the homogeneous vector system
     against the scalar radii of its comparison systems (the frozen one exact).
 
+    The frozen radius comes first.  For the ``bounded`` criterion a positive
+    frozen radius, stepped down to a float where the frozen right side reads
+    at most 0 (`invariant_radius`), is a trap (`ToleranceSettings.trap`):
+    the frozen suprema dominate ``p``, ``c`` and ``L`` on the horizon, so a
+    scalar solution whose delay window lies in that ball stays there, and
+    so, by the comparison theorem, does the norm of a vector solution.  The
+    scalar search always gets the trap; the vector sweep only for a
+    closed-form reduction (``A0 = a(t) I``, ``c = 1``), whose ``p`` and ``c``
+    are the same when the reduction restarts at the entry time.  A trapped
+    probe is good, as its full run would be, so the estimates do not change.
+
     Returns ``(boundary, scalar_estimate, autonomous_estimate, inclusion_ok)``.
     """
     pipe = assemble_pipeline(cfg, horizon=horizon)
@@ -119,12 +130,19 @@ def fig2_protocol(cfg: RunConfig, horizon: float | None = None,
     autonomous = pipe.autonomous_system.homogeneous()
     a_cfg = cfg.analysis
     criterion, probe_tol, duration = _search_settings(pipe)
+    autonomous_estimate = frozen_scalar_radius(autonomous, criterion, a_cfg.q_max, duration)
+    scalar_tol = vector_tol = probe_tol
+    if criterion.kind == "bounded_on_horizon":
+        trap = invariant_radius(autonomous, autonomous_estimate.value)
+        if 0.0 < trap < probe_tol.cap:
+            scalar_tol = replace(probe_tol, trap=trap)
+            if pipe.coefficients.provenance == "closed_form":
+                vector_tol = scalar_tol
     boundary = estimate_vector_region(homogeneous, criterion, a_cfg.r_max,
-                                      a_cfg.bisect_tol, duration, probe_tol,
+                                      a_cfg.bisect_tol, duration, vector_tol,
                                       angle_count=angle_count)
     scalar_estimate = estimate_scalar_radius(scalar, criterion, a_cfg.q_max,
-                                             a_cfg.bisect_tol, duration, probe_tol)
-    autonomous_estimate = frozen_scalar_radius(autonomous, criterion, a_cfg.q_max, duration)
+                                             a_cfg.bisect_tol, duration, scalar_tol)
     slack = 2.0 * a_cfg.bisect_tol * max(1.0, boundary.min_radius())
     inclusion = (scalar_estimate.value <= boundary.min_radius() + slack
                  and autonomous_estimate.value <= boundary.min_radius() + slack)

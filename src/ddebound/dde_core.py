@@ -173,11 +173,20 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ToleranceSettings:
-    """Solver tolerances and guards."""
+    """Solver tolerances and guards.
+
+    ``cap`` ends a run as blown up once the state norm reaches it.  ``trap``,
+    when given, ends a run as bounded for good (`Trajectory.termination`
+    ``"trapped"``) once the state norm stays at or below it over a whole delay
+    window ``[t - h_bar, t]``: the radius of a ball that the solutions cannot
+    leave, such as the frozen system's radius (`cli.fig2_protocol`).  It must
+    be positive, finite and below ``cap``; the caller vouches that the ball is
+    invariant, the integrator only detects the entry."""
 
     rtol: float = 1e-6
     atol: float = 1e-9
     cap: float = 1e6
+    trap: float | None = None
     max_step: float | None = None
     first_step: float | None = None
 
@@ -188,6 +197,9 @@ class ToleranceSettings:
             raise ValueError("rtol and atol must be positive and finite")
         if not self.cap > 0:
             raise ValueError("blow-up cap must be positive")
+        if self.trap is not None and not (0 < self.trap < math.inf and self.trap < self.cap):
+            raise ValueError(f"trap must be positive, finite and below the cap "
+                             f"{self.cap!r}, not {self.trap!r}")
         # a NaN first step never reaches the step floor, `min` drops a NaN
         # step bound, and a step of zero or less divides by zero or underflows
         for name in ("first_step", "max_step"):
@@ -224,16 +236,22 @@ class DelaySpec:
 
     def bounds(self, t0: float, horizon: float) -> tuple[float, float]:
         """``(h_bar, h_under)``: the largest and the smallest delay value on
-        ``[t0, horizon]``, read on the one sampling grid (`timefn.sample`,
-        10,000 points) with the extremes refined by golden section; constant
-        delays are decided exactly, without sampling.  ``(0.0, inf)`` without
-        delays.  A delay that is not positive or not bounded is an error."""
+        ``[t0, horizon]``.  A constant delay is read off its value; those that
+        vary are read on the one sampling grid (`timefn.sample`, 10,000
+        points) with the extremes refined by golden section.  ``(0.0, inf)``
+        without delays.  A delay that is not positive or not bounded is an
+        error."""
         if not self.delays:
             return 0.0, math.inf
-        grid, rows = sample(self.delays, t0, horizon)
-        h_bar = max(-_refined_minimum(lambda t, fn=fn: -fn(t), grid, -values)
-                    for fn, values in zip(self.delays, rows))
-        h_under = min(_refined_minimum(fn, grid, values) for fn, values in zip(self.delays, rows))
+        highs = [fn.value for fn in self.delays if isinstance(fn, ConstantFn)]
+        lows = list(highs)
+        varying = [fn for fn in self.delays if not isinstance(fn, ConstantFn)]
+        if varying:
+            grid, rows = sample(varying, t0, horizon)
+            for fn, values in zip(varying, rows):
+                highs.append(-_refined_minimum(lambda t, fn=fn: -fn(t), grid, -values))
+                lows.append(_refined_minimum(fn, grid, values))
+        h_bar, h_under = max(highs), min(lows)
         if h_under <= 0:
             raise ValueError(f"minimal delay {h_under!r} is not positive")
         if not math.isfinite(h_bar):
@@ -566,21 +584,24 @@ class Trajectory:
     the Dormand-Prince continuous extension, ``y = ys[k] + sum_j coeffs[k][j]
     * theta^(j+1)`` with ``theta`` the fraction of the step; node values are
     reproduced exactly.  ``t_end`` may precede the last node when integration
-    was truncated by blow-up detection.  ``stats`` are the `StepStats` of the
-    run that made it, None for a trajectory built otherwise.
+    was truncated by blow-up detection, and precedes the horizon of a run
+    that ended ``trapped`` (`ToleranceSettings.trap`).  ``stats`` are the
+    `StepStats` of the run that made it, None for a trajectory built
+    otherwise.
     """
 
     def __init__(self, ts: np.ndarray, ys: np.ndarray,
                  coeffs: np.ndarray, t_end: float, blew_up: bool = False,
                  blow_time: float | None = None,
                  history: HistoryFunction | None = None, history_span: float = 0.0,
-                 stats: StepStats | None = None):
+                 stats: StepStats | None = None, trapped: bool = False):
         self.stats = stats
         self.ts = ts
         self.ys = ys
         self.coeffs = coeffs
         self.t_end = float(t_end)
         self.blew_up = blew_up
+        self.trapped = trapped
         self.blow_time = blow_time
         self.history = history
         self.history_span = history_span
@@ -595,7 +616,9 @@ class Trajectory:
 
     @property
     def termination(self) -> str:
-        return "blew_up" if self.blew_up else "completed"
+        """``"blew_up"`` (the cap was read), ``"trapped"`` (a delay window
+        lay inside the trap ball) or ``"completed"`` (the horizon was reached)."""
+        return "blew_up" if self.blew_up else "trapped" if self.trapped else "completed"
 
     def covers(self, lo: float, hi: float) -> bool:
         """Whether ``[lo, hi]`` lies in the domain up to 1e-12, as every evaluation."""
@@ -820,6 +843,31 @@ def _generated_step(dim: int, varying: tuple[bool, ...]) -> SimpleNamespace:
     return SimpleNamespace(evaluate=evaluate, attempt=attempt, horner=horner, norm=norm, rms=rms)
 
 
+@cache
+def _generated_hull(dim: int):
+    """``hull(y, q)`` on a step of `_generated_step` (``q[j]`` of coordinate
+    ``i`` at ``j * dim + i``): the bound of `Trajectory._step_bounds` on the
+    norm of the step's quartic, the largest norm of its Bernstein control
+    points (`_BERNSTEIN`) plus their rounding, at most the triangle bound.
+    Generated apart from the step, for the runs with a trap only."""
+    coords = range(dim)
+    ys = [f"y{i}" for i in coords]
+    q = [[f"q{j * dim + i}" for i in coords] for j in range(4)]
+    basis = [ys, *q]
+    lines = [f"{', '.join(ys)}, = y", f"{', '.join(sum(q, []))}, = q"]
+    for m, row in enumerate(_BERNSTEIN):
+        lines += [f"b{m}_{i} = " + " + ".join(
+            basis[j][i] if c == 1.0 else f"{_literal(c)} * {basis[j][i]}"
+            for j, c in enumerate(row) if c != 0.0) for i in coords]
+        sum_lines, total = _folded((f"b{m}_{i} * b{m}_{i}" for i in coords), f"s{m}")
+        lines += sum_lines or [f"s{m} = {total}"]
+    lines += [f"a{i} = " + " + ".join(f"abs({column[i]})" for column in basis) for i in coords]
+    sum_lines, total = _folded((f"a{i} * a{i}" for i in coords), "a")
+    lines += [*sum_lines, f"triangle = _sqrt({total})"]
+    return _generate("y, q", f"min(_sqrt(max(s0, s1, s2, s3, s4)) + {_HULL_ROUNDING!r} * triangle, "
+                             f"triangle)", lines=lines)
+
+
 def _read_only(values) -> np.ndarray:
     array = np.array(values)
     array.flags.writeable = False
@@ -863,6 +911,12 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
     state norm reaches ``tol.cap``.  A step that falls below the step floor
     is a blow-up at that time when the state norm is at least ``0.01 *
     tol.cap``, and an `IntegrationError` (underflow) otherwise.
+    With ``tol.trap``, integration also stops early, ``trapped``, at the end
+    of the first step ``t`` for which every step of ``[t - h_bar, t]`` has a
+    quartic whose norm is bounded by ``tol.trap`` (`Trajectory._step_bounds`,
+    read only after a step whose end lies in that ball).  The history counts
+    only when it is constant, of norm at most ``tol.trap`` and without a
+    jump at ``t0``: such a run is trapped at ``t0`` after no step.
 
     The state is a tuple of Python floats, stepped by the generated step
     arithmetic (`_generated_step`), which calls ``problem.rhs`` on it with
@@ -957,6 +1011,13 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
         if not all(map(math.isfinite, k)):
             raise IntegrationError("right side is not finite at the start time", time=t0)
 
+        # a norm never reads below -inf, so without a trap no step is inside
+        trap, hull = (-math.inf, None) if tol.trap is None else (tol.trap, _generated_hull(dim))
+        trapped = y0 == constant and step.norm(y0) <= trap
+        # the steps up to the ``inside``-th accepted one lie in the trap ball
+        # back to the time ``entry``
+        inside, entry = -1, t0
+
         if tol.first_step is not None:
             h = min(tol.first_step, max_step)
         else:
@@ -968,7 +1029,9 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
         err_prev: float | None = None
 
         steps = 0
-        while t < horizon - 1e-13 * max(1.0, abs(horizon)):
+        # a run trapped at the start time takes no step
+        end = t0 if trapped else horizon - 1e-13 * max(1.0, abs(horizon))
+        while t < end:
             steps += 1
             if steps > _MAX_STEPS:
                 raise IntegrationError(f"step budget exhausted at t={t!r}", time=t)
@@ -1009,11 +1072,19 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
             nodes_t.append(t_new)
             nodes_y.append(y_new)
             nodes_q.append(q)
-            if step.norm(y_new) >= tol.cap:
+            norm_new = step.norm(y_new)
+            if norm_new >= tol.cap:
                 crossing = _locate_cap_crossing(t, t_new, np.asarray(y), np.reshape(q, (4, dim)),
                                                 tol.cap, t, t_new)
                 blow_time = t_new if crossing is None else crossing
                 break
+            if norm_new <= trap and hull(y, q) <= trap:
+                if inside != accepted - 1:
+                    entry = t
+                inside = accepted
+                if t_new - h_bar >= entry:
+                    trapped = True
+                    break
             t = t_new
             y = y_new
             if on_break:
@@ -1039,7 +1110,8 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
     return Trajectory(ts, np.array(nodes_y), np.array(nodes_q).reshape(len(nodes_q), 4, dim),
                       blow_time if blew_up else ts[-1], blew_up, blow_time,
                       history=history, history_span=h_bar,
-                      stats=StepStats(accepted, rejected, evaluations, stepped_breaks))
+                      stats=StepStats(accepted, rejected, evaluations, stepped_breaks),
+                      trapped=trapped)
 
 
 def _norm_squared(ya, q) -> np.ndarray:

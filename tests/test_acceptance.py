@@ -16,11 +16,11 @@ from ddebound import (BoundednessCriterion, DelayProblem, DelaySpec,
                       HistoryFunction, PolynomialMajorant, PolynomialTerm,
                       ToleranceSettings, classify_fts,
                       compute_fundamental_matrix, estimate_scalar_radius,
-                      integrate, linearize_majorant, on_arrays,
+                      estimate_vector_region, integrate, linearize_majorant, on_arrays,
                       parse_expression, robust_stability_check, superposition_check,
                       verify_pointwise_ordering)
-from ddebound.cli import (_bundled_config, assemble_pipeline, build_linear_chain,
-                          fig1_protocol, fig2_protocol)
+from ddebound.cli import (_bundled_config, _search_settings, assemble_pipeline,
+                          build_linear_chain, fig1_protocol, fig2_protocol)
 from ddebound.linalg import MatrixFunction
 from ddebound.vectorfield import NonlinearTerm, PolynomialVectorField
 
@@ -167,18 +167,30 @@ def test_criterion_07_scalar_radius_oracle():
 
 
 def test_criterion_08_region_inclusion_full_sweep():
+    cfg = _bundled_config("a")
     start = time.perf_counter()
-    boundary, scalar_est, auto_est, inclusion = fig2_protocol(_bundled_config("a"))
+    boundary, scalar_est, auto_est, inclusion = fig2_protocol(cfg)
     elapsed = time.perf_counter() - start
     min_vector = boundary.min_radius()
     slack = 2.0 * 1e-3 * max(1.0, min_vector)
     bisections_ok = all(len(r.probes) <= 42 for r in boundary.radii)
-    ok = (len(boundary.angles) == 200 and inclusion and bisections_ok
+    # the protocol stops a probe once it is trapped in the frozen ball; the
+    # same sweep with every probe integrated to the horizon brackets alike
+    pipe = assemble_pipeline(cfg)
+    criterion, probe_tol, duration = _search_settings(pipe)
+    full = estimate_vector_region(
+        replace(cfg.system, forcing_amplitude=0.0, forcing_shape=None), criterion,
+        cfg.analysis.r_max, cfg.analysis.bisect_tol, duration, probe_tol, angle_count=200)
+    same = ([(r.lo, r.hi, r.probes) for r in boundary.radii]
+            == [(r.lo, r.hi, r.probes) for r in full.radii])
+    ok = (len(boundary.angles) == 200 and inclusion and bisections_ok and same
+          and probe_tol.trap is None
           and scalar_est.value <= min_vector + slack and elapsed < 600.0)
     _report(8, ok, f"scalar radius {scalar_est.value:.4f} <= min vector radius "
                    f"{min_vector:.4f} + {slack:.1e}; autonomous "
                    f"{auto_est.value:.4f}; 200 angles in {elapsed:.0f}s "
-                   f"(budget 600s)")
+                   f"(budget 600s); brackets without the trap "
+                   f"{'identical' if same else 'DIFFERENT'}")
 
 
 def test_criterion_09_superposition_residuals():

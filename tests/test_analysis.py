@@ -10,8 +10,9 @@ from ddebound import (BoundednessCriterion, DelayProblem, DelaySpec,
                       HistoryFunction, IntegrationError, PolynomialMajorant,
                       PolynomialTerm, RobustReport, ScalarDelaySystem, ToleranceSettings,
                       Trajectory, build_perturbed_scalar, classify_fts, estimate_scalar_radius,
-                      estimate_vector_region, frozen_scalar_radius, integrate, on_arrays,
-                      parse_expression, robust_stability_check, verify_pointwise_ordering)
+                      estimate_vector_region, frozen_scalar_radius, integrate,
+                      invariant_radius, on_arrays, parse_expression, robust_stability_check,
+                      verify_pointwise_ordering)
 from ddebound.timefn import ConstantFn
 
 PROBE = ToleranceSettings(rtol=1e-4, atol=1e-8, cap=1e6)
@@ -339,6 +340,13 @@ class TestJudge:
         assert not decaying.judge(traj, 2.0, 1.0)
         assert decaying.judge(traj, 2.0 + 1e-9, 1.0)
 
+    def test_a_trapped_run_is_good_before_the_horizon(self):
+        traj = integrate(cubic_basin_scalar(q=1.0), 50.0, replace(PROBE, trap=1.0))
+        assert traj.termination == "trapped" and traj.t_end == 0.0
+        assert CRIT.judge(traj, 1.0, 50.0)
+        with pytest.raises(ValueError, match="trapped run has no tail"):
+            BoundednessCriterion(kind="decaying_tail").judge(traj, 1.0, 50.0)
+
 
 class TestScalarRadius:
     def test_cubic_basin_boundary(self):
@@ -406,6 +414,25 @@ class TestScalarRadius:
         assert estimate.status == "empty_at_zero"
         assert estimate.value == 0.0
 
+    def test_a_trap_with_the_decaying_criterion_is_refused(self):
+        crit = BoundednessCriterion(kind="decaying_tail", cap=1e6)
+        trapping = replace(PROBE, trap=1.0)
+        with pytest.raises(ValueError, match="decaying_tail"):
+            estimate_scalar_radius(cubic_basin_scalar(), crit, 3.0, tol=trapping)
+        with pytest.raises(ValueError, match="decaying_tail"):
+            estimate_vector_region(symmetric_cubic_vector_system([0.1, 0.0]), crit, 3.0,
+                                   tol=trapping, angle_count=2)
+
+    def test_steps_are_logged_with_each_probe(self):
+        estimate = estimate_scalar_radius(cubic_basin_scalar(), CRIT, 3.0, bisect_tol=1e-2,
+                                          horizon=20.0, tol=replace(PROBE, trap=1.0))
+        assert len(estimate.steps) == len(estimate.probes)
+        full = estimate_scalar_radius(cubic_basin_scalar(), CRIT, 3.0, bisect_tol=1e-2,
+                                      horizon=20.0, tol=PROBE)
+        assert estimate.probes == full.probes
+        for (q, _good), steps, full_steps in zip(estimate.probes, estimate.steps, full.steps):
+            # a probe inside the trap ball takes no step, one above it stops early
+            assert (steps == 0) == (q <= 1.0) and 0 < full_steps and steps <= full_steps
 
     @pytest.mark.parametrize("bisect_tol", [2.0, -0.05, 0.0, 1.0, math.nan])
     def test_a_bisect_tol_outside_the_unit_interval_is_refused(self, bisect_tol):
@@ -483,6 +510,31 @@ class TestFrozenRadius:
         assert bisected.lo <= exact.value <= bisected.hi
         # each estimate holds the criterion that judged it
         assert exact.criterion is crit and bisected.criterion is crit
+
+
+class TestInvariantRadius:
+    def test_the_radius_steps_down_to_a_float_where_the_right_side_is_not_positive(self):
+        ss = cubic_basin_scalar()
+        rhs = ss.rhs
+
+        def reads(q):
+            return rhs(0.0, (q,), ())[0]
+
+        root = math.sqrt(2.0)
+        above = root
+        for _ in range(6):
+            above = math.nextafter(above, math.inf)
+        q = invariant_radius(ss, above)
+        assert q <= root and reads(q) <= 0.0 < reads(math.nextafter(q, math.inf))
+        assert invariant_radius(ss, 1.0) == 1.0
+
+    def test_a_radius_far_above_the_root_gives_no_trap(self):
+        assert invariant_radius(cubic_basin_scalar(), 1.5) == 0.0
+
+    def test_a_system_that_varies_is_refused(self):
+        ss = replace(cubic_basin_scalar(), p=parse_expression("-2 + 0.1*sin(t)"))
+        with pytest.raises(ValueError, match="constant coefficients"):
+            invariant_radius(ss, 1.0)
 
 
 class TestVectorRegion:
@@ -596,3 +648,84 @@ class TestRegionProtocol:
         others = [(r.lo, r.hi, len(r.probes)) for k, r in enumerate(boundary.radii) if k != 1]
         assert others == self.EXPECTED[:1] + self.EXPECTED[2:]
         assert scalar.value == 3.685302734375
+
+    @staticmethod
+    def _untrapped(cfg, angle_count):
+        """The vector sweep and scalar search of `fig2_protocol` on ``cfg``,
+        without a trap: every probe runs to the horizon."""
+        from ddebound.cli import _search_settings, assemble_pipeline
+        pipe = assemble_pipeline(cfg)
+        criterion, probe_tol, duration = _search_settings(pipe)
+        assert probe_tol.trap is None
+        a = cfg.analysis
+        homogeneous = replace(cfg.system, forcing_amplitude=0.0, forcing_shape=None)
+        boundary = estimate_vector_region(homogeneous, criterion, a.r_max, a.bisect_tol,
+                                          duration, probe_tol, angle_count=angle_count)
+        scalar = estimate_scalar_radius(pipe.scalar_system.homogeneous(), criterion, a.q_max,
+                                        a.bisect_tol, duration, probe_tol)
+        return boundary, scalar
+
+    @staticmethod
+    def _log(boundary):
+        return [(r.lo, r.hi, r.probes) for r in boundary.radii]
+
+    def test_trapped_probes_leave_every_estimate_of_case_b_as_it_was(self):
+        from ddebound.cli import _bundled_config, fig2_protocol
+        cfg = _bundled_config("b")
+        boundary, scalar, _autonomous, _inclusion = fig2_protocol(cfg, angle_count=40)
+        full_boundary, full_scalar = self._untrapped(cfg, 40)
+        assert self._log(boundary) == self._log(full_boundary)
+        assert scalar.probes == full_scalar.probes
+        trapped = sum(sum(r.steps) for r in boundary.radii)
+        assert trapped < 0.5 * sum(sum(r.steps) for r in full_boundary.radii)
+        assert sum(scalar.steps) < sum(full_scalar.steps)
+
+    @pytest.mark.parametrize("criterion", ["bounded", "decaying"])
+    def test_both_searches_get_the_frozen_trap_under_the_bounded_criterion(
+            self, criterion, monkeypatch):
+        from ddebound import analysis
+        from ddebound.cli import _bundled_config, assemble_pipeline, fig2_protocol
+        traps = set()
+
+        def recorded(system, horizon, tol=None):
+            traps.add((system.history.dim, tol.trap))
+            return integrate(system, horizon, tol)
+
+        monkeypatch.setattr(analysis, "integrate", recorded)
+        cfg = _bundled_config("a")
+        cfg = replace(cfg, analysis=replace(cfg.analysis, criterion=criterion))
+        _boundary, _scalar, autonomous, _inclusion = fig2_protocol(cfg, angle_count=1)
+        frozen = assemble_pipeline(cfg).autonomous_system.homogeneous()
+        trap = invariant_radius(frozen, autonomous.value)
+        assert 3.3103 < trap <= autonomous.value
+        expected = trap if criterion == "bounded" else None
+        assert traps == {(1, expected), (2, expected)}
+
+    def test_a_numerical_reduction_without_a_frozen_ball_runs_full_probes(self):
+        # the frozen radius of perfbench/reduce.cfg is 0, so no search gets a trap
+        from ddebound.cli import fig2_protocol
+        from ddebound.config import load_config
+        cfg = load_config("perfbench/reduce.cfg")
+        boundary, scalar, autonomous, _inclusion = fig2_protocol(cfg, angle_count=1)
+        full_boundary, full_scalar = self._untrapped(cfg, 1)
+        assert autonomous.status == "empty_at_zero"
+        assert scalar.probes == full_scalar.probes and scalar.steps == full_scalar.steps
+        assert boundary.radii[0].steps == full_boundary.radii[0].steps
+
+    def test_a_trap_above_the_true_radius_changes_the_estimates(self):
+        # mutation check: a ball the solutions can leave calls bad probes good
+        from ddebound.cli import _bundled_config, _search_settings, assemble_pipeline
+        cfg = _bundled_config("a")
+        pipe = assemble_pipeline(cfg)
+        criterion, probe_tol, duration = _search_settings(pipe)
+        a = cfg.analysis
+        scalar = pipe.scalar_system.homogeneous()
+        too_big = estimate_scalar_radius(scalar, criterion, a.q_max, a.bisect_tol, duration,
+                                         replace(probe_tol, trap=4.0))
+        assert too_big.value > 3.685302734375 + 0.3
+        homogeneous = replace(cfg.system, forcing_amplitude=0.0, forcing_shape=None)
+        boundary = estimate_vector_region(homogeneous, criterion, a.r_max, a.bisect_tol,
+                                          duration, replace(probe_tol, trap=7.0),
+                                          angle_count=5)
+        assert [(r.lo, r.hi, len(r.probes)) for r in boundary.radii] != self.EXPECTED
+        assert boundary.min_radius() > 6.99 > self.EXPECTED[4][1]

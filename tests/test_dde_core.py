@@ -56,6 +56,20 @@ class TestDelaySpec:
     def test_no_delays(self):
         assert DelaySpec.none().bounds(0.0, 5.0) == (0.0, math.inf)
 
+    def test_constant_delays_are_read_off_their_values(self, monkeypatch):
+        varying = parse_expression("1 + 0.5*sin(t)")
+        sampled = DelaySpec.from_functions([varying]).bounds(0.0, 20.0)
+
+        def refuse(*args):
+            raise AssertionError("a constant delay was sampled")
+
+        monkeypatch.setattr(dde_core, "sample", refuse)
+        assert DelaySpec.constant([0.7, 0.3, 1.1]).bounds(0.0, 5.0) == (1.1, 0.3)
+        monkeypatch.undo()
+        # beside a delay that varies, a constant one is not sampled either
+        assert DelaySpec.from_functions([0.75, varying]).bounds(0.0, 20.0) == sampled
+        assert DelaySpec.from_functions([2.0, varying, 0.25]).bounds(0.0, 20.0) == (2.0, 0.25)
+
 
 class TestToleranceSettings:
     @pytest.mark.parametrize("field", ["rtol", "atol"])
@@ -68,6 +82,12 @@ class TestToleranceSettings:
         assert ToleranceSettings(cap=math.inf).cap == math.inf
         with pytest.raises(ValueError, match="cap"):
             ToleranceSettings(cap=math.nan)
+
+    @pytest.mark.parametrize("trap", [math.nan, math.inf, 0.0, -1.0, 1e6, 2e6])
+    def test_trap_must_be_positive_finite_and_below_the_cap(self, trap):
+        with pytest.raises(ValueError, match="trap must be positive, finite and below"):
+            ToleranceSettings(cap=1e6, trap=trap)
+        assert ToleranceSettings(cap=math.inf, trap=1e300).trap == 1e300
 
     @pytest.mark.parametrize("field", ["first_step", "max_step"])
     @pytest.mark.parametrize("value", [math.nan, 0.0, -0.1])
@@ -432,6 +452,69 @@ class TestSupNorm:
             sup = traj.sup_norm(lo, hi)
             assert sup >= norms[k]
             assert sup == pytest.approx(float(np.max(traj.norm_grid(zoom))), rel=1e-13)
+
+
+class TestTrap:
+    """A run that ends once a delay window lies in the trap ball."""
+
+    @staticmethod
+    def _decay(history, y0=None):
+        # y' = -y + 0.5 y(t - 0.5): solutions decay, and every ball is a trap
+        return DelayProblem(on_arrays(lambda t, y, z: -y + 0.5 * z[0]),
+                            DelaySpec.constant([0.5]), history, 0.0, y0=y0)
+
+    def test_a_constant_history_inside_is_trapped_at_the_start(self):
+        traj = integrate(self._decay(HistoryFunction.constant([1.0])), 10.0,
+                         replace(DEFAULT, trap=1.0))
+        assert traj.termination == "trapped" and traj.trapped
+        assert traj.t_end == 0.0 and traj.ts.tolist() == [0.0]
+        assert traj.stats.accepted == 0 and traj.coeffs.shape == (0, 4, 1)
+        assert not traj.blew_up and traj.sup_norm() == 1.0
+
+    def test_a_jump_or_a_history_that_varies_counts_only_after_one_delay(self):
+        tol = replace(DEFAULT, trap=1.0)
+        ramp = HistoryFunction.from_expressions([parse_expression("0.5 + 0.1*t")])
+        for problem in (self._decay(HistoryFunction.constant([0.5]), y0=np.array([0.6])),
+                        self._decay(ramp)):
+            traj = integrate(problem, 10.0, tol)
+            assert traj.termination == "trapped"
+            assert 0.5 <= traj.t_end < 1.0 and traj.stats.accepted > 0
+
+    def test_the_run_stops_at_the_first_window_inside_and_steps_as_without_a_trap(self):
+        problem = self._decay(HistoryFunction.constant([4.0]))
+        full = integrate(problem, 20.0, DEFAULT)
+        traj = integrate(problem, 20.0, replace(DEFAULT, trap=1.0))
+        assert traj.termination == "trapped" and full.termination == "completed"
+        n = traj.ts.size
+        assert np.array_equal(traj.ts, full.ts[:n]) and np.array_equal(traj.ys, full.ys[:n])
+        assert np.array_equal(traj.coeffs, full.coeffs[:n - 1])
+        bounds = full._step_bounds(0, full.ts.size - 1)
+        window = full.ts[1:n] > traj.t_end - 0.5
+        assert np.all(bounds[:n - 1][window] <= 1.0)
+        # one step earlier the window still held a step outside the ball
+        assert np.any(bounds[:n - 2][full.ts[1:n - 1] > full.ts[n - 2] - 0.5] > 1.0)
+
+    def test_a_run_that_never_enters_is_the_run_without_a_trap(self):
+        problem = DelayProblem(on_arrays(lambda t, y, z: 0.1 * y), DelaySpec.constant([0.5]),
+                               HistoryFunction.constant([2.0]), 0.0)
+        full = integrate(problem, 5.0, DEFAULT)
+        traj = integrate(problem, 5.0, replace(DEFAULT, trap=1.0))
+        assert traj.termination == "completed"
+        assert np.array_equal(traj.ys, full.ys) and traj.stats == full.stats
+
+    def test_the_generated_hull_is_the_step_bound(self):
+        rng = np.random.default_rng(5)
+        steps, dim = 200, 3
+        ys = rng.normal(0.0, 1.0, (steps + 1, dim)) * rng.uniform(1e-3, 1e3, (steps + 1, 1))
+        coeffs = rng.normal(0.0, 1.0, (steps, 4, dim)) * rng.uniform(1e-3, 1e3, (steps, 1, 1))
+        bound = Trajectory(np.arange(steps + 1.0), ys, coeffs, float(steps))._step_bounds(0, steps)
+        hull = dde_core._generated_hull(dim)
+        generated = np.array([hull(tuple(ys[k]), tuple(coeffs[k].ravel()))
+                              for k in range(steps)])
+        assert np.allclose(generated, bound, rtol=1e-14, atol=0.0)
+        theta = np.linspace(0.0, 1.0, 10_001)[:, None, None]
+        values = dde_core._dense(ys[:-1], np.moveaxis(coeffs, 1, 0), theta)
+        assert np.all(generated >= np.linalg.norm(values, axis=2).max(axis=0))
 
 
 class TestDetectBlowup:
