@@ -10,7 +10,7 @@ trapping/stability region radii by bisection.
 from .analysis import (BoundednessCriterion, BoundReport, FtsReport, RadiusEstimate,
                        RegionBoundary, RobustReport, build_perturbed_scalar,
                        classify_fts, estimate_scalar_radius, estimate_vector_region,
-                       frozen_scalar_radius, invariant_radius, robust_stability_check,
+                       frozen_scalar_radius, robust_stability_check,
                        verify_pointwise_ordering)
 from .config import ConfigError, RunConfig, load_config, load_config_text
 from .dde_core import (DelayProblem, DelaySpec, HistoryFunction, IntegrationError,
@@ -19,8 +19,7 @@ from .dde_core import (DelayProblem, DelaySpec, HistoryFunction, IntegrationErro
 from .expressions import (EvaluationError, Expression, ExpressionSyntaxError,
                           parse_expression)
 from .linalg import MatrixFunction, VectorFunction, spectral_norm
-from .linear_aux import (LinearScalarDDE, build_linear_auxiliary, cauchy_function,
-                         superposition_check)
+from .linear_aux import LinearScalarDDE, build_linear_auxiliary, superposition_check
 from .majorant import (LinearizedCoefficients, PolynomialMajorant, PolynomialTerm,
                        linearize_majorant, majorize_polynomial)
 from .reduction import (CoefficientPair, FundamentalMatrixSolution,

@@ -39,7 +39,6 @@ __all__ = [
     "build_perturbed_scalar",
     "estimate_scalar_radius",
     "frozen_scalar_radius",
-    "invariant_radius",
     "estimate_vector_region",
 ]
 
@@ -182,23 +181,30 @@ class RobustReport:
 
 def _frozen_root(p_hat: float, c_hat: float, majorant: PolynomialMajorant,
                  cap: float) -> float:
-    """Smallest positive zero of ``g(q) = p_hat*q + c_hat*L(q, ..., q)``, at
-    most ``cap``, for constant coefficients.  By total degree ``g(q)/q = p_hat +
-    c_hat * sum_d a_d q^(d-1)`` with all ``a_d >= 0``, so by Descartes' rule it
-    has at most one positive zero; 0 if ``g >= 0`` right above 0, ``cap`` if no
-    term of degree >= 2 can turn it.  A time-varying coefficient is refused."""
-    a = np.zeros(max((term.degree for term in majorant.terms), default=1) + 1)
-    for term in majorant.terms:
-        if not isinstance(term.coeff, ConstantFn):
-            raise ValueError("the closed-form root needs constant majorant coefficients")
-        a[term.degree] += abs(term.coeff.value)
-    if a[0] > 0.0 or p_hat + c_hat * a[1] >= 0.0:
+    """The largest float ``q <= cap`` at which ``g(q) = p_hat*q + c_hat*L(q,
+    ..., q)`` reads below 0, for constant coefficients, by bisection on the
+    floats of ``[0, cap]``.  ``L`` is read through
+    `PolynomialMajorant._clamped`, so ``g`` is the frozen right side's
+    arithmetic at ``y = q`` with every delayed value ``q``.  Without a
+    degree-0 term ``g(q)/q = p_hat + c_hat * sum_d a_d q^(d-1)`` with all
+    ``a_d >= 0`` does not decrease, so ``g`` is negative exactly between 0
+    and its one positive zero.  ``cap`` if ``g(cap) < 0``; 0 if ``g`` is not
+    negative right above 0, and for a nonzero degree-0 term.  A time-varying
+    coefficient is refused."""
+    if not all(isinstance(term.coeff, ConstantFn) for term in majorant.terms):
+        raise ValueError("the closed-form root needs constant majorant coefficients")
+    if any(term.degree == 0 and term.coeff.value != 0.0 for term in majorant.terms):
         return 0.0
-    if not np.any(a[2:]):
+
+    def negative(q: float) -> bool:
+        return p_hat * q + c_hat * majorant._clamped(0.0, *(q,) * majorant.arg_count) < 0.0
+
+    if negative(cap):
         return cap
-    roots = np.roots(np.append(c_hat * a[:1:-1], p_hat + c_hat * a[1]))
-    positive = roots.real[(roots.real > 0.0) & (roots.imag == 0.0)]
-    return min(float(np.min(positive)), cap)
+    lo, hi = 0.0, cap
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if negative(mid) else (lo, mid)
+    return lo
 
 
 def robust_stability_check(p_hat: float, c_hat: float, L_hat: PolynomialMajorant,
@@ -206,9 +212,10 @@ def robust_stability_check(p_hat: float, c_hat: float, L_hat: PolynomialMajorant
     """Closed-form criterion: ``p_hat*y + c_hat*L_hat(y, ..., y) < 0`` on
     ``(0, y_plus)``, for a majorant with constant coefficients.
 
-    ``y_plus`` is the smallest positive root of the expression, ``y_max``
-    when there is none below it, and 0 (the criterion fails) when the
-    expression is nonnegative right above 0, as it is for ``p_hat >= 0``.
+    ``y_plus`` is the largest float at which the expression reads below 0
+    (`_frozen_root`), ``y_max`` when it does there, and 0 (the criterion
+    fails) when the expression is nonnegative right above 0, as it is for
+    ``p_hat >= 0``.
     """
     if c_hat < 1.0:
         raise ValueError(f"condition-number bound must be >= 1; got {c_hat!r}")
@@ -375,7 +382,8 @@ def estimate_scalar_radius(ss: ScalarDelaySystem, criterion: BoundednessCriterio
     own history is not read), and each probe replaces its history.  A
     ``tol.trap`` (`ToleranceSettings`) ends a probe as good once its delay
     window lies in that ball; it must be a ball the solutions cannot leave
-    (`invariant_radius`), and ``decaying_tail`` refuses it.
+    (the `frozen_scalar_radius` of a dominating frozen system), and
+    ``decaying_tail`` refuses it.
     """
     if q_max <= 0:
         raise ValueError("q_max must be positive")
@@ -402,9 +410,12 @@ def frozen_scalar_radius(ss: ScalarDelaySystem, criterion: BoundednessCriterion,
                          q_max: float, horizon: float = 50.0) -> RadiusEstimate:
     """Exact constant-history radius (status ``analytic``, no probes) of a
     homogeneous system with constant coefficients whose majorant has no
-    constant term.  It is monotone in its history, so the
-    radius is the smallest positive zero of ``g(q) = p*q + c*L(q, ..., q)``:
-    below it ``q`` is a super-solution, above it the solution grows.
+    constant term.  It is monotone in its history, so the radius is the
+    positive zero of ``g(q) = p*q + c*L(q, ..., q)``: below it ``q`` is a
+    super-solution, above it the solution grows.  The value is the largest
+    float at which ``g``, in the frozen right side's arithmetic, reads below
+    0 (`_frozen_root`), so the ball of that radius is a trap
+    (`ToleranceSettings.trap`) for ``ss`` and every system it dominates.
     ``criterion`` and ``horizon`` are recorded only."""
     if q_max <= 0:
         raise ValueError("q_max must be positive")
@@ -415,28 +426,6 @@ def frozen_scalar_radius(ss: ScalarDelaySystem, criterion: BoundednessCriterion,
     if q_star >= q_max:
         return RadiusEstimate(q_max, q_max, math.inf, "unbracketed_above", criterion, horizon)
     return RadiusEstimate(q_star, q_star, q_star, "analytic", criterion, horizon)
-
-
-# how many floats below the frozen root `invariant_radius` looks for one at
-# which the frozen right side reads at most 0
-_TRAP_ULPS = 1024
-
-
-def invariant_radius(ss: ScalarDelaySystem, radius: float) -> float:
-    """The largest float ``q <= radius`` at which the right side of the
-    frozen homogeneous system ``ss``, evaluated in floats at ``y = q`` with
-    every delayed value ``q``, reads at most 0, searched at most
-    ``_TRAP_ULPS`` floats down (`frozen_scalar_radius` reads its root off
-    ``np.roots``, which may overshoot); 0 if none is.  Such a constant ``q``
-    is a super-solution of ``ss`` and of every system it dominates, so the
-    ball of radius ``q`` is a trap (`ToleranceSettings.trap`) for them."""
-    _check_frozen(ss)
-    q = radius
-    for _ in range(_TRAP_ULPS):
-        if q <= 0.0 or ss.rhs(ss.t0, (q,), ((q,),) * ss.delays.count)[0] <= 0.0:
-            return max(q, 0.0)
-        q = math.nextafter(q, 0.0)
-    return 0.0
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (BoundednessCriterion, classify_fts, estimate_scalar_radius,
-                       estimate_vector_region, frozen_scalar_radius, invariant_radius,
+                       estimate_vector_region, frozen_scalar_radius,
                        robust_stability_check, verify_pointwise_ordering)
 from .config import ConfigError, RunConfig, load_config, load_config_text
 from .dde_core import IntegrationError, ScalarDelaySystem, ToleranceSettings, integrate
@@ -112,8 +112,8 @@ def fig2_protocol(cfg: RunConfig, horizon: float | None = None,
     against the scalar radii of its comparison systems (the frozen one exact).
 
     The frozen radius comes first.  For the ``bounded`` criterion a positive
-    frozen radius, stepped down to a float where the frozen right side reads
-    at most 0 (`invariant_radius`), is a trap (`ToleranceSettings.trap`):
+    frozen radius, a float where the frozen right side reads below 0
+    (`frozen_scalar_radius`), is a trap (`ToleranceSettings.trap`):
     the frozen suprema dominate ``p``, ``c`` and ``L`` on the horizon, so a
     scalar solution whose delay window lies in that ball stays there, and
     so, by the comparison theorem, does the norm of a vector solution.  The
@@ -133,7 +133,7 @@ def fig2_protocol(cfg: RunConfig, horizon: float | None = None,
     autonomous_estimate = frozen_scalar_radius(autonomous, criterion, a_cfg.q_max, duration)
     scalar_tol = vector_tol = probe_tol
     if criterion.kind == "bounded_on_horizon":
-        trap = invariant_radius(autonomous, autonomous_estimate.value)
+        trap = autonomous_estimate.value
         if 0.0 < trap < probe_tol.cap:
             scalar_tol = replace(probe_tol, trap=trap)
             if pipe.coefficients.provenance == "closed_form":

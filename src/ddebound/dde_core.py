@@ -6,18 +6,17 @@ extension (Shampine's free interpolant) as dense output; delayed lookups,
 `Trajectory` evaluation and the blow-up crossing all read that polynomial.
 Step sizes are capped by the minimal delay, and steps end exactly on the
 breaks: for constant delays ``tau_i`` the times ``t0 + sum_i n_i tau_i`` up to
-six delays deep (`DelaySpec.breaks`), where the start's derivative jump
-propagates while it lies within the pair's order, for time-varying delays the
-walls ``t0 + k*h_under``, and in both cases the kinks a system reports (the
-zeros of the ``|forcing|`` term of the scalar systems).  At a break the
-stages at the end of the step read delayed values from the left and the next
-step re-evaluates its first stage instead of reusing the last one, so a
-history that jumps at the start time (the Cauchy function) is seen from the
-correct side.
+six delays deep (`DelaySpec.breaks`), where the derivative jump at the start
+propagates, one order smoother per delay, for time-varying delays the walls
+``t0 + k*h_under``, and in both cases the kinks a system reports (the zeros
+of the ``|forcing|`` term of the scalar systems).  Every run starts from its
+history's value at ``t0``, so the solution is continuous there, the right
+side is continuous at every break, and the step after a break reuses the
+last stage of the step before it.
 
 `integrate` takes one problem type, `DelayProblem`: the right side
-``rhs(t, y, delayed)``, the delays, the history, the start time, an optional
-start value that differs from the history (a jump at ``t0``) and the kinks.
+``rhs(t, y, delayed)``, the delays, the history, the start time and the
+kinks.
 A system class hands its problem over through ``problem(horizon)``, where it
 runs its own checks on that horizon; `DelayProblem.problem` returns itself,
 so a custom right side is integrated by building a `DelayProblem` directly.
@@ -81,9 +80,11 @@ _NUDGE_ULPS = 4
 _SCREEN_SLACK = 1e-12
 # the rounding of the Bernstein control points, relative to the triangle bound
 _HULL_ROUNDING = 16.0 * _EPS
-# how many delays deep the breaks of constant delays are followed: a start
-# value that jumps from the history makes the k-th derivative jump at
-# t0 + k*tau, and from the 6th on the jump lies beyond the pair's order 5
+# how many delays deep the breaks of constant delays are followed: a run
+# starts from its history, so the solution is continuous at t0 and its
+# (k+1)-th derivative jumps at t0 + k*tau; the 6th derivative, which the
+# local error of the order-5 pair reads, jumps at depth 5, and the breaks
+# are followed one delay further
 _BREAK_DEPTH = 6
 
 # Dormand-Prince 5(4): stage nodes, stage coefficients, 5th-order weights
@@ -261,10 +262,10 @@ class DelaySpec:
     def breaks(self, t0: float, horizon: float) -> tuple[float, ...] | None:
         """The ascending times ``t0 + sum_i n_i tau_i`` in ``(t0, horizon)``
         with ``1 <= sum_i n_i <= _BREAK_DEPTH``, when every delay is a
-        constant ``tau_i``: where a start value that jumps from the history
-        makes a derivative up to the pair's order jump.  Each sum is rounded
-        once (``math.fsum``), so one delay gives the times ``t0 + k*tau``.
-        None when a delay varies in time."""
+        constant ``tau_i``: where the derivative jump at the start
+        propagates, the ``(k+1)``-th derivative at depth ``k``.  Each sum is
+        rounded once (``math.fsum``), so one delay gives the times ``t0 +
+        k*tau``.  None when a delay varies in time."""
         if not all(isinstance(fn, ConstantFn) for fn in self.delays):
             return None
         values = [fn.value for fn in self.delays]
@@ -363,11 +364,9 @@ class HistoryFunction:
 class DelayProblem:
     """``y' = rhs(t, y, [y(t - h_i(t))])`` from ``t0`` with ``history`` before it.
 
-    The start value is ``history(t0)`` unless ``y0`` is given; a different
-    ``y0`` is a jump at ``t0`` that delayed lookups see from the correct side.
-    ``history`` may be omitted only when there are no delays and ``y0`` is
-    given.  ``kinks`` are extra times, in any order, where the right side
-    loses smoothness; the integrator steps onto those inside its interval.
+    The start value is ``history(t0)``, and a history is required, also
+    without delays.  ``kinks`` are extra times, in any order, where the right
+    side loses smoothness; the integrator steps onto those inside its interval.
     ``rhs`` takes the state and each delayed value as a sequence of Python
     floats and returns one float per coordinate; a right side written on
     arrays is passed as ``on_arrays(rhs)``.
@@ -375,14 +374,13 @@ class DelayProblem:
 
     rhs: Callable[[float, Sequence[float], Sequence[Sequence[float]]], Sequence[float]]
     delays: DelaySpec
-    history: HistoryFunction | None
+    history: HistoryFunction
     t0: float = 0.0
-    y0: np.ndarray | None = None
     kinks: Sequence[float] = ()
 
     def __post_init__(self):
-        if self.history is None and (self.delays.delays or self.y0 is None):
-            raise ValueError("a history is required with delays or without a start value")
+        if self.history is None:
+            raise ValueError("a history is required")
 
     def problem(self, horizon: float) -> "DelayProblem":
         return self
@@ -566,10 +564,10 @@ class ScalarDelaySystem:
 class StepStats:
     """Counts of one run of the stepping loop: accepted and rejected steps
     (by the error test or for a value that is not finite), right-side
-    evaluations, the first-step probe included, and the breaks (walls,
-    propagated breaks and kinks) the run stepped onto and went on from, each
-    with one more evaluation.  An attempt counts as six evaluations, also one
-    cut short by an arithmetic exception."""
+    evaluations, the one at the start time and the first-step probe
+    included, and the breaks (walls, propagated breaks and kinks) the run
+    stepped onto and went on from.  An attempt counts as six evaluations,
+    also one cut short by an arithmetic exception."""
 
     accepted: int
     rejected: int
@@ -584,15 +582,14 @@ class Trajectory:
     the Dormand-Prince continuous extension, ``y = ys[k] + sum_j coeffs[k][j]
     * theta^(j+1)`` with ``theta`` the fraction of the step; node values are
     reproduced exactly.  ``t_end`` may precede the last node when integration
-    was truncated by blow-up detection, and precedes the horizon of a run
-    that ended ``trapped`` (`ToleranceSettings.trap`).  ``stats`` are the
-    `StepStats` of the run that made it, None for a trajectory built
-    otherwise.
+    was truncated by blow-up detection, where it is the first time the norm
+    reads the cap, and precedes the horizon of a run that ended ``trapped``
+    (`ToleranceSettings.trap`).  ``stats`` are the `StepStats` of the run
+    that made it, None for a trajectory built otherwise.
     """
 
     def __init__(self, ts: np.ndarray, ys: np.ndarray,
                  coeffs: np.ndarray, t_end: float, blew_up: bool = False,
-                 blow_time: float | None = None,
                  history: HistoryFunction | None = None, history_span: float = 0.0,
                  stats: StepStats | None = None, trapped: bool = False):
         self.stats = stats
@@ -602,7 +599,6 @@ class Trajectory:
         self.t_end = float(t_end)
         self.blew_up = blew_up
         self.trapped = trapped
-        self.blow_time = blow_time
         self.history = history
         self.history_span = history_span
 
@@ -770,20 +766,19 @@ def _generated_step(dim: int, varying: tuple[bool, ...]) -> SimpleNamespace:
     once as straight-line source.
 
     Each right-side evaluation is written out as ``rhs(ts, state,
-    (past(ts - d0, left), ...))``, where ``past(time, left)`` is the run's
-    delayed lookup and ``d<i>`` the ``i``-th delay, an argument: a constant
-    delay as its float, read as ``ts - d0`` (the bits of ``ts - fn(ts)``),
-    and one that varies as its function, read as ``ts - d0(ts)``.  So the
+    (past(ts - d0), ...))``, where ``past(time)`` is the run's delayed
+    lookup and ``d<i>`` the ``i``-th delay, an argument: a constant delay as
+    its float, read as ``ts - d0`` (the bits of ``ts - fn(ts)``), and one
+    that varies as its function, read as ``ts - d0(ts)``.  So the
     cache holds no delay, and runs that differ only in their delays' values
     share one step.  The two functions that evaluate take ``rhs, past`` and
     then every delay ``d<i>``, in delay order, before their own arguments.
 
-    ``evaluate(..., t, y)`` is one evaluation at ``(t, y)``, its delayed
-    values read from the right.  ``attempt(..., t, h, t_new, y, k, atol,
-    rtol)`` takes one Dormand-Prince step of size ``h`` from ``(t, y)`` with
-    first stage ``k``; the stages at ``t + h`` and ``t_new`` read their
-    delayed values from the left.  It returns None when a stage, the new
-    state or the error has an infinite or NaN entry, else ``(err, y_new,
+    ``evaluate(..., t, y)`` is one evaluation at ``(t, y)``.  ``attempt(...,
+    t, h, t_new, y, k, atol, rtol)`` takes one Dormand-Prince step of size
+    ``h`` from ``(t, y)`` with first stage ``k``, its last stage at
+    ``t_new``.  It returns None when a stage, the new state or the error has
+    an infinite or NaN entry, else ``(err, y_new,
     k_new, q)``: the scaled RMS error, the new state, its stage and the four
     dense coefficients as one tuple (``q[j]`` of coordinate ``i`` at ``j *
     dim + i``), the last three None when ``err > 1``.  ``horner(y, q,
@@ -805,20 +800,20 @@ def _generated_step(dim: int, varying: tuple[bool, ...]) -> SimpleNamespace:
         return " + ".join(f"k{s}_{i}" if c == 1.0 else f"{_literal(c)} * k{s}_{i}"
                           for s, c in row)
 
-    def evaluation(values: str, left: bool) -> str:
+    def evaluation(values: str) -> str:
         # the right side at the time ``ts``
-        delayed = [f"past(ts - d{i}{'(ts)' if varies else ''}, {left})"
+        delayed = [f"past(ts - d{i}{'(ts)' if varies else ''})"
                    for i, varies in enumerate(varying)]
         return f"rhs(ts, {values}, {state(delayed) if varying else '()'})"
 
-    evaluate = _generate(f"rhs, past, {extra}ts, y", evaluation("y", False))
+    evaluate = _generate(f"rhs, past, {extra}ts, y", evaluation("y"))
     lines = [f"{state(names('y'))} = y", f"{state(names('k0_'))} = k"]
     for s, row in enumerate(_STAGE_ROWS, 1):
         trial = state(f"y{i} + h * ({combined(row, i)})" for i in coords)
         lines += ["ts = t + h" if _C[s] == 1.0 else f"ts = t + {_C[s]!r} * h",
-                  f"{state(names(f'k{s}_'))} = {evaluation(trial, s == 5)}"]
+                  f"{state(names(f'k{s}_'))} = {evaluation(trial)}"]
     lines += [f"n{i} = y{i} + h * ({combined(_UPDATE, i)})" for i in coords]
-    lines += ["ts = t_new", f"{state(names('k6_'))} = {evaluation(state(names('n')), True)}"]
+    lines += ["ts = t_new", f"{state(names('k6_'))} = {evaluation(state(names('n')))}"]
     lines += [f"e{i} = h * ({combined(_ERROR, i)})" for i in coords]
     # the error has every stage but the second with a nonzero weight
     checks = " and ".join(f"_isfinite({v})" for v in names("n") + names("e") + names("k1_"))
@@ -896,27 +891,27 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
 
     The delay band ``(h_bar, h_under)`` is read once, on ``[t0, horizon]``
     (`DelaySpec.bounds`), and the history must cover ``[t0 - h_bar, t0]``.
-    Delayed arguments are resolved from the history function (at or before
-    the start time) or from already-accepted dense segments; the step cap
-    ``h_under`` keeps every delayed lookup out of the current step, and a
-    lookup past the accepted solution (a delay below its sampled minimum)
-    raises `IntegrationError`.
+    The run starts from ``history(t0)``.  Delayed arguments are resolved
+    from the history function (at or before the start time) or from
+    already-accepted dense segments; the step cap ``h_under`` keeps every
+    delayed lookup out of the current step, and a lookup past the accepted
+    solution (a delay below its sampled minimum) raises `IntegrationError`.
     Steps end exactly on the breaks, one ascending sequence merged from the
     system's kinks and, for constant delays, the propagated breaks of
     `DelaySpec.breaks` (``t0 + sum_i n_i tau_i``, up to six delays deep), for
-    a delay that varies in time the walls ``t0 + k*h_under``.  The stages at
-    the end of a step read delayed values from the left there, and the next
-    step starts from a fresh right-side evaluation.
-    Integration stops early, with the first crossing time recorded, when the
-    state norm reaches ``tol.cap``.  A step that falls below the step floor
+    a delay that varies in time the walls ``t0 + k*h_under``.  The right
+    side is continuous there, so the step after a break starts from the last
+    stage of the step before it, as every step does.
+    Integration stops early, at the first time the state norm reads
+    ``tol.cap``.  A step that falls below the step floor
     is a blow-up at that time when the state norm is at least ``0.01 *
     tol.cap``, and an `IntegrationError` (underflow) otherwise.
     With ``tol.trap``, integration also stops early, ``trapped``, at the end
     of the first step ``t`` for which every step of ``[t - h_bar, t]`` has a
     quartic whose norm is bounded by ``tol.trap`` (`Trajectory._step_bounds`,
     read only after a step whose end lies in that ball).  The history counts
-    only when it is constant, of norm at most ``tol.trap`` and without a
-    jump at ``t0``: such a run is trapped at ``t0`` after no step.
+    only when it is constant and of norm at most ``tol.trap``: such a run is
+    trapped at ``t0`` after no step.
 
     The state is a tuple of Python floats, stepped by the generated step
     arithmetic (`_generated_step`), which calls ``problem.rhs`` on it with
@@ -945,10 +940,9 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
     next_break = next(breaks, math.inf)
 
     history = problem.history
-    if history is not None and not history.covers(t0 - h_bar, t0):
+    if not history.covers(t0 - h_bar, t0):
         raise ValueError(f"history must cover [{t0 - h_bar}, {t0}]")
-    start = history(t0) if problem.y0 is None else problem.y0
-    y0 = tuple(np.atleast_1d(np.asarray(start, dtype=float)).tolist())
+    y0 = tuple(np.atleast_1d(history(t0)).tolist())
     dim = len(y0)
     delays = [fn.value if isinstance(fn, ConstantFn) else fn for fn in delay_fns]
     step = _generated_step(dim, tuple(callable(d) for d in delays))
@@ -960,23 +954,17 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
     lower_guard = t0 - h_bar - 1e-9 * max(1.0, abs(t0) + h_bar)
     # a constant history is read once, as floats, so that a right side
     # writing into its delayed argument cannot change it
-    constant = (tuple(history.vector.tolist())
-                if history is not None and history.vector is not None else None)
-    # delayed arguments this close to t0 count as t0: from the left they read
-    # the history, from the right the initial state (which may differ)
-    start_snap = 1e-12 * max(1.0, abs(t0))
+    constant = tuple(history.vector.tolist()) if history.vector is not None else None
 
-    def past(tq: float, left: bool):
-        if tq < t0 - start_snap or (left and tq <= t0 + start_snap):
+    def past(tq: float):
+        if tq <= t0:
             if tq < lower_guard:
                 raise IntegrationError(
                     f"delayed argument t={tq!r} falls below the history interval "
                     f"start {t0 - h_bar!r} (malformed delay)", time=tq)
             if constant is not None:
                 return constant
-            return np.atleast_1d(np.asarray(history(min(tq, t0)), dtype=float)).tolist()
-        if tq <= t0:
-            return nodes_y[0]
+            return np.atleast_1d(history(tq)).tolist()
         idx = bisect_right(nodes_t, tq) - 1
         if idx >= len(nodes_t) - 1:
             # only rounding of t - h(t) may overshoot the last node; more
@@ -1013,7 +1001,7 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
 
         # a norm never reads below -inf, so without a trap no step is inside
         trap, hull = (-math.inf, None) if tol.trap is None else (tol.trap, _generated_hull(dim))
-        trapped = y0 == constant and step.norm(y0) <= trap
+        trapped = constant is not None and step.norm(y0) <= trap
         # the steps up to the ``inside``-th accepted one lie in the trap ball
         # back to the time ``entry``
         inside, entry = -1, t0
@@ -1087,12 +1075,8 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
                     break
             t = t_new
             y = y_new
-            if on_break:
-                evaluations += 1
-                stepped_breaks += 1
-                k = evaluate(t, y)
-            else:
-                k = k_new
+            k = k_new
+            stepped_breaks += on_break
             if err_norm == 0.0:
                 factor = _MAX_FACTOR
             elif err_prev is None:
@@ -1108,7 +1092,7 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
     ts = np.array(nodes_t)
     blew_up = blow_time is not None
     return Trajectory(ts, np.array(nodes_y), np.array(nodes_q).reshape(len(nodes_q), 4, dim),
-                      blow_time if blew_up else ts[-1], blew_up, blow_time,
+                      blow_time if blew_up else ts[-1], blew_up,
                       history=history, history_span=h_bar,
                       stats=StepStats(accepted, rejected, evaluations, stepped_breaks),
                       trapped=trapped)

@@ -1,4 +1,4 @@
-"""Linear scalar comparison systems: Cauchy function and superposition.
+"""Linear scalar comparison systems and their superposition check.
 
 A `LinearScalarDDE` is ``u' = P(t)u + sum_i g_i(t) u(t - h_i(t)) + F0*s(t)``
 with nonnegative delayed coefficients ``g_i`` and forcing shape ``s``.  It is
@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .dde_core import (DelayProblem, DelaySpec, HistoryFunction, ToleranceSettings,
-                       Trajectory, _check_coeff_horizon, integrate)
+                       _check_coeff_horizon, integrate)
 from .expressions import _generate
 from .majorant import LinearizedCoefficients, linearize_majorant
 from .reduction import CoefficientPair
@@ -27,7 +27,6 @@ __all__ = [
     "LinearScalarDDE",
     "build_linear_auxiliary",
     "build_linear_chain",
-    "cauchy_function",
     "superposition_check",
 ]
 
@@ -142,21 +141,6 @@ def build_linear_chain(pipe):
                                       scalar.delays, ConstantFn(forcing_norm_hat),
                                       vs.forcing_amplitude, scalar.history, scalar.t0)
     return linear, constant
-
-
-def cauchy_function(sys: LinearScalarDDE, s: float, horizon: float,
-                    tol: ToleranceSettings | None = None) -> Trajectory:
-    """Response on ``[s, horizon]`` to a unit value at ``s`` with zero
-    pre-history; the forcing of ``sys`` is ignored."""
-    if s < sys.t0:
-        raise ValueError(f"s={s!r} precedes the system start time {sys.t0!r}")
-    if horizon <= s:
-        raise ValueError(f"horizon {horizon!r} must exceed s={s!r}")
-    # the unit start over a zero pre-history is a jump at s: lookups strictly
-    # before s read 0, lookups at or after s the dense solution
-    unforced = replace(sys, t0=s, history=HistoryFunction.constant([0.0]),
-                       forcing_amplitude=0.0)
-    return integrate(replace(unforced.problem(horizon), y0=np.array([1.0])), horizon, tol)
 
 
 def superposition_check(sys: LinearScalarDDE, history: HistoryFunction,

@@ -112,7 +112,7 @@ def compute_fundamental_matrix(A: MatrixFunction, t0: float, horizon: float,
                                HistoryFunction.constant(start), t0)
     tol = tol or ToleranceSettings(rtol=1e-8, atol=1e-12, cap=math.inf)
     # not system.problem(): its unit-sup check normalises a forcing, and s' = r is none
-    traj = integrate(DelayProblem(system.rhs, DelaySpec.none(), None, t0, y0=start),
+    traj = integrate(DelayProblem(system.rhs, DelaySpec.none(), system.history, t0),
                      horizon, tol)
     return FundamentalMatrixSolution(A, traj)
 

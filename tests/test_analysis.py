@@ -11,7 +11,7 @@ from ddebound import (BoundednessCriterion, DelayProblem, DelaySpec,
                       PolynomialTerm, RobustReport, ScalarDelaySystem, ToleranceSettings,
                       Trajectory, build_perturbed_scalar, classify_fts, estimate_scalar_radius,
                       estimate_vector_region, frozen_scalar_radius, integrate,
-                      invariant_radius, on_arrays, parse_expression, robust_stability_check,
+                      on_arrays, parse_expression, robust_stability_check,
                       verify_pointwise_ordering)
 from ddebound.timefn import ConstantFn
 
@@ -496,6 +496,20 @@ class TestFrozenRadius:
         with pytest.raises(ValueError, match=r"constant \(degree-0\) terms"):
             frozen_scalar_radius(perturbed, CRIT, 3.0)
 
+    def test_the_value_reads_below_zero_and_the_next_float_does_not(self):
+        # the root is bisected in the frozen right side's arithmetic, so the
+        # ball of that radius is a trap of the system as it is integrated
+        from ddebound.cli import _bundled_config, assemble_pipeline
+        bundled = [assemble_pipeline(_bundled_config(case)).autonomous_system.homogeneous()
+                   for case in "ab"]
+        for ss in (cubic_basin_scalar(), *bundled):
+            q = frozen_scalar_radius(ss, CRIT, 10.0).value
+
+            def reads(y, ss=ss):
+                return ss.rhs(ss.t0, (y,), ((y,),) * ss.delays.count)[0]
+
+            assert reads(q) < 0.0 <= reads(math.nextafter(q, math.inf))
+
     @pytest.mark.parametrize("case", ["a", "b"])
     @pytest.mark.parametrize("kind", ["bounded_on_horizon", "decaying_tail"])
     def test_root_inside_the_bisection_bracket(self, case, kind):
@@ -510,31 +524,6 @@ class TestFrozenRadius:
         assert bisected.lo <= exact.value <= bisected.hi
         # each estimate holds the criterion that judged it
         assert exact.criterion is crit and bisected.criterion is crit
-
-
-class TestInvariantRadius:
-    def test_the_radius_steps_down_to_a_float_where_the_right_side_is_not_positive(self):
-        ss = cubic_basin_scalar()
-        rhs = ss.rhs
-
-        def reads(q):
-            return rhs(0.0, (q,), ())[0]
-
-        root = math.sqrt(2.0)
-        above = root
-        for _ in range(6):
-            above = math.nextafter(above, math.inf)
-        q = invariant_radius(ss, above)
-        assert q <= root and reads(q) <= 0.0 < reads(math.nextafter(q, math.inf))
-        assert invariant_radius(ss, 1.0) == 1.0
-
-    def test_a_radius_far_above_the_root_gives_no_trap(self):
-        assert invariant_radius(cubic_basin_scalar(), 1.5) == 0.0
-
-    def test_a_system_that_varies_is_refused(self):
-        ss = replace(cubic_basin_scalar(), p=parse_expression("-2 + 0.1*sin(t)"))
-        with pytest.raises(ValueError, match="constant coefficients"):
-            invariant_radius(ss, 1.0)
 
 
 class TestVectorRegion:
@@ -695,10 +684,8 @@ class TestRegionProtocol:
         cfg = _bundled_config("a")
         cfg = replace(cfg, analysis=replace(cfg.analysis, criterion=criterion))
         _boundary, _scalar, autonomous, _inclusion = fig2_protocol(cfg, angle_count=1)
-        frozen = assemble_pipeline(cfg).autonomous_system.homogeneous()
-        trap = invariant_radius(frozen, autonomous.value)
-        assert 3.3103 < trap <= autonomous.value
-        expected = trap if criterion == "bounded" else None
+        assert 3.3103 < autonomous.value
+        expected = autonomous.value if criterion == "bounded" else None
         assert traps == {(1, expected), (2, expected)}
 
     def test_a_numerical_reduction_without_a_frozen_ball_runs_full_probes(self):

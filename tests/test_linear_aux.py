@@ -7,7 +7,7 @@ import pytest
 
 from conftest import TIGHT
 from ddebound import (DelaySpec, HistoryFunction, LinearScalarDDE, ToleranceSettings,
-                      cauchy_function, integrate, linearize_majorant, load_config,
+                      integrate, linearize_majorant, load_config,
                       parse_expression, superposition_check, verify_pointwise_ordering)
 from ddebound.cli import _bundled_config, assemble_pipeline
 from ddebound.linear_aux import build_linear_auxiliary, build_linear_chain
@@ -43,59 +43,6 @@ def _benchmark_linearized(forcing_amplitude=0.0, history=0.05):
     return build_linear_auxiliary(coeffs, lc, DelaySpec.constant([0.5]), e_norm,
                                   forcing_amplitude,
                                   HistoryFunction.constant([history]), 0.0)
-
-
-class TestCauchyFunction:
-    def test_zero_rate(self):
-        C = cauchy_function(_plain(), 1.0, 5.0, TIGHT)
-        for t in (1.0, 2.5, 5.0):
-            assert C.eval(t)[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_pure_exponential(self):
-        C = cauchy_function(_plain(rate=-0.7), 1.0, 4.0, TIGHT)
-        for t in np.linspace(1.0, 4.0, 13):
-            assert C.eval(float(t))[0] == pytest.approx(
-                math.exp(-0.7 * (float(t) - 1.0)), rel=1e-7)
-
-    def test_delayed_term_sees_zero_prehistory(self):
-        # u' = u(t-1): flat at 1 on [s, s+1), then 1 + (t-s-1)
-        sys = _plain(delayed=(1.0,), delays=DelaySpec.constant([1.0]))
-        C = cauchy_function(sys, 2.0, 5.0, TIGHT)
-        assert C.eval(2.0)[0] == 1.0
-        assert C.eval(2.9)[0] == pytest.approx(1.0, abs=1e-12)
-        assert C.eval(3.5)[0] == pytest.approx(1.5, abs=1e-9)
-        assert C.eval(4.0)[0] == pytest.approx(2.0, abs=1e-9)
-
-    def test_negative_delayed_coefficient_rejected(self):
-        # u' = -u - 0.5 u(t-1) is no comparison system: its Cauchy function
-        # dips below zero, and `integrate` refuses the system as well
-        sys = _plain(rate=-1.0, delayed=(-0.5,), delays=DelaySpec.constant([1.0]))
-        with pytest.raises(ValueError, match="delayed coefficient is negative"):
-            cauchy_function(sys, 0.0, 10.0, TIGHT)
-
-    def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            cauchy_function(_plain(), 2.0, 2.0, TIGHT)
-
-    def test_nonnegative_on_benchmark_instance(self):
-        sys = _benchmark_linearized()
-        C = cauchy_function(sys, 1.0, 20.0, TIGHT)
-        grid = np.linspace(1.0, 20.0, 400)
-        assert min(C.eval(float(t))[0] for t in grid) >= -1e-8
-
-    @pytest.mark.parametrize("case", ["a", "b"])
-    def test_constant_bound_decays_at_the_hayes_rate(self, case):
-        # U' = a U + b U(t - h): its Cauchy function decays at the rightmost
-        # characteristic root lambda = a + W0(b h e^(-a h)) / h
-        from scipy.special import lambertw
-        _linear, constant = build_linear_chain(assemble_pipeline(_bundled_config(case)))
-        a = constant.rate.value
-        (b,) = [g.value for g in constant.delayed_coeffs]
-        h = constant.delays.bounds(0.0, 30.0)[0]
-        rate = a + lambertw(b * h * math.exp(-a * h)).real / h
-        C = cauchy_function(constant, 0.0, 30.0, ToleranceSettings(rtol=1e-10, atol=1e-14))
-        fitted = math.log(C.eval(30.0)[0] / C.eval(20.0)[0]) / 10.0
-        assert fitted == pytest.approx(rate, abs=1e-6)
 
 
 class TestSuperposition:
@@ -210,10 +157,7 @@ class TestCoefficientHorizon:
             integrate(linear, 11.5)
         with pytest.raises(ValueError, match=refused + "20.0$"):
             integrate(constant, 20.0)
-        with pytest.raises(ValueError, match=refused + "10.5$"):
-            cauchy_function(linear, 0.0, 10.5)
-        for run in (integrate(linear, 10.0), integrate(constant, 10.0),
-                    cauchy_function(linear, 0.0, 10.0)):
+        for run in (integrate(linear, 10.0), integrate(constant, 10.0)):
             assert run.t_end == 10.0
 
 
@@ -251,6 +195,22 @@ class TestConstantBuilder:
             assert linear.rate(t) <= constant.rate.value
             assert linear.delayed_coeffs[0](t) <= constant.delayed_coeffs[0].value
             assert linear.forcing_shape(t) <= constant.forcing_shape.value
+
+    @pytest.mark.parametrize("case", ["a", "b"])
+    def test_constant_bound_decays_at_the_hayes_rate(self, case):
+        # U' = a U + b U(t - h) from the constant history 1 decays at the
+        # rightmost characteristic root lambda = a + W0(b h e^(-a h)) / h
+        from scipy.special import lambertw
+        _linear, constant = build_linear_chain(assemble_pipeline(_bundled_config(case)))
+        a = constant.rate.value
+        (b,) = [g.value for g in constant.delayed_coeffs]
+        h = constant.delays.bounds(0.0, 30.0)[0]
+        rate = a + lambertw(b * h * math.exp(-a * h)).real / h
+        unforced = replace(constant, history=HistoryFunction.constant([1.0]),
+                           forcing_amplitude=0.0)
+        U = integrate(unforced, 30.0, ToleranceSettings(rtol=1e-10, atol=1e-14))
+        fitted = math.log(U.eval(30.0)[0] / U.eval(20.0)[0]) / 10.0
+        assert fitted == pytest.approx(rate, abs=1e-6)
 
     def test_forced_chain_stays_dominated(self):
         # with forcing on, the frozen system must still ride above the
