@@ -16,8 +16,7 @@ from .config import ConfigError, RunConfig, load_config, load_config_text
 from .dde_core import (DelayProblem, DelaySpec, HistoryFunction, IntegrationError,
                        ScalarDelaySystem, ToleranceSettings, Trajectory, VectorDelaySystem,
                        integrate, on_arrays)
-from .expressions import (EvaluationError, Expression, ExpressionSyntaxError,
-                          parse_expression)
+from .expressions import EvaluationError, ExpressionSyntaxError, parse_expression
 from .linalg import MatrixFunction, VectorFunction, spectral_norm
 from .linear_aux import LinearScalarDDE, build_linear_auxiliary, superposition_check
 from .majorant import (LinearizedCoefficients, PolynomialMajorant, PolynomialTerm,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -81,11 +82,11 @@ def verify_pointwise_ordering(trajs: Sequence[Trajectory], grid: int = 2000,
     history must agree with the first one's at the sampled history points.
 
     ``grid`` is a point count of at least 2 (`operator.index`, so numpy
-    integers count).  The reported series lie on that many points spread over
-    the domain all trajectories share.  Each adjacent pair is compared on the
-    domain the two of them share, which is longer when another trajectory
-    stopped early (a bound that blew up): there the count is spread over the
-    pair's domain.
+    integers count; an array or any other value is refused).  The reported
+    series lie on that many points spread over the domain all trajectories
+    share.  Each adjacent pair is compared on the domain the two of them
+    share, which is longer when another trajectory stopped early (a bound
+    that blew up): there the count is spread over the pair's domain.
     """
     if len(trajs) < 2:
         raise ValueError("need at least two trajectories to compare")
@@ -182,29 +183,37 @@ class RobustReport:
 def _frozen_root(p_hat: float, c_hat: float, majorant: PolynomialMajorant,
                  cap: float) -> float:
     """The largest float ``q <= cap`` at which ``g(q) = p_hat*q + c_hat*L(q,
-    ..., q)`` reads below 0, for constant coefficients, by bisection on the
-    floats of ``[0, cap]``.  ``L`` is read through
-    `PolynomialMajorant._clamped`, so ``g`` is the frozen right side's
-    arithmetic at ``y = q`` with every delayed value ``q``.  Without a
+    ..., q)`` reads below 0, for constant coefficients.  ``L`` is read
+    through `PolynomialMajorant._clamped`, so ``g`` is the frozen right
+    side's arithmetic at ``y = q`` with every delayed value ``q``.  Without a
     degree-0 term ``g(q)/q = p_hat + c_hat * sum_d a_d q^(d-1)`` with all
     ``a_d >= 0`` does not decrease, so ``g`` is negative exactly between 0
     and its one positive zero.  ``cap`` if ``g(cap) < 0``; 0 if ``g`` is not
     negative right above 0, and for a nonzero degree-0 term.  A time-varying
-    coefficient is refused."""
+    coefficient is refused.
+
+    The search bisects the int64 bit patterns of the floats of ``[0, cap]``,
+    which are ordered like their values, so it reads ``g`` at most 64 times
+    even when the root is 0 or subnormal; bisecting the values would walk
+    down through the subnormals one halving at a time.
+    """
     if not all(isinstance(term.coeff, ConstantFn) for term in majorant.terms):
         raise ValueError("the closed-form root needs constant majorant coefficients")
     if any(term.degree == 0 and term.coeff.value != 0.0 for term in majorant.terms):
         return 0.0
 
+    def value(bits: int) -> float:
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
+
     def negative(q: float) -> bool:
         return p_hat * q + c_hat * majorant._clamped(0.0, *(q,) * majorant.arg_count) < 0.0
 
-    if negative(cap):
-        return cap
-    lo, hi = 0.0, cap
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        lo, hi = (mid, hi) if negative(mid) else (lo, mid)
-    return lo
+    # the largest pattern in [0, the pattern of cap] that reads negative, 0 if none
+    lo, hi = 0, struct.unpack("<q", struct.pack("<d", cap))[0]
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if negative(value(mid)) else (lo, mid - 1)
+    return value(lo)
 
 
 def robust_stability_check(p_hat: float, c_hat: float, L_hat: PolynomialMajorant,
@@ -239,12 +248,15 @@ def build_perturbed_scalar(ss: ScalarDelaySystem, L_R: PolynomialMajorant,
          *(PolynomialTerm(term.coeff, (term.exponents[0], *(0,) * m, *term.exponents[1:]))
            for term in L_R.terms)),
         m + k + 1, L.allow_constant_terms or L_R.allow_constant_terms)
-    return replace(ss, majorant=merged, delays=ss.delays.merged_with(perturbed_delays))
+    return replace(ss, majorant=merged,
+                   delays=DelaySpec(ss.delays.delays + perturbed_delays.delays))
 
 
 @dataclass(frozen=True)
 class BoundednessCriterion:
-    """Good/bad oracle for radius searches (horizon-certified proxy)."""
+    """Good/bad oracle for radius searches (horizon-certified proxy):
+    `judge` reads the cap exactly (`Trajectory.first_crossing`) and the
+    tail's exact sup (`Trajectory.sup_norm`), not samples."""
 
     kind: str = "bounded_on_horizon"        # or "decaying_tail"
     cap: float = 1e6
@@ -379,17 +391,17 @@ def estimate_scalar_radius(ss: ScalarDelaySystem, criterion: BoundednessCriterio
     monotonically in the constant history, so the good set is an interval.
     ``horizon`` is a duration from the system start time.  The problem is
     built once, from the system with the constant history 0 (the system's
-    own history is not read), and each probe replaces its history.  A
-    ``tol.trap`` (`ToleranceSettings`) ends a probe as good once its delay
-    window lies in that ball; it must be a ball the solutions cannot leave
-    (the `frozen_scalar_radius` of a dominating frozen system), and
-    ``decaying_tail`` refuses it.
+    own history is not read, and ``c >= 1`` is sampled once per search), and
+    each probe replaces its history.  A ``tol.trap`` (`ToleranceSettings`)
+    ends a probe as good once its delay window lies in that ball; it must be
+    a ball the solutions cannot leave (the `frozen_scalar_radius` of a
+    dominating frozen system), and ``decaying_tail`` refuses it.
     """
     if q_max <= 0:
         raise ValueError("q_max must be positive")
     tol = _search_tolerances(criterion, tol)
     horizon_end = ss.t0 + horizon
-    problem = ss.with_constant_history(0.0).problem(horizon_end)
+    problem = replace(ss, history=HistoryFunction.constant([0.0])).problem(horizon_end)
 
     def probe(q: float) -> bool:
         history = HistoryFunction.constant([q])

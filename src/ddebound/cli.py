@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Commands: ``simulate``, ``reduce``, ``verify``, ``radius``, ``region``,
-``robust``, ``fts``, ``reproduce-fig1``, ``reproduce-fig2``.  Exit codes:
-0 success / check holds, 1 check failed, 2 usage or config error,
-3 numerical hard error.
+``robust``, ``fts``, ``reproduce-fig1``, ``reproduce-fig2``, dispatched from
+one table, ``_COMMANDS``, of each command and the flags it reads.  Exit
+codes: 0 success / check holds, 1 check failed, 2 usage or config error,
+3 numerical hard error.  Importing this module loads no scipy: the one
+scipy routine, ``CubicSpline``, is imported by a numerical reduction, where
+it runs.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .analysis import (BoundednessCriterion, classify_fts, estimate_scalar_radiu
                        robust_stability_check, verify_pointwise_ordering)
 from .config import ConfigError, RunConfig, load_config, load_config_text
 from .dde_core import IntegrationError, ScalarDelaySystem, ToleranceSettings, integrate
-from .expressions import EvaluationError
 from .linear_aux import build_linear_chain  # noqa: F401  (perfbench reads it here)
 from .majorant import PolynomialMajorant
 from .plotting import Curve, emit_csv, emit_region_svg, emit_svg
@@ -119,8 +121,10 @@ def fig2_protocol(cfg: RunConfig, horizon: float | None = None,
     so, by the comparison theorem, does the norm of a vector solution.  The
     scalar search always gets the trap; the vector sweep only for a
     closed-form reduction (``A0 = a(t) I``, ``c = 1``), whose ``p`` and ``c``
-    are the same when the reduction restarts at the entry time.  A trapped
-    probe is good, as its full run would be, so the estimates do not change.
+    are the same when the reduction restarts at the entry time, so a
+    numerical reduction such as ``perfbench/reduce.cfg`` probes in full.  A
+    trapped probe is good, as its full run would be, so the estimates do
+    not change.  The ``radius`` and ``region`` commands pass no trap.
 
     Returns ``(boundary, scalar_estimate, autonomous_estimate, inclusion_ok)``.
     """
@@ -417,8 +421,7 @@ def run_command(command: str, args) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (IntegrationError, IllConditionedError, EvaluationError,
-            OverflowError) as exc:
+    except (IntegrationError, IllConditionedError, OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -57,8 +57,9 @@ from functools import partial
 from pathlib import Path
 
 from .dde_core import DelaySpec, HistoryFunction, ToleranceSettings, VectorDelaySystem
-from .expressions import Expression, ExpressionSyntaxError, parse_expression
+from .expressions import EvaluationError, ExpressionSyntaxError, parse_expression
 from .linalg import MatrixFunction, VectorFunction
+from .timefn import TimeFunction
 from .vectorfield import DelayedMatrixTerm, NonlinearTerm, PolynomialVectorField
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "load_config_text"]
@@ -137,10 +138,10 @@ def _parse_entries(text: str, source: str):
         yield section, key.strip(), value.strip(), lineno
 
 
-def _expr(value: str, where: str) -> Expression:
+def _expr(value: str, where: str) -> TimeFunction:
     try:
         return parse_expression(value)
-    except ExpressionSyntaxError as exc:
+    except (ExpressionSyntaxError, EvaluationError) as exc:
         raise ConfigError(f"{where}: bad expression: {exc}") from exc
 
 
@@ -265,7 +266,11 @@ def load_config_text(text: str, source: str = "<memory>") -> RunConfig:
     """Parse a run configuration and build its vector system.
 
     Every refusal is a `ConfigError` that names the source, and the line
-    where one line is at fault.
+    where one line is at fault: a bad expression, an unknown key, a
+    repeated key, a history in two forms, a number that is not finite, an
+    output ``grid`` below 2 points, a ``probe_rtol`` that is not positive or
+    an index outside ``1..dim``.  The keys without indices are read through
+    one table, ``_KEYS``, of ``section -> key -> (parser, field)``.
     """
     fields: dict[str, dict] = {section: {} for section in _KEYS}
     # 1-based index -> value; a list of (index, value, line) for a key that repeats
@@ -373,7 +378,7 @@ def load_config_text(text: str, source: str = "<memory>") -> RunConfig:
         tolerances = ToleranceSettings(**fields["solver"])
         h_bar, _h_under = delays.bounds(t0, horizon)
     except (ValueError, ArithmeticError) as exc:
-        # ArithmeticError: a constant expression that overflows when folded
+        # ArithmeticError: a delay that overflows where its band is sampled
         raise ConfigError(f"{source}: {exc}") from exc
     if not history.covers(t0 - h_bar, t0):
         raise ConfigError(

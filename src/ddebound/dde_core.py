@@ -182,7 +182,10 @@ class ToleranceSettings:
     window ``[t - h_bar, t]``: the radius of a ball that the solutions cannot
     leave, such as the frozen system's radius (`cli.fig2_protocol`).  It must
     be positive, finite and below ``cap``; the caller vouches that the ball is
-    invariant, the integrator only detects the entry."""
+    invariant, the integrator only detects the entry.  No config key or CLI
+    flag sets it.  ``rtol`` and ``atol`` must be positive and finite,
+    ``cap`` positive (not NaN), and ``max_step`` and ``first_step``
+    positive when given."""
 
     rtol: float = 1e-6
     atol: float = 1e-9
@@ -272,9 +275,6 @@ class DelaySpec:
         times = {t0 + math.fsum(lags) for depth in range(1, _BREAK_DEPTH + 1)
                  for lags in itertools.combinations_with_replacement(values, depth)}
         return tuple(sorted(time for time in times if t0 < time < horizon))
-
-    def merged_with(self, other: "DelaySpec") -> "DelaySpec":
-        return DelaySpec(self.delays + other.delays)
 
 
 def _refined_minimum(fn, grid: np.ndarray, values: np.ndarray) -> float:
@@ -390,7 +390,9 @@ class DelayProblem:
 class VectorDelaySystem:
     """Vector delay system ``x' = A(t)x + f(t, x, x(t-h_1), ...) + F0*e(t)``: data
     (``A`` a `MatrixFunction`, ``f`` a `NonlinearTerm`, the shape ``e`` a
-    `VectorFunction`, each optional) from which `rhs` is generated."""
+    `VectorFunction`, each optional, anything else refused) from which `rhs`
+    is generated.  `problem` checks the unit sup norm of a forcing shape on
+    the sampling grid of `timefn.sample`."""
 
     dim: int
     A: MatrixFunction | None
@@ -433,8 +435,7 @@ class VectorDelaySystem:
         def times(*factors: str) -> str:
             return " * ".join(factor for factor in factors if factor != "1.0") or "1.0"
 
-        def read(value) -> str:
-            fn = as_time_function(value)
+        def read(fn) -> str:
             source = _source_of(fn, names)
             if isinstance(fn, ConstantFn):
                 return source
@@ -442,8 +443,8 @@ class VectorDelaySystem:
 
         def product(matrix: MatrixFunction, columns: list[str]) -> list[str]:
             rows: list[list[str]] = [[] for _ in range(self.dim)]
-            for (i, j), value in sorted(matrix.entries().items()):
-                rows[i].append(times(read(value), columns[j]))
+            for (i, j), fn in sorted(matrix.entries().items()):
+                rows[i].append(times(read(fn), columns[j]))
             return [" + ".join(row) for row in rows]
 
         states = [[f"s{k}_{j}" for j in range(self.dim)] for k in range(self.delays.count + 1)]
@@ -493,7 +494,8 @@ class ScalarDelaySystem:
 
     ``g`` is the nonnegative forcing magnitude.  A persistent perturbation
     (`analysis.build_perturbed_scalar`) is more terms of ``L`` on more delays.
-    Histories must be nonnegative and ``c(t) >= 1``.
+    Histories must be nonnegative and ``c(t) >= 1``; `problem` checks both on
+    the sampling grid of `timefn.sample`.
     """
 
     p: TimeFunction
@@ -518,9 +520,6 @@ class ScalarDelaySystem:
 
     def with_history(self, history: HistoryFunction) -> "ScalarDelaySystem":
         return replace(self, history=history)
-
-    def with_constant_history(self, value: float) -> "ScalarDelaySystem":
-        return replace(self, history=HistoryFunction.constant([value]))
 
     def homogeneous(self) -> "ScalarDelaySystem":
         return replace(self, forcing=as_time_function(0.0))
@@ -917,6 +916,7 @@ def integrate(system, horizon: float, tol: ToleranceSettings | None = None) -> T
     arithmetic (`_generated_step`), which calls ``problem.rhs`` on it with
     the delayed values it looks up itself, each constant delay passed in as
     its float; a result of the wrong length fails at the start time.  A
+    constant history is read once per run, as one tuple.  A
     horizon that leaves no step after the start time (the loop's own end
     test), NaN or infinite, is refused.
     """

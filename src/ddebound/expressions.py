@@ -8,16 +8,19 @@ argument.  Python's own parser reads the text (`ast.parse`, with ``^`` read
 as ``**``), so precedence and associativity are Python's: ``^`` binds
 tightest and to the right, above a unary ``-`` on its left (``-3^2`` is -9,
 ``2^-3`` is 0.125), then ``*`` ``/`` and ``+`` ``-``, both left associative.
-One walk over the tree refuses every other construct, and a tree more than
-``_MAX_DEPTH`` nodes deep; every refusal is an `ExpressionSyntaxError` with
-the 1-based column of the text it refuses.
+One walk over the tree refuses every other construct, a tree more than
+``_MAX_DEPTH`` nodes deep and a number literal that overflows to infinity;
+a number run into a letter or ``_`` (``1or 2``) is refused before Python's
+tokenizer would warn about it on stderr.  Every refusal is an
+`ExpressionSyntaxError` with the 1-based column of the text it refuses.
 
 Expressions are evaluated in real arithmetic (``math.pow`` semantics, so a
 negative base with a fractional exponent is an error rather than a complex
-number).  Each expression compiles once, when it is parsed, to a Python
-callable: `Expression.compiled` returns it for integration loops, and
-`Expression.evaluate`, the strict evaluator used during validation, runs it
-and rejects non-finite results.  The compiler, `_generate`, also builds the
+number).  `parse_expression` compiles the text once to the time function
+itself: a `timefn.ConstantFn` for text without ``t``, whose one value must be
+finite, else the generated function of ``t``, which does not check
+finiteness.  Its source is ``ast.unparse`` of the checked tree, with ``^`` as
+``_pow`` and ``sin`` as ``_sin``.  The compiler, `_generate`, also builds the
 package's other generated functions (comparison coefficients and right
 sides), which inline the source of the compiled expressions they read.
 """
@@ -28,9 +31,9 @@ import ast
 import math
 import re
 from collections import Counter
+from typing import Callable
 
 __all__ = [
-    "Expression",
     "ExpressionSyntaxError",
     "EvaluationError",
     "parse_expression",
@@ -56,8 +59,6 @@ _WORD = re.compile(r"[A-Za-z_]\w*|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)
 # the 200 levels Python's tokenizer reads
 _MAX_DEPTH = 201
 
-# the variable in generated source
-_TIME = re.compile(r"\bt\b")
 # a call of a named function at t in generated source
 _CALL_AT_T = re.compile(r"(?<![\w.])(\w+)\(t\)")
 
@@ -119,56 +120,8 @@ class ExpressionSyntaxError(ValueError):
 
 
 class EvaluationError(ArithmeticError):
-    """Raised when an expression does not evaluate to a finite real number."""
-
-
-class Expression:
-    """A coefficient expression: the tree `parse_expression` checked (its
-    numbers floats, ``^`` as Python's ``**``) and the function of ``t``
-    compiled from it.  Expressions with the same tree are equal."""
-
-    def __init__(self, tree: ast.expr, compiled):
-        self.tree = tree
-        self._compiled = compiled
-
-    def evaluate(self, t: float) -> float:
-        """Strictly evaluate at time ``t``; non-finite results are errors."""
-        try:
-            value = self._compiled(t)
-        except ZeroDivisionError as exc:
-            raise EvaluationError(f"division by zero at t={t!r}") from exc
-        except (OverflowError, ValueError) as exc:
-            raise EvaluationError(f"{exc} at t={t!r}") from exc
-        if not math.isfinite(value):
-            raise EvaluationError(f"non-finite value {value!r} at t={t!r}")
-        return value
-
-    def compiled(self):
-        """The ``t -> float`` callable behind :meth:`evaluate`, compiled once
-        per expression; it does not check finiteness."""
-        return self._compiled
-
-    def is_constant(self) -> bool:
-        # ``t`` is the one name of the compiled source that is not a function
-        return _TIME.search(self._compiled.source[2]) is None
-
-    def constant_value(self) -> float:
-        """Value of a time-independent expression."""
-        if not self.is_constant():
-            raise ValueError("expression depends on t")
-        return self.evaluate(0.0)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Expression) and ast.dump(self.tree) == ast.dump(other.tree)
-
-    def __hash__(self) -> int:
-        return hash(ast.dump(self.tree))
-
-    def __str__(self) -> str:
-        return ast.unparse(self.tree).replace("**", "^")
-
-    def __repr__(self) -> str:
-        return f"parse_expression({str(self)!r})"
+    """Raised when constant expression text does not evaluate to a finite
+    real number; the message names the text."""
 
 
 def _checked(node: ast.expr, source: str, column, depth: int = 1) -> ast.expr:
@@ -213,13 +166,17 @@ def _checked(node: ast.expr, source: str, column, depth: int = 1) -> ast.expr:
     refuse(f"unexpected {text!r}")
 
 
-def parse_expression(text: str) -> Expression:
-    """Parse coefficient text into an `Expression`.
+def parse_expression(text: str) -> Callable[[float], float]:
+    """Compile coefficient text to its time function: a `timefn.ConstantFn`
+    for text without ``t``, else the generated function of ``t``, with its
+    ``source`` (`_generate`).
 
     Every whitespace character reads as a space.  Raises
     `ExpressionSyntaxError` (with a 1-based column) on text outside the
     language, on text Python's parser refuses (with its message), and on an
-    expression too deep to parse or compile.
+    expression too deep to parse or compile.  A constant is evaluated once,
+    here: a value that raises or is not finite is an `EvaluationError` that
+    names the text.
     """
     if not isinstance(text, str):
         raise TypeError("expression text must be a string")
@@ -244,14 +201,24 @@ def parse_expression(text: str) -> Expression:
         return lead + offset - source.count("**", 0, offset) + 1
 
     try:
-        tree = ast.parse(source, mode="eval").body
-        python = _checked(tree, source, column)
+        checked = _checked(ast.parse(source, mode="eval").body, source, column)
     except SyntaxError as exc:
         raise ExpressionSyntaxError(exc.msg, column(max(exc.offset or 1, 1) - 1)) from exc
     except (RecursionError, MemoryError) as exc:
         raise ExpressionSyntaxError("expression nested too deeply to parse", 1) from exc
     try:
-        compiled = _generate("t", ast.unparse(python))
+        python = ast.unparse(checked)
+        compiled = _generate("t", python)
     except (RecursionError, MemoryError, SyntaxError) as exc:
         raise ExpressionSyntaxError(f"expression too deep to compile ({exc})", 1) from exc
-    return Expression(tree, compiled)
+    # ``t`` is the one name of the source that is not a function
+    if re.search(r"\bt\b", python):
+        return compiled
+    from .timefn import ConstantFn      # here: timefn imports this module's compiler
+    try:
+        value = compiled(0.0)
+    except (ArithmeticError, ValueError) as exc:
+        raise EvaluationError(f"{text!r}: {exc}") from exc
+    if not math.isfinite(value):
+        raise EvaluationError(f"{text!r} is not finite ({value!r})")
+    return ConstantFn(value)

@@ -12,7 +12,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .expressions import _folded, _generate
-from .timefn import ConstantFn, _compose, _literal, _source_of, as_time_function
+from .timefn import ConstantFn, _compose, _source_of, as_time_function
 
 __all__ = [
     "spectral_norm",
@@ -47,86 +47,63 @@ def spectral_norm(matrix: np.ndarray) -> float:
 class MatrixFunction:
     """Matrix-valued function of time with per-entry coefficients.
 
-    Entries may be numbers, `Expression` objects or callables.  Constant
-    matrices are detected and returned without re-evaluation; callers must
-    treat the returned array as read-only in that case.  ``norm`` is
-    ``t -> |M(t)|``: a constant, a generated function for dimension 1 or 2,
-    `spectral_norm` of the matrix above.
+    Entries may be numbers or callables (`parse_expression` results among
+    them); the matrix keeps one map ``(i, j) -> time function``
+    (`timefn.as_time_function`), with exact zeros dropped, which calling it,
+    ``norm`` and `entries` read.  Calling it fills a new array.  ``norm`` is
+    ``t -> |M(t)|``: a `ConstantFn` when every entry is one, else for
+    dimension 1 or 2 a function generated from the entries' sources
+    (`spectral_norm`'s closed form in its order of operations, so bit for
+    bit), above that `spectral_norm` of the matrix.
     """
 
     def __init__(self, dim: int, entries: Mapping[tuple[int, int], object]):
         if dim < 1:
             raise ValueError("matrix dimension must be positive")
         self.dim = dim
-        self._callables: list[tuple[int, int, Callable[[float], float]]] = []
-        base = np.zeros((dim, dim))
+        self._entries: dict[tuple[int, int], Callable[[float], float]] = {}
         for (i, j), value in entries.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"entry index ({i}, {j}) outside a {dim}x{dim} matrix")
             fn = as_time_function(value)
-            if isinstance(fn, ConstantFn):
-                base[i, j] = fn.value
-            else:
-                self._callables.append((i, j, fn))
-        self._base = base
-        self.is_constant = not self._callables
-        if self.is_constant:
-            self.norm = ConstantFn(spectral_norm(base))
+            if not (isinstance(fn, ConstantFn) and fn.value == 0.0):
+                self._entries[i, j] = fn
+        if all(isinstance(fn, ConstantFn) for fn in self._entries.values()):
+            self.norm = ConstantFn(spectral_norm(self(0.0)))
         elif dim == 1:
-            self.norm = _compose("abs({})", self._callables[0][2])
+            self.norm = _compose("abs({})", self._entries[0, 0])
         elif dim == 2:
-            # spectral_norm's closed form on the entries' sources
             names: dict = {}
-            sources = [[_literal(v) for v in row] for row in base.tolist()]
-            for i, j, fn in self._callables:
-                sources[i][j] = _source_of(fn, names)
-            (a, b), (c, d) = sources
+            (a, b), (c, d) = [[_source_of(self._entries.get((i, j), ConstantFn(0.0)), names)
+                               for j in range(2)] for i in range(2)]
             self.norm = _generate("t", _NORM_2X2, names,
                                   [f"a, b, c, d = {a}, {b}, {c}, {d}", *_GRAM_LINES])
         else:
             self.norm = lambda t: spectral_norm(self(t))
 
-    @classmethod
-    def zero(cls, dim: int) -> "MatrixFunction":
-        return cls(dim, {})
-
     def __call__(self, t: float) -> np.ndarray:
-        if self.is_constant:
-            return self._base
-        out = self._base.copy()
-        for i, j, fn in self._callables:
+        out = np.zeros((self.dim, self.dim))
+        for (i, j), fn in self._entries.items():
             out[i, j] = fn(t)
         return out
 
-    def entries(self) -> dict[tuple[int, int], object]:
-        """Entry map equivalent to the one this function was built from
-        (exact zeros in the constant part are dropped)."""
-        out: dict[tuple[int, int], object] = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self._base[i, j] != 0.0:
-                    out[(i, j)] = float(self._base[i, j])
-        for i, j, fn in self._callables:
-            out[(i, j)] = fn
-        return out
+    def entries(self) -> dict[tuple[int, int], Callable[[float], float]]:
+        """A copy of the entry map: each nonzero entry's time function."""
+        return dict(self._entries)
 
     def plus(self, other: "MatrixFunction") -> "MatrixFunction":
         """Pointwise sum, merged entry-wise so evaluation stays one pass."""
         if self.dim != other.dim:
             raise ValueError("matrix dimensions differ")
         merged = self.entries()
-        for key, value in other.entries().items():
-            if key not in merged:
-                merged[key] = value
-                continue
-            merged[key] = _compose("{} + {}", as_time_function(merged[key]),
-                                   as_time_function(value))
+        for key, fn in other._entries.items():
+            merged[key] = _compose("{} + {}", merged[key], fn) if key in merged else fn
         return MatrixFunction(self.dim, merged)
 
 
 class VectorFunction:
-    """Vector-valued function of time with per-entry coefficients (numbers,
-    `Expression` objects or callables); entries not given are zero.
+    """Vector-valued function of time with per-entry coefficients (numbers or
+    callables); entries not given are zero.
     ``entries`` holds the ``(index, time function)`` pairs in index order,
     which the generated vector right side reads.
 

@@ -124,7 +124,8 @@ def build_linear_chain(pipe):
     `cli.Pipeline`) and the constant-coefficient U, the same linearization of
     its frozen variant: the two linear systems of the chain ``y <= u <= U``
     and of the superposition checks.  Each is valid as far as the system it
-    linearizes: u up to the reduction's horizon, U up to the frozen system's."""
+    linearizes: u up to the reduction's horizon (unbounded for closed-form
+    coefficients), U up to the frozen system's.  `cli` imports it too."""
     cfg = pipe.config
     scalar = pipe.scalar_system
     auto = pipe.autonomous_system

@@ -29,7 +29,9 @@ class Curve:
 
 
 def emit_csv(columns: Sequence[tuple[str, Sequence[float]]], path) -> None:
-    """Write named columns as CSV (UTF-8, header row, full precision)."""
+    """Write named columns as CSV (UTF-8, header row, full precision): each
+    column is converted to floats once, and each value written as its
+    `repr`."""
     if not columns:
         raise ValueError("no columns to write")
     lengths = {len(values) for _name, values in columns}

@@ -44,6 +44,15 @@ _TIE = 1e-9
 
 
 class IllConditionedError(RuntimeError):
+    """The fundamental matrix turned numerically singular at ``time``.
+
+    Because ``c = cond w``, a non-normal constant ``A0`` with eigenvalues
+    ``lambda_1 > lambda_2`` gives a ``c`` that grows like ``e^{(lambda_1 -
+    lambda_2) t}``, so its bound loosens as fast and the reduction ends
+    here: ``A0 = [[-1, 2], [0, -3]]`` gives ``c(10) = 9.7e8``, and on
+    ``[0, 20]`` `coefficients_of` refuses it at ``t = 13.49``.
+    """
+
     def __init__(self, time: float, sigma_max: float, sigma_min: float):
         super().__init__(
             f"fundamental matrix is numerically singular at t={time!r} "
@@ -98,7 +107,8 @@ def compute_fundamental_matrix(A: MatrixFunction, t0: float, horizon: float,
     """Integrate ``w' = A(t) w``, ``w(t0) = I`` with dense output, as
     ``V' = (A - r I) V``, ``s' = r`` with ``w = e^s V`` and ``r = tr A / n``:
     a `VectorDelaySystem` on ``(V flattened, s)`` whose linear part holds the
-    entries of ``A - r I`` once per column of ``V``."""
+    entries of ``A - r I`` once per column of ``V``.  ``A`` must be a
+    `MatrixFunction`."""
     if not isinstance(A, MatrixFunction):
         raise TypeError(f"expected a MatrixFunction, not {A!r}")
     n, entries = A.dim, A.entries()

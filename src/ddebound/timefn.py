@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expressions import _NAMESPACE, Expression, _generate
+from .expressions import _NAMESPACE, _generate
 
 __all__ = [
     "TimeFunction",
@@ -38,15 +38,11 @@ class ConstantFn:
 
 
 def as_time_function(value) -> TimeFunction:
-    """Normalize a number, `Expression` or callable into ``t -> float``."""
-    if isinstance(value, ConstantFn):
-        return value
+    """Normalize a number or a callable (a `parse_expression` result among
+    them) into ``t -> float``: a number becomes a `ConstantFn`, a callable is
+    returned as it is."""
     if isinstance(value, (int, float)):
         return ConstantFn(value)
-    if isinstance(value, Expression):
-        if value.is_constant():
-            return ConstantFn(value.constant_value())
-        return value.compiled()
     if callable(value):
         return value
     raise TypeError(f"cannot interpret {value!r} as a function of time")
@@ -210,42 +206,30 @@ def locate_zeros(fn: TimeFunction, t_lo: float, t_hi: float) -> list[float]:
     not the 10,000 points of `sample`: the kinks this returns are steps of
     the integration, and on the finer grid 58 of the 160 forcing kinks of
     the bundled case a move by up to 7.1e-15, and every forced trajectory
-    with them.  Sign changes are refined with
-    ``brentq``; grid-local minima of ``|fn|`` (zeros that ``fn`` touches
-    without crossing, as ``|sin t|`` does) are refined with a golden-section
-    search and kept when ``|fn|`` there is at most 1e-9 times the largest
-    sampled magnitude.  Zeros closer together than the grid spacing
-    may be reported once; where ``fn`` vanishes on a stretch, only the grid
-    points at its ends are reported.  Constants have no isolated zeros.
+    with them.  Exact zeros on the grid are kept.  Every other grid-local
+    minimum of ``|fn|`` is refined by a golden-section search over its two
+    grid cells and kept when ``|fn|`` there is at most 1e-9 times the
+    largest sampled magnitude: a zero that ``fn`` crosses and one it only
+    touches (as ``|sin t|`` does) are found alike, with no root finder.  So
+    a zero is found when ``|fn|`` has its grid-local minimum next to it;
+    zeros closer together than the grid spacing may be reported once, and
+    where ``fn`` vanishes on a stretch only the grid points at its ends are
+    reported.  Constants have no isolated zeros.
     """
     if t_hi <= t_lo or isinstance(fn, ConstantFn):
         return []
     grid = np.linspace(t_lo, t_hi, _ZERO_SAMPLES)
-    vals = grid_values([fn], grid)[0]
-    mags = np.abs(vals)
+    mags = np.abs(grid_values([fn], grid)[0])
     scale = float(np.max(mags))
     if not math.isfinite(scale) or scale == 0.0:
         return []
-    exact = vals == 0.0
+    exact = mags == 0.0
     # inside a stretch where fn vanishes only the ends are zeros worth a break
     inside = np.zeros(grid.size, dtype=bool)
     inside[1:-1] = exact[:-2] & exact[2:]
     zeros = [float(t) for t in grid[exact & ~inside]]
-    crossing = vals[:-1] * vals[1:] < 0.0
-    if crossing.any():
-        # loaded here, on the first sign change: importing scipy.optimize
-        # takes about 0.6 s and 50 MB, and the forcings of the scalar and
-        # linear systems are magnitudes, which never change sign
-        from scipy.optimize import brentq
-    for i in np.flatnonzero(crossing):
-        zeros.append(brentq(fn, grid[i], grid[i + 1], xtol=1e-15))
-    # cells next to a crossing or an exact zero are already resolved
-    resolved = np.zeros(grid.size, dtype=bool)
-    resolved[:-1] |= crossing
-    resolved[1:] |= crossing
-    resolved |= exact
     padded = np.concatenate(([math.inf], mags, [math.inf]))
-    minima = (mags <= padded[:-2]) & (mags <= padded[2:]) & ~resolved
+    minima = (mags <= padded[:-2]) & (mags <= padded[2:]) & ~exact
     last = grid.size - 1
     for i in np.flatnonzero(minima):
         a = float(grid[max(i - 1, 0)])

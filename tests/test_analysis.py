@@ -247,7 +247,7 @@ class TestPerturbedScalar:
         # (homogeneous) comparison system's solutions small
         from ddebound.cli import _bundled_config, assemble_pipeline
         pipe = assemble_pipeline(_bundled_config("a"))
-        base = pipe.scalar_system.homogeneous().with_constant_history(0.05)
+        base = pipe.scalar_system.homogeneous().with_history(HistoryFunction.constant([0.05]))
         offset = PolynomialMajorant((PolynomialTerm(1e-3, (0, 0)),), 2,
                                     allow_constant_terms=True)
         perturbed = build_perturbed_scalar(base, offset,
@@ -315,8 +315,8 @@ class TestComparisonPrinciple:
                 delays=delays, history=HistoryFunction.constant([0.0]), t0=0.0)
             q1 = float(rng.uniform(0.0, 0.4))
             q2 = q1 + float(rng.uniform(0.0, 0.4))
-            y1 = integrate(sys.with_constant_history(q1), 8.0, tol)
-            y2 = integrate(sys.with_constant_history(q2), 8.0, tol)
+            y1 = integrate(sys.with_history(HistoryFunction.constant([q1])), 8.0, tol)
+            y2 = integrate(sys.with_history(HistoryFunction.constant([q2])), 8.0, tol)
             for t in np.linspace(0.0, 8.0, 81):
                 assert y1.eval(float(t))[0] <= y2.eval(float(t))[0] + 1e-6
 
@@ -399,7 +399,7 @@ class TestScalarRadius:
         assert len(built) == 1
 
     def test_the_system_history_is_not_read(self):
-        negative = cubic_basin_scalar().with_constant_history(-1.0)
+        negative = cubic_basin_scalar().with_history(HistoryFunction.constant([-1.0]))
         estimates = [estimate_scalar_radius(ss, CRIT, 3.0, bisect_tol=1e-2, horizon=20.0,
                                             tol=PROBE)
                      for ss in (negative, cubic_basin_scalar())]
@@ -509,6 +509,19 @@ class TestFrozenRadius:
                 return ss.rhs(ss.t0, (y,), ((y,),) * ss.delays.count)[0]
 
             assert reads(q) < 0.0 <= reads(math.nextafter(q, math.inf))
+
+    def test_a_root_at_zero_takes_at_most_64_evaluations(self):
+        # the bisection runs on the bit patterns of the floats, so it does not
+        # walk down through the subnormals when the root is 0
+        from ddebound.cli import assemble_pipeline
+        from ddebound.config import load_config
+        cfg = load_config("perfbench/reduce.cfg")
+        frozen = assemble_pipeline(cfg).autonomous_system.homogeneous()
+        clamped, calls = frozen.majorant._clamped, []
+        frozen.majorant.__dict__["_clamped"] = lambda *args: calls.append(args) or clamped(*args)
+        estimate = frozen_scalar_radius(frozen, CRIT, cfg.analysis.q_max)
+        assert (estimate.status, estimate.value) == ("empty_at_zero", 0.0)
+        assert 0 < len(calls) <= 64
 
     @pytest.mark.parametrize("case", ["a", "b"])
     @pytest.mark.parametrize("kind", ["bounded_on_horizon", "decaying_tail"])

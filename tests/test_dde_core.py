@@ -584,7 +584,7 @@ class TestKinks:
     def test_zeros_of_crossing_and_touching_functions(self):
         exact = np.arange(160) * math.pi / 10.0
         for text in ("sin(10*t)", "abs(sin(10*t))"):
-            zeros = locate_zeros(parse_expression(text).compiled(), 0.0, 50.0)
+            zeros = locate_zeros(parse_expression(text), 0.0, 50.0)
             assert len(zeros) == 160
             assert np.max(np.abs(np.array(zeros) - exact)) < 1e-12
 
@@ -666,7 +666,7 @@ class TestBreaks:
 
 class TestScalarSystemGuards:
     def test_negative_history_rejected(self):
-        sys = cubic_basin_scalar().with_constant_history(-0.1)
+        sys = cubic_basin_scalar().with_history(HistoryFunction.constant([-0.1]))
         with pytest.raises(ValueError):
             integrate(sys, 1.0, DEFAULT)
 

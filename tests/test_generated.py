@@ -206,7 +206,7 @@ class TestForcingMagnitude:
         entries = {0: parse_expression("sin(t)"), 2: parse_expression("exp(-t)"),
                    1: parse_expression("1.5*cos(7*t)")}
         shape = VectorFunction(3, entries)
-        fns = [entries[i].compiled() for i in range(3)]
+        fns = [entries[i] for i in range(3)]
         for t in np.linspace(0.0, 10.0, 1000).tolist():
             e0, e1, e2 = (f(t) for f in fns)
             assert _same(shape.norm(t), math.sqrt(e0 * e0 + e1 * e1 + e2 * e2))
@@ -231,7 +231,7 @@ class TestLinearCoefficients:
 
     def test_mu_equals_the_sum_over_its_bucket(self):
         # four terms share the delayed argument's bucket, one constant
-        coeffs = [parse_expression(text).compiled()
+        coeffs = [parse_expression(text)
                   for text in ("sin(t)", "3*cos(2*t)", "exp(-t) - 0.5")] + [0.7]
         L = PolynomialMajorant(tuple(PolynomialTerm(c, (0, k + 1))
                                      for k, c in enumerate(coeffs)), 2)
@@ -448,7 +448,7 @@ class TestMatrixNorm:
         cfg = _config(name)
         times = np.linspace(cfg.system.t0, cfg.horizon, 10_000).tolist()
         for matrix in (cfg.a0, cfg.a1, cfg.system.A):
-            assert not matrix.is_constant
+            assert not isinstance(matrix.norm, ConstantFn)
             expected = [_old_spectral_norm(matrix(t)) for t in times]
             assert _same([matrix.norm(t) for t in times], expected)
             assert _same([spectral_norm(matrix(t)) for t in times], expected)
@@ -519,7 +519,7 @@ class TestGridValues:
                                       "abs(cos(3*t))^0.25 * exp(sin(t)) - (t/7)^3",
                                       "exp(t/5)^2 + cos(t)^2 - 1/exp(t)"])
     def test_exp_and_powers(self, text):
-        fn = parse_expression(text).compiled()
+        fn = parse_expression(text)
         times = np.linspace(0.0, 50.0, 10_000)
         (row,), scalar_calls = _scalar_calls_of_generated(lambda: grid_values([fn], times))
         assert scalar_calls == 0
@@ -532,7 +532,7 @@ class TestGridValues:
             calls.append(t)
             return math.sin(t) ** 2
 
-        fn = _compose("{} * {} + abs({})", parse_expression("exp(-t) + 0.5").compiled(),
+        fn = _compose("{} * {} + abs({})", parse_expression("exp(-t) + 0.5"),
                       opaque, opaque)
         times = np.linspace(0.0, 10.0, 10_000)
         (row,) = grid_values([fn], times)
@@ -551,7 +551,7 @@ class TestGridValues:
         ("(t - 3)^0.5", ValueError),
     ])
     def test_errors_are_those_of_the_calls(self, text, error):
-        fn = parse_expression(text).compiled()
+        fn = parse_expression(text)
         times = np.linspace(0.0, 4.0, 9)
         with pytest.raises(error) as calls:
             [fn(t) for t in times.tolist()]
@@ -560,6 +560,6 @@ class TestGridValues:
         assert str(grid.value) == str(calls.value)
 
     def test_overflow_without_an_exception_gives_the_values_of_the_calls(self):
-        fn = parse_expression("(1e300*t) * (1e300*t) - 1e300*t").compiled()
+        fn = parse_expression("(1e300*t) * (1e300*t) - 1e300*t")
         times = np.linspace(0.0, 4.0, 9)
         assert _same(grid_values([fn], times)[0], [fn(t) for t in times.tolist()])

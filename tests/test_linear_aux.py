@@ -28,7 +28,7 @@ def _benchmark_linearized(forcing_amplitude=0.0, history=0.05):
     """Linearized comparison system of the bundled planar test system."""
     lam = parse_expression("-3 + 0.1*sin(5*t)")
     coeffs = CoefficientPair.closed_form(lam, 1.0)
-    omega = parse_expression("1 + 0.1*sin(t) + 0.1*sin(3.14*t)").compiled()
+    omega = parse_expression("1 + 0.1*sin(t) + 0.1*sin(3.14*t)")
 
     def a1_norm(t):
         return max(1.0, omega(t))

@@ -31,3 +31,11 @@ def test_command_table_lists_each_command_with_exactly_its_flags():
              for name, cell in rows}
     assert table == {name: [flag for flag, _spec in flags]
                      for name, (_run, flags) in _COMMANDS.items()}
+
+
+def test_each_module_row_is_a_summary():
+    # the semantics live in the docstrings, next to the code
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `ddebound\.[^\n]*", text, re.MULTILINE)
+    assert len(rows) >= 10
+    assert [row[:40] for row in rows if len(row) > 400] == []
